@@ -209,6 +209,8 @@ def _string_end_checks(
 def theorem_suite(ell: int, nmax: int) -> VerificationReport:
     """Exhaustive structural checks over all partitions of size up to nmax."""
     check_ell(ell, minimum=3)
+    if nmax < 0:
+        raise ValueError(f"nmax must be non-negative, got {nmax}")
     report = VerificationReport(suite="crystal-theorems", ell=ell, params={"nmax": nmax})
     for n in range(nmax + 1):
         for lam in all_partitions(n):

@@ -89,10 +89,19 @@ def star_condition(lam: Partition, ell: int) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def _only_horizontal_hereditarily(lam: Partition, ell: int) -> bool:
-    hooks = removable_rim_hooks(lam, ell)
-    if any(h.shape != HORIZONTAL for h in hooks):
-        return False
-    return all(_only_horizontal_hereditarily(_remove(lam, h), ell) for h in hooks)
+    seen = {lam}
+    todo = [lam]
+    while todo:
+        cur = todo.pop()
+        hooks = removable_rim_hooks(cur, ell)
+        if any(h.shape != HORIZONTAL for h in hooks):
+            return False
+        for hook in hooks:
+            rest = _remove(cur, hook)
+            if rest not in seen:
+                seen.add(rest)
+                todo.append(rest)
+    return True
 
 
 def is_ell_partition(lam: Partition, ell: int) -> bool:
@@ -130,19 +139,28 @@ def is_jm(lam: Partition, ell: int) -> bool:
 @functools.lru_cache(maxsize=None)
 def is_generalized_ell_partition(lam: Partition, ell: int) -> bool:
     """Hereditarily: hooks only horizontal/vertical, and removing one never
-    exposes a touching hook of the opposite orientation."""
+    exposes a touching hook of the opposite orientation.
+
+    Walks every partition reachable by hook removals from a worklist, each
+    once, so no recursion depth grows with the weight.
+    """
     check_ell(ell)
-    hooks = removable_rim_hooks(lam, ell)
-    if any(h.shape not in (HORIZONTAL, VERTICAL) for h in hooks):
-        return False
-    for hook in hooks:
-        rest = _remove(lam, hook)
-        opposite = VERTICAL if hook.shape == HORIZONTAL else HORIZONTAL
-        for other in removable_rim_hooks(rest, ell):
-            if other.shape == opposite and adjacent(hook, other):
-                return False
-        if not is_generalized_ell_partition(rest, ell):
+    seen = {lam}
+    todo = [(lam, removable_rim_hooks(lam, ell))]
+    while todo:
+        cur, hooks = todo.pop()
+        if any(h.shape not in (HORIZONTAL, VERTICAL) for h in hooks):
             return False
+        for hook in hooks:
+            rest = _remove(cur, hook)
+            rest_hooks = removable_rim_hooks(rest, ell)
+            opposite = VERTICAL if hook.shape == HORIZONTAL else HORIZONTAL
+            for other in rest_hooks:
+                if other.shape == opposite and adjacent(hook, other):
+                    return False
+            if rest not in seen:
+                seen.add(rest)
+                todo.append((rest, rest_hooks))
     return True
 
 

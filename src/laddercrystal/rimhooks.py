@@ -1,8 +1,24 @@
-"""Removable rim hooks of length ell, ell-cores and ell-weights."""
+"""Removable rim hooks of length ell, ell-cores and ell-weights.
+
+Hooks and cores are read off James's abacus (James–Kerber 1981).  Row r of
+lam (1-based) carries the bead lam_r - r, and rows past the end carry -r, so
+the beads fill every integer below the first one except finitely many gaps.
+An ell-rim hook whose northeast box ends row r is removable exactly when
+position bead_r - ell is a gap; removing it slides that bead into the gap,
+and its leg is the number of beads passed, at most ell - 1.  Sliding the
+beads of each runner (residue class mod ell) as far up as they go gives the
+ell-core, and the number of slides is the ell-weight.
+
+So no hook-length grid is built (only is_core uses one): finding the hooks
+costs about ell^2 per distinct part of lam, removing one costs a tuple
+slice, and a core costs O(n log n + ell) for n rows, whatever the weight.
+"""
 
 from __future__ import annotations
 
+import bisect
 import functools
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -10,9 +26,7 @@ from .partitions import (
     Box,
     Partition,
     check_ell,
-    check_partition,
     hook_grid,
-    transpose,
 )
 
 HORIZONTAL = "horizontal"
@@ -44,56 +58,66 @@ class CoreResult(NamedTuple):
     weight: int
 
 
-def _rim_walk(lam: Partition, base: Box) -> tuple[Box, ...]:
-    """The rim boxes between the end of base's row and the foot of base's column."""
-    row, col = base
-    foot_row = transpose(lam)[col - 1]
-    i, j = row, lam[row - 1]
-    path = [(i, j)]
-    while (i, j) != (foot_row, col):
-        if i < len(lam) and lam[i] >= j:
-            i += 1
-        else:
-            j -= 1
-        path.append((i, j))
-    return tuple(path)
+def _hook_from_row(lam: Partition, r: int, ell: int) -> RimHook | None:
+    """The removable ell-rim hook whose northeast box ends row r+1, if any.
 
-
-def _classify(boxes: tuple[Box, ...]) -> str:
-    if all(b[0] == boxes[0][0] for b in boxes):
-        return HORIZONTAL
-    if all(b[1] == boxes[0][1] for b in boxes):
-        return VERTICAL
-    return NEITHER
+    Row s (0-based) has bead lam[s] - s; the hook exists when the position
+    ell below row r's bead is a gap.  Rows whose bead lies strictly between
+    are the rows the hook passes through below row r+1.
+    """
+    n = len(lam)
+    foot = lam[r] - ell  # lam[r] - ell + leg is the new length of the hook's last row
+    s = r + 1
+    while s < n and lam[s] - (s - r) > foot:
+        s += 1
+    if foot + (s - r) <= (lam[s] if s < n else 0):
+        return None  # the bead ell below is occupied
+    boxes = []
+    for i in range(r, s):
+        kept = lam[i + 1] - 1 if i + 1 < s else foot + (s - r - 1)
+        boxes.extend((i + 1, col) for col in range(lam[i], kept, -1))
+    if s == r + 1:
+        shape = HORIZONTAL
+    elif s - r == ell:
+        shape = VERTICAL
+    else:
+        shape = NEITHER
+    return RimHook(tuple(boxes), shape)
 
 
 def removable_rim_hooks(lam: Partition, ell: int) -> list[RimHook]:
     """All removable ell-rim hooks, ordered by the row of their northeast box.
 
-    There is one removable hook per box of hook length exactly ell, and hook
-    lengths strictly decrease along a row, so rows contribute at most one each.
+    A row starts at most one hook (its bead moves ell down or not at all), and
+    row r can start one only if lam_r != lam_{r+ell}: otherwise the ell beads
+    below it are packed.  So only the last ell rows of each run of equal
+    parts are tried, the runs are skipped with bisect, and each try scans at
+    most ell rows: a call costs O(d * (ell^2 + log n)) for d distinct parts
+    and n rows, instead of a hook grid of |lam| boxes.
     """
     check_ell(ell)
-    grid = hook_grid(lam)
     out = []
-    for row in range(1, len(lam) + 1):
-        hooks = grid[row - 1]
-        for col in range(1, lam[row - 1] + 1):
-            h = hooks[col - 1]
-            if h < ell:
-                break
-            if h == ell:
-                boxes = _rim_walk(lam, (row, col))
-                out.append(RimHook(boxes, _classify(boxes)))
-                break
+    start, n = 0, len(lam)
+    while start < n:
+        end = bisect.bisect_right(lam, -lam[start], start, n, key=operator.neg)
+        for r in range(max(start, end - ell), end):
+            hook = _hook_from_row(lam, r, ell)
+            if hook is not None:
+                out.append(hook)
+        start = end
     return out
 
 
 def _remove(lam: Partition, hook: RimHook) -> Partition:
-    new = list(lam)
-    for row, _col in hook.boxes:
-        new[row - 1] -= 1
-    return check_partition(new)
+    """lam without *hook*, which must be one of its removable rim hooks."""
+    top, bottom = hook.boxes[0][0], hook.boxes[-1][0]
+    rows = [0] * (bottom - top + 1)
+    for row, col in hook.boxes:
+        rows[row - top] = col - 1  # the leftmost box of each row comes last
+    if bottom == len(lam):
+        while rows and rows[-1] == 0:
+            rows.pop()
+    return lam[: top - 1] + tuple(rows) + lam[bottom:]
 
 
 def remove_rim_hook(lam: Partition, hook: RimHook) -> Partition:
@@ -109,20 +133,27 @@ def remove_rim_hook(lam: Partition, hook: RimHook) -> Partition:
 
 @functools.lru_cache(maxsize=None)
 def ell_core(lam: Partition, ell: int) -> CoreResult:
-    """Remove ell-rim hooks until none remain (topmost hook first each time).
+    """The ell-core and ell-weight of lam, read off James's abacus.
 
-    The resulting core and the number of hooks removed (the weight) do not
-    depend on the removal order.
+    With n = len(lam) beads at lam_r + n - r (r = 1..n), each runner's beads
+    slide up to the top positions of their runner; the core is read back from
+    the packed beads and the weight is the total number of slides.  The cost
+    is O(n log n + ell), whatever the weight.
     """
     check_ell(ell)
+    n = len(lam)
+    packed = [0] * ell  # beads seen so far on each runner
     weight = 0
-    cur = lam
-    while True:
-        hooks = removable_rim_hooks(cur, ell)
-        if not hooks:
-            return CoreResult(cur, weight)
-        cur = _remove(cur, hooks[0])
-        weight += 1
+    for s in range(n - 1, -1, -1):  # beads in increasing position
+        level, runner = divmod(lam[s] + n - 1 - s, ell)
+        weight += level - packed[runner]
+        packed[runner] += 1
+    beads = sorted(
+        (runner + ell * level for runner, k in enumerate(packed) for level in range(k)),
+        reverse=True,
+    )
+    parts = (bead - (n - 1 - j) for j, bead in enumerate(beads))
+    return CoreResult(tuple(part for part in parts if part), weight)
 
 
 def is_core(lam: Partition, ell: int) -> bool:

@@ -163,6 +163,31 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+def test_suite_rejects_negative_nmax(capsys):
+    assert main(["suite", "--ell", "3", "--nmax", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_jm_check_at_weight_1000(capsys):
+    status, out = run_cli(capsys, "jm", "check", "--ell", "3", "3000")
+    assert status == 0
+    payload = json.loads(out)
+    assert payload["is_jm"] is True
+    assert payload["generalized"] is True
+
+
+def test_info_at_weight_1000(capsys):
+    status, out = run_cli(capsys, "info", "--ell", "3", "3000")
+    assert status == 0
+    payload = json.loads(out)
+    assert payload["core"] == "empty"
+    assert payload["weight"] == 1000
+    assert payload["ell_partition"] is True
+    assert payload["jm"] is True
+
+
 def test_identical_runs_emit_identical_bytes(capsys):
     args = ["crystal", "build", "--ell", "3", "--depth", "6", "--model", "ladder"]
     first = run_cli(capsys, *args)

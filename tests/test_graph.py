@@ -159,6 +159,13 @@ def test_theorem_suite_passes():
     assert report.to_dict()["suite"] == "crystal-theorems"
 
 
+def test_theorem_suite_rejects_negative_nmax():
+    # a sweep over no partitions would run zero checks and report a pass
+    with pytest.raises(ValueError):
+        theorem_suite(3, -1)
+    assert theorem_suite(3, 0).checks > 0
+
+
 def test_report_schema_and_failure_path():
     report = VerificationReport(suite="demo", ell=3, params={"depth": 1})
     report.check(True, (2, 1), 0, "x", "x")

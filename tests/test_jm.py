@@ -112,6 +112,21 @@ def test_decompose_golden():
     assert compose_jm(dec, 3) == lam
 
 
+def test_hereditary_checks_at_large_weight():
+    # weight 603: far deeper than the interpreter's recursion limit allows a
+    # recursive peel to go
+    dec = JMDecomposition(mu=(1,), r=3, s=2, rho=(600,), sigma=(2, 1))
+    lam = transpose(compose_jm(dec, 3))
+    assert ell_core(lam, 3) == ((8, 6, 4, 3, 3, 2, 2, 1, 1), 603)
+    assert is_jm(lam, 3)
+    assert is_generalized_ell_partition(lam, 3)
+    assert decompose_jm(lam, 3) == JMDecomposition(mu=(1,), r=2, s=3, rho=(2, 1), sigma=(600,))
+    horizontal = compose_jm(JMDecomposition(mu=(1,), r=3, s=2, rho=(600,), sigma=()), 3)
+    assert is_ell_partition(horizontal, 3)
+    # 600 horizontal hooks peel off row 1 before (2, 2) shows a bent one
+    assert not is_ell_partition((3 * 600 + 2, 2), 3)
+
+
 def test_compose_canonicalizes_trailing_zeros():
     dec = JMDecomposition(mu=(1,), r=3, s=2, rho=(2, 1, 1, 1), sigma=(2, 1, 0))
     assert compose_jm(dec, 3) == (15, 10, 8, 6, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1)

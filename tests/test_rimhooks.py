@@ -5,7 +5,14 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 
-from laddercrystal.partitions import all_partitions, boxes, check_partition, hook_grid, size
+from laddercrystal.partitions import (
+    all_partitions,
+    boxes,
+    check_partition,
+    hook_grid,
+    size,
+    transpose,
+)
 from laddercrystal.rimhooks import (
     HORIZONTAL,
     NEITHER,
@@ -20,6 +27,75 @@ from laddercrystal.rimhooks import (
 )
 
 from strategies import partitions, moduli
+
+
+# Reference implementation on the hook grid: a removable ell-rim hook per box
+# of hook length exactly ell, traced along the rim from the end of the box's
+# row to the foot of its column, and cores by peeling the topmost hook.
+
+
+def _rim_walk(lam, base):
+    row, col = base
+    foot_row = transpose(lam)[col - 1]
+    i, j = row, lam[row - 1]
+    path = [(i, j)]
+    while (i, j) != (foot_row, col):
+        if i < len(lam) and lam[i] >= j:
+            i += 1
+        else:
+            j -= 1
+        path.append((i, j))
+    return tuple(path)
+
+
+def _reference_shape(path):
+    if all(b[0] == path[0][0] for b in path):
+        return HORIZONTAL
+    if all(b[1] == path[0][1] for b in path):
+        return VERTICAL
+    return NEITHER
+
+
+def _reference_hooks(lam, ell):
+    out = []
+    for row, hooks in enumerate(hook_grid(lam), start=1):
+        for col, h in enumerate(hooks, start=1):
+            if h < ell:
+                break
+            if h == ell:
+                path = _rim_walk(lam, (row, col))
+                out.append((path, _reference_shape(path)))
+                break
+    return out
+
+
+def _reference_remove(lam, path):
+    new = list(lam)
+    for row, _col in path:
+        new[row - 1] -= 1
+    return check_partition(new)
+
+
+def _reference_core(lam, ell):
+    weight = 0
+    while True:
+        hooks = _reference_hooks(lam, ell)
+        if not hooks:
+            return lam, weight
+        lam = _reference_remove(lam, hooks[0][0])
+        weight += 1
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 5])
+def test_abacus_matches_hook_grid_oracle(ell):
+    for n in range(15):
+        for lam in all_partitions(n):
+            expected = _reference_hooks(lam, ell)
+            hooks = removable_rim_hooks(lam, ell)
+            assert [(h.boxes, h.shape) for h in hooks] == expected, lam
+            for hook, (path, _shape) in zip(hooks, expected):
+                assert remove_rim_hook(lam, hook) == _reference_remove(lam, path), (lam, hook)
+            assert ell_core(lam, ell) == _reference_core(lam, ell), lam
 
 
 def test_hooks_of_321():
@@ -107,6 +183,9 @@ def test_core_golden():
     core, weight = ell_core((15, 10, 8, 6, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1), 3)
     assert core == (9, 7, 5, 3, 2, 2, 1, 1)
     assert weight == 8
+    # one runner, 1000 bead slides: no hook is peeled one at a time
+    assert ell_core((3000,), 3) == ((), 1000)
+    assert ell_core((1,) * 3001, 3) == ((1,), 1000)
 
 
 @given(partitions(), moduli())
