@@ -1,10 +1,14 @@
 """Classical and ladder crystal operators on partitions.
 
-Both models read a signature word over the addable (+) and removable (-)
+Both models read one signature word over the addable (+) and removable (-)
 boxes of one residue, cancel adjacent "-+" pairs, and act at the surviving
 good/cogood box.  They differ only in the reading order: the classical word
 runs bottom-left to top-right; the ladder word runs ladder by ladder,
-top-to-bottom within each ladder.
+top-to-bottom within each ladder.  So one kernel, ``reduced_word``, serves
+both models and every residue: it checks its arguments once, reads the word
+in one pass over the rows (re-sorted for the ladder order) and cancels it.
+epsilon, phi, the good box and the cogood box are all read from the reduced
+word; the public operators are one-line wrappers around the kernel.
 """
 
 from __future__ import annotations
@@ -12,18 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .partitions import (
-    Box,
-    Partition,
-    add_box,
-    addable_boxes,
-    check_ell,
-    contains,
-    ladder_index,
-    remove_box,
-    removable_boxes,
-    residue,
-)
+from .partitions import Box, Partition, check_ell, contains
 
 PLUS = "+"
 MINUS = "-"
@@ -50,97 +43,140 @@ class SignatureWord:
         return iter(self.entries)
 
 
-def _entries(lam: Partition, i: int, ell: int) -> list[SignatureEntry]:
-    plus = [SignatureEntry(PLUS, b) for b in addable_boxes(lam, i, ell)]
-    minus = [SignatureEntry(MINUS, b) for b in removable_boxes(lam, i, ell)]
-    return plus + minus
+class ReducedWord(NamedTuple):
+    """A reduced signature "+...+-...-": its plus boxes, then its minus boxes.
+
+    phi is len(plus), epsilon is len(minus); the cogood box is plus[-1] and
+    the good box minus[0].
+    """
+
+    plus: list[Box]
+    minus: list[Box]
+
+
+def check_model(model: str) -> None:
+    if model not in (CLASSICAL, LADDER):
+        raise ValueError(f"model must be {CLASSICAL!r} or {LADDER!r}, got {model!r}")
+
+
+def _read(lam: Partition, i: int, ell: int, model: str) -> list[SignatureEntry]:
+    """The i-signature of lam in the model's reading order.
+
+    One pass runs over the rows from the bottom up, which is the classical
+    order; the ladder order re-sorts by (ladder index, row).  No row carries
+    two entries: its addable and removable boxes differ in residue by one.
+    """
+    check_ell(ell)
+    if not 0 <= i < ell:
+        raise ValueError(f"residue must lie in 0..{ell - 1}, got {i}")
+    check_model(model)
+    depth = len(lam)
+    entries = []
+    if -depth % ell == i:  # (depth + 1, 1) is always addable; its residue is -depth
+        entries.append(SignatureEntry(PLUS, (depth + 1, 1)))
+    below = 0
+    for row in range(depth, 0, -1):
+        part = lam[row - 1]
+        last = (part - row) % ell  # residue of the row's last box
+        minus = part > below and last == i
+        plus = (row == 1 or lam[row - 2] > part) and (last + 1) % ell == i
+        assert not (minus and plus), f"duplicate signature row for {lam}, i={i}"
+        if minus:
+            entries.append(SignatureEntry(MINUS, (row, part)))
+        elif plus:
+            entries.append(SignatureEntry(PLUS, (row, part + 1)))
+        below = part
+    if model == LADDER:
+        entries.sort(key=lambda e: (e.box[0] + (ell - 1) * (e.box[1] - 1), e.box[0]))
+    return entries
+
+
+def _cancel(entries) -> ReducedWord:
+    """Cancel adjacent "-+" pairs exhaustively; the survivors are "+...+-...-"."""
+    plus: list[Box] = []
+    minus: list[Box] = []
+    for sign, box in entries:
+        if sign == MINUS:
+            minus.append(box)
+        elif minus:
+            minus.pop()
+        else:
+            plus.append(box)
+    return ReducedWord(plus, minus)
+
+
+def reduced_word(lam: Partition, i: int, ell: int, model: str) -> ReducedWord:
+    """The reduced i-signature of lam in the reading order of *model*."""
+    return _cancel(_read(lam, i, ell, model))
+
+
+def apply_e(lam: Partition, word: ReducedWord) -> Partition | None:
+    """Remove the good box of lam's reduced word, or None when epsilon is 0."""
+    if not word.minus:
+        return None
+    row, col = word.minus[0]
+    return lam[: row - 1] + ((col - 1,) if col > 1 else ()) + lam[row:]
+
+
+def apply_f(lam: Partition, word: ReducedWord) -> Partition | None:
+    """Add the cogood box of lam's reduced word, or None when phi is 0."""
+    if not word.plus:
+        return None
+    row, col = word.plus[-1]
+    return lam[: row - 1] + (col,) + lam[row:]
 
 
 def i_signature(lam: Partition, i: int, ell: int) -> SignatureWord:
-    """Classical signature: entries ordered from the bottom row upward.
-
-    No row carries two entries (an addable and a removable box of one residue
-    cannot share a row), so the order is total.
-    """
-    entries = sorted(_entries(lam, i, ell), key=lambda e: -e.box[0])
-    rows = [e.box[0] for e in entries]
-    assert len(rows) == len(set(rows)), f"duplicate signature row for {lam}, i={i}"
-    return SignatureWord(tuple(entries), CLASSICAL)
+    """Classical signature: entries ordered from the bottom row upward."""
+    return SignatureWord(tuple(_read(lam, i, ell, CLASSICAL)), CLASSICAL)
 
 
 def ladder_i_signature(lam: Partition, i: int, ell: int) -> SignatureWord:
     """Ladder signature: by increasing ladder index, top-to-bottom in a ladder."""
-    entries = sorted(
-        _entries(lam, i, ell),
-        key=lambda e: (ladder_index(e.box, ell), e.box[0]),
-    )
-    return SignatureWord(tuple(entries), order=LADDER)
+    return SignatureWord(tuple(_read(lam, i, ell, LADDER)), LADDER)
 
 
 def reduce_signature(sig: SignatureWord) -> SignatureWord:
     """Cancel adjacent "-+" pairs exhaustively, leaving a word "+...+-...-"."""
-    stack: list[SignatureEntry] = []
-    for entry in sig.entries:
-        if entry.sign == PLUS and stack and stack[-1].sign == MINUS:
-            stack.pop()
-        else:
-            stack.append(entry)
-    return SignatureWord(tuple(stack), sig.order)
-
-
-def _good_box(sig: SignatureWord) -> Box | None:
-    for entry in reduce_signature(sig):
-        if entry.sign == MINUS:
-            return entry.box
-    return None
-
-
-def _cogood_box(sig: SignatureWord) -> Box | None:
-    last = None
-    for entry in reduce_signature(sig):
-        if entry.sign == PLUS:
-            last = entry.box
-    return last
+    plus, minus = _cancel(sig)
+    kept = [SignatureEntry(PLUS, b) for b in plus] + [SignatureEntry(MINUS, b) for b in minus]
+    return SignatureWord(tuple(kept), sig.order)
 
 
 def epsilon(lam: Partition, i: int, ell: int) -> int:
-    return sum(1 for e in reduce_signature(i_signature(lam, i, ell)) if e.sign == MINUS)
+    return len(reduced_word(lam, i, ell, CLASSICAL).minus)
 
 
 def phi(lam: Partition, i: int, ell: int) -> int:
-    return sum(1 for e in reduce_signature(i_signature(lam, i, ell)) if e.sign == PLUS)
+    return len(reduced_word(lam, i, ell, CLASSICAL).plus)
 
 
 def ladder_epsilon(lam: Partition, i: int, ell: int) -> int:
-    return sum(1 for e in reduce_signature(ladder_i_signature(lam, i, ell)) if e.sign == MINUS)
+    return len(reduced_word(lam, i, ell, LADDER).minus)
 
 
 def ladder_phi(lam: Partition, i: int, ell: int) -> int:
-    return sum(1 for e in reduce_signature(ladder_i_signature(lam, i, ell)) if e.sign == PLUS)
+    return len(reduced_word(lam, i, ell, LADDER).plus)
 
 
 def e_tilde(lam: Partition, i: int, ell: int) -> Partition | None:
     """Remove the good i-box (classical), or None when epsilon is 0."""
-    box = _good_box(i_signature(lam, i, ell))
-    return None if box is None else remove_box(lam, box)
+    return apply_e(lam, reduced_word(lam, i, ell, CLASSICAL))
 
 
 def f_tilde(lam: Partition, i: int, ell: int) -> Partition | None:
     """Add the cogood i-box (classical), or None when phi is 0."""
-    box = _cogood_box(i_signature(lam, i, ell))
-    return None if box is None else add_box(lam, box)
+    return apply_f(lam, reduced_word(lam, i, ell, CLASSICAL))
 
 
 def e_hat(lam: Partition, i: int, ell: int) -> Partition | None:
     """Remove the good i-box (ladder reading), or None."""
-    box = _good_box(ladder_i_signature(lam, i, ell))
-    return None if box is None else remove_box(lam, box)
+    return apply_e(lam, reduced_word(lam, i, ell, LADDER))
 
 
 def f_hat(lam: Partition, i: int, ell: int) -> Partition | None:
     """Add the cogood i-box (ladder reading), or None."""
-    box = _cogood_box(ladder_i_signature(lam, i, ell))
-    return None if box is None else add_box(lam, box)
+    return apply_f(lam, reduced_word(lam, i, ell, LADDER))
 
 
 def residue_content(lam: Partition, ell: int) -> tuple[int, ...]:

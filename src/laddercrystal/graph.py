@@ -4,30 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .partitions import (
-    Partition,
-    all_partitions,
-    check_ell,
-    is_regular,
-    transpose,
-)
+from .partitions import Partition, all_partitions, check_ell, is_regular, transpose
 from .rimhooks import is_core
-from .crystal import (
-    CLASSICAL,
-    LADDER,
-    e_hat,
-    e_tilde,
-    epsilon,
-    f_hat,
-    f_tilde,
-    ladder_epsilon,
-    ladder_phi,
-    phi,
-)
+from .crystal import CLASSICAL, LADDER, apply_e, apply_f, check_model, reduced_word
 from .jm import is_ell_partition, is_jm
 from .regular import (
     NotRegularError,
-    deregularize,
     is_L_partition,
     is_ladder_node,
     is_weak_ell_partition,
@@ -91,16 +73,14 @@ def build_crystal(ell: int, depth: int, model: str = CLASSICAL) -> CrystalGraph:
     check_ell(ell)
     if depth < 0:
         raise ValueError(f"depth must be non-negative, got {depth}")
-    if model not in (CLASSICAL, LADDER):
-        raise ValueError(f"model must be {CLASSICAL!r} or {LADDER!r}, got {model!r}")
-    f = f_tilde if model == CLASSICAL else f_hat
+    check_model(model)
     levels: list[tuple[Partition, ...]] = [((),)]
     edges: list[Edge] = []
     for _ in range(depth):
         frontier: set[Partition] = set()
         for lam in levels[-1]:
             for i in range(ell):
-                mu = f(lam, i, ell)
+                mu = apply_f(lam, reduced_word(lam, i, ell, model))
                 if mu is not None:
                     edges.append((lam, mu, i))
                     frontier.add(mu)
@@ -128,37 +108,25 @@ def verify_isomorphism(ell: int, depth: int) -> VerificationReport:
 
     For every ladder-crystal node through the given depth and every residue:
     regularize(f_hat(lam)) == f_tilde(regularize(lam)), the same for the
-    lowering operators, and the string lengths agree.
+    lowering operators, and the string lengths agree.  All four answers on
+    each side are read from one reduced word.
     """
     check_ell(ell)
     report = VerificationReport(suite="crystal-isomorphism", ell=ell, params={"depth": depth})
-    graph = build_crystal(ell, depth, LADDER)
-    for level in graph.levels:
-        for lam in level:
-            image = regularize(lam, ell)
-            for i in range(ell):
-                down = f_hat(lam, i, ell)
-                expected = f_tilde(image, i, ell)
-                actual = None if down is None else regularize(down, ell)
+    for lam in build_crystal(ell, depth, LADDER).nodes:
+        image = regularize(lam, ell)
+        for i in range(ell):
+            ladder = reduced_word(lam, i, ell, LADDER)
+            classical = reduced_word(image, i, ell, CLASSICAL)
+            for apply in (apply_f, apply_e):
+                expected = apply(image, classical)
+                moved = apply(lam, ladder)
+                actual = None if moved is None else regularize(moved, ell)
                 report.check(actual == expected, lam, i, expected, actual)
-                up = e_hat(lam, i, ell)
-                expected_up = e_tilde(image, i, ell)
-                actual_up = None if up is None else regularize(up, ell)
-                report.check(actual_up == expected_up, lam, i, expected_up, actual_up)
-                report.check(
-                    ladder_phi(lam, i, ell) == phi(image, i, ell),
-                    lam,
-                    i,
-                    f"phi {phi(image, i, ell)}",
-                    f"phi {ladder_phi(lam, i, ell)}",
-                )
-                report.check(
-                    ladder_epsilon(lam, i, ell) == epsilon(image, i, ell),
-                    lam,
-                    i,
-                    f"epsilon {epsilon(image, i, ell)}",
-                    f"epsilon {ladder_epsilon(lam, i, ell)}",
-                )
+            phi, ladder_phi = len(classical.plus), len(ladder.plus)
+            report.check(ladder_phi == phi, lam, i, f"phi {phi}", f"phi {ladder_phi}")
+            eps, ladder_eps = len(classical.minus), len(ladder.minus)
+            report.check(ladder_eps == eps, lam, i, f"epsilon {eps}", f"epsilon {ladder_eps}")
     return report
 
 
@@ -176,16 +144,21 @@ def _string_end_checks(
     ell: int,
     member: str,
     in_class,
-    f_op,
-    e_op,
-    phi_op,
-    eps_op,
+    model: str,
 ) -> None:
-    """f^phi and e^epsilon stay in the class; strictly intermediate powers leave it."""
-    width = phi_op(lam, i, ell)
+    """Walk the i-string of lam to both ends in *model*'s crystal.
+
+    Every step of f^1..f^phi and e^1..e^epsilon must be defined, f^phi and
+    e^epsilon must stay in the class, f^k must leave it for k <= phi - 2, and
+    e^k must leave it for 2 <= k <= epsilon - 1.  f^(phi-1) and e^1 are not
+    checked: they can stay in the class (at ell = 3, f_hat_2(2) = (3) and
+    e_hat_2(3,1) = (3) are JM).
+    """
+    word = reduced_word(lam, i, ell, model)
+    width = len(word.plus)
     cur = lam
     for k in range(1, width + 1):
-        cur = f_op(cur, i, ell)
+        cur = apply_f(cur, reduced_word(cur, i, ell, model))
         report.check(cur is not None, lam, i, f"{member}: f^{k} defined", "undefined")
         if cur is None:
             return
@@ -193,10 +166,10 @@ def _string_end_checks(
             report.check(in_class(cur, ell), lam, i, f"{member} after f^phi", "outside class")
         elif k < width - 1:
             report.check(not in_class(cur, ell), lam, i, f"not {member} after f^{k}", "inside class")
-    depth = eps_op(lam, i, ell)
+    depth = len(word.minus)
     cur = lam
     for k in range(1, depth + 1):
-        cur = e_op(cur, i, ell)
+        cur = apply_e(cur, reduced_word(cur, i, ell, model))
         report.check(cur is not None, lam, i, f"{member}: e^{k} defined", "undefined")
         if cur is None:
             return
@@ -220,9 +193,7 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
                     is_ladder_node(lam, ell), lam, None, "JM partitions are ladder nodes", "not a node"
                 )
                 for i in range(ell):
-                    _string_end_checks(
-                        report, lam, i, ell, "jm", is_jm, f_hat, e_hat, ladder_phi, ladder_epsilon
-                    )
+                    _string_end_checks(report, lam, i, ell, "jm", is_jm, LADDER)
             if is_core(lam, ell):
                 report.check(
                     is_ladder_node(lam, ell), lam, None, "cores are ladder nodes", "not a node"
@@ -245,26 +216,9 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
                 if is_ell_partition(lam, ell):
                     for i in range(ell):
                         _string_end_checks(
-                            report, lam, i, ell, "ell-partition", is_ell_partition,
-                            f_tilde, e_tilde, phi, epsilon,
+                            report, lam, i, ell, "ell-partition", is_ell_partition, CLASSICAL
                         )
                 if _weak_or_false(lam, ell):
                     for i in range(ell):
-                        _string_end_checks(
-                            report, lam, i, ell, "weak", _weak_or_false,
-                            f_tilde, e_tilde, phi, epsilon,
-                        )
+                        _string_end_checks(report, lam, i, ell, "weak", _weak_or_false, CLASSICAL)
     return report
-
-
-def regular_counts(ell: int, nmax: int) -> list[int]:
-    """Number of ell-regular partitions of each n through nmax."""
-    return [sum(1 for lam in all_partitions(n) if is_regular(lam, ell)) for n in range(nmax + 1)]
-
-
-def ladder_node_levels(ell: int, nmax: int) -> list[set[Partition]]:
-    """Deregularizations of the regular partitions, level by level."""
-    return [
-        {deregularize(lam, ell) for lam in all_partitions(n) if is_regular(lam, ell)}
-        for n in range(nmax + 1)
-    ]

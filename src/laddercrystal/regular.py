@@ -27,7 +27,7 @@ from .partitions import (
     ladder_positions,
     transpose,
 )
-from .crystal import e_tilde, epsilon, f_tilde
+from .crystal import CLASSICAL, apply_e, f_tilde, reduced_word
 from .jm import is_jm
 
 LOCKED_I = "I"
@@ -215,26 +215,33 @@ def is_weak_ell_partition(lam: Partition, ell: int) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def _mullineux(lam: Partition, ell: int, largest: bool) -> Partition:
-    if not lam:
-        return ()
-    candidates = [i for i in range(ell) if epsilon(lam, i, ell) > 0]
-    if not candidates:
-        raise ValueError(f"no removable good box for {lam}; is it {ell}-regular?")
-    i = max(candidates) if largest else min(candidates)
-    smaller = e_tilde(lam, i, ell)
-    assert smaller is not None
-    image = _mullineux(smaller, ell, largest)
-    out = f_tilde(image, (-i) % ell, ell)
-    assert out is not None, f"mullineux recursion stalled at {lam}"
-    return out
+    residues = range(ell - 1, -1, -1) if largest else range(ell)
+    peeled = []
+    cur = lam
+    while cur:
+        for i in residues:
+            word = reduced_word(cur, i, ell, CLASSICAL)
+            if word.minus:
+                break
+        else:
+            raise ValueError(f"no removable good box for {cur}; is it {ell}-regular?")
+        peeled.append(i)
+        cur = apply_e(cur, word)
+    image: Partition = ()
+    for i in reversed(peeled):
+        image = f_tilde(image, (-i) % ell, ell)
+        assert image is not None, f"mullineux replay stalled at {lam}"
+    return image
 
 
 def mullineux(lam: Partition, ell: int) -> Partition:
     """The Mullineux map, computed through the crystal recursion.
 
-    Peel the good box of the smallest live residue i, map the rest, then add
-    the cogood box of residue -i mod ell.  The choice of live residue does
-    not affect the result.
+    The image of lam adds the cogood box of residue -i mod ell to the image
+    of lam with the good i-box removed, for the smallest live residue i.  It
+    is computed without recursion: peel good boxes down to the empty
+    partition, then replay the negated residues from the empty partition
+    upward.  The choice of live residue does not affect the result.
     """
     check_ell(ell, minimum=3)
     lam = check_partition(lam)

@@ -27,7 +27,6 @@ from laddercrystal.graph import (
     CLASSICAL,
     LADDER,
     build_crystal,
-    regular_counts,
     theorem_suite,
     verify_isomorphism,
 )
@@ -64,6 +63,8 @@ from laddercrystal.regular import (
     reg_class,
     regularize,
 )
+
+from helpers import regular_counts
 
 BIG_JM = (15, 10, 8, 6, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1)
 

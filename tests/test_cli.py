@@ -188,6 +188,13 @@ def test_info_at_weight_1000(capsys):
     assert payload["jm"] is True
 
 
+def test_mullineux_at_size_1001(capsys):
+    status, out = run_cli(capsys, "mullineux", "--ell", "3", "1000,1")
+    assert status == 0
+    image = parse_partition(json.loads(out))
+    assert sum(image) == 1001
+
+
 def test_identical_runs_emit_identical_bytes(capsys):
     args = ["crystal", "build", "--ell", "3", "--depth", "6", "--model", "ladder"]
     first = run_cli(capsys, *args)

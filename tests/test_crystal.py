@@ -27,16 +27,76 @@ from laddercrystal.crystal import (
 )
 from laddercrystal.jm import is_jm
 from laddercrystal.partitions import (
+    add_box,
+    addable_boxes,
     addable_corners,
     all_partitions,
     boxes,
     ladder_index,
+    remove_box,
+    removable_boxes,
     removable_corners,
     residue,
     size,
 )
 
 from strategies import partitions, moduli
+
+
+# Reference implementation: each signature built from the addable and
+# removable boxes of the residue, sorted into its reading order and reduced
+# on its own; each operator edits the diagram through add_box/remove_box.
+
+
+def _reference_entries(lam, i, ell):
+    plus = [SignatureEntry(PLUS, b) for b in addable_boxes(lam, i, ell)]
+    minus = [SignatureEntry(MINUS, b) for b in removable_boxes(lam, i, ell)]
+    return plus + minus
+
+
+def _reference_signature(lam, i, ell, ladder):
+    entries = _reference_entries(lam, i, ell)
+    if ladder:
+        return sorted(entries, key=lambda e: (ladder_index(e.box, ell), e.box[0]))
+    return sorted(entries, key=lambda e: -e.box[0])
+
+
+def _reference_reduce(entries):
+    stack = []
+    for entry in entries:
+        if entry.sign == PLUS and stack and stack[-1].sign == MINUS:
+            stack.pop()
+        else:
+            stack.append(entry)
+    return stack
+
+
+def _reference_operators(lam, i, ell, ladder):
+    """(epsilon, phi, e(lam), f(lam)) from the reduced reference signature."""
+    reduced = _reference_reduce(_reference_signature(lam, i, ell, ladder))
+    minus = [e.box for e in reduced if e.sign == MINUS]
+    plus = [e.box for e in reduced if e.sign == PLUS]
+    down = remove_box(lam, minus[0]) if minus else None
+    up = add_box(lam, plus[-1]) if plus else None
+    return len(minus), len(plus), down, up
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 5])
+def test_kernel_matches_reference_signatures(ell):
+    models = (
+        (False, i_signature, (epsilon, phi, e_tilde, f_tilde)),
+        (True, ladder_i_signature, (ladder_epsilon, ladder_phi, e_hat, f_hat)),
+    )
+    for n in range(13):
+        for lam in all_partitions(n):
+            for i in range(ell):
+                for ladder, signature, operators in models:
+                    entries = _reference_signature(lam, i, ell, ladder)
+                    sig = signature(lam, i, ell)
+                    assert list(sig) == entries, (lam, i, ladder)
+                    assert list(reduce_signature(sig)) == _reference_reduce(entries), (lam, i, ladder)
+                    got = tuple(op(lam, i, ell) for op in operators)
+                    assert got == _reference_operators(lam, i, ell, ladder), (lam, i, ladder)
 
 
 def test_classical_signature_golden():

@@ -4,19 +4,21 @@ from __future__ import annotations
 
 import pytest
 
-from laddercrystal.crystal import epsilon, ladder_epsilon
+from laddercrystal.crystal import LADDER, e_hat, epsilon, f_hat, ladder_epsilon, ladder_phi
 from laddercrystal.graph import (
     CrystalGraph,
     VerificationReport,
+    _string_end_checks,
     build_crystal,
     export_dot,
-    ladder_node_levels,
-    regular_counts,
     theorem_suite,
     verify_isomorphism,
 )
+from laddercrystal.jm import is_jm
 from laddercrystal.partitions import all_partitions, is_regular, residue, size
 from laddercrystal.regular import deregularize
+
+from helpers import ladder_node_levels, regular_counts
 
 
 REGULAR_COUNTS_3 = [1, 1, 2, 2, 4, 5, 7, 9, 13, 16, 22]
@@ -157,6 +159,21 @@ def test_theorem_suite_passes():
     assert report.passed
     assert report.checks > 0
     assert report.to_dict()["suite"] == "crystal-theorems"
+
+
+def test_string_end_checks_skip_steps_that_can_stay_in_class():
+    # f^(phi-1) and e^1 are not checked, because class members occur there:
+    # at ell=3, (2) has ladder phi_2 = 2 and f_hat_2(2) = (3) is JM, and
+    # (3,1) has ladder epsilon_2 = 2 and e_hat_2(3,1) = (3) is JM.
+    assert is_jm((2,), 3) and is_jm((3, 1), 3) and is_jm((3,), 3)
+    assert ladder_phi((2,), 2, 3) == 2 and f_hat((2,), 2, 3) == (3,)
+    assert ladder_epsilon((3, 1), 2, 3) == 2 and e_hat((3, 1), 2, 3) == (3,)
+    for lam in ((2,), (3, 1)):
+        report = VerificationReport(suite="demo", ell=3, params={})
+        _string_end_checks(report, lam, 2, 3, "jm", is_jm, LADDER)
+        # both steps checked defined and the end checked in the class; step 1 unchecked
+        assert report.checks == 3
+        assert report.passed
 
 
 def test_theorem_suite_rejects_negative_nmax():

@@ -212,6 +212,14 @@ def test_mullineux_involution_and_choice_independence(ell):
             assert _mullineux(lam, ell, True) == image
 
 
+def test_mullineux_involution_on_a_staircase_of_size_990():
+    # peeling and replaying 990 boxes needs no recursion depth
+    staircase = tuple(range(44, 0, -1))
+    image = mullineux(staircase, 3)
+    assert size(image) == 990
+    assert mullineux(image, 3) == staircase
+
+
 @pytest.mark.parametrize("ell", [3, 4])
 def test_mullineux_regularization_identity(ell):
     # the composite of transposition and regularization computes the
