@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .partitions import is_regular, size, transpose
+from .partitions import all_partitions, is_regular, size, transpose
 from .rimhooks import ell_core, is_core
 from .jm import (
     compose_jm,
@@ -125,6 +125,34 @@ def _cmd_jm_enumerate(args) -> int:
     found = enumerate_jm(core, args.weight, args.ell)
     names = [format_partition(lam) for lam in found]
     _emit(names, names, args.plain)
+    return 0
+
+
+def _cmd_jm_census(args) -> int:
+    if args.max_core < 0 or args.max_weight < 0:
+        raise ValueError("--max-core and --max-weight must be non-negative")
+    weights = range(1, args.max_weight + 1)
+    cores = []
+    plain = []
+    total = 0
+    for n in range(args.max_core + 1):
+        for core in all_partitions(n):
+            if not is_core(core, args.ell):
+                continue
+            name = format_partition(core)
+            counts = [count_jm(core, w, args.ell) for w in weights]
+            total += sum(counts)
+            entry = {"core": name, "counts": counts}
+            row = " ".join(f"w={w}:{c}" for w, c in zip(weights, counts))
+            plain.append(f"core {name:<12} {row}")
+            if args.list:
+                found = [[format_partition(lam) for lam in enumerate_jm(core, w, args.ell)] for w in weights]
+                entry["partitions"] = found
+                plain += [f"    w={w}: {', '.join(names) or '-'}" for w, names in zip(weights, found)]
+            cores.append(entry)
+    plain.append(f"total JM partitions counted: {total}")
+    payload = {"ell": args.ell, "weights": list(weights), "cores": cores, "total": total}
+    _emit(payload, plain, args.plain)
     return 0
 
 
@@ -262,6 +290,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--plain", action="store_true")
     p.set_defaults(func=_cmd_jm_enumerate)
+    p = jm_sub.add_parser(
+        "census",
+        help="JM partition counts for every ell-core up to a size, by weight",
+        description="For each ell-core of size <= --max-core, count the JM partitions of "
+        "each weight 1..--max-weight (counts[w-1] is weight w); --list adds the partitions.",
+    )
+    p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--max-core", type=int, default=6, help="largest core size")
+    p.add_argument("--max-weight", type=int, default=4)
+    p.add_argument("--list", action="store_true", help="list the partitions too")
+    p.add_argument("--plain", action="store_true")
+    p.set_defaults(func=_cmd_jm_census)
     p = jm_sub.add_parser("decompose", help="core frame and hook multiplicities")
     _add_common(p)
     p.set_defaults(func=_cmd_jm_decompose)

@@ -28,7 +28,10 @@ class BoxNotInDiagramError(ValueError):
 
 def check_partition(parts: Iterable[int]) -> Partition:
     """Canonicalize a part sequence (trailing zeros dropped) or raise ValueError."""
-    lam = tuple(int(p) for p in parts)
+    if type(parts) is tuple and all(type(p) is int for p in parts):
+        lam = parts  # no copy: a copy per checked call raised peak memory in sweeps
+    else:
+        lam = tuple(int(p) for p in parts)
     while lam and lam[-1] == 0:
         lam = lam[:-1]
     if any(p <= 0 for p in lam):

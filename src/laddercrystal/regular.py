@@ -6,25 +6,31 @@ Deregularization is the opposite extreme: boxes that are not locked in place
 slide to the bottom of their ladders, producing the dominance-least member of
 the class.  Fixed points of deregularization are exactly the partitions that
 appear as nodes of the ladder crystal.
+
+Everything here is integer arithmetic on ladders: row r meets ladders
+r, r + (ell-1), ..., r + (ell-1)(lam_r - 1), so ladder counts and
+regularization cost O(|lam|).  The locked boxes of every row form a prefix
+1..R_r (type I boxes and everything left of the rightmost one), and R_r
+follows from R_{r-1} and the columns whose first empty position lies on each
+ladder, so lock labels and deregularization cost O(|lam|) too.  Each column
+covers consecutive ladders, so a regularization class is built column by
+column while walking the ladders in order, instead of scanning every
+partition of |lam|.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import combinations
 
 from .partitions import (
     Box,
     Partition,
-    all_partitions,
-    boxes,
     check_ell,
     check_partition,
-    contains,
     hook_grid,
     is_regular,
-    ladder_index,
-    ladder_positions,
     transpose,
 )
 from .crystal import CLASSICAL, apply_e, f_tilde, reduced_word
@@ -47,27 +53,38 @@ class RegClass:
     members: tuple[Partition, ...]
 
 
+def _ladder_tally(lam: Partition, ell: int) -> list[int]:
+    """Box count of every ladder, indexed by ladder (index 0 is unused)."""
+    if not lam:
+        return [0]
+    step = ell - 1
+    tally = [0] * (len(lam) + step * (lam[0] - 1) + 1)
+    for row, part in enumerate(lam, start=1):
+        for k in range(row, row + step * part, step):
+            tally[k] += 1
+    return tally
+
+
 def ladder_counts(lam: Partition, ell: int) -> dict[int, int]:
-    """Number of boxes of lam on each ladder (only nonzero counts)."""
+    """Number of boxes of lam on each ladder (only nonzero counts), by ladder."""
     check_ell(ell)
-    counts: dict[int, int] = {}
-    for box in boxes(lam):
-        k = ladder_index(box, ell)
-        counts[k] = counts.get(k, 0) + 1
-    return counts
+    lam = check_partition(lam)
+    return {k: count for k, count in enumerate(_ladder_tally(lam, ell)) if count}
 
 
-def _diagram_from_boxes(filled: set[Box], context: str) -> Partition:
-    """Assemble a box set into a partition, insisting on contiguous rows."""
-    if not filled:
-        return ()
-    row_counts: dict[int, int] = {}
-    for row, _col in filled:
-        row_counts[row] = row_counts.get(row, 0) + 1
-    depth = max(row_counts)
-    rows = [row_counts.get(r, 0) for r in range(1, depth + 1)]
-    for r, length in enumerate(rows, start=1):
-        if {(r, c) for c in range(1, length + 1)} != {b for b in filled if b[0] == r}:
+def _assemble(lengths: list[int], widest: list[int], context: str) -> Partition:
+    """Row box counts as a partition, insisting on contiguous rows.
+
+    lengths[r] and widest[r] are the number of boxes and the largest column
+    placed in row r (index 0 unused); row r is contiguous exactly when the
+    two agree.
+    """
+    depth = len(lengths) - 1
+    while depth and not lengths[depth]:
+        depth -= 1
+    rows = lengths[1 : depth + 1]
+    for r in range(1, depth + 1):
+        if lengths[r] != widest[r]:
             raise ValueError(f"{context} produced a non-contiguous row {r}")
     try:
         return check_partition(rows)
@@ -78,10 +95,57 @@ def _diagram_from_boxes(filled: set[Box], context: str) -> Partition:
 @functools.lru_cache(maxsize=None)
 def regularize(lam: Partition, ell: int) -> Partition:
     """Slide the boxes of every ladder into that ladder's topmost positions."""
-    filled: set[Box] = set()
-    for k, count in ladder_counts(lam, ell).items():
-        filled.update(ladder_positions(k, ell)[:count])
-    return _diagram_from_boxes(filled, "regularization")
+    check_ell(ell)
+    lam = check_partition(lam)
+    step = ell - 1
+    tally = _ladder_tally(lam, ell)
+    lengths = [0] * len(tally)
+    widest = [0] * len(tally)
+    for k, count in enumerate(tally):
+        if not count:
+            continue
+        # ladder k's topmost position is in column top; fill columns top-count+1..top
+        top = (k - 1) // step + 1
+        for col in range(top - count + 1, top + 1):
+            row = k - step * (col - 1)
+            lengths[row] += 1
+            if col > widest[row]:
+                widest[row] = col
+    return _assemble(lengths, widest, "regularization")
+
+
+def _lock_prefixes(lam: Partition, ell: int) -> tuple[list[int], list[int]]:
+    """The blocking column of every ladder and the locked prefix of every row.
+
+    A box (r, c) on ladder k has its empty ladder positions below stacked
+    under empty positions exactly when no column b < c has its first empty
+    position (lam'_b + 1, b) on ladder k.  blocked[k] is the leftmost such
+    column (lam[0] + 1 when there is none), so (r, c) passes when
+    blocked[k] >= c.  Row r's type I boxes are the passing boxes under a
+    locked box, and its locked boxes are the prefix up to the rightmost of
+    them; prefixes[r - 1] is that prefix's length.  O(|lam|).
+    """
+    step = ell - 1
+    width = lam[0] if lam else 0
+    blocked = [width + 1] * (len(lam) + step * width + 2)
+    col_length = len(lam)
+    for b in range(1, width + 1):
+        while lam[col_length - 1] < b:
+            col_length -= 1
+        k = col_length + 1 + step * (b - 1)
+        if blocked[k] > b:
+            blocked[k] = b
+    prefixes = []
+    bound = width
+    for row, part in enumerate(lam, start=1):
+        col = min(part, bound)
+        k = row + step * (col - 1)
+        while col and blocked[k] < col:
+            col -= 1
+            k -= step
+        prefixes.append(col)
+        bound = col
+    return blocked, prefixes
 
 
 def lock_labels(lam: Partition, ell: int) -> dict[Box, str]:
@@ -91,40 +155,54 @@ def lock_labels(lam: Partition, ell: int) -> dict[Box, str]:
     first row) and every unoccupied position below it on its ladder has an
     unoccupied position directly above.  Boxes left of a locked box in the
     same row are locked too (type II when not already type I).  Locks only
-    propagate downward and leftward, so one top-down sweep reaches the
-    fixpoint.
+    propagate downward and leftward, so the locked boxes of each row form a
+    prefix, and each row's prefix follows from the one above in a single
+    scan of the row: O(|lam|) in all.
     """
     check_ell(ell)
+    lam = check_partition(lam)
+    step = ell - 1
+    blocked, prefixes = _lock_prefixes(lam, ell)
     labels: dict[Box, str] = {}
-    locked: set[Box] = set()
-    for row in range(1, len(lam) + 1):
-        type_one = []
-        for col in range(1, lam[row - 1] + 1):
-            above_ok = row == 1 or (row - 1, col) in locked
-            if above_ok and _ladder_gaps_stacked(lam, (row, col), ell):
-                type_one.append(col)
-        rightmost = max(type_one) if type_one else 0
-        for col in range(1, lam[row - 1] + 1):
-            if col in type_one:
-                labels[(row, col)] = LOCKED_I
-                locked.add((row, col))
-            elif col < rightmost:
-                labels[(row, col)] = LOCKED_II
-                locked.add((row, col))
-            else:
+    for row, (part, locked) in enumerate(zip(lam, prefixes), start=1):
+        for col in range(1, part + 1):
+            if col > locked:
                 labels[(row, col)] = UNLOCKED
+            elif blocked[row + step * (col - 1)] >= col:
+                labels[(row, col)] = LOCKED_I
+            else:
+                labels[(row, col)] = LOCKED_II
     return labels
 
 
-def _ladder_gaps_stacked(lam: Partition, box: Box, ell: int) -> bool:
-    """Every empty ladder position below *box* has an empty position above it."""
-    row, col = box
-    k = ladder_index(box, ell)
-    for b in range(1, col):
-        pos = (k - (ell - 1) * (b - 1), b)
-        if not contains(lam, pos) and contains(lam, (pos[0] - 1, pos[1])):
-            return False
-    return True
+def _deregularize(lam: Partition, ell: int) -> Partition:
+    step = ell - 1
+    _, prefixes = _lock_prefixes(lam, ell)
+    size = len(lam) + step * (lam[0] - 1) + 1 if lam else 1
+    loose = [0] * size
+    lengths = [0] * size
+    widest = [0] * size
+    for row, (part, locked) in enumerate(zip(lam, prefixes), start=1):
+        lengths[row] = widest[row] = locked
+        for k in range(row + step * locked, row + step * part, step):
+            loose[k] += 1
+    depth = len(lam)
+    for k, count in enumerate(loose):
+        # walk ladder k upward from column 1, skipping locked positions
+        row, col = k, 1
+        while count:
+            if row > depth or col > prefixes[row - 1]:
+                lengths[row] += 1
+                if col > widest[row]:
+                    widest[row] = col
+                count -= 1
+            row -= step
+            col += 1
+    result = _assemble(lengths, widest, "deregularization")
+    _, after = _lock_prefixes(result, ell)
+    if after != list(result):
+        raise ValueError(f"deregularization of {lam} left unlocked boxes: {result}")
+    return result
 
 
 def deregularize(lam: Partition, ell: int) -> Partition:
@@ -132,36 +210,66 @@ def deregularize(lam: Partition, ell: int) -> Partition:
 
     The result keeps each ladder's box count, is itself a partition, and is
     fully locked; those postconditions are re-checked rather than trusted.
+    O(|lam|): each ladder is walked once from the bottom, past its locked
+    positions, until its loose boxes are placed.
     """
-    labels = lock_labels(lam, ell)
-    locked_by_ladder: dict[int, set[Box]] = {}
-    loose_by_ladder: dict[int, int] = {}
-    for box, label in labels.items():
-        k = ladder_index(box, ell)
-        if label == UNLOCKED:
-            loose_by_ladder[k] = loose_by_ladder.get(k, 0) + 1
-        else:
-            locked_by_ladder.setdefault(k, set()).add(box)
-    filled: set[Box] = set()
-    for k, fixed in locked_by_ladder.items():
-        filled.update(fixed)
-    for k, count in loose_by_ladder.items():
-        fixed = locked_by_ladder.get(k, set())
-        free = [p for p in reversed(ladder_positions(k, ell)) if p not in fixed]
-        filled.update(free[:count])
-    result = _diagram_from_boxes(filled, "deregularization")
-    if any(label == UNLOCKED for label in lock_labels(result, ell).values()):
-        raise ValueError(f"deregularization of {lam} left unlocked boxes: {result}")
-    return result
+    check_ell(ell)
+    return _deregularize(check_partition(lam), ell)
+
+
+def _class_members(tally: list[int], ell: int) -> list[Partition]:
+    """Every partition with these ladder counts, built ladder by ladder.
+
+    Column c (from 0) covers the consecutive ladders 1 + (ell-1)c, ...,
+    (ell-1)c + lam'_c, so a member is a weakly decreasing sequence of
+    column lengths whose ladder intervals add up to tally.  The walk visits
+    ladders in order.  Column c can open only on ladder 1 + (ell-1)c (once
+    that ladder is passed with c columns, no further column opens); then
+    open columns close so that exactly tally[k] of them cover ladder k, and
+    a column must close before it grows longer than a closed column to its
+    left.  Every state is a prefix of ladders with exact counts.
+    """
+    step = ell - 1
+    members: list[Partition] = []
+    # (ladder, column lengths with None for an open column)
+    stack: list[tuple[int, tuple]] = [(1, ())]
+    while stack:
+        k, cols = stack.pop()
+        want = tally[k] if k < len(tally) else 0
+        open_cols = [c for c, length in enumerate(cols) if length is None]
+        # an open column c covering ladder k would have length k - step*c
+        forced = [c for c in open_cols if c and cols[c - 1] is not None and k - step * c > cols[c - 1]]
+        free = [c for c in open_cols if c not in forced]
+        for opens in (True, False) if k == 1 + step * len(cols) else (False,):
+            closing = len(open_cols) + opens - want
+            if not len(forced) <= closing <= len(open_cols):
+                continue
+            for extra in combinations(free, closing - len(forced)):
+                new = list(cols)
+                for c in forced + list(extra):
+                    new[c] = k - 1 - step * c
+                if opens:
+                    new.append(None)
+                if k < len(tally):
+                    stack.append((k + 1, tuple(new)))
+                else:  # past the last ladder every column has closed; rows are the conjugate
+                    depth = new[0] if new else 0
+                    members.append(tuple(sum(1 for length in new if length >= r) for r in range(1, depth + 1)))
+    return members
 
 
 def reg_class(lam: Partition, ell: int) -> RegClass:
-    """Every partition of |lam| with the same regularization, smallest-lex first."""
-    image = regularize(lam, ell)
-    members = tuple(
-        sorted(mu for mu in all_partitions(sum(lam)) if regularize(mu, ell) == image)
-    )
-    return RegClass(representative=image, members=members)
+    """Every partition of |lam| with the same regularization, smallest-lex first.
+
+    Members are exactly the partitions with lam's ladder counts; they are
+    built column by column while walking the ladders in order, keeping
+    only ladder prefixes whose counts are exact, instead of scanning every
+    partition of |lam|.
+    """
+    check_ell(ell)
+    lam = check_partition(lam)
+    members = _class_members(_ladder_tally(lam, ell), ell)
+    return RegClass(representative=regularize(lam, ell), members=tuple(sorted(members)))
 
 
 def is_ladder_node(lam: Partition, ell: int) -> bool:
@@ -171,6 +279,7 @@ def is_ladder_node(lam: Partition, ell: int) -> bool:
     nodes of the ladder crystal.
     """
     check_ell(ell)
+    lam = check_partition(lam)
     grid = hook_grid(lam)
     for row in range(1, len(lam) + 1):
         for col in range(1, lam[row - 1] + 1):
@@ -187,6 +296,7 @@ def is_L_partition(lam: Partition, ell: int) -> bool:
     and leg < (ell-1) * arm hold.
     """
     check_ell(ell, minimum=3)
+    lam = check_partition(lam)
     grid = hook_grid(lam)
     cols = transpose(lam)
     for row in range(1, len(lam) + 1):
@@ -208,9 +318,10 @@ def is_weak_ell_partition(lam: Partition, ell: int) -> bool:
     boolean over all partitions should pre-filter.
     """
     check_ell(ell, minimum=3)
+    lam = check_partition(lam)
     if not is_regular(lam, ell):
         raise NotRegularError(f"{lam} is not {ell}-regular")
-    return is_jm(deregularize(lam, ell), ell)
+    return is_jm(_deregularize(lam, ell), ell)
 
 
 @functools.lru_cache(maxsize=None)

@@ -102,6 +102,61 @@ def test_jm_enumerate(capsys):
     ]
 
 
+# Output of the former scripts/jm_census.py for the same arguments.
+CENSUS_PLAIN = """\
+core empty        w=1:2 w=2:2 w=3:2 w=4:2
+core 1            w=1:2 w=2:3 w=3:4 w=4:5
+core 2            w=1:2 w=2:4 w=3:5 w=4:7
+core 1,1          w=1:2 w=2:4 w=3:5 w=4:7
+core 3,1          w=1:2 w=2:4 w=3:6 w=4:9
+core 2,1,1        w=1:2 w=2:4 w=3:6 w=4:9
+core 3,1,1        w=1:2 w=2:5 w=3:8 w=4:13
+core 4,2          w=1:2 w=2:4 w=3:7 w=4:10
+core 2,2,1,1      w=1:2 w=2:4 w=3:7 w=4:10
+total JM partitions counted: 174
+"""
+
+CENSUS_LIST_PLAIN = """\
+core empty        w=1:2 w=2:2
+    w=1: 3, 1,1,1
+    w=2: 6, 1,1,1,1,1,1
+core 1            w=1:2 w=2:3
+    w=1: 4, 1,1,1,1
+    w=2: 7, 4,1,1,1, 1,1,1,1,1,1,1
+core 2            w=1:2 w=2:4
+    w=1: 5, 2,1,1,1
+    w=2: 8, 5,3, 5,1,1,1, 2,1,1,1,1,1,1
+core 1,1          w=1:2 w=2:4
+    w=1: 4,1, 1,1,1,1,1
+    w=2: 7,1, 4,1,1,1,1, 2,2,2,1,1, 1,1,1,1,1,1,1,1
+total JM partitions counted: 21
+"""
+
+
+def test_jm_census_plain_golden(capsys):
+    census = ["jm", "census", "--ell", "3", "--max-core", "6", "--max-weight", "4", "--plain"]
+    assert run_cli(capsys, *census) == (0, CENSUS_PLAIN)
+    listed = ["jm", "census", "--ell", "3", "--max-core", "3", "--max-weight", "2", "--list", "--plain"]
+    assert run_cli(capsys, *listed) == (0, CENSUS_LIST_PLAIN)
+
+
+def test_jm_census_json(capsys):
+    status, out = run_cli(capsys, "jm", "census", "--ell", "3", "--max-core", "6", "--max-weight", "4")
+    assert status == 0
+    payload = json.loads(out)
+    assert payload["total"] == 174
+    assert payload["weights"] == [1, 2, 3, 4]
+    assert payload["cores"][6] == {"core": "3,1,1", "counts": [2, 5, 8, 13]}
+    assert sum(sum(entry["counts"]) for entry in payload["cores"]) == 174
+    _, out = run_cli(capsys, "jm", "census", "--ell", "3", "--max-core", "1", "--max-weight", "1", "--list")
+    assert json.loads(out)["cores"] == [
+        {"core": "empty", "counts": [2], "partitions": [["3", "1,1,1"]]},
+        {"core": "1", "counts": [2], "partitions": [["4", "1,1,1,1"]]},
+    ]
+    assert main(["jm", "census", "--ell", "3", "--max-weight", "-1"]) == 2
+    capsys.readouterr()
+
+
 def test_jm_decompose(capsys):
     _, out = run_cli(capsys, "jm", "decompose", "--ell", "3", "15,10,8,6,2^5,1^5", "--plain")
     assert out == "mu=1 r=3 s=2 rho=2,1,1,1 sigma=2,1\n"

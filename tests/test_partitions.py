@@ -48,6 +48,10 @@ def test_check_partition_canonicalizes():
     assert check_partition([3, 2, 2, 0, 0]) == (3, 2, 2)
     assert check_partition([]) == EMPTY
     assert check_partition((5,)) == (5,)
+    assert check_partition((3, 2, 0)) == (3, 2)
+    assert [type(p) for p in check_partition((True, 1))] == [int, int]
+    lam = (4, 2, 1)
+    assert check_partition(lam) is lam  # a partition tuple is returned, not copied
 
 
 def test_check_partition_rejects_bad_input():
@@ -57,6 +61,9 @@ def test_check_partition_rejects_bad_input():
         check_partition([3, -1])
     with pytest.raises(ValueError):
         check_partition([2, 0, 1])
+    for bad in [(1, 2), (2, -1), (2, 0, 1)]:
+        with pytest.raises(ValueError):
+            check_partition(bad)
 
 
 def test_transpose_golden():

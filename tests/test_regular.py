@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 
@@ -10,8 +12,13 @@ from laddercrystal.partitions import (
     GREATER,
     LESS,
     all_partitions,
+    boxes,
+    check_partition,
+    contains,
     dominance_compare,
     is_regular,
+    ladder_index,
+    ladder_positions,
     size,
     transpose,
 )
@@ -21,6 +28,7 @@ from laddercrystal.regular import (
     LOCKED_II,
     UNLOCKED,
     NotRegularError,
+    RegClass,
     deregularize,
     is_L_partition,
     is_ladder_node,
@@ -34,6 +42,187 @@ from laddercrystal.regular import (
 )
 
 from strategies import partitions, moduli, jm_moduli
+
+
+# Reference implementation, box by box: sets of (row, col) boxes, a rescan of
+# each box's ladder for the type I test, and reg_class as a scan of every
+# partition of |lam|.
+
+
+def _reference_ladder_counts(lam, ell):
+    counts = {}
+    for box in boxes(lam):
+        k = ladder_index(box, ell)
+        counts[k] = counts.get(k, 0) + 1
+    return counts
+
+
+def _reference_diagram(filled, context):
+    if not filled:
+        return ()
+    row_counts = {}
+    for row, _col in filled:
+        row_counts[row] = row_counts.get(row, 0) + 1
+    rows = [row_counts.get(r, 0) for r in range(1, max(row_counts) + 1)]
+    for r, length in enumerate(rows, start=1):
+        if {(r, c) for c in range(1, length + 1)} != {b for b in filled if b[0] == r}:
+            raise ValueError(f"{context} produced a non-contiguous row {r}")
+    try:
+        return check_partition(rows)
+    except ValueError as exc:
+        raise ValueError(f"{context} did not produce a partition: {rows}") from exc
+
+
+def _reference_regularize(lam, ell):
+    filled = set()
+    for k, count in _reference_ladder_counts(lam, ell).items():
+        filled.update(ladder_positions(k, ell)[:count])
+    return _reference_diagram(filled, "regularization")
+
+
+def _reference_gaps_stacked(lam, box, ell):
+    row, col = box
+    k = ladder_index(box, ell)
+    for b in range(1, col):
+        pos = (k - (ell - 1) * (b - 1), b)
+        if not contains(lam, pos) and contains(lam, (pos[0] - 1, pos[1])):
+            return False
+    return True
+
+
+def _reference_lock_labels(lam, ell):
+    labels = {}
+    locked = set()
+    for row in range(1, len(lam) + 1):
+        type_one = []
+        for col in range(1, lam[row - 1] + 1):
+            above_ok = row == 1 or (row - 1, col) in locked
+            if above_ok and _reference_gaps_stacked(lam, (row, col), ell):
+                type_one.append(col)
+        rightmost = max(type_one) if type_one else 0
+        for col in range(1, lam[row - 1] + 1):
+            if col in type_one:
+                labels[(row, col)] = LOCKED_I
+                locked.add((row, col))
+            elif col < rightmost:
+                labels[(row, col)] = LOCKED_II
+                locked.add((row, col))
+            else:
+                labels[(row, col)] = UNLOCKED
+    return labels
+
+
+def _reference_deregularize(lam, ell):
+    labels = _reference_lock_labels(lam, ell)
+    locked_by_ladder = {}
+    loose_by_ladder = {}
+    for box, label in labels.items():
+        k = ladder_index(box, ell)
+        if label == UNLOCKED:
+            loose_by_ladder[k] = loose_by_ladder.get(k, 0) + 1
+        else:
+            locked_by_ladder.setdefault(k, set()).add(box)
+    filled = set()
+    for fixed in locked_by_ladder.values():
+        filled.update(fixed)
+    for k, count in loose_by_ladder.items():
+        fixed = locked_by_ladder.get(k, set())
+        free = [p for p in reversed(ladder_positions(k, ell)) if p not in fixed]
+        filled.update(free[:count])
+    result = _reference_diagram(filled, "deregularization")
+    if any(label == UNLOCKED for label in _reference_lock_labels(result, ell).values()):
+        raise ValueError(f"deregularization of {lam} left unlocked boxes: {result}")
+    return result
+
+
+def _reference_classes(n, ell):
+    """The p(n) scan: every partition of n grouped by its regularization."""
+    classes = {}
+    for mu in all_partitions(n):
+        classes.setdefault(_reference_regularize(mu, ell), []).append(mu)
+    return {image: tuple(sorted(members)) for image, members in classes.items()}
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return (type(exc), str(exc))
+
+
+def _random_partition(n, rng):
+    """A partition of n from parts drawn up to a random cap (long rows or long columns)."""
+    cap = rng.choice([2, 5, int(n**0.5) + 1, n // 4 + 1, n])
+    parts = []
+    while n:
+        part = rng.randint(1, min(cap, n))
+        parts.append(part)
+        n -= part
+    return tuple(sorted(parts, reverse=True))
+
+
+def _assert_matches_reference(lam, ell):
+    assert ladder_counts(lam, ell) == _reference_ladder_counts(lam, ell), lam
+    assert _outcome(regularize, lam, ell) == _outcome(_reference_regularize, lam, ell), lam
+    assert _outcome(lock_labels, lam, ell) == _outcome(_reference_lock_labels, lam, ell), lam
+    assert _outcome(deregularize, lam, ell) == _outcome(_reference_deregularize, lam, ell), lam
+
+
+@pytest.mark.parametrize("ell,nmax", [(2, 14), (3, 16), (4, 16), (5, 16)])
+def test_ladder_arithmetic_matches_reference(ell, nmax):
+    for n in range(nmax + 1):
+        for lam in all_partitions(n):
+            _assert_matches_reference(lam, ell)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 5])
+def test_ladder_arithmetic_matches_reference_on_large_partitions(ell):
+    rng = random.Random(20090 + ell)
+    for _ in range(12):
+        _assert_matches_reference(_random_partition(rng.randint(100, 800), rng), ell)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 5])
+def test_reg_class_matches_the_partition_scan(ell):
+    for n in range(17):
+        classes = _reference_classes(n, ell)
+        for lam in all_partitions(n):
+            image = _reference_regularize(lam, ell)
+            assert reg_class(lam, ell) == RegClass(image, classes[image]), lam
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [(14, 13, 13), tuple(range(11, 0, -1))],
+    ids=["14-13-13", "staircase-11"],
+)
+def test_reg_class_of_large_partitions(lam):
+    # the staircase has 1024 members; a scan would regularize p(66) partitions
+    cls = reg_class(lam, 3)
+    assert list(cls.members) == sorted(set(cls.members))
+    assert all(regularize(mu, 3) == cls.representative for mu in cls.members)
+    for mu in (lam, regularize(lam, 3), deregularize(lam, 3)):
+        assert mu in cls.members
+    if lam == tuple(range(11, 0, -1)):
+        assert len(cls.members) == 1024
+
+
+@pytest.mark.parametrize("lam", [(3000,), (1,) * 3000], ids=["row-3000", "column-3000"])
+def test_deregularize_at_size_3000(lam):
+    dereg = deregularize(regularize(lam, 3), 3)
+    assert ladder_counts(dereg, 3) == ladder_counts(lam, 3)
+    assert is_ladder_node(dereg, 3)
+
+
+@pytest.mark.parametrize("bad", [(1, 2), (2, 0, 1), (2, -1)])
+@pytest.mark.parametrize(
+    "fn",
+    [ladder_counts, regularize, deregularize, lock_labels, reg_class, is_ladder_node, is_L_partition],
+)
+def test_public_boundary_rejects_non_partitions(fn, bad):
+    with pytest.raises(ValueError):
+        fn(bad, 3)
 
 
 def test_regularize_golden():
