@@ -110,20 +110,35 @@ def reduced_word(lam: Partition, i: int, ell: int, model: str) -> ReducedWord:
     return _cancel(_read(lam, i, ell, model))
 
 
-def apply_e(lam: Partition, word: ReducedWord) -> Partition | None:
-    """Remove the good box of lam's reduced word, or None when epsilon is 0."""
-    if not word.minus:
+def apply_e(lam: Partition, word: ReducedWord, k: int = 1) -> Partition | None:
+    """e^k: remove the first k minus boxes of lam's reduced word, or None when epsilon < k.
+
+    Removing the good box turns its "-" into a "+" in place and leaves the
+    rest of the word as it was, so the next good box is the next minus box.
+    The boxes lie in distinct rows, so they can be removed in any order.
+    """
+    if len(word.minus) < k:
         return None
-    row, col = word.minus[0]
-    return lam[: row - 1] + ((col - 1,) if col > 1 else ()) + lam[row:]
+    while k:
+        k -= 1
+        row, col = word.minus[k]
+        lam = lam[: row - 1] + ((col - 1,) if col > 1 else ()) + lam[row:]
+    return lam
 
 
-def apply_f(lam: Partition, word: ReducedWord) -> Partition | None:
-    """Add the cogood box of lam's reduced word, or None when phi is 0."""
-    if not word.plus:
+def apply_f(lam: Partition, word: ReducedWord, k: int = 1) -> Partition | None:
+    """f^k: add the last k plus boxes of lam's reduced word, or None when phi < k.
+
+    Adding the cogood box turns its "+" into a "-" in place, so the next
+    cogood box is the plus box before it.
+    """
+    if len(word.plus) < k:
         return None
-    row, col = word.plus[-1]
-    return lam[: row - 1] + (col,) + lam[row:]
+    while k:
+        row, col = word.plus[-k]
+        lam = lam[: row - 1] + (col,) + lam[row:]
+        k -= 1
+    return lam
 
 
 def i_signature(lam: Partition, i: int, ell: int) -> SignatureWord:

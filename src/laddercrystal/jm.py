@@ -325,6 +325,8 @@ def enumerate_jm(core: Partition, w: int, ell: int) -> list[Partition]:
     """All JM partitions with the given core and weight, largest-first."""
     check_ell(ell, minimum=3)
     core = check_partition(core)
+    if w < 0:
+        raise ValueError(f"weight must be non-negative, got {w}")
     if not is_core(core, ell):
         raise NotACoreError(f"{core} is not an {ell}-core")
     mu, r, s = _core_frame(core, ell)

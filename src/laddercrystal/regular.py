@@ -16,6 +16,13 @@ ladder, so lock labels and deregularization cost O(|lam|) too.  Each column
 covers consecutive ladders, so a regularization class is built column by
 column while walking the ladders in order, instead of scanning every
 partition of |lam|.
+
+The Mullineux map twists the crystal residues i -> -i, so it carries a
+whole i-string to a (-i)-string of the same length.  It peels whole strings
+(e_i^eps of the first live residue i) down to the empty partition and
+replays f_{-i}^eps upward; which live residue and which string length are
+taken does not change the image.  Each string costs one reduced word, not
+one per box.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .partitions import (
     is_regular,
     transpose,
 )
-from .crystal import CLASSICAL, apply_e, f_tilde, reduced_word
+from .crystal import CLASSICAL, apply_e, apply_f, reduced_word
 from .jm import is_jm
 
 LOCKED_I = "I"
@@ -336,11 +343,12 @@ def _mullineux(lam: Partition, ell: int, largest: bool) -> Partition:
                 break
         else:
             raise ValueError(f"no removable good box for {cur}; is it {ell}-regular?")
-        peeled.append(i)
-        cur = apply_e(cur, word)
+        eps = len(word.minus)
+        peeled.append((i, eps))
+        cur = apply_e(cur, word, eps)
     image: Partition = ()
-    for i in reversed(peeled):
-        image = f_tilde(image, (-i) % ell, ell)
+    for i, k in reversed(peeled):
+        image = apply_f(image, reduced_word(image, (-i) % ell, ell, CLASSICAL), k)
         assert image is not None, f"mullineux replay stalled at {lam}"
     return image
 
@@ -348,11 +356,17 @@ def _mullineux(lam: Partition, ell: int, largest: bool) -> Partition:
 def mullineux(lam: Partition, ell: int) -> Partition:
     """The Mullineux map, computed through the crystal recursion.
 
-    The image of lam adds the cogood box of residue -i mod ell to the image
-    of lam with the good i-box removed, for the smallest live residue i.  It
-    is computed without recursion: peel good boxes down to the empty
-    partition, then replay the negated residues from the empty partition
-    upward.  The choice of live residue does not affect the result.
+    The Mullineux map is the crystal involution that twists residues
+    i -> -i (Ford-Kleshchev), so m(e_i^k lam) = e_{-i}^k m(lam) for every
+    k <= epsilon_i(lam).  The image of lam is therefore f_{-i}^eps applied
+    to the image of e_i^eps lam, where i is the smallest live residue and
+    eps = epsilon_i(lam): any live residue and any string length would do,
+    and taking the whole string costs the fewest steps.  It is computed
+    without recursion: peel whole i-strings down to the empty partition
+    (e_i^eps removes every minus box of one reduced word), then replay
+    f_{-i}^eps from the empty partition upward (the last eps plus boxes of
+    one reduced word).  Each string costs one signature read, not one per
+    box.
     """
     check_ell(ell, minimum=3)
     lam = check_partition(lam)

@@ -1,8 +1,9 @@
-"""Expected crystal levels, computed without the crystal operators."""
+"""Test oracles computed without the crystal operators: expected crystal
+levels and the Mullineux symbol."""
 
 from __future__ import annotations
 
-from laddercrystal.partitions import Partition, all_partitions, is_regular
+from laddercrystal.partitions import Partition, all_partitions, check_partition, is_regular
 from laddercrystal.regular import deregularize
 
 
@@ -17,3 +18,51 @@ def ladder_node_levels(ell: int, nmax: int) -> list[set[Partition]]:
         {deregularize(lam, ell) for lam in all_partitions(n) if is_regular(lam, ell)}
         for n in range(nmax + 1)
     ]
+
+
+def ell_rim(lam: Partition, ell: int) -> list[int]:
+    """How many boxes of each row lie on lam's ell-rim (Mullineux 1979).
+
+    The rim is walked south-west from (1, lam_1): down when the box below is
+    in lam, else left.  The ell-rim is a union of segments of ell rim boxes
+    (the last may be shorter); the first starts at (1, lam_1), and each
+    later one at the last box of the row below the previous segment's last
+    row.  Each row's ell-rim boxes end that row.
+    """
+    taken = [0] * len(lam)
+    row = 1
+    while row <= len(lam):
+        col = lam[row - 1]
+        for step in range(ell):
+            taken[row - 1] += 1
+            if step == ell - 1 or (row == len(lam) and col == 1):
+                break
+            if row < len(lam) and lam[row] >= col:
+                row += 1
+            else:
+                col -= 1
+        row += 1
+    return taken
+
+
+def mullineux_symbol(lam: Partition, ell: int) -> list[tuple[int, int]]:
+    """The Mullineux symbol: (ell-rim size, number of rows) for each peel.
+
+    Peeling ell-rims until lam is empty gives the columns (a_j; r_j).  The
+    symbol determines lam.
+    """
+    symbol = []
+    while lam:
+        taken = ell_rim(lam, ell)
+        symbol.append((sum(taken), len(lam)))
+        lam = check_partition(tuple(part - t for part, t in zip(lam, taken) if part > t))
+    return symbol
+
+
+def mullineux_image_symbol(lam: Partition, ell: int) -> list[tuple[int, int]]:
+    """The symbol of lam's Mullineux image (Mullineux 1979; Bessenrodt-Olsson 1998).
+
+    Column (a; r) becomes (a; a - r + eps), where eps is 0 when ell divides
+    a and 1 otherwise.
+    """
+    return [(a, a - r + (1 if a % ell else 0)) for a, r in mullineux_symbol(lam, ell)]

@@ -11,6 +11,8 @@ from laddercrystal.crystal import (
     PLUS,
     SignatureEntry,
     SignatureWord,
+    apply_e,
+    apply_f,
     box_type,
     e_hat,
     e_tilde,
@@ -23,6 +25,7 @@ from laddercrystal.crystal import (
     ladder_phi,
     phi,
     reduce_signature,
+    reduced_word,
     residue_content,
 )
 from laddercrystal.jm import is_jm
@@ -219,6 +222,23 @@ def test_counters_match_operator_orbits(lam, ell, data):
         cur = nxt
         steps += 1
     assert steps == ladder_phi(lam, i, ell)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4])
+def test_string_edits_repeat_one_box_edits(ell):
+    # e^k removes the first k minus boxes of one reduced word and f^k adds
+    # the last k plus boxes: reading a fresh word after each box gives the same
+    for n in range(13):
+        for lam in all_partitions(n):
+            for i in range(ell):
+                for model in ("classical", "ladder"):
+                    word = reduced_word(lam, i, ell, model)
+                    for edit, length in ((apply_e, len(word.minus)), (apply_f, len(word.plus))):
+                        cur = lam
+                        for k in range(length + 2):
+                            assert edit(lam, word, k) == cur, (lam, i, model, k)
+                            if cur is not None:
+                                cur = edit(cur, reduced_word(cur, i, ell, model))
 
 
 @given(partitions(), moduli())

@@ -155,6 +155,12 @@ def test_count_rejects_non_core():
         count_jm((3,), 1, 3)
 
 
+def test_count_and_enumerate_reject_negative_weight():
+    for fn in (count_jm, enumerate_jm):
+        with pytest.raises(ValueError, match="weight must be non-negative"):
+            fn((), -1, 3)
+
+
 def test_count_golden():
     assert count_jm((3, 1), 3, 3) == 6
     assert enumerate_jm((3, 1), 3, 3) == [

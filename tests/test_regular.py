@@ -23,6 +23,7 @@ from laddercrystal.partitions import (
     transpose,
 )
 from laddercrystal.jm import is_jm
+from laddercrystal.crystal import CLASSICAL, reduced_word
 from laddercrystal.regular import (
     LOCKED_I,
     LOCKED_II,
@@ -41,6 +42,7 @@ from laddercrystal.regular import (
     regularize,
 )
 
+from helpers import mullineux_image_symbol, mullineux_symbol
 from strategies import partitions, moduli, jm_moduli
 
 
@@ -399,6 +401,105 @@ def test_mullineux_involution_and_choice_independence(ell):
             assert is_regular(image, ell)
             assert mullineux(image, ell) == lam
             assert _mullineux(lam, ell, True) == image
+
+
+# Reference Mullineux map, box by box: peel one good box per step and replay
+# one cogood box per step, reading a fresh reduced word each time.
+
+
+def _reference_mullineux(lam, ell):
+    peeled = []
+    cur = lam
+    while cur:
+        for i in range(ell):
+            word = reduced_word(cur, i, ell, CLASSICAL)
+            if word.minus:
+                break
+        else:
+            raise ValueError(f"no removable good box for {cur}; is it {ell}-regular?")
+        peeled.append(i)
+        row, col = word.minus[0]
+        cur = cur[: row - 1] + ((col - 1,) if col > 1 else ()) + cur[row:]
+    image = ()
+    for i in reversed(peeled):
+        word = reduced_word(image, (-i) % ell, ell, CLASSICAL)
+        assert word.plus, f"mullineux replay stalled at {lam}"
+        row, col = word.plus[-1]
+        image = image[: row - 1] + (col,) + image[row:]
+    return image
+
+
+def _random_regular_partition(n, ell, rng):
+    """An ell-regular partition of at most n boxes: parts from a random cap
+    down to 1, each taken 0..ell-1 times while it fits (many short rows or a
+    few long ones)."""
+    cap = rng.choice([int((2 * n) ** 0.5), n // 16, n // 4])
+    parts = []
+    for value in range(cap, 0, -1):
+        parts += [value] * min(rng.randint(0, ell - 1), (n - sum(parts)) // value)
+    return tuple(parts)
+
+
+def _large_regular_partitions(ell):
+    rng = random.Random(19790 + ell)
+    return [_random_regular_partition(rng.randint(500, 4096), ell, rng) for _ in range(6)]
+
+
+def _regular_partitions(ell, nmax):
+    return [lam for n in range(nmax + 1) for lam in all_partitions(n) if is_regular(lam, ell)]
+
+
+@pytest.mark.parametrize("ell,nmax", [(3, 18), (4, 16), (5, 16)])
+def test_mullineux_matches_one_box_reference(ell, nmax):
+    for lam in _regular_partitions(ell, nmax):
+        expected = _reference_mullineux(lam, ell)
+        assert mullineux(lam, ell) == expected, lam
+        assert _mullineux(lam, ell, True) == expected, lam
+
+
+@pytest.mark.parametrize("ell", [3, 4])
+def test_mullineux_matches_one_box_reference_on_large_partitions(ell):
+    for lam in _large_regular_partitions(ell):
+        assert is_regular(lam, ell) and 300 < size(lam) <= 4096, lam
+        expected = _reference_mullineux(lam, ell)
+        assert mullineux(lam, ell) == expected, lam
+        assert _mullineux(lam, ell, True) == expected, lam
+
+
+def test_mullineux_symbol_golden():
+    # the 3-rim of (3,2,1) is (1,3),(1,2),(2,2) then (3,1); (1,1) is left
+    assert mullineux_symbol((3, 2, 1), 3) == [(4, 3), (2, 2)]
+    assert mullineux_image_symbol((3, 2, 1), 3) == [(4, 2), (2, 1)]
+    assert mullineux_symbol((5, 1), 3) == [(4, 2), (2, 1)]
+    assert mullineux_symbol((), 3) == []
+
+
+@pytest.mark.parametrize("ell", [3, 4])
+def test_mullineux_symbol_determines_the_partition(ell):
+    seen = {}
+    for lam in _regular_partitions(ell, 14):
+        symbol = tuple(mullineux_symbol(lam, ell))
+        assert seen.setdefault(symbol, lam) == lam, (lam, seen[symbol])
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5])
+def test_mullineux_matches_the_symbol_oracle(ell):
+    for lam in _regular_partitions(ell, 16):
+        assert mullineux_symbol(mullineux(lam, ell), ell) == mullineux_image_symbol(lam, ell), lam
+
+
+@pytest.mark.parametrize("ell", [3, 4])
+def test_mullineux_matches_the_symbol_oracle_on_large_partitions(ell):
+    for lam in _large_regular_partitions(ell):
+        assert mullineux_symbol(mullineux(lam, ell), ell) == mullineux_image_symbol(lam, ell), lam
+
+
+def test_mullineux_involution_and_symbol_at_size_4096():
+    lam = _random_regular_partition(4096, 3, random.Random(4097))
+    assert size(lam) == 4038 and len(lam) == 89
+    image = mullineux(lam, 3)
+    assert mullineux_symbol(image, 3) == mullineux_image_symbol(lam, 3)
+    assert mullineux(image, 3) == lam
 
 
 def test_mullineux_involution_on_a_staircase_of_size_990():
