@@ -5,15 +5,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .partitions import Partition, all_partitions, check_ell, is_regular, transpose
-from .rimhooks import is_core
+from .rimhooks import _is_core
 from .crystal import CLASSICAL, LADDER, apply_e, apply_f, check_model, reduced_word
-from .jm import is_ell_partition, is_jm
+from .jm import _is_ell_partition, _is_jm
 from .regular import (
     NotRegularError,
+    _mullineux_level,
     is_L_partition,
     is_ladder_node,
     is_weak_ell_partition,
-    mullineux,
     regularize,
 )
 from .strings import format_partition
@@ -137,6 +137,29 @@ def _weak_or_false(lam: Partition, ell: int) -> bool:
         return False
 
 
+class _ClassTable:
+    """Memoized membership in one class, one table per partition size.
+
+    A sweep owns one per class and drops the sizes it has passed, so the
+    tables hold a few levels at a time, never every partition seen.
+    """
+
+    def __init__(self, predicate):
+        self._predicate = predicate
+        self._by_size: dict[int, dict[Partition, bool]] = {}
+
+    def __call__(self, lam: Partition, ell: int) -> bool:
+        table = self._by_size.setdefault(sum(lam), {})
+        member = table.get(lam)
+        if member is None:
+            member = table[lam] = self._predicate(lam, ell)
+        return member
+
+    def drop_below(self, n: int) -> None:
+        for size in [size for size in self._by_size if size < n]:
+            del self._by_size[size]
+
+
 def _string_end_checks(
     report: VerificationReport,
     lam: Partition,
@@ -180,21 +203,47 @@ def _string_end_checks(
 
 
 def theorem_suite(ell: int, nmax: int) -> VerificationReport:
-    """Exhaustive structural checks over all partitions of size up to nmax."""
+    """Exhaustive structural checks over all partitions of size up to nmax.
+
+    The sweep runs level by level, n = 0..nmax, and holds:
+
+    - the Mullineux images of the ell-regular partitions of sizes n - 1 and
+      n.  Level n's table is built from level n - 1's, by
+      m(rho) = f_{-i} m(e_i rho) for the smallest live residue i
+      (Ford-Kleshchev), so an image costs at most ell + 1 reduced words
+      and the check m(R(lam)) == R(lam') is one lookup.  Level n - 1's
+      table is dropped once level n's is built.
+    - membership in the JM, ell-partition and weak classes, memoized per
+      size.  The string-end checks ask about the same neighbours of many
+      partitions, each answer is computed once, and every size below n is
+      dropped when level n is done.
+
+    Apart from those lookups a check costs what its predicate costs: one
+    reduced word per step of an i-string, a hook grid for the core, ladder
+    node and L-partition checks, and a regularization per partition.
+    The tables live only as long as the call; the Mullineux cache of
+    `mullineux` is not touched.
+    """
     check_ell(ell, minimum=3)
     if nmax < 0:
         raise ValueError(f"nmax must be non-negative, got {nmax}")
     report = VerificationReport(suite="crystal-theorems", ell=ell, params={"nmax": nmax})
+    jm_table = _ClassTable(_is_jm)
+    ell_table = _ClassTable(_is_ell_partition)
+    weak_table = _ClassTable(_weak_or_false)
+    below: dict[Partition, Partition] = {}
     for n in range(nmax + 1):
-        for lam in all_partitions(n):
-            jm = is_jm(lam, ell)
+        level = all_partitions(n)
+        here = _mullineux_level((lam for lam in level if is_regular(lam, ell)), below, ell)
+        for lam in level:
+            jm = jm_table(lam, ell)
             if jm:
                 report.check(
                     is_ladder_node(lam, ell), lam, None, "JM partitions are ladder nodes", "not a node"
                 )
                 for i in range(ell):
-                    _string_end_checks(report, lam, i, ell, "jm", is_jm, LADDER)
-            if is_core(lam, ell):
+                    _string_end_checks(report, lam, i, ell, "jm", jm_table, LADDER)
+            if _is_core(lam, ell):
                 report.check(
                     is_ladder_node(lam, ell), lam, None, "cores are ladder nodes", "not a node"
                 )
@@ -204,7 +253,7 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
                     is_ladder_node(lam, ell), lam, None, "L-partitions are ladder nodes", "not a node"
                 )
             reg_transpose = regularize(transpose(lam), ell)
-            mull = mullineux(regularize(lam, ell), ell)
+            mull = here[regularize(lam, ell)]
             report.check(
                 (mull == reg_transpose) == balanced,
                 lam,
@@ -213,12 +262,15 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
                 format_partition(mull),
             )
             if is_regular(lam, ell):
-                if is_ell_partition(lam, ell):
+                if ell_table(lam, ell):
                     for i in range(ell):
                         _string_end_checks(
-                            report, lam, i, ell, "ell-partition", is_ell_partition, CLASSICAL
+                            report, lam, i, ell, "ell-partition", ell_table, CLASSICAL
                         )
-                if _weak_or_false(lam, ell):
+                if weak_table(lam, ell):
                     for i in range(ell):
-                        _string_end_checks(report, lam, i, ell, "weak", _weak_or_false, CLASSICAL)
+                        _string_end_checks(report, lam, i, ell, "weak", weak_table, CLASSICAL)
+        below = here
+        for table in (jm_table, ell_table, weak_table):
+            table.drop_below(n)
     return report

@@ -21,13 +21,14 @@ from .partitions import (
     check_partition,
     hook_grid,
     is_regular,
+    partition_cache,
     transpose,
 )
 from .rimhooks import (
     HORIZONTAL,
     VERTICAL,
-    ell_core,
-    is_core,
+    _ell_core,
+    _is_core,
     removable_rim_hooks,
     _remove,
     adjacent,
@@ -78,6 +79,7 @@ class JMDecomposition:
 def star_condition(lam: Partition, ell: int) -> bool:
     """True when every column has all or none of its hook lengths divisible by ell."""
     check_ell(ell)
+    lam = check_partition(lam)
     grid = hook_grid(lam)
     cols = transpose(lam)
     for col in range(1, len(cols) + 1):
@@ -104,17 +106,18 @@ def _only_horizontal_hereditarily(lam: Partition, ell: int) -> bool:
     return True
 
 
+def _is_ell_partition(lam: Partition, ell: int) -> bool:
+    return is_regular(lam, ell) and _only_horizontal_hereditarily(lam, ell)
+
+
 def is_ell_partition(lam: Partition, ell: int) -> bool:
     """ell-regular, and no removal sequence of horizontal ell-rim hooks ever
     exposes a non-horizontal one."""
     check_ell(ell)
-    return is_regular(lam, ell) and _only_horizontal_hereditarily(lam, ell)
+    return _is_ell_partition(check_partition(lam), ell)
 
 
-def fayers_witness(lam: Partition, ell: int) -> FayersWitness | None:
-    """First witness (lexicographic in base row, base col, row_mate col,
-    col_mate row) that lam is not (ell,0)-JM, or None."""
-    check_ell(ell, minimum=3)
+def _fayers_witness(lam: Partition, ell: int) -> FayersWitness | None:
     grid = hook_grid(lam)
     cols = transpose(lam)
     for a in range(1, len(lam) + 1):
@@ -132,11 +135,22 @@ def fayers_witness(lam: Partition, ell: int) -> FayersWitness | None:
     return None
 
 
+def fayers_witness(lam: Partition, ell: int) -> FayersWitness | None:
+    """First witness (lexicographic in base row, base col, row_mate col,
+    col_mate row) that lam is not (ell,0)-JM, or None."""
+    check_ell(ell, minimum=3)
+    return _fayers_witness(check_partition(lam), ell)
+
+
+def _is_jm(lam: Partition, ell: int) -> bool:
+    return _fayers_witness(lam, ell) is None
+
+
 def is_jm(lam: Partition, ell: int) -> bool:
     return fayers_witness(lam, ell) is None
 
 
-@functools.lru_cache(maxsize=None)
+@partition_cache
 def is_generalized_ell_partition(lam: Partition, ell: int) -> bool:
     """Hereditarily: hooks only horizontal/vertical, and removing one never
     exposes a touching hook of the opposite orientation.
@@ -145,6 +159,7 @@ def is_generalized_ell_partition(lam: Partition, ell: int) -> bool:
     once, so no recursion depth grows with the weight.
     """
     check_ell(ell)
+    lam = check_partition(lam)
     seen = {lam}
     todo = [(lam, removable_rim_hooks(lam, ell))]
     while todo:
@@ -190,7 +205,8 @@ def decompose_jm(lam: Partition, ell: int) -> JMDecomposition:
     (leftmost first); for a JM partition the tallies are order-independent.
     """
     check_ell(ell, minimum=3)
-    if not is_jm(lam, ell):
+    lam = check_partition(lam)
+    if not _is_jm(lam, ell):
         raise NotJMPartitionError(f"{lam} is not ({ell},0)-JM")
     rho_count: dict[int, int] = {}
     sigma_count: dict[int, int] = {}
@@ -231,7 +247,7 @@ def _validate_decomposition(dec: JMDecomposition, ell: int) -> JMDecomposition:
     r, s = dec.r, dec.s
     if r < 0 or s < 0:
         raise InvalidDecompositionError(f"r and s must be non-negative: {dec}")
-    if not is_core(mu, ell):
+    if not _is_core(mu, ell):
         raise InvalidDecompositionError(f"mu must be an {ell}-core: {mu}")
     mu_t = transpose(mu)
     row_diff = (mu[0] - (mu[1] if len(mu) > 1 else 0)) if mu else 0
@@ -310,7 +326,7 @@ def count_jm(core: Partition, w: int, ell: int) -> int:
     core = check_partition(core)
     if w < 0:
         raise ValueError(f"weight must be non-negative, got {w}")
-    if not is_core(core, ell):
+    if not _is_core(core, ell):
         raise NotACoreError(f"{core} is not an {ell}-core")
     mu, r, s = _core_frame(core, ell)
     nu_next = core[r] if r < len(core) else 0
@@ -327,7 +343,7 @@ def enumerate_jm(core: Partition, w: int, ell: int) -> list[Partition]:
     core = check_partition(core)
     if w < 0:
         raise ValueError(f"weight must be non-negative, got {w}")
-    if not is_core(core, ell):
+    if not _is_core(core, ell):
         raise NotACoreError(f"{core} is not an {ell}-core")
     mu, r, s = _core_frame(core, ell)
     out = []
@@ -341,9 +357,9 @@ def enumerate_jm(core: Partition, w: int, ell: int) -> list[Partition]:
                 if not mu and len(rho) == r + 1 and len(sigma) == s + 1:
                     continue
                 lam = compose_jm(JMDecomposition(mu, r, s, rho, sigma), ell)
-                if not is_jm(lam, ell):
+                if not _is_jm(lam, ell):
                     raise AssertionError(f"composed partition fails the JM check: {lam}")
-                if ell_core(lam, ell) != (core, w):
+                if _ell_core(lam, ell) != (core, w):
                     raise AssertionError(f"composed partition has wrong core data: {lam}")
                 out.append(lam)
     return sorted(out, reverse=True)

@@ -28,8 +28,12 @@ class BoxNotInDiagramError(ValueError):
 
 def check_partition(parts: Iterable[int]) -> Partition:
     """Canonicalize a part sequence (trailing zeros dropped) or raise ValueError."""
-    if type(parts) is tuple and all(type(p) is int for p in parts):
+    if type(parts) is tuple and set(map(type, parts)) <= {int}:
         lam = parts  # no copy: a copy per checked call raised peak memory in sweeps
+        # the common case, a canonical tuple, in C-level passes; any other
+        # tuple falls through to the checks below and their messages
+        if not lam or (lam[-1] > 0 and sorted(lam, reverse=True) == list(lam)):
+            return lam
     else:
         lam = tuple(int(p) for p in parts)
     while lam and lam[-1] == 0:
@@ -39,6 +43,26 @@ def check_partition(parts: Iterable[int]) -> Partition:
     if any(lam[k] < lam[k + 1] for k in range(len(lam) - 1)):
         raise ValueError(f"parts must be weakly decreasing: {lam!r}")
     return lam
+
+
+def partition_cache(fn):
+    """An unbounded lru_cache on fn(lam, *args) that also takes lists.
+
+    A tuple goes straight to the cache, so a hit costs no check; fn must
+    check lam itself, which then runs only on a miss.  Anything else is
+    checked (and made a tuple) before the cache hashes it.
+    """
+    cached = functools.lru_cache(maxsize=None)(fn)
+
+    @functools.wraps(fn)
+    def call(lam, *args):
+        if type(lam) is not tuple:
+            lam = check_partition(lam)
+        return cached(lam, *args)
+
+    call.cache_info = cached.cache_info
+    call.cache_clear = cached.cache_clear
+    return call
 
 
 def check_ell(ell: int, minimum: int = 2) -> int:

@@ -22,12 +22,14 @@ whole i-string to a (-i)-string of the same length.  It peels whole strings
 (e_i^eps of the first live residue i) down to the empty partition and
 replays f_{-i}^eps upward; which live residue and which string length are
 taken does not change the image.  Each string costs one reduced word, not
-one per box.
+one per box.  A sweep over all sizes builds the images level by level
+instead: m(rho) = f_{-i} m(e_i rho) reads them off the level below.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -38,10 +40,11 @@ from .partitions import (
     check_partition,
     hook_grid,
     is_regular,
+    partition_cache,
     transpose,
 )
-from .crystal import CLASSICAL, apply_e, apply_f, reduced_word
-from .jm import is_jm
+from .crystal import CLASSICAL, ReducedWord, apply_e, apply_f, reduced_word
+from .jm import _is_jm
 
 LOCKED_I = "I"
 LOCKED_II = "II"
@@ -99,7 +102,7 @@ def _assemble(lengths: list[int], widest: list[int], context: str) -> Partition:
         raise ValueError(f"{context} did not produce a partition: {rows}") from exc
 
 
-@functools.lru_cache(maxsize=None)
+@partition_cache
 def regularize(lam: Partition, ell: int) -> Partition:
     """Slide the boxes of every ladder into that ladder's topmost positions."""
     check_ell(ell)
@@ -328,7 +331,39 @@ def is_weak_ell_partition(lam: Partition, ell: int) -> bool:
     lam = check_partition(lam)
     if not is_regular(lam, ell):
         raise NotRegularError(f"{lam} is not {ell}-regular")
-    return is_jm(_deregularize(lam, ell), ell)
+    return _is_jm(_deregularize(lam, ell), ell)
+
+
+def _live_word(lam: Partition, residues: Iterable[int], ell: int) -> tuple[int, ReducedWord]:
+    """The first of *residues* with epsilon_i(lam) > 0, and lam's reduced i-word."""
+    for i in residues:
+        word = reduced_word(lam, i, ell, CLASSICAL)
+        if word.minus:
+            return i, word
+    raise ValueError(f"no removable good box for {lam}; is it {ell}-regular?")
+
+
+def _mullineux_level(
+    level: Iterable[Partition], below: dict[Partition, Partition], ell: int
+) -> dict[Partition, Partition]:
+    """Mullineux images of the ell-regular partitions *level*, all of one size n.
+
+    *below* maps every ell-regular partition of size n - 1 to its image.
+    m(rho) = f_{-i} m(e_i rho) for the smallest live residue i of rho, so
+    each image costs the reduced words up to that residue plus one more,
+    and nothing is peeled below n - 1.  A sweep over n keeps two levels.
+    """
+    here = {}
+    for rho in level:
+        if not rho:
+            here[rho] = rho
+            continue
+        i, word = _live_word(rho, range(ell), ell)
+        image = below[apply_e(rho, word)]
+        image = apply_f(image, reduced_word(image, (-i) % ell, ell, CLASSICAL))
+        assert image is not None, f"mullineux step stalled at {rho}"
+        here[rho] = image
+    return here
 
 
 @functools.lru_cache(maxsize=None)
@@ -337,12 +372,7 @@ def _mullineux(lam: Partition, ell: int, largest: bool) -> Partition:
     peeled = []
     cur = lam
     while cur:
-        for i in residues:
-            word = reduced_word(cur, i, ell, CLASSICAL)
-            if word.minus:
-                break
-        else:
-            raise ValueError(f"no removable good box for {cur}; is it {ell}-regular?")
+        i, word = _live_word(cur, residues, ell)
         eps = len(word.minus)
         peeled.append((i, eps))
         cur = apply_e(cur, word, eps)

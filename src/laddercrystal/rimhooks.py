@@ -17,7 +17,6 @@ slice, and a core costs O(n log n + ell) for n rows, whatever the weight.
 from __future__ import annotations
 
 import bisect
-import functools
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -26,7 +25,9 @@ from .partitions import (
     Box,
     Partition,
     check_ell,
+    check_partition,
     hook_grid,
+    partition_cache,
 )
 
 HORIZONTAL = "horizontal"
@@ -131,16 +132,7 @@ def remove_rim_hook(lam: Partition, hook: RimHook) -> Partition:
     raise InvalidHookError(f"{hook} is not a removable rim hook of {lam}")
 
 
-@functools.lru_cache(maxsize=None)
-def ell_core(lam: Partition, ell: int) -> CoreResult:
-    """The ell-core and ell-weight of lam, read off James's abacus.
-
-    With n = len(lam) beads at lam_r + n - r (r = 1..n), each runner's beads
-    slide up to the top positions of their runner; the core is read back from
-    the packed beads and the weight is the total number of slides.  The cost
-    is O(n log n + ell), whatever the weight.
-    """
-    check_ell(ell)
+def _ell_core(lam: Partition, ell: int) -> CoreResult:
     n = len(lam)
     packed = [0] * ell  # beads seen so far on each runner
     weight = 0
@@ -156,10 +148,27 @@ def ell_core(lam: Partition, ell: int) -> CoreResult:
     return CoreResult(tuple(part for part in parts if part), weight)
 
 
+@partition_cache
+def ell_core(lam: Partition, ell: int) -> CoreResult:
+    """The ell-core and ell-weight of lam, read off James's abacus.
+
+    With n = len(lam) beads at lam_r + n - r (r = 1..n), each runner's beads
+    slide up to the top positions of their runner; the core is read back from
+    the packed beads and the weight is the total number of slides.  The cost
+    is O(n log n + ell), whatever the weight.
+    """
+    check_ell(ell)
+    return _ell_core(check_partition(lam), ell)
+
+
+def _is_core(lam: Partition, ell: int) -> bool:
+    return not any(h % ell == 0 for row in hook_grid(lam) for h in row)
+
+
 def is_core(lam: Partition, ell: int) -> bool:
     """True when no hook length is divisible by ell."""
     check_ell(ell)
-    return not any(h % ell == 0 for row in hook_grid(lam) for h in row)
+    return _is_core(check_partition(lam), ell)
 
 
 def adjacent(a: RimHook, b: RimHook) -> bool:

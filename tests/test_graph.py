@@ -16,7 +16,7 @@ from laddercrystal.graph import (
 )
 from laddercrystal.jm import is_jm
 from laddercrystal.partitions import all_partitions, is_regular, residue, size
-from laddercrystal.regular import deregularize
+from laddercrystal.regular import _mullineux, deregularize
 
 from helpers import ladder_node_levels, regular_counts
 
@@ -159,6 +159,20 @@ def test_theorem_suite_passes():
     assert report.passed
     assert report.checks > 0
     assert report.to_dict()["suite"] == "crystal-theorems"
+
+
+@pytest.mark.parametrize("ell,nmax,checks", [(3, 20, 14054), (4, 18, 10774), (5, 16, 9377)])
+def test_theorem_suite_check_counts(ell, nmax, checks):
+    report = theorem_suite(ell, nmax)
+    assert report.checks == checks
+    assert not report.failures
+
+
+def test_theorem_suite_leaves_the_mullineux_cache_alone():
+    # emptied first: an earlier test may have filled it for every input
+    _mullineux.cache_clear()
+    assert theorem_suite(3, 12).passed
+    assert _mullineux.cache_info().currsize == 0
 
 
 def test_string_end_checks_skip_steps_that_can_stay_in_class():

@@ -74,6 +74,26 @@ def test_jm_iff_no_witness_and_transpose_symmetric(lam, ell):
     assert is_jm(lam, ell) == is_jm(transpose(lam), ell)
 
 
+@pytest.mark.parametrize(
+    "fn",
+    [is_jm, fayers_witness, is_ell_partition, is_generalized_ell_partition, star_condition, decompose_jm],
+)
+def test_public_boundary_rejects_non_partitions(fn):
+    for bad in ((1, 2), [1, 2], (2, 0, 1), (2, -1)):
+        with pytest.raises(ValueError):
+            fn(bad, 3)
+
+
+def test_public_boundary_accepts_lists():
+    lam = list(JM_EXAMPLE)
+    assert is_jm(lam, 3) and fayers_witness(lam, 3) is None
+    assert is_generalized_ell_partition(lam, 3)
+    assert is_ell_partition([4, 1], 3) and not is_ell_partition([3, 3, 3], 3)
+    assert star_condition([3, 1], 3) == star_condition((3, 1), 3)
+    assert decompose_jm(lam, 3) == decompose_jm(JM_EXAMPLE, 3)
+    assert not is_jm([3, 2], 3) and fayers_witness([3, 2], 3) == fayers_witness((3, 2), 3)
+
+
 def test_jm_requires_ell_at_least_three():
     with pytest.raises(ValueError):
         is_jm((2, 1), 2)

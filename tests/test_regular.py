@@ -38,6 +38,7 @@ from laddercrystal.regular import (
     lock_labels,
     mullineux,
     _mullineux,
+    _mullineux_level,
     reg_class,
     regularize,
 )
@@ -225,6 +226,21 @@ def test_deregularize_at_size_3000(lam):
 def test_public_boundary_rejects_non_partitions(fn, bad):
     with pytest.raises(ValueError):
         fn(bad, 3)
+
+
+def test_regularize_accepts_a_list():
+    assert regularize([2, 1], 3) == (2, 1)
+    assert regularize([1, 1, 1], 3) == (2, 1)
+    assert regularize.cache_info().currsize > 0
+
+
+def test_regularize_checks_a_tuple_on_a_cache_miss_only():
+    regularize((4, 2), 3)
+    hits = regularize.cache_info().hits
+    assert regularize((4, 2), 3) == (4, 2)
+    assert regularize.cache_info().hits == hits + 1
+    with pytest.raises(ValueError):
+        regularize((2, 4), 3)
 
 
 def test_regularize_golden():
@@ -464,6 +480,19 @@ def test_mullineux_matches_one_box_reference_on_large_partitions(ell):
         expected = _reference_mullineux(lam, ell)
         assert mullineux(lam, ell) == expected, lam
         assert _mullineux(lam, ell, True) == expected, lam
+
+
+@pytest.mark.parametrize("ell,nmax", [(3, 18), (4, 16), (5, 16)])
+def test_level_built_mullineux_matches_mullineux_and_the_symbol_oracle(ell, nmax):
+    below: dict = {}
+    for n in range(nmax + 1):
+        level = [lam for lam in all_partitions(n) if is_regular(lam, ell)]
+        here = _mullineux_level(level, below, ell)
+        assert list(here) == level
+        for lam, image in here.items():
+            assert image == mullineux(lam, ell), lam
+            assert mullineux_symbol(image, ell) == mullineux_image_symbol(lam, ell), lam
+        below = here
 
 
 def test_mullineux_symbol_golden():
