@@ -28,12 +28,8 @@ class BoxNotInDiagramError(ValueError):
 
 def check_partition(parts: Iterable[int]) -> Partition:
     """Canonicalize a part sequence (trailing zeros dropped) or raise ValueError."""
-    if type(parts) is tuple and set(map(type, parts)) <= {int}:
+    if type(parts) is tuple and all(type(p) is int for p in parts):
         lam = parts  # no copy: a copy per checked call raised peak memory in sweeps
-        # the common case, a canonical tuple, in C-level passes; any other
-        # tuple falls through to the checks below and their messages
-        if not lam or (lam[-1] > 0 and sorted(lam, reverse=True) == list(lam)):
-            return lam
     else:
         lam = tuple(int(p) for p in parts)
     while lam and lam[-1] == 0:
@@ -46,19 +42,20 @@ def check_partition(parts: Iterable[int]) -> Partition:
 
 
 def partition_cache(fn):
-    """An unbounded lru_cache on fn(lam, *args) that also takes lists.
+    """An unbounded lru_cache on fn(lam, ...) that also takes lists.
 
     A tuple goes straight to the cache, so a hit costs no check; fn must
     check lam itself, which then runs only on a miss.  Anything else is
-    checked (and made a tuple) before the cache hashes it.
+    checked (and made a tuple) before the cache hashes it.  Arguments may
+    be passed by keyword, lam included, as to fn itself.
     """
     cached = functools.lru_cache(maxsize=None)(fn)
 
     @functools.wraps(fn)
-    def call(lam, *args):
+    def call(lam, *args, **kwargs):
         if type(lam) is not tuple:
             lam = check_partition(lam)
-        return cached(lam, *args)
+        return cached(lam, *args, **kwargs)
 
     call.cache_info = cached.cache_info
     call.cache_clear = cached.cache_clear

@@ -22,8 +22,9 @@ from laddercrystal.partitions import (
     size,
     transpose,
 )
-from laddercrystal.jm import is_jm
+from laddercrystal.jm import is_generalized_ell_partition, is_jm
 from laddercrystal.crystal import CLASSICAL, reduced_word
+from laddercrystal.rimhooks import ell_core
 from laddercrystal.regular import (
     LOCKED_I,
     LOCKED_II,
@@ -232,6 +233,15 @@ def test_regularize_accepts_a_list():
     assert regularize([2, 1], 3) == (2, 1)
     assert regularize([1, 1, 1], 3) == (2, 1)
     assert regularize.cache_info().currsize > 0
+
+
+def test_cached_boundary_takes_keyword_arguments():
+    assert regularize((2, 1), ell=3) == (2, 1)
+    assert regularize(lam=[1, 1, 1], ell=3) == (2, 1)
+    assert ell_core((4, 2), ell=3) == ell_core((4, 2), 3)
+    assert is_generalized_ell_partition(lam=[4, 1], ell=3)
+    with pytest.raises(ValueError):
+        regularize(lam=[1, 2], ell=3)
 
 
 def test_regularize_checks_a_tuple_on_a_cache_miss_only():
