@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .partitions import Box, Partition, check_ell, contains
+from .partitions import Box, Partition, check_ell, check_partition, contains
 
 PLUS = "+"
 MINUS = "-"
@@ -143,12 +143,12 @@ def apply_f(lam: Partition, word: ReducedWord, k: int = 1) -> Partition | None:
 
 def i_signature(lam: Partition, i: int, ell: int) -> SignatureWord:
     """Classical signature: entries ordered from the bottom row upward."""
-    return SignatureWord(tuple(_read(lam, i, ell, CLASSICAL)), CLASSICAL)
+    return SignatureWord(tuple(_read(check_partition(lam), i, ell, CLASSICAL)), CLASSICAL)
 
 
 def ladder_i_signature(lam: Partition, i: int, ell: int) -> SignatureWord:
     """Ladder signature: by increasing ladder index, top-to-bottom in a ladder."""
-    return SignatureWord(tuple(_read(lam, i, ell, LADDER)), LADDER)
+    return SignatureWord(tuple(_read(check_partition(lam), i, ell, LADDER)), LADDER)
 
 
 def reduce_signature(sig: SignatureWord) -> SignatureWord:
@@ -159,38 +159,42 @@ def reduce_signature(sig: SignatureWord) -> SignatureWord:
 
 
 def epsilon(lam: Partition, i: int, ell: int) -> int:
-    return len(reduced_word(lam, i, ell, CLASSICAL).minus)
+    return len(reduced_word(check_partition(lam), i, ell, CLASSICAL).minus)
 
 
 def phi(lam: Partition, i: int, ell: int) -> int:
-    return len(reduced_word(lam, i, ell, CLASSICAL).plus)
+    return len(reduced_word(check_partition(lam), i, ell, CLASSICAL).plus)
 
 
 def ladder_epsilon(lam: Partition, i: int, ell: int) -> int:
-    return len(reduced_word(lam, i, ell, LADDER).minus)
+    return len(reduced_word(check_partition(lam), i, ell, LADDER).minus)
 
 
 def ladder_phi(lam: Partition, i: int, ell: int) -> int:
-    return len(reduced_word(lam, i, ell, LADDER).plus)
+    return len(reduced_word(check_partition(lam), i, ell, LADDER).plus)
 
 
 def e_tilde(lam: Partition, i: int, ell: int) -> Partition | None:
     """Remove the good i-box (classical), or None when epsilon is 0."""
+    lam = check_partition(lam)
     return apply_e(lam, reduced_word(lam, i, ell, CLASSICAL))
 
 
 def f_tilde(lam: Partition, i: int, ell: int) -> Partition | None:
     """Add the cogood i-box (classical), or None when phi is 0."""
+    lam = check_partition(lam)
     return apply_f(lam, reduced_word(lam, i, ell, CLASSICAL))
 
 
 def e_hat(lam: Partition, i: int, ell: int) -> Partition | None:
     """Remove the good i-box (ladder reading), or None."""
+    lam = check_partition(lam)
     return apply_e(lam, reduced_word(lam, i, ell, LADDER))
 
 
 def f_hat(lam: Partition, i: int, ell: int) -> Partition | None:
     """Add the cogood i-box (ladder reading), or None."""
+    lam = check_partition(lam)
     return apply_f(lam, reduced_word(lam, i, ell, LADDER))
 
 

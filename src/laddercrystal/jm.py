@@ -5,10 +5,30 @@ in the same row as a box with indivisible hook and in the same column as
 another.  Equivalently (and this module checks both sides) it is a
 "generalized ell-partition": every removable ell-rim hook, hereditarily, is a
 horizontal or vertical strip, and opposite-orientation hooks never touch.
+
+The hereditary side is read off James's abacus (see rimhooks), with every
+negative position a bead.  Removing a rim hook moves one bead one level down
+its runner, so the partitions reachable by removals are the product, over
+the runners, of the bead sets M with M_i <= L_i, where L and M list a
+runner's bead levels in ascending order.  A runner can hold a bead at level
+t exactly when t is at most its top bead, and a gap exactly when t is at
+least its packed prefix (the beads with no gap below, which never move).  A
+hook from a bead at level k of runner j, into the gap at k-1, passes one
+position of every other runner, its window: level k on the runners below j
+and level k-1 on those above.  It is horizontal when its window holds only
+gaps and vertical when it holds only beads.  Two hooks of opposite
+orientation, the second exposed by removing the first, touch exactly when
+their northeast boxes' contents differ by ell: the second moves the same
+bead once more, or moves the bead one level above into the vacated place.
+Each condition on reachable partitions is then a few bounds on level k per
+pair of runners, so both hereditary checks cost O(len(lam) + ell^3) for the
+abacus and the bounds, whatever the weight, instead of a walk over every
+partition that removals reach.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -24,15 +44,7 @@ from .partitions import (
     partition_cache,
     transpose,
 )
-from .rimhooks import (
-    HORIZONTAL,
-    VERTICAL,
-    _ell_core,
-    _is_core,
-    removable_rim_hooks,
-    _remove,
-    adjacent,
-)
+from .rimhooks import HORIZONTAL, _ell_core, _is_core, _remove, _removable_rim_hooks
 
 
 class NotJMPartitionError(ValueError):
@@ -89,20 +101,60 @@ def star_condition(lam: Partition, ell: int) -> bool:
     return True
 
 
+class _Runner(NamedTuple):
+    """What the reachable bead sets of one abacus runner can hold.
+
+    packed: the beads at levels 0, 1, ... with no gap below; level t can be
+    a gap exactly when t >= packed.  packed2: the index of the lowest bead
+    with two gaps below it (the bead count when none has).  top, second:
+    the highest two bead levels (-1 when missing); level t can hold a bead
+    exactly when t <= top.
+    """
+
+    packed: int
+    packed2: int
+    top: int
+    second: int
+
+
+def _runners(lam: Partition, ell: int) -> list[_Runner]:
+    """lam's abacus runners, with every negative position a bead.
+
+    Rows are padded with zero parts to a multiple of ell, so row r (0-based)
+    of n carries the bead lam[r] + n - 1 - r at level (bead // ell) of
+    runner (bead % ell).  A bead's slack, its level minus its index on the
+    runner, counts the gaps below it and never decreases up the runner.
+    """
+    n = -(-len(lam) // ell) * ell
+    levels: list[list[int]] = [[] for _ in range(ell)]
+    for r in range(n - 1, -1, -1):  # beads in increasing position
+        level, runner = divmod((lam[r] if r < len(lam) else 0) + n - 1 - r, ell)
+        levels[runner].append(level)
+    out = []
+    for beads in levels:
+        slack = [level - i for i, level in enumerate(beads)]
+        top = beads[-1] if beads else -1
+        second = beads[-2] if len(beads) > 1 else -1
+        out.append(_Runner(bisect.bisect_left(slack, 1), bisect.bisect_left(slack, 2), top, second))
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def _only_horizontal_hereditarily(lam: Partition, ell: int) -> bool:
-    seen = {lam}
-    todo = [lam]
-    while todo:
-        cur = todo.pop()
-        hooks = removable_rim_hooks(cur, ell)
-        if any(h.shape != HORIZONTAL for h in hooks):
+    """No partition reachable by removing ell-rim hooks has a non-horizontal one.
+
+    It has one exactly when some hook's window can hold a bead.  A hook on
+    runner j starts at a level k in (packed, top]; the lowest k asks least
+    of the window, and window level t on runner i can hold a bead when
+    t <= top_i.  Cost O(len(lam) + ell^2).
+    """
+    runners = _runners(lam, ell)
+    for j, run in enumerate(runners):
+        k = run.packed + 1
+        if k <= run.top and any(
+            k - (i > j) <= other.top for i, other in enumerate(runners) if i != j
+        ):
             return False
-        for hook in hooks:
-            rest = _remove(cur, hook)
-            if rest not in seen:
-                seen.add(rest)
-                todo.append(rest)
     return True
 
 
@@ -155,27 +207,47 @@ def is_generalized_ell_partition(lam: Partition, ell: int) -> bool:
     """Hereditarily: hooks only horizontal/vertical, and removing one never
     exposes a touching hook of the opposite orientation.
 
-    Walks every partition reachable by hook removals from a worklist, each
-    once, so no recursion depth grows with the weight.
+    Answered on the abacus, without listing the reachable partitions (see
+    the module docstring).  For a hook on runner j at level k, write the
+    window position of runner i as level k - d_i (d_i = 1 when i > j); it
+    can be a gap when k >= lo_i = packed_i + d_i and a bead when
+    k <= hi_i = top_i + d_i.  A pair of hooks asks each other runner for a
+    bead and a gap on two adjacent levels, and some reachable bead set
+    holds both exactly when each alone can be held.  The check fails when,
+    for some k in (packed_j, top_j]:
+
+    - the window can hold a bead on one runner and a gap on another, so the
+      hook can be neither horizontal nor vertical;
+    - runner j can hold a bead at k and gaps at k-1, k-2 (k >= packed2_j + 2)
+      and max(lo) <= k <= min(hi) + 1: the same bead then moves again
+      through the window one level lower, and the two hooks can have
+      opposite orientations;
+    - runner j can hold beads at k, k+1 and a gap at k-1 (k <= second_j) and
+      max(lo) - 1 <= k <= min(hi): the bead above then drops into the
+      vacated level, through the window one level higher.
+
+    Each condition bounds k to an interval, so a call costs
+    O(len(lam) + ell^3), whatever the weight.
     """
     check_ell(ell)
-    lam = check_partition(lam)
-    seen = {lam}
-    todo = [(lam, removable_rim_hooks(lam, ell))]
-    while todo:
-        cur, hooks = todo.pop()
-        if any(h.shape not in (HORIZONTAL, VERTICAL) for h in hooks):
+    runners = _runners(check_partition(lam), ell)
+    for j, run in enumerate(runners):
+        first, last = run.packed + 1, run.top
+        if first > last:
+            continue  # runner j never starts a hook
+        lo = [other.packed + (i > j) for i, other in enumerate(runners) if i != j]
+        hi = [other.top + (i > j) for i, other in enumerate(runners) if i != j]
+        if any(
+            max(first, lo[b]) <= min(last, hi[a])
+            for a in range(ell - 1)
+            for b in range(ell - 1)
+            if a != b
+        ):
             return False
-        for hook in hooks:
-            rest = _remove(cur, hook)
-            rest_hooks = removable_rim_hooks(rest, ell)
-            opposite = VERTICAL if hook.shape == HORIZONTAL else HORIZONTAL
-            for other in rest_hooks:
-                if other.shape == opposite and adjacent(hook, other):
-                    return False
-            if rest not in seen:
-                seen.add(rest)
-                todo.append((rest, rest_hooks))
+        if max(run.packed2 + 2, max(lo)) <= min(last, min(hi) + 1):
+            return False
+        if max(first, max(lo) - 1) <= min(run.second, min(hi)):
+            return False
     return True
 
 
@@ -212,7 +284,7 @@ def decompose_jm(lam: Partition, ell: int) -> JMDecomposition:
     sigma_count: dict[int, int] = {}
     cur = lam
     while True:
-        hooks = removable_rim_hooks(cur, ell)
+        hooks = _removable_rim_hooks(cur, ell)
         if not hooks:
             break
         horizontal = [h for h in hooks if h.shape == HORIZONTAL]

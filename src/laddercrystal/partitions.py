@@ -8,6 +8,7 @@ the longest row, column 1 the longest column.
 from __future__ import annotations
 
 import functools
+import operator
 from collections.abc import Iterable, Iterator
 
 Partition = tuple[int, ...]
@@ -27,11 +28,18 @@ class BoxNotInDiagramError(ValueError):
 
 
 def check_partition(parts: Iterable[int]) -> Partition:
-    """Canonicalize a part sequence (trailing zeros dropped) or raise ValueError."""
-    if type(parts) is tuple and all(type(p) is int for p in parts):
-        lam = parts  # no copy: a copy per checked call raised peak memory in sweeps
-    else:
-        lam = tuple(int(p) for p in parts)
+    """Canonicalize a part sequence (trailing zeros dropped) or raise ValueError.
+
+    A tuple of ints that is already a partition is returned as it is (a copy
+    per checked call raised peak memory in sweeps), and is recognized by
+    C-level passes alone, since the public operators check every call.
+    """
+    if type(parts) is tuple and (
+        not parts
+        or (set(map(type, parts)) == {int} and parts[-1] > 0 and all(map(operator.ge, parts, parts[1:])))
+    ):
+        return parts
+    lam = tuple(int(p) for p in parts)
     while lam and lam[-1] == 0:
         lam = lam[:-1]
     if any(p <= 0 for p in lam):

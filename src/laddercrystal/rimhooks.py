@@ -86,7 +86,7 @@ def _hook_from_row(lam: Partition, r: int, ell: int) -> RimHook | None:
     return RimHook(tuple(boxes), shape)
 
 
-def removable_rim_hooks(lam: Partition, ell: int) -> list[RimHook]:
+def _removable_rim_hooks(lam: Partition, ell: int) -> list[RimHook]:
     """All removable ell-rim hooks, ordered by the row of their northeast box.
 
     A row starts at most one hook (its bead moves ell down or not at all), and
@@ -96,7 +96,6 @@ def removable_rim_hooks(lam: Partition, ell: int) -> list[RimHook]:
     most ell rows: a call costs O(d * (ell^2 + log n)) for d distinct parts
     and n rows, instead of a hook grid of |lam| boxes.
     """
-    check_ell(ell)
     out = []
     start, n = 0, len(lam)
     while start < n:
@@ -107,6 +106,12 @@ def removable_rim_hooks(lam: Partition, ell: int) -> list[RimHook]:
                 out.append(hook)
         start = end
     return out
+
+
+def removable_rim_hooks(lam: Partition, ell: int) -> list[RimHook]:
+    """All removable ell-rim hooks of lam, ordered by the row of their northeast box."""
+    check_ell(ell)
+    return _removable_rim_hooks(check_partition(lam), ell)
 
 
 def _remove(lam: Partition, hook: RimHook) -> Partition:
@@ -123,10 +128,11 @@ def _remove(lam: Partition, hook: RimHook) -> Partition:
 
 def remove_rim_hook(lam: Partition, hook: RimHook) -> Partition:
     """Remove *hook* from lam; raises InvalidHookError unless it is removable."""
+    lam = check_partition(lam)
     ell = len(hook.boxes)
     if ell < 2:
         raise InvalidHookError(f"hook too short: {hook}")
-    for candidate in removable_rim_hooks(lam, ell):
+    for candidate in _removable_rim_hooks(lam, ell):
         if candidate.box_set == hook.box_set:
             return _remove(lam, candidate)
     raise InvalidHookError(f"{hook} is not a removable rim hook of {lam}")

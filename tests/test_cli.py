@@ -243,6 +243,33 @@ def test_info_at_weight_1000(capsys):
     assert payload["jm"] is True
 
 
+# At ell = 3, a core of 8 rows of difference 2 with horizontal hooks
+# 2*(9, ..., 1) on its rows: 342 boxes, hooks on nine rows at once.
+MULTI_ROW = "70,62,54,46,38,30,22,14,6"
+
+
+def test_jm_check_with_hooks_on_many_rows(capsys):
+    status, out = run_cli(capsys, "jm", "check", "--ell", "3", MULTI_ROW)
+    assert status == 0
+    assert json.loads(out) == {
+        "partition": MULTI_ROW,
+        "ell": 3,
+        "is_jm": True,
+        "generalized": True,
+        "witness": None,
+    }
+
+
+def test_info_with_hooks_on_many_rows(capsys):
+    status, out = run_cli(capsys, "info", "--ell", "3", MULTI_ROW)
+    assert status == 0
+    payload = json.loads(out)
+    assert payload["size"] == 342
+    assert (payload["core"], payload["weight"]) == ("16,14,12,10,8,6,4,2", 90)
+    for key in ("regular", "star", "ell_partition", "jm", "L_partition", "weak", "ladder_node"):
+        assert payload[key] is True, key
+
+
 def test_mullineux_at_size_1001(capsys):
     status, out = run_cli(capsys, "mullineux", "--ell", "3", "1000,1")
     assert status == 0

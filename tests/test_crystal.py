@@ -102,6 +102,35 @@ def test_kernel_matches_reference_signatures(ell):
                     assert got == _reference_operators(lam, i, ell, ladder), (lam, i, ladder)
 
 
+PUBLIC_OPERATORS = [
+    e_tilde,
+    f_tilde,
+    e_hat,
+    f_hat,
+    epsilon,
+    phi,
+    ladder_epsilon,
+    ladder_phi,
+    i_signature,
+    ladder_i_signature,
+]
+
+
+@pytest.mark.parametrize("fn", PUBLIC_OPERATORS)
+def test_public_operators_reject_non_partitions(fn):
+    for bad in ((1, 2), [1, 2], (2, 0, 1), (2, -1)):
+        with pytest.raises(ValueError):
+            fn(bad, 0, 3)
+
+
+@pytest.mark.parametrize("fn", PUBLIC_OPERATORS)
+def test_public_operators_accept_lists(fn):
+    for lam in ((2, 1), (8, 5, 4, 1), (3, 3, 1, 1)):
+        for i in range(3):
+            assert fn(list(lam), i, 3) == fn(lam, i, 3)
+            assert fn(lam + (0,), i, 3) == fn(lam, i, 3)
+
+
 def test_classical_signature_golden():
     sig = i_signature((8, 5, 4, 1), 1, 3)
     assert sig.word == "+-+-"

@@ -2,15 +2,29 @@
 
 from __future__ import annotations
 
+import random
+import time
+
 import pytest
 from hypothesis import given
 
-from laddercrystal.partitions import all_partitions, hook_grid, is_regular, size, transpose
+from laddercrystal.partitions import (
+    add_box,
+    addable_corners,
+    all_partitions,
+    hook_grid,
+    is_regular,
+    remove_box,
+    removable_corners,
+    size,
+    transpose,
+)
 from laddercrystal.jm import (
     InvalidDecompositionError,
     JMDecomposition,
     NotACoreError,
     NotJMPartitionError,
+    _only_horizontal_hereditarily,
     compose_jm,
     count_jm,
     decompose_jm,
@@ -21,7 +35,15 @@ from laddercrystal.jm import (
     is_jm,
     star_condition,
 )
-from laddercrystal.rimhooks import ell_core, is_core
+from laddercrystal.rimhooks import (
+    HORIZONTAL,
+    VERTICAL,
+    _remove,
+    adjacent,
+    ell_core,
+    is_core,
+    removable_rim_hooks,
+)
 
 from strategies import partitions, jm_moduli
 
@@ -106,6 +128,138 @@ def test_jm_equals_generalized_ell_partition(ell):
     for n in range(0, 11):
         for lam in all_partitions(n):
             assert is_jm(lam, ell) == is_generalized_ell_partition(lam, ell)
+
+
+def _reference_only_horizontal(lam, ell):
+    """Walk every partition that hook removals reach; each hook must be horizontal."""
+    seen = {lam}
+    todo = [lam]
+    while todo:
+        cur = todo.pop()
+        hooks = removable_rim_hooks(cur, ell)
+        if any(h.shape != HORIZONTAL for h in hooks):
+            return False
+        for hook in hooks:
+            rest = _remove(cur, hook)
+            if rest not in seen:
+                seen.add(rest)
+                todo.append(rest)
+    return True
+
+
+def _reference_generalized(lam, ell):
+    """Walk every partition that hook removals reach: each hook must be
+    horizontal or vertical, and removing one must not expose a touching hook
+    of the opposite orientation."""
+    seen = {lam}
+    todo = [(lam, removable_rim_hooks(lam, ell))]
+    while todo:
+        cur, hooks = todo.pop()
+        if any(h.shape not in (HORIZONTAL, VERTICAL) for h in hooks):
+            return False
+        for hook in hooks:
+            rest = _remove(cur, hook)
+            rest_hooks = removable_rim_hooks(rest, ell)
+            opposite = VERTICAL if hook.shape == HORIZONTAL else HORIZONTAL
+            for other in rest_hooks:
+                if other.shape == opposite and adjacent(hook, other):
+                    return False
+            if rest not in seen:
+                seen.add(rest)
+                todo.append((rest, rest_hooks))
+    return True
+
+
+def _assert_matches_walk(lam, ell):
+    assert _only_horizontal_hereditarily(lam, ell) == _reference_only_horizontal(lam, ell), (lam, ell)
+    assert is_generalized_ell_partition(lam, ell) == _reference_generalized(lam, ell), (lam, ell)
+
+
+@pytest.mark.parametrize("ell,nmax", [(2, 14), (3, 18), (4, 16), (5, 14)])
+def test_hereditary_checks_match_the_walk(ell, nmax):
+    for n in range(nmax + 1):
+        for lam in all_partitions(n):
+            _assert_matches_walk(lam, ell)
+
+
+def _random_partition(n, rng):
+    """A partition of n from parts drawn up to a random cap (long rows or long columns)."""
+    cap = rng.choice([2, 5, int(n**0.5) + 1, n // 4 + 1, n])
+    parts = []
+    while n:
+        part = rng.randint(1, min(cap, n))
+        parts.append(part)
+        n -= part
+    return tuple(sorted(parts, reverse=True))
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 5])
+def test_hereditary_checks_match_the_walk_on_random_partitions(ell):
+    rng = random.Random(7100 + ell)
+    for _ in range(750):
+        _assert_matches_walk(_random_partition(rng.randint(20, 90), rng), ell)
+
+
+def _one_box_away(lam):
+    return [add_box(lam, b) for b in addable_corners(lam)] + [remove_box(lam, b) for b in removable_corners(lam)]
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5])
+def test_hereditary_checks_match_the_walk_on_multi_row_jm_partitions(ell):
+    # cores with a frame of several rows or columns carry hooks on several
+    # rows, where the walk reaches many partitions; every one-box neighbour
+    # is a near miss
+    rng = random.Random(7200 + ell)
+    cores = [c for n in range(1, 13) for c in all_partitions(n) if is_core(c, ell)]
+    for core in rng.sample(cores, 12):
+        members = enumerate_jm(core, rng.randint(2, 5), ell)
+        for lam in rng.sample(members, min(6, len(members))):
+            assert is_generalized_ell_partition(lam, ell) and _reference_generalized(lam, ell)
+            for near in _one_box_away(lam):
+                _assert_matches_walk(near, ell)
+
+
+@pytest.mark.parametrize("ell", [3, 4])
+def test_opposite_hooks_touch_iff_their_contents_differ_by_ell(ell):
+    # The abacus check relies on this: after removing h, an opposite hook g
+    # touches h exactly when its northeast box's content is h's plus or
+    # minus ell, i.e. g moves the same bead again or the bead one level above.
+    pairs = touching = 0
+    for n in range(15):
+        for lam in all_partitions(n):
+            for h in removable_rim_hooks(lam, ell):
+                if h.shape not in (HORIZONTAL, VERTICAL):
+                    continue
+                opposite = VERTICAL if h.shape == HORIZONTAL else HORIZONTAL
+                for g in removable_rim_hooks(_remove(lam, h), ell):
+                    if g.shape != opposite:
+                        continue
+                    (hr, hc), (gr, gc) = h.boxes[0], g.boxes[0]
+                    pairs += 1
+                    touching += adjacent(h, g)
+                    assert adjacent(h, g) == (abs((hc - hr) - (gc - gr)) == ell), (lam, h, g)
+    assert pairs > touching > 0
+
+
+def _multi_row_case(r, rho):
+    """At ell = 3: a core of r rows of difference 2 and horizontal hook tallies rho."""
+    return compose_jm(JMDecomposition(mu=(), r=r, s=0, rho=rho, sigma=()), 3)
+
+
+MULTI_ROW_CASES = [
+    _multi_row_case(8, tuple(2 * k for k in range(9, 0, -1))),  # 342 boxes
+    _multi_row_case(10, tuple(range(11, 0, -1))),  # 308 boxes
+]
+
+
+@pytest.mark.parametrize("lam", MULTI_ROW_CASES, ids=lambda lam: f"n{size(lam)}")
+def test_hereditary_checks_with_hooks_on_many_rows(lam):
+    # the walk took minutes here: it reaches every product of per-row peels
+    start = time.perf_counter()
+    assert is_generalized_ell_partition(lam, 3)
+    assert is_ell_partition(lam, 3)
+    assert is_jm(lam, 3)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_star_condition_golden():

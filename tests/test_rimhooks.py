@@ -175,16 +175,25 @@ def test_hooks_match_divisible_hook_lengths(lam, ell):
     assert len(removable_rim_hooks(lam, ell)) == expected
 
 
-@pytest.mark.parametrize("fn", [ell_core, is_core])
+@pytest.mark.parametrize("fn", [ell_core, is_core, removable_rim_hooks])
 def test_core_boundary_rejects_non_partitions(fn):
     for bad in ((1, 2), [1, 2], (2, 0, 1), (2, -1)):
         with pytest.raises(ValueError):
             fn(bad, 3)
 
 
+def test_remove_rim_hook_rejects_non_partitions():
+    hook = removable_rim_hooks((3,), 3)[0]
+    with pytest.raises(ValueError):
+        remove_rim_hook((1, 3), hook)
+
+
 def test_core_boundary_accepts_lists():
     assert ell_core([4, 2], 3) == ell_core((4, 2), 3)
     assert is_core([2], 3) and not is_core([3], 3)
+    assert removable_rim_hooks([3, 2, 1], 3) == removable_rim_hooks((3, 2, 1), 3)
+    hook = removable_rim_hooks((3, 2, 1), 3)[1]
+    assert remove_rim_hook([3, 2, 1], hook) == (3,)
 
 
 def test_core_golden():
