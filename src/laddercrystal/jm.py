@@ -101,24 +101,15 @@ def star_condition(lam: Partition, ell: int) -> bool:
     return True
 
 
-class _Runner(NamedTuple):
-    """What the reachable bead sets of one abacus runner can hold.
+def _runners(lam: Partition, ell: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    """What the reachable bead sets of each abacus runner of lam can hold,
+    as four lists indexed by runner: packed, packed2, top, second.
 
-    packed: the beads at levels 0, 1, ... with no gap below; level t can be
-    a gap exactly when t >= packed.  packed2: the index of the lowest bead
-    with two gaps below it (the bead count when none has).  top, second:
-    the highest two bead levels (-1 when missing); level t can hold a bead
-    exactly when t <= top.
-    """
-
-    packed: int
-    packed2: int
-    top: int
-    second: int
-
-
-def _runners(lam: Partition, ell: int) -> list[_Runner]:
-    """lam's abacus runners, with every negative position a bead.
+    Every negative position is a bead.  packed: the beads at levels 0, 1,
+    ... with no gap below; level t can be a gap exactly when t >= packed.
+    packed2: the index of the lowest bead with two gaps below it (the bead
+    count when none has).  top, second: the highest two bead levels (-1 when
+    missing); level t can hold a bead exactly when t <= top.
 
     Rows are padded with zero parts to a multiple of ell, so row r (0-based)
     of n carries the bead lam[r] + n - 1 - r at level (bead // ell) of
@@ -130,13 +121,14 @@ def _runners(lam: Partition, ell: int) -> list[_Runner]:
     for r in range(n - 1, -1, -1):  # beads in increasing position
         level, runner = divmod((lam[r] if r < len(lam) else 0) + n - 1 - r, ell)
         levels[runner].append(level)
-    out = []
+    packed, packed2, top, second = [], [], [], []
     for beads in levels:
         slack = [level - i for i, level in enumerate(beads)]
-        top = beads[-1] if beads else -1
-        second = beads[-2] if len(beads) > 1 else -1
-        out.append(_Runner(bisect.bisect_left(slack, 1), bisect.bisect_left(slack, 2), top, second))
-    return out
+        packed.append(bisect.bisect_left(slack, 1))
+        packed2.append(bisect.bisect_left(slack, 2))
+        top.append(beads[-1] if beads else -1)
+        second.append(beads[-2] if len(beads) > 1 else -1)
+    return packed, packed2, top, second
 
 
 @functools.lru_cache(maxsize=None)
@@ -148,12 +140,10 @@ def _only_horizontal_hereditarily(lam: Partition, ell: int) -> bool:
     of the window, and window level t on runner i can hold a bead when
     t <= top_i.  Cost O(len(lam) + ell^2).
     """
-    runners = _runners(lam, ell)
-    for j, run in enumerate(runners):
-        k = run.packed + 1
-        if k <= run.top and any(
-            k - (i > j) <= other.top for i, other in enumerate(runners) if i != j
-        ):
+    packed, _, top, _ = _runners(lam, ell)
+    for j in range(ell):
+        k = packed[j] + 1
+        if k <= top[j] and any(k - (i > j) <= top[i] for i in range(ell) if i != j):
             return False
     return True
 
@@ -230,13 +220,13 @@ def is_generalized_ell_partition(lam: Partition, ell: int) -> bool:
     O(len(lam) + ell^3), whatever the weight.
     """
     check_ell(ell)
-    runners = _runners(check_partition(lam), ell)
-    for j, run in enumerate(runners):
-        first, last = run.packed + 1, run.top
+    packed, packed2, top, second = _runners(check_partition(lam), ell)
+    for j in range(ell):
+        first, last = packed[j] + 1, top[j]
         if first > last:
             continue  # runner j never starts a hook
-        lo = [other.packed + (i > j) for i, other in enumerate(runners) if i != j]
-        hi = [other.top + (i > j) for i, other in enumerate(runners) if i != j]
+        lo = [packed[i] + (i > j) for i in range(ell) if i != j]
+        hi = [top[i] + (i > j) for i in range(ell) if i != j]
         if any(
             max(first, lo[b]) <= min(last, hi[a])
             for a in range(ell - 1)
@@ -244,9 +234,9 @@ def is_generalized_ell_partition(lam: Partition, ell: int) -> bool:
             if a != b
         ):
             return False
-        if max(run.packed2 + 2, max(lo)) <= min(last, min(hi) + 1):
+        if max(packed2[j] + 2, max(lo)) <= min(last, min(hi) + 1):
             return False
-        if max(first, max(lo) - 1) <= min(run.second, min(hi)):
+        if max(first, max(lo) - 1) <= min(second[j], min(hi)):
             return False
     return True
 

@@ -30,21 +30,19 @@ class BoxNotInDiagramError(ValueError):
 def check_partition(parts: Iterable[int]) -> Partition:
     """Canonicalize a part sequence (trailing zeros dropped) or raise ValueError.
 
-    A tuple of ints that is already a partition is returned as it is (a copy
-    per checked call raised peak memory in sweeps), and is recognized by
-    C-level passes alone, since the public operators check every call.
+    A tuple of ints is used as it is (a copy per checked call raised peak
+    memory in sweeps), and both checks are C-level passes, since the public
+    operators check every call.
     """
-    if type(parts) is tuple and (
-        not parts
-        or (set(map(type, parts)) == {int} and parts[-1] > 0 and all(map(operator.ge, parts, parts[1:])))
-    ):
-        return parts
-    lam = tuple(int(p) for p in parts)
+    if type(parts) is tuple and set(map(type, parts)) <= {int}:
+        lam = parts
+    else:
+        lam = tuple(int(p) for p in parts)
     while lam and lam[-1] == 0:
         lam = lam[:-1]
-    if any(p <= 0 for p in lam):
+    if lam and min(lam) <= 0:
         raise ValueError(f"parts must be positive integers: {lam!r}")
-    if any(lam[k] < lam[k + 1] for k in range(len(lam) - 1)):
+    if not all(map(operator.ge, lam, lam[1:])):
         raise ValueError(f"parts must be weakly decreasing: {lam!r}")
     return lam
 

@@ -254,12 +254,14 @@ MULTI_ROW_CASES = [
 
 @pytest.mark.parametrize("lam", MULTI_ROW_CASES, ids=lambda lam: f"n{size(lam)}")
 def test_hereditary_checks_with_hooks_on_many_rows(lam):
-    # the walk took minutes here: it reaches every product of per-row peels
+    # the walk took minutes here (it reaches every product of per-row peels);
+    # the abacus checks take under a millisecond, so the bound leaves room
+    # for a loaded machine and still catches a return of the walk
     start = time.perf_counter()
     assert is_generalized_ell_partition(lam, 3)
     assert is_ell_partition(lam, 3)
     assert is_jm(lam, 3)
-    assert time.perf_counter() - start < 0.5
+    assert time.perf_counter() - start < 10
 
 
 def test_star_condition_golden():
