@@ -178,22 +178,22 @@ def _cmd_jm_decompose(args) -> int:
 
 def _cmd_crystal_build(args) -> int:
     graph = build_crystal(args.ell, args.depth, args.model)
+    name = {lam: format_partition(lam) for level in graph.levels for lam in level}
+    levels = [[name[lam] for lam in level] for level in graph.levels]
     payload = {
         "model": graph.model,
         "ell": graph.ell,
         "depth": graph.depth,
         "level_sizes": [len(level) for level in graph.levels],
-        "levels": [[format_partition(lam) for lam in level] for level in graph.levels],
-        "edges": [
-            [format_partition(src), format_partition(dst), i] for src, dst, i in graph.edges
-        ],
+        "levels": levels,
+        "edges": [[name[src], name[dst], i] for src, dst, i in graph.edges],
     }
     if args.dot:
-        Path(args.dot).write_text(export_dot(graph), encoding="utf-8")
-    plain = [
-        f"level {n}: " + " ".join(format_partition(lam) for lam in level)
-        for n, level in enumerate(graph.levels)
-    ]
+        try:
+            Path(args.dot).write_text(export_dot(graph), encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write the DOT file: {exc}") from exc
+    plain = [f"level {n}: " + " ".join(texts) for n, texts in enumerate(levels)]
     _emit(payload, plain, args.plain)
     return 0
 

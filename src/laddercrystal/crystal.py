@@ -1,14 +1,22 @@
 """Classical and ladder crystal operators on partitions.
 
-Both models read one signature word over the addable (+) and removable (-)
-boxes of one residue, cancel adjacent "-+" pairs, and act at the surviving
-good/cogood box.  They differ only in the reading order: the classical word
-runs bottom-left to top-right; the ladder word runs ladder by ladder,
-top-to-bottom within each ladder.  So one kernel, ``reduced_word``, serves
-both models and every residue: it checks its arguments once, reads the word
-in one pass over the rows (re-sorted for the ladder order) and cancels it.
-epsilon, phi, the good box and the cogood box are all read from the reduced
-word; the public operators are one-line wrappers around the kernel.
+Both models read one signature word per residue over the addable (+) and
+removable (-) boxes of that residue, cancel adjacent "-+" pairs, and act at
+the surviving good/cogood box.  They differ only in the reading order: the
+classical word runs bottom-left to top-right; the ladder word runs ladder
+by ladder, top-to-bottom within each ladder.  One pass over the rows, from
+the bottom up, reads the words of every residue at once: a row's removable
+box has the residue of its last box and its addable box the next one, so
+each row feeds at most two words.  The classical words are already in
+reading order; the ladder words are sorted by (ladder, row).  Then each
+word is cancelled.  ``reduced_words`` gives all ell reduced words of a
+partition from that pass; ``reduced_word`` runs the same pass restricted to
+one residue, for walks along one i-string.  epsilon, phi, the good box and
+the cogood box are all read from a reduced word.
+
+The kernel checks nothing: the public operators check the partition, the
+modulus and the residue once per call, and the graph sweeps check their
+arguments before they start.
 """
 
 from __future__ import annotations
@@ -59,43 +67,50 @@ def check_model(model: str) -> None:
         raise ValueError(f"model must be {CLASSICAL!r} or {LADDER!r}, got {model!r}")
 
 
-def _read(lam: Partition, i: int, ell: int, model: str) -> list[SignatureEntry]:
-    """The i-signature of lam in the model's reading order.
-
-    One pass runs over the rows from the bottom up, which is the classical
-    order; the ladder order re-sorts by (ladder index, row).  No row carries
-    two entries: its addable and removable boxes differ in residue by one.
-    """
+def _checked(lam, i: int, ell: int) -> Partition:
+    """lam as a partition, after checking the modulus and the residue."""
     check_ell(ell)
-    if not 0 <= i < ell:
-        raise ValueError(f"residue must lie in 0..{ell - 1}, got {i}")
-    check_model(model)
-    depth = len(lam)
-    entries = []
-    if -depth % ell == i:  # (depth + 1, 1) is always addable; its residue is -depth
-        entries.append(SignatureEntry(PLUS, (depth + 1, 1)))
+    if not isinstance(i, int) or not 0 <= i < ell:
+        raise ValueError(f"residue must be an integer in 0..{ell - 1}, got {i!r}")
+    return check_partition(lam)
+
+
+def _signatures(lam: Partition, ell: int, model: str, only: int | None = None) -> list[list[tuple]]:
+    """lam's i-signature for every residue i, in the model's reading order.
+
+    Entry lists are indexed by residue; an entry is (ladder, row, box,
+    sign).  The rows are read once, from the bottom up, which is the
+    classical order; row r's removable box (r, lam_r) has the residue
+    lam_r - r of its last box, and its addable box (r, lam_r + 1) the next
+    residue (the first box of the empty row below the diagram is always
+    addable).  The ladder order sorts each list by (ladder, row), which no
+    two boxes share.  With *only* set, the other residues are skipped and
+    their lists stay empty.
+    """
+    words: list[list[tuple]] = [[] for _ in range(ell)]
+    step = ell - 1
+    before = None if only is None else (only - 1) % ell
+    rows = lam + (0,)
     below = 0
-    for row in range(depth, 0, -1):
-        part = lam[row - 1]
-        last = (part - row) % ell  # residue of the row's last box
-        minus = part > below and last == i
-        plus = (row == 1 or lam[row - 2] > part) and (last + 1) % ell == i
-        assert not (minus and plus), f"duplicate signature row for {lam}, i={i}"
-        if minus:
-            entries.append(SignatureEntry(MINUS, (row, part)))
-        elif plus:
-            entries.append(SignatureEntry(PLUS, (row, part + 1)))
+    for row in range(len(rows), 0, -1):
+        part = rows[row - 1]
+        last = (part - row) % ell
+        if part > below and (only is None or last == only):
+            words[last].append((row + step * (part - 1), row, (row, part), MINUS))
+        if (row == 1 or rows[row - 2] > part) and (only is None or last == before):
+            words[(last + 1) % ell].append((row + step * part, row, (row, part + 1), PLUS))
         below = part
     if model == LADDER:
-        entries.sort(key=lambda e: (e.box[0] + (ell - 1) * (e.box[1] - 1), e.box[0]))
-    return entries
+        for entries in words:
+            entries.sort()
+    return words
 
 
 def _cancel(entries) -> ReducedWord:
     """Cancel adjacent "-+" pairs exhaustively; the survivors are "+...+-...-"."""
     plus: list[Box] = []
     minus: list[Box] = []
-    for sign, box in entries:
+    for _, _, box, sign in entries:
         if sign == MINUS:
             minus.append(box)
         elif minus:
@@ -105,9 +120,19 @@ def _cancel(entries) -> ReducedWord:
     return ReducedWord(plus, minus)
 
 
+def reduced_words(lam: Partition, ell: int, model: str) -> list[ReducedWord]:
+    """The reduced i-signatures of lam for i = 0..ell-1, from one pass over its rows."""
+    return [_cancel(entries) for entries in _signatures(lam, ell, model)]
+
+
 def reduced_word(lam: Partition, i: int, ell: int, model: str) -> ReducedWord:
     """The reduced i-signature of lam in the reading order of *model*."""
-    return _cancel(_read(lam, i, ell, model))
+    return _cancel(_signatures(lam, ell, model, i)[i])
+
+
+def _signature_word(lam, i: int, ell: int, model: str) -> SignatureWord:
+    entries = _signatures(_checked(lam, i, ell), ell, model, i)[i]
+    return SignatureWord(tuple(SignatureEntry(sign, box) for _, _, box, sign in entries), model)
 
 
 def apply_e(lam: Partition, word: ReducedWord, k: int = 1) -> Partition | None:
@@ -143,58 +168,58 @@ def apply_f(lam: Partition, word: ReducedWord, k: int = 1) -> Partition | None:
 
 def i_signature(lam: Partition, i: int, ell: int) -> SignatureWord:
     """Classical signature: entries ordered from the bottom row upward."""
-    return SignatureWord(tuple(_read(check_partition(lam), i, ell, CLASSICAL)), CLASSICAL)
+    return _signature_word(lam, i, ell, CLASSICAL)
 
 
 def ladder_i_signature(lam: Partition, i: int, ell: int) -> SignatureWord:
     """Ladder signature: by increasing ladder index, top-to-bottom in a ladder."""
-    return SignatureWord(tuple(_read(check_partition(lam), i, ell, LADDER)), LADDER)
+    return _signature_word(lam, i, ell, LADDER)
 
 
 def reduce_signature(sig: SignatureWord) -> SignatureWord:
     """Cancel adjacent "-+" pairs exhaustively, leaving a word "+...+-...-"."""
-    plus, minus = _cancel(sig)
+    plus, minus = _cancel((None, None, box, sign) for sign, box in sig)
     kept = [SignatureEntry(PLUS, b) for b in plus] + [SignatureEntry(MINUS, b) for b in minus]
     return SignatureWord(tuple(kept), sig.order)
 
 
 def epsilon(lam: Partition, i: int, ell: int) -> int:
-    return len(reduced_word(check_partition(lam), i, ell, CLASSICAL).minus)
+    return len(reduced_word(_checked(lam, i, ell), i, ell, CLASSICAL).minus)
 
 
 def phi(lam: Partition, i: int, ell: int) -> int:
-    return len(reduced_word(check_partition(lam), i, ell, CLASSICAL).plus)
+    return len(reduced_word(_checked(lam, i, ell), i, ell, CLASSICAL).plus)
 
 
 def ladder_epsilon(lam: Partition, i: int, ell: int) -> int:
-    return len(reduced_word(check_partition(lam), i, ell, LADDER).minus)
+    return len(reduced_word(_checked(lam, i, ell), i, ell, LADDER).minus)
 
 
 def ladder_phi(lam: Partition, i: int, ell: int) -> int:
-    return len(reduced_word(check_partition(lam), i, ell, LADDER).plus)
+    return len(reduced_word(_checked(lam, i, ell), i, ell, LADDER).plus)
 
 
 def e_tilde(lam: Partition, i: int, ell: int) -> Partition | None:
     """Remove the good i-box (classical), or None when epsilon is 0."""
-    lam = check_partition(lam)
+    lam = _checked(lam, i, ell)
     return apply_e(lam, reduced_word(lam, i, ell, CLASSICAL))
 
 
 def f_tilde(lam: Partition, i: int, ell: int) -> Partition | None:
     """Add the cogood i-box (classical), or None when phi is 0."""
-    lam = check_partition(lam)
+    lam = _checked(lam, i, ell)
     return apply_f(lam, reduced_word(lam, i, ell, CLASSICAL))
 
 
 def e_hat(lam: Partition, i: int, ell: int) -> Partition | None:
     """Remove the good i-box (ladder reading), or None."""
-    lam = check_partition(lam)
+    lam = _checked(lam, i, ell)
     return apply_e(lam, reduced_word(lam, i, ell, LADDER))
 
 
 def f_hat(lam: Partition, i: int, ell: int) -> Partition | None:
     """Add the cogood i-box (ladder reading), or None."""
-    lam = check_partition(lam)
+    lam = _checked(lam, i, ell)
     return apply_f(lam, reduced_word(lam, i, ell, LADDER))
 
 
@@ -202,7 +227,7 @@ def residue_content(lam: Partition, ell: int) -> tuple[int, ...]:
     """How many boxes of each residue the diagram holds."""
     check_ell(ell)
     counts = [0] * ell
-    for row, part in enumerate(lam, start=1):
+    for row, part in enumerate(check_partition(lam), start=1):
         for col in range(1, part + 1):
             counts[(col - row) % ell] += 1
     return tuple(counts)
@@ -221,6 +246,7 @@ def _inside(lam: Partition, pos: Box) -> bool:
 
 
 def box_type(lam: Partition, pos: Box) -> str:
+    lam = check_partition(lam)
     row, col = pos
     if row < 0 or col < 0:
         raise ValueError(f"position must have non-negative coordinates: {pos}")

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from .partitions import Partition, all_partitions, check_ell, is_regular, transpose
 from .rimhooks import _is_core
-from .crystal import CLASSICAL, LADDER, apply_e, apply_f, check_model, reduced_word
+from .crystal import CLASSICAL, LADDER, apply_e, apply_f, check_model, reduced_word, reduced_words
 from .jm import _is_ell_partition, _is_jm
 from .regular import (
     NotRegularError,
@@ -71,16 +71,16 @@ class VerificationReport:
 def build_crystal(ell: int, depth: int, model: str = CLASSICAL) -> CrystalGraph:
     """Breadth-first closure of the empty partition under the raising operators."""
     check_ell(ell)
-    if depth < 0:
-        raise ValueError(f"depth must be non-negative, got {depth}")
+    if not isinstance(depth, int) or depth < 0:
+        raise ValueError(f"depth must be a non-negative integer, got {depth!r}")
     check_model(model)
     levels: list[tuple[Partition, ...]] = [((),)]
     edges: list[Edge] = []
     for _ in range(depth):
         frontier: set[Partition] = set()
         for lam in levels[-1]:
-            for i in range(ell):
-                mu = apply_f(lam, reduced_word(lam, i, ell, model))
+            for i, word in enumerate(reduced_words(lam, ell, model)):
+                mu = apply_f(lam, word)
                 if mu is not None:
                     edges.append((lam, mu, i))
                     frontier.add(mu)
@@ -94,11 +94,12 @@ def export_dot(graph: CrystalGraph) -> str:
     lines = [f"digraph {graph.model}_crystal {{"]
     lines.append("  rankdir=TB;")
     lines.append("  node [shape=box];")
+    name = {lam: f'"{format_partition(lam)}"' for level in graph.levels for lam in level}
     for level in graph.levels:
-        names = " ".join(f'"{format_partition(lam)}";' for lam in level)
-        lines.append(f"  {{ rank=same; {names} }}")
+        ranked = " ".join(f"{name[lam]};" for lam in level)
+        lines.append(f"  {{ rank=same; {ranked} }}")
     for src, dst, i in graph.edges:
-        lines.append(f'  "{format_partition(src)}" -> "{format_partition(dst)}" [label="{i}"];')
+        lines.append(f'  {name[src]} -> {name[dst]} [label="{i}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -109,15 +110,15 @@ def verify_isomorphism(ell: int, depth: int) -> VerificationReport:
     For every ladder-crystal node through the given depth and every residue:
     regularize(f_hat(lam)) == f_tilde(regularize(lam)), the same for the
     lowering operators, and the string lengths agree.  All four answers on
-    each side are read from one reduced word.
+    each side are read from one reduced word, and one pass over the rows of
+    lam (and one of its image) gives the words of every residue.
     """
     check_ell(ell)
     report = VerificationReport(suite="crystal-isomorphism", ell=ell, params={"depth": depth})
     for lam in build_crystal(ell, depth, LADDER).nodes:
         image = regularize(lam, ell)
-        for i in range(ell):
-            ladder = reduced_word(lam, i, ell, LADDER)
-            classical = reduced_word(image, i, ell, CLASSICAL)
+        pairs = zip(reduced_words(lam, ell, LADDER), reduced_words(image, ell, CLASSICAL))
+        for i, (ladder, classical) in enumerate(pairs):
             for apply in (apply_f, apply_e):
                 expected = apply(image, classical)
                 moved = apply(lam, ladder)
@@ -210,8 +211,8 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
     - the Mullineux images of the ell-regular partitions of sizes n - 1 and
       n.  Level n's table is built from level n - 1's, by
       m(rho) = f_{-i} m(e_i rho) for the smallest live residue i
-      (Ford-Kleshchev), so an image costs at most ell + 1 reduced words
-      and the check m(R(lam)) == R(lam') is one lookup.  Level n - 1's
+      (Ford-Kleshchev), so an image costs at most ell + 1 one-residue
+      reads and the check m(R(lam)) == R(lam') is one lookup.  Level n - 1's
       table is dropped once level n's is built.
     - membership in the JM, ell-partition and weak classes, memoized per
       size.  The string-end checks ask about the same neighbours of many
@@ -219,8 +220,9 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
       dropped when level n is done.
 
     Apart from those lookups a check costs what its predicate costs: one
-    reduced word per step of an i-string, a hook grid for the core, ladder
-    node and L-partition checks, and a regularization per partition.
+    pass over the rows per step of an i-string, restricted to residue i and
+    with no argument checks, a hook grid for the core, ladder node and
+    L-partition checks, and a regularization per partition.
     The tables live only as long as the call; the Mullineux cache of
     `mullineux` is not touched.
     """

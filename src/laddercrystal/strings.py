@@ -31,4 +31,4 @@ def format_partition(lam: Partition) -> str:
     """Canonical text form: comma-separated parts, never exponents."""
     if not lam:
         return "empty"
-    return ",".join(str(p) for p in lam)
+    return ",".join(map(str, lam))

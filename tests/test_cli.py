@@ -195,6 +195,15 @@ def test_crystal_build_writes_dot(capsys, tmp_path):
     assert text.endswith("}\n")
 
 
+def test_crystal_build_to_an_unwritable_dot_path_exits_two(capsys, tmp_path):
+    target = tmp_path / "missing" / "graph.dot"
+    assert main(["crystal", "build", "--ell", "3", "--depth", "2", "--dot", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not target.exists()
+
+
 def test_crystal_verify_and_suite_exit_zero(capsys):
     status, _ = run_cli(capsys, "crystal", "verify", "--ell", "3", "--depth", "4")
     assert status == 0

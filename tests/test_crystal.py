@@ -2,18 +2,24 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from laddercrystal.crystal import (
+    CLASSICAL,
+    LADDER,
     MINUS,
     PLUS,
+    ReducedWord,
     SignatureEntry,
     SignatureWord,
     apply_e,
     apply_f,
     box_type,
+    check_model,
     e_hat,
     e_tilde,
     epsilon,
@@ -26,6 +32,7 @@ from laddercrystal.crystal import (
     phi,
     reduce_signature,
     reduced_word,
+    reduced_words,
     residue_content,
 )
 from laddercrystal.jm import is_jm
@@ -35,6 +42,7 @@ from laddercrystal.partitions import (
     addable_corners,
     all_partitions,
     boxes,
+    check_ell,
     ladder_index,
     remove_box,
     removable_boxes,
@@ -102,6 +110,89 @@ def test_kernel_matches_reference_signatures(ell):
                     assert got == _reference_operators(lam, i, ell, ladder), (lam, i, ladder)
 
 
+# Reference implementation: the per-residue reader the one-pass reader
+# replaced.  It reads one residue per call (checking its arguments), builds
+# SignatureEntry tuples, sorts them with a key for the ladder order and
+# cancels them in a second pass.
+
+
+def _parent_read(lam, i, ell, model):
+    check_ell(ell)
+    if not 0 <= i < ell:
+        raise ValueError(f"residue must lie in 0..{ell - 1}, got {i}")
+    check_model(model)
+    depth = len(lam)
+    entries = []
+    if -depth % ell == i:  # (depth + 1, 1) is always addable; its residue is -depth
+        entries.append(SignatureEntry(PLUS, (depth + 1, 1)))
+    below = 0
+    for row in range(depth, 0, -1):
+        part = lam[row - 1]
+        last = (part - row) % ell  # residue of the row's last box
+        minus = part > below and last == i
+        plus = (row == 1 or lam[row - 2] > part) and (last + 1) % ell == i
+        assert not (minus and plus), f"duplicate signature row for {lam}, i={i}"
+        if minus:
+            entries.append(SignatureEntry(MINUS, (row, part)))
+        elif plus:
+            entries.append(SignatureEntry(PLUS, (row, part + 1)))
+        below = part
+    if model == LADDER:
+        entries.sort(key=lambda e: (e.box[0] + (ell - 1) * (e.box[1] - 1), e.box[0]))
+    return entries
+
+
+def _parent_cancel(entries):
+    plus = []
+    minus = []
+    for sign, box in entries:
+        if sign == MINUS:
+            minus.append(box)
+        elif minus:
+            minus.pop()
+        else:
+            plus.append(box)
+    return ReducedWord(plus, minus)
+
+
+def _assert_reader_matches_parent(lam, ell):
+    signatures = {CLASSICAL: i_signature, LADDER: ladder_i_signature}
+    for model, signature in signatures.items():
+        words = reduced_words(lam, ell, model)
+        assert len(words) == ell
+        for i in range(ell):
+            entries = _parent_read(lam, i, ell, model)
+            want = _parent_cancel(entries)
+            assert words[i] == want, (lam, i, model)
+            assert reduced_word(lam, i, ell, model) == want, (lam, i, model)
+            assert list(signature(lam, i, ell)) == entries, (lam, i, model)
+
+
+def _random_partition(n, rng):
+    """A partition of n from parts drawn up to a random cap (long rows or long columns)."""
+    cap = rng.choice([2, 5, int(n**0.5) + 1, n // 4 + 1, n])
+    parts = []
+    while n:
+        part = rng.randint(1, min(cap, n))
+        parts.append(part)
+        n -= part
+    return tuple(sorted(parts, reverse=True))
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 5])
+def test_one_pass_reader_matches_the_per_residue_reader(ell):
+    for n in range(15):
+        for lam in all_partitions(n):
+            _assert_reader_matches_parent(lam, ell)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 5])
+def test_one_pass_reader_matches_on_large_partitions(ell):
+    rng = random.Random(30800 + ell)
+    for _ in range(12):
+        _assert_reader_matches_parent(_random_partition(rng.randint(500, 3000), rng), ell)
+
+
 PUBLIC_OPERATORS = [
     e_tilde,
     f_tilde,
@@ -121,6 +212,23 @@ def test_public_operators_reject_non_partitions(fn):
     for bad in ((1, 2), [1, 2], (2, 0, 1), (2, -1)):
         with pytest.raises(ValueError):
             fn(bad, 0, 3)
+
+
+@pytest.mark.parametrize("fn", PUBLIC_OPERATORS)
+def test_public_operators_reject_bad_residues_and_moduli(fn):
+    for i, ell in ((1.0, 3), ("1", 3), (-1, 3), (3, 3), (0, 1), (0, 3.0)):
+        with pytest.raises(ValueError):
+            fn((2, 1), i, ell)
+
+
+def test_residue_content_and_box_type_reject_non_partitions():
+    for bad in ((1, 2), [1, 2], (2, 0, 1), (2, -1)):
+        with pytest.raises(ValueError):
+            residue_content(bad, 3)
+        with pytest.raises(ValueError):
+            box_type(bad, (1, 1))
+    assert residue_content([2, 1, 0], 3) == residue_content((2, 1), 3) == (1, 1, 1)
+    assert box_type([2, 1], (1, 1)) == box_type((2, 1), (1, 1))
 
 
 @pytest.mark.parametrize("fn", PUBLIC_OPERATORS)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from laddercrystal.crystal import LADDER, e_hat, epsilon, f_hat, ladder_epsilon, ladder_phi
@@ -152,6 +154,32 @@ def test_verify_isomorphism_passes():
     # four identities per node and residue
     node_count = sum(REGULAR_COUNTS_3[:7])
     assert report.checks == 4 * 3 * node_count
+
+
+@pytest.mark.parametrize("ell,depth,checks", [(3, 18, 7776), (4, 14, 5424)])
+def test_verify_isomorphism_check_counts(ell, depth, checks):
+    report = verify_isomorphism(ell, depth)
+    assert report.checks == checks
+    assert not report.failures
+
+
+@pytest.mark.parametrize(
+    "model,digest",
+    [
+        ("classical", "5ceb51d55e1e549199c69d3ee4a2849d394cf978c7106c0e750aa51d45b57059"),
+        ("ladder", "6b2b8cdb509146075024f423d800869e8f750692e5147246afacc690828be752"),
+    ],
+)
+def test_dot_export_digest_at_depth_22(model, digest):
+    text = export_dot(build_crystal(3, 22, model))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("sweep", [build_crystal, verify_isomorphism])
+def test_graph_sweeps_reject_bad_depths(sweep):
+    for depth in (2.5, "3", -1, None):
+        with pytest.raises(ValueError):
+            sweep(3, depth)
 
 
 def test_theorem_suite_passes():
