@@ -6,14 +6,13 @@ from dataclasses import dataclass, field
 
 from .partitions import Partition, all_partitions, check_ell, is_regular, transpose
 from .rimhooks import _is_core
-from .crystal import CLASSICAL, LADDER, apply_e, apply_f, check_model, reduced_word, reduced_words
+from .crystal import CLASSICAL, LADDER, ReducedWord, apply_e, apply_f, check_model, reduced_words
 from .jm import _is_ell_partition, _is_jm
 from .regular import (
-    NotRegularError,
+    _is_L_partition,
+    _is_ladder_node,
+    _is_weak_ell_partition,
     _mullineux_level,
-    is_L_partition,
-    is_ladder_node,
-    is_weak_ell_partition,
     regularize,
 )
 from .strings import format_partition
@@ -68,11 +67,15 @@ class VerificationReport:
         }
 
 
+def _check_count(name: str, value: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 def build_crystal(ell: int, depth: int, model: str = CLASSICAL) -> CrystalGraph:
     """Breadth-first closure of the empty partition under the raising operators."""
     check_ell(ell)
-    if not isinstance(depth, int) or depth < 0:
-        raise ValueError(f"depth must be a non-negative integer, got {depth!r}")
+    _check_count("depth", depth)
     check_model(model)
     levels: list[tuple[Partition, ...]] = [((),)]
     edges: list[Edge] = []
@@ -131,13 +134,6 @@ def verify_isomorphism(ell: int, depth: int) -> VerificationReport:
     return report
 
 
-def _weak_or_false(lam: Partition, ell: int) -> bool:
-    try:
-        return is_weak_ell_partition(lam, ell)
-    except NotRegularError:
-        return False
-
-
 class _ClassTable:
     """Memoized membership in one class, one table per partition size.
 
@@ -161,6 +157,11 @@ class _ClassTable:
             del self._by_size[size]
 
 
+def _weak_table(jm_table: _ClassTable) -> _ClassTable:
+    """Weak ell-partition membership that asks *jm_table* about D(lam)."""
+    return _ClassTable(lambda lam, ell: _is_weak_ell_partition(lam, ell, jm_table))
+
+
 def _string_end_checks(
     report: VerificationReport,
     lam: Partition,
@@ -168,24 +169,32 @@ def _string_end_checks(
     ell: int,
     member: str,
     in_class,
-    model: str,
+    word: ReducedWord,
 ) -> None:
-    """Walk the i-string of lam to both ends in *model*'s crystal.
+    """Walk the i-string of lam to both ends, given lam's reduced i-word.
 
-    Every step of f^1..f^phi and e^1..e^epsilon must be defined, f^phi and
-    e^epsilon must stay in the class, f^k must leave it for k <= phi - 2, and
-    e^k must leave it for 2 <= k <= epsilon - 1.  f^(phi-1) and e^1 are not
-    checked: they can stay in the class (at ell = 3, f_hat_2(2) = (3) and
-    e_hat_2(3,1) = (3) are JM).
+    f^k adds the plus boxes of the word from the last one back, and e^k
+    removes its minus boxes from the first one on, one box per step, so the
+    walk reads no further word.  Each step must add an addable box (remove
+    a removable one), f^phi and e^epsilon must stay in the class, f^k must
+    leave it for k <= phi - 2, and e^k must leave it for
+    2 <= k <= epsilon - 1.  f^(phi-1) and e^1 are not checked: they can stay
+    in the class (at ell = 3, f_hat_2(2) = (3) and e_hat_2(3,1) = (3) are
+    JM).
     """
-    word = reduced_word(lam, i, ell, model)
     width = len(word.plus)
     cur = lam
     for k in range(1, width + 1):
-        cur = apply_f(cur, reduced_word(cur, i, ell, model))
-        report.check(cur is not None, lam, i, f"{member}: f^{k} defined", "undefined")
-        if cur is None:
+        row, col = word.plus[-k]
+        addable = col == (cur[row - 1] if row <= len(cur) else 0) + 1 and (
+            row == 1 or cur[row - 2] >= col
+        )
+        report.check(
+            addable, lam, i, f"{member}: f^{k} adds an addable box", f"{(row, col)} not addable"
+        )
+        if not addable:
             return
+        cur = cur[: row - 1] + (col,) + cur[row:]
         if k == width:
             report.check(in_class(cur, ell), lam, i, f"{member} after f^phi", "outside class")
         elif k < width - 1:
@@ -193,10 +202,14 @@ def _string_end_checks(
     depth = len(word.minus)
     cur = lam
     for k in range(1, depth + 1):
-        cur = apply_e(cur, reduced_word(cur, i, ell, model))
-        report.check(cur is not None, lam, i, f"{member}: e^{k} defined", "undefined")
-        if cur is None:
+        row, col = word.minus[k - 1]
+        removable = row <= len(cur) and cur[row - 1] == col and (row == len(cur) or cur[row] < col)
+        report.check(
+            removable, lam, i, f"{member}: e^{k} removes a removable box", f"{(row, col)} not removable"
+        )
+        if not removable:
             return
+        cur = cur[: row - 1] + ((col - 1,) if col > 1 else ()) + cur[row:]
         if k == depth:
             report.check(in_class(cur, ell), lam, i, f"{member} after e^epsilon", "outside class")
         elif k > 1:
@@ -217,43 +230,41 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
     - membership in the JM, ell-partition and weak classes, memoized per
       size.  The string-end checks ask about the same neighbours of many
       partitions, each answer is computed once, and every size below n is
-      dropped when level n is done.
+      dropped when level n is done.  Weak membership asks the JM table
+      about D(lam), which has the size of lam.
 
-    Apart from those lookups a check costs what its predicate costs: one
-    pass over the rows per step of an i-string, restricted to residue i and
-    with no argument checks, a hook grid for the core, ladder node and
-    L-partition checks, and a regularization per partition.
+    Apart from those lookups a check costs what its predicate costs, with
+    no argument checks: one pass over the rows per partition and model
+    gives every residue's reduced word, and each i-string is walked from
+    that word one box per step; one hook grid for the core, ladder node
+    and L-partition checks, with the ladder node test made at most once;
+    and a regularization per partition.
     The tables live only as long as the call; the Mullineux cache of
     `mullineux` is not touched.
     """
     check_ell(ell, minimum=3)
-    if nmax < 0:
-        raise ValueError(f"nmax must be non-negative, got {nmax}")
+    _check_count("nmax", nmax)
     report = VerificationReport(suite="crystal-theorems", ell=ell, params={"nmax": nmax})
     jm_table = _ClassTable(_is_jm)
     ell_table = _ClassTable(_is_ell_partition)
-    weak_table = _ClassTable(_weak_or_false)
+    weak_table = _weak_table(jm_table)
     below: dict[Partition, Partition] = {}
     for n in range(nmax + 1):
         level = all_partitions(n)
         here = _mullineux_level((lam for lam in level if is_regular(lam, ell)), below, ell)
         for lam in level:
             jm = jm_table(lam, ell)
+            core = _is_core(lam, ell)
+            balanced = _is_L_partition(lam, ell)
+            node = (jm or core or balanced) and _is_ladder_node(lam, ell)
             if jm:
-                report.check(
-                    is_ladder_node(lam, ell), lam, None, "JM partitions are ladder nodes", "not a node"
-                )
-                for i in range(ell):
-                    _string_end_checks(report, lam, i, ell, "jm", jm_table, LADDER)
-            if _is_core(lam, ell):
-                report.check(
-                    is_ladder_node(lam, ell), lam, None, "cores are ladder nodes", "not a node"
-                )
-            balanced = is_L_partition(lam, ell)
+                report.check(node, lam, None, "JM partitions are ladder nodes", "not a node")
+                for i, word in enumerate(reduced_words(lam, ell, LADDER)):
+                    _string_end_checks(report, lam, i, ell, "jm", jm_table, word)
+            if core:
+                report.check(node, lam, None, "cores are ladder nodes", "not a node")
             if balanced:
-                report.check(
-                    is_ladder_node(lam, ell), lam, None, "L-partitions are ladder nodes", "not a node"
-                )
+                report.check(node, lam, None, "L-partitions are ladder nodes", "not a node")
             reg_transpose = regularize(transpose(lam), ell)
             mull = here[regularize(lam, ell)]
             report.check(
@@ -264,14 +275,12 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
                 format_partition(mull),
             )
             if is_regular(lam, ell):
-                if ell_table(lam, ell):
-                    for i in range(ell):
-                        _string_end_checks(
-                            report, lam, i, ell, "ell-partition", ell_table, CLASSICAL
-                        )
-                if weak_table(lam, ell):
-                    for i in range(ell):
-                        _string_end_checks(report, lam, i, ell, "weak", weak_table, CLASSICAL)
+                words = None  # one classical read serves both classes
+                for name, table in (("ell-partition", ell_table), ("weak", weak_table)):
+                    if table(lam, ell):
+                        words = words or reduced_words(lam, ell, CLASSICAL)
+                        for i, word in enumerate(words):
+                            _string_end_checks(report, lam, i, ell, name, table, word)
         below = here
         for table in (jm_table, ell_table, weak_table):
             table.drop_below(n)

@@ -160,20 +160,27 @@ def is_ell_partition(lam: Partition, ell: int) -> bool:
 
 
 def _fayers_witness(lam: Partition, ell: int) -> FayersWitness | None:
+    """One pass over the hooks finds the first indivisible column of every
+    row and the first indivisible row of every column; then the first
+    divisible box whose row and column both have one is the base.  O(|lam|).
+    """
     grid = hook_grid(lam)
-    cols = transpose(lam)
-    for a in range(1, len(lam) + 1):
-        row_hooks = grid[a - 1]
-        for b in range(1, lam[a - 1] + 1):
-            if row_hooks[b - 1] % ell:
-                continue
-            y = next((c for c in range(1, lam[a - 1] + 1) if row_hooks[c - 1] % ell), None)
-            if y is None:
-                continue
-            x = next((r for r in range(1, cols[b - 1] + 1) if grid[r - 1][b - 1] % ell), None)
-            if x is None:
-                continue
-            return FayersWitness((a, b), (a, y), (x, b))
+    first_row = [0] * (lam[0] if lam else 0)  # by column; 0 when all divisible
+    first_col = []  # by row; 0 when all divisible
+    for a, hooks in enumerate(grid, start=1):
+        y = 0
+        for b, h in enumerate(hooks):
+            if h % ell:
+                if not y:
+                    y = b + 1
+                if not first_row[b]:
+                    first_row[b] = a
+        first_col.append(y)
+    for a, (hooks, y) in enumerate(zip(grid, first_col), start=1):
+        if y:
+            for b, h in enumerate(hooks):
+                if not h % ell and first_row[b]:
+                    return FayersWitness((a, b + 1), (a, y), (first_row[b], b + 1))
     return None
 
 

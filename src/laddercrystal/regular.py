@@ -282,6 +282,15 @@ def reg_class(lam: Partition, ell: int) -> RegClass:
     return RegClass(representative=regularize(lam, ell), members=tuple(sorted(members)))
 
 
+def _is_ladder_node(lam: Partition, ell: int) -> bool:
+    grid = hook_grid(lam)
+    for hooks, part in zip(grid, lam):
+        for col, h in enumerate(hooks, start=1):
+            if h == ell * (part - col):
+                return False
+    return True
+
+
 def is_ladder_node(lam: Partition, ell: int) -> bool:
     """True when no box has hook length equal to ell times its arm.
 
@@ -289,11 +298,15 @@ def is_ladder_node(lam: Partition, ell: int) -> bool:
     nodes of the ladder crystal.
     """
     check_ell(ell)
-    lam = check_partition(lam)
+    return _is_ladder_node(check_partition(lam), ell)
+
+
+def _is_L_partition(lam: Partition, ell: int) -> bool:
     grid = hook_grid(lam)
-    for row in range(1, len(lam) + 1):
-        for col in range(1, lam[row - 1] + 1):
-            if grid[row - 1][col - 1] == ell * (lam[row - 1] - col):
+    cols = transpose(lam)
+    for row, (hooks, part) in enumerate(zip(grid, lam), start=1):
+        for col, h in enumerate(hooks, start=1):
+            if not h % ell and h // ell <= min(part - col, cols[col - 1] - row):
                 return False
     return True
 
@@ -306,19 +319,16 @@ def is_L_partition(lam: Partition, ell: int) -> bool:
     and leg < (ell-1) * arm hold.
     """
     check_ell(ell, minimum=3)
-    lam = check_partition(lam)
-    grid = hook_grid(lam)
-    cols = transpose(lam)
-    for row in range(1, len(lam) + 1):
-        for col in range(1, lam[row - 1] + 1):
-            h = grid[row - 1][col - 1]
-            if h % ell:
-                continue
-            a = lam[row - 1] - col
-            g = cols[col - 1] - row
-            if h // ell <= min(a, g):
-                return False
-    return True
+    return _is_L_partition(check_partition(lam), ell)
+
+
+def _is_weak_ell_partition(lam: Partition, ell: int, is_jm=_is_jm) -> bool:
+    """lam is ell-regular and *is_jm* holds for its deregularization.
+
+    A sweep passes its memoized JM table as *is_jm*: D(lam) has the size of
+    lam, so its answer shares the table's level.
+    """
+    return is_regular(lam, ell) and is_jm(_deregularize(lam, ell), ell)
 
 
 def is_weak_ell_partition(lam: Partition, ell: int) -> bool:
@@ -331,7 +341,7 @@ def is_weak_ell_partition(lam: Partition, ell: int) -> bool:
     lam = check_partition(lam)
     if not is_regular(lam, ell):
         raise NotRegularError(f"{lam} is not {ell}-regular")
-    return _is_jm(_deregularize(lam, ell), ell)
+    return _is_weak_ell_partition(lam, ell)
 
 
 def _live_word(lam: Partition, residues: Iterable[int], ell: int) -> tuple[int, ReducedWord]:

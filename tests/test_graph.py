@@ -6,19 +6,31 @@ import hashlib
 
 import pytest
 
-from laddercrystal.crystal import LADDER, e_hat, epsilon, f_hat, ladder_epsilon, ladder_phi
+from laddercrystal import crystal
+from laddercrystal.crystal import (
+    LADDER,
+    ReducedWord,
+    e_hat,
+    epsilon,
+    f_hat,
+    ladder_epsilon,
+    ladder_phi,
+    reduced_word,
+)
 from laddercrystal.graph import (
     CrystalGraph,
     VerificationReport,
+    _ClassTable,
     _string_end_checks,
+    _weak_table,
     build_crystal,
     export_dot,
     theorem_suite,
     verify_isomorphism,
 )
-from laddercrystal.jm import is_jm
+from laddercrystal.jm import _is_jm, is_jm
 from laddercrystal.partitions import all_partitions, is_regular, residue, size
-from laddercrystal.regular import _mullineux, deregularize
+from laddercrystal.regular import _mullineux, deregularize, is_weak_ell_partition
 
 from helpers import ladder_node_levels, regular_counts
 
@@ -212,10 +224,30 @@ def test_string_end_checks_skip_steps_that_can_stay_in_class():
     assert ladder_epsilon((3, 1), 2, 3) == 2 and e_hat((3, 1), 2, 3) == (3,)
     for lam in ((2,), (3, 1)):
         report = VerificationReport(suite="demo", ell=3, params={})
-        _string_end_checks(report, lam, 2, 3, "jm", is_jm, LADDER)
+        _string_end_checks(report, lam, 2, 3, "jm", is_jm, reduced_word(lam, 2, 3, LADDER))
         # both steps checked defined and the end checked in the class; step 1 unchecked
         assert report.checks == 3
         assert report.passed
+
+
+@pytest.mark.parametrize(
+    "lam,word,expected",
+    [
+        # (2,) has ladder plus boxes (1,3), (2,1) for residue 2; (2,2) is not addable to (3,)
+        ((2,), ReducedWord([(2, 2), (1, 3)], []), "jm: f^2 adds an addable box"),
+        ((2,), ReducedWord([(1, 4)], []), "jm: f^1 adds an addable box"),
+        ((2, 2), ReducedWord([(2, 3)], []), "jm: f^1 adds an addable box"),
+        # (3,1) has ladder minus boxes (2,1), (1,3); (1,2) is not removable from (3,)
+        ((3, 1), ReducedWord([], [(2, 1), (1, 2)]), "jm: e^2 removes a removable box"),
+        ((2, 2), ReducedWord([], [(1, 2)]), "jm: e^1 removes a removable box"),
+        ((2, 2), ReducedWord([], [(3, 1)]), "jm: e^1 removes a removable box"),
+    ],
+)
+def test_string_end_checks_record_a_corrupted_word(lam, word, expected):
+    report = VerificationReport(suite="demo", ell=3, params={})
+    _string_end_checks(report, lam, 2, 3, "jm", is_jm, word)
+    assert not report.passed
+    assert [f["expected"] for f in report.failures] == [expected]
 
 
 def test_theorem_suite_rejects_negative_nmax():
@@ -223,6 +255,48 @@ def test_theorem_suite_rejects_negative_nmax():
     with pytest.raises(ValueError):
         theorem_suite(3, -1)
     assert theorem_suite(3, 0).checks > 0
+
+
+@pytest.mark.parametrize("nmax", [2.5, True, False, "3", None])
+def test_theorem_suite_rejects_non_integer_nmax(nmax):
+    with pytest.raises(ValueError):
+        theorem_suite(3, nmax)
+
+
+@pytest.mark.parametrize("sweep", [build_crystal, verify_isomorphism])
+def test_graph_sweeps_reject_a_bool_depth(sweep):
+    with pytest.raises(ValueError):
+        sweep(3, True)
+
+
+def test_theorem_suite_reads_one_word_per_node_and_model(monkeypatch):
+    # one all-residue read per walked node and model, plus the Mullineux
+    # levels' one-residue reads; a read per string step gave 10,151
+    calls = 0
+    signatures = crystal._signatures
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return signatures(*args)
+
+    monkeypatch.setattr(crystal, "_signatures", counted)
+    assert theorem_suite(3, 16).checks == 6197
+    assert theorem_suite(4, 14).checks == 4685
+    assert 0 < calls <= 3500
+
+
+@pytest.mark.parametrize("ell", [3, 4])
+def test_weak_membership_through_the_jm_table(ell):
+    # the sweep's weak table answers from its JM table, at the size of lam
+    jm_table = _ClassTable(_is_jm)
+    weak_table = _weak_table(jm_table)
+    for n in range(17):
+        for lam in all_partitions(n):
+            if is_regular(lam, ell):
+                weak = weak_table(lam, ell)
+                assert weak == is_weak_ell_partition(lam, ell), lam
+                assert jm_table._by_size[n][deregularize(lam, ell)] == weak
 
 
 def test_report_schema_and_failure_path():

@@ -20,10 +20,13 @@ from laddercrystal.partitions import (
     transpose,
 )
 from laddercrystal.jm import (
+    FayersWitness,
     InvalidDecompositionError,
     JMDecomposition,
     NotACoreError,
     NotJMPartitionError,
+    _core_frame,
+    _fayers_witness,
     _only_horizontal_hereditarily,
     compose_jm,
     count_jm,
@@ -88,6 +91,60 @@ def test_witness_shape_is_valid(lam, ell):
     assert grid[a - 1][b - 1] % ell == 0
     assert grid[a - 1][y - 1] % ell != 0
     assert grid[x - 1][b - 1] % ell != 0
+
+
+def _reference_witness(lam, ell):
+    """The first witness found by rescanning a row and a column per divisible box."""
+    grid = hook_grid(lam)
+    cols = transpose(lam)
+    for a in range(1, len(lam) + 1):
+        row_hooks = grid[a - 1]
+        for b in range(1, lam[a - 1] + 1):
+            if row_hooks[b - 1] % ell:
+                continue
+            y = next((c for c in range(1, lam[a - 1] + 1) if row_hooks[c - 1] % ell), None)
+            if y is None:
+                continue
+            x = next((r for r in range(1, cols[b - 1] + 1) if grid[r - 1][b - 1] % ell), None)
+            if x is None:
+                continue
+            return FayersWitness((a, b), (a, y), (x, b))
+    return None
+
+
+@pytest.mark.parametrize("ell,nmax", [(3, 18), (4, 16), (5, 14)])
+def test_witness_matches_the_rescan_reference(ell, nmax):
+    for n in range(nmax + 1):
+        for lam in all_partitions(n):
+            assert _fayers_witness(lam, ell) == _reference_witness(lam, ell), lam
+
+
+def _large_jm_partitions(ell, rng, count):
+    """JM partitions of a hundred boxes or more, composed on random small cores."""
+    cores = [c for n in range(1, 13) for c in all_partitions(n) if is_core(c, ell)]
+    out = []
+    for core in rng.sample(cores, count):
+        mu, r, s = _core_frame(core, ell)
+        rho = sorted((rng.randint(1, 60) for _ in range(r + 1)), reverse=True)
+        sigma = sorted((rng.randint(1, 60) for _ in range(s + 1)), reverse=True)
+        if not mu:  # then rho[r] and sigma[s] may not both be positive
+            sigma.pop()
+        out.append(compose_jm(JMDecomposition(mu, r, s, tuple(rho), tuple(sigma)), ell))
+    return out
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5])
+def test_witness_matches_the_rescan_reference_on_large_partitions(ell):
+    rng = random.Random(7300 + ell)
+    for _ in range(30):
+        lam = _random_partition(rng.randint(500, 3000), rng)
+        assert _fayers_witness(lam, ell) == _reference_witness(lam, ell), lam
+    # JM partitions have no witness, so both scans run to the end; their
+    # one-box neighbours are near misses with a witness deep in the diagram
+    for lam in _large_jm_partitions(ell, rng, 6):
+        assert _fayers_witness(lam, ell) is None and _reference_witness(lam, ell) is None
+        for near in _one_box_away(lam):
+            assert _fayers_witness(near, ell) == _reference_witness(near, ell), near
 
 
 @given(partitions(max_part=7, max_len=7), jm_moduli())
