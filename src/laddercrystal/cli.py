@@ -219,18 +219,15 @@ def _cmd_suite(args) -> int:
     return _report_exit(theorem_suite(args.ell, args.nmax), args.plain)
 
 
-def _cmd_regularize(args) -> int:
-    lam = parse_partition(args.partition)
-    name = format_partition(regularize(lam, args.ell))
-    _emit(name, [name], args.plain)
-    return 0
+def _partition_map(fn):
+    """A subcommand that prints fn(partition, ell) as one partition string."""
 
+    def run(args) -> int:
+        name = format_partition(fn(parse_partition(args.partition), args.ell))
+        _emit(name, [name], args.plain)
+        return 0
 
-def _cmd_deregularize(args) -> int:
-    lam = parse_partition(args.partition)
-    name = format_partition(deregularize(lam, args.ell))
-    _emit(name, [name], args.plain)
-    return 0
+    return run
 
 
 def _cmd_regclass(args) -> int:
@@ -246,103 +243,74 @@ def _cmd_regclass(args) -> int:
     return 0
 
 
-def _cmd_mullineux(args) -> int:
-    lam = parse_partition(args.partition)
-    name = format_partition(mullineux(lam, args.ell))
-    _emit(name, [name], args.plain)
-    return 0
+def _command(sub, name: str, help: str, func, options: dict | None = None, partition: bool = False, **kw):
+    """Add a leaf subcommand: --ell, then *options*, then --plain.
 
-
-def _add_common(parser, partition=True, ell=True) -> None:
+    *options* maps each further flag to its add_argument keywords.  With
+    *partition* the command also takes a partition as its positional
+    argument.  Further keywords go to add_parser.
+    """
+    parser = sub.add_parser(name, help=help, **kw)
     if partition:
         parser.add_argument("partition", help='partition like "3,2^2,1^5", or "empty"')
-    if ell:
-        parser.add_argument("--ell", type=int, required=True, help="modulus (>= 2; JM needs >= 3)")
+    parser.add_argument("--ell", type=int, required=True, help="modulus (>= 2; JM needs >= 3)")
+    for flag, settings in (options or {}).items():
+        parser.add_argument(flag, **settings)
     parser.add_argument("--plain", action="store_true", help="plain text instead of JSON")
+    parser.set_defaults(func=func)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="laddercrystal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    _command(sub, "info", "summary of one partition", _cmd_info, partition=True)
+    _command(sub, "core", "ell-core and weight", _cmd_core, partition=True)
 
-    p = sub.add_parser("info", help="summary of one partition")
-    _add_common(p)
-    p.set_defaults(func=_cmd_info)
-
-    p = sub.add_parser("core", help="ell-core and weight")
-    _add_common(p)
-    p.set_defaults(func=_cmd_core)
-
-    jm = sub.add_parser("jm", help="JM partition tools")
-    jm_sub = jm.add_subparsers(dest="jm_command", required=True)
-    p = jm_sub.add_parser("check", help="test the (ell,0)-JM property")
-    _add_common(p)
-    p.set_defaults(func=_cmd_jm_check)
-    p = jm_sub.add_parser("count", help="count JM partitions for a core and weight")
-    p.add_argument("--core", required=True, help="an ell-core partition")
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--plain", action="store_true")
-    p.set_defaults(func=_cmd_jm_count)
-    p = jm_sub.add_parser("enumerate", help="list JM partitions for a core and weight")
-    p.add_argument("--core", required=True, help="an ell-core partition")
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--plain", action="store_true")
-    p.set_defaults(func=_cmd_jm_enumerate)
-    p = jm_sub.add_parser(
+    jm = sub.add_parser("jm", help="JM partition tools").add_subparsers(dest="jm_command", required=True)
+    _command(jm, "check", "test the (ell,0)-JM property", _cmd_jm_check, partition=True)
+    core_weight = {
+        "--core": {"required": True, "help": "an ell-core partition"},
+        "--weight": {"type": int, "required": True},
+    }
+    _command(jm, "count", "count JM partitions for a core and weight", _cmd_jm_count, core_weight)
+    _command(jm, "enumerate", "list JM partitions for a core and weight", _cmd_jm_enumerate, core_weight)
+    census = {
+        "--max-core": {"type": int, "default": 6, "help": "largest core size"},
+        "--max-weight": {"type": int, "default": 4},
+        "--list": {"action": "store_true", "help": "list the partitions too"},
+    }
+    _command(
+        jm,
         "census",
-        help="JM partition counts for every ell-core up to a size, by weight",
+        "JM partition counts for every ell-core up to a size, by weight",
+        _cmd_jm_census,
+        census,
         description="For each ell-core of size <= --max-core, count the JM partitions of "
         "each weight 1..--max-weight (counts[w-1] is weight w); --list adds the partitions.",
     )
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--max-core", type=int, default=6, help="largest core size")
-    p.add_argument("--max-weight", type=int, default=4)
-    p.add_argument("--list", action="store_true", help="list the partitions too")
-    p.add_argument("--plain", action="store_true")
-    p.set_defaults(func=_cmd_jm_census)
-    p = jm_sub.add_parser("decompose", help="core frame and hook multiplicities")
-    _add_common(p)
-    p.set_defaults(func=_cmd_jm_decompose)
+    _command(jm, "decompose", "core frame and hook multiplicities", _cmd_jm_decompose, partition=True)
 
     crystal = sub.add_parser("crystal", help="crystal graph tools")
-    crystal_sub = crystal.add_subparsers(dest="crystal_command", required=True)
-    p = crystal_sub.add_parser("build", help="breadth-first crystal graph from empty")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--depth", type=int, default=10)
-    p.add_argument("--model", choices=["classical", "ladder"], default="classical")
-    p.add_argument("--dot", help="write a DOT rendering to this path")
-    p.add_argument("--plain", action="store_true")
-    p.set_defaults(func=_cmd_crystal_build)
-    p = crystal_sub.add_parser("verify", help="check the regularization isomorphism")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--depth", type=int, default=10)
-    p.add_argument("--plain", action="store_true")
-    p.set_defaults(func=_cmd_crystal_verify)
+    crystal = crystal.add_subparsers(dest="crystal_command", required=True)
+    depth = {"--depth": {"type": int, "default": 10}}
+    build = {
+        **depth,
+        "--model": {"choices": ["classical", "ladder"], "default": "classical"},
+        "--dot": {"help": "write a DOT rendering to this path"},
+    }
+    _command(crystal, "build", "breadth-first crystal graph from empty", _cmd_crystal_build, build)
+    _command(crystal, "verify", "check the regularization isomorphism", _cmd_crystal_verify, depth)
 
-    p = sub.add_parser("regularize", help="slide boxes to the tops of their ladders")
-    _add_common(p)
-    p.set_defaults(func=_cmd_regularize)
-
-    p = sub.add_parser("deregularize", help="slide unlocked boxes down their ladders")
-    _add_common(p)
-    p.set_defaults(func=_cmd_deregularize)
-
-    p = sub.add_parser("regclass", help="all partitions with the same regularization")
-    _add_common(p)
-    p.set_defaults(func=_cmd_regclass)
-
-    p = sub.add_parser("mullineux", help="Mullineux image of a regular partition")
-    _add_common(p)
-    p.set_defaults(func=_cmd_mullineux)
-
-    p = sub.add_parser("suite", help="run the theorem checks up to a size bound")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--nmax", type=int, default=12)
-    p.add_argument("--plain", action="store_true")
-    p.set_defaults(func=_cmd_suite)
-
+    for name, help, func in (
+        ("regularize", "slide boxes to the tops of their ladders", _partition_map(regularize)),
+        ("deregularize", "slide unlocked boxes down their ladders", _partition_map(deregularize)),
+        ("regclass", "all partitions with the same regularization", _cmd_regclass),
+        ("mullineux", "Mullineux image of a regular partition", _partition_map(mullineux)),
+    ):
+        _command(sub, name, help, func, partition=True)
+    nmax = {"--nmax": {"type": int, "default": 12}}
+    _command(sub, "suite", "run the theorem checks up to a size bound", _cmd_suite, nmax)
     return parser
 
 

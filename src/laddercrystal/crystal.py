@@ -10,9 +10,10 @@ box has the residue of its last box and its addable box the next one, so
 each row feeds at most two words.  The classical words are already in
 reading order; the ladder words are sorted by (ladder, row).  Then each
 word is cancelled.  ``reduced_words`` gives all ell reduced words of a
-partition from that pass; ``reduced_word`` runs the same pass restricted to
-one residue, for walks along one i-string.  epsilon, phi, the good box and
-the cogood box are all read from a reduced word.
+partition from that pass, and ``reduced_word`` picks one of them.  epsilon,
+phi, the good box and the cogood box are all read from a reduced word, and
+a walk along an i-string edits the partition box by box from its first
+word (``apply_e`` / ``apply_f``), reading no further word.
 
 The kernel checks nothing: the public operators check the partition, the
 modulus and the residue once per call, and the graph sweeps check their
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .partitions import Box, Partition, check_ell, check_partition, contains
+from .partitions import Box, Partition, check_ell, check_partition, check_residue, contains
 
 PLUS = "+"
 MINUS = "-"
@@ -69,13 +70,11 @@ def check_model(model: str) -> None:
 
 def _checked(lam, i: int, ell: int) -> Partition:
     """lam as a partition, after checking the modulus and the residue."""
-    check_ell(ell)
-    if not isinstance(i, int) or not 0 <= i < ell:
-        raise ValueError(f"residue must be an integer in 0..{ell - 1}, got {i!r}")
+    check_residue(i, ell)
     return check_partition(lam)
 
 
-def _signatures(lam: Partition, ell: int, model: str, only: int | None = None) -> list[list[tuple]]:
+def _signatures(lam: Partition, ell: int, model: str) -> list[list[tuple]]:
     """lam's i-signature for every residue i, in the model's reading order.
 
     Entry lists are indexed by residue; an entry is (ladder, row, box,
@@ -84,20 +83,18 @@ def _signatures(lam: Partition, ell: int, model: str, only: int | None = None) -
     lam_r - r of its last box, and its addable box (r, lam_r + 1) the next
     residue (the first box of the empty row below the diagram is always
     addable).  The ladder order sorts each list by (ladder, row), which no
-    two boxes share.  With *only* set, the other residues are skipped and
-    their lists stay empty.
+    two boxes share.
     """
     words: list[list[tuple]] = [[] for _ in range(ell)]
     step = ell - 1
-    before = None if only is None else (only - 1) % ell
     rows = lam + (0,)
     below = 0
     for row in range(len(rows), 0, -1):
         part = rows[row - 1]
         last = (part - row) % ell
-        if part > below and (only is None or last == only):
+        if part > below:
             words[last].append((row + step * (part - 1), row, (row, part), MINUS))
-        if (row == 1 or rows[row - 2] > part) and (only is None or last == before):
+        if row == 1 or rows[row - 2] > part:
             words[(last + 1) % ell].append((row + step * part, row, (row, part + 1), PLUS))
         below = part
     if model == LADDER:
@@ -127,11 +124,11 @@ def reduced_words(lam: Partition, ell: int, model: str) -> list[ReducedWord]:
 
 def reduced_word(lam: Partition, i: int, ell: int, model: str) -> ReducedWord:
     """The reduced i-signature of lam in the reading order of *model*."""
-    return _cancel(_signatures(lam, ell, model, i)[i])
+    return _cancel(_signatures(lam, ell, model)[i])
 
 
 def _signature_word(lam, i: int, ell: int, model: str) -> SignatureWord:
-    entries = _signatures(_checked(lam, i, ell), ell, model, i)[i]
+    entries = _signatures(_checked(lam, i, ell), ell, model)[i]
     return SignatureWord(tuple(SignatureEntry(sign, box) for _, _, box, sign in entries), model)
 
 

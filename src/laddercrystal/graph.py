@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .partitions import Partition, all_partitions, check_ell, is_regular, transpose
+from .partitions import Partition, _is_regular, all_partitions, check_count, check_ell, transpose
 from .rimhooks import _is_core
 from .crystal import CLASSICAL, LADDER, ReducedWord, apply_e, apply_f, check_model, reduced_words
 from .jm import _is_ell_partition, _is_jm
@@ -67,15 +67,10 @@ class VerificationReport:
         }
 
 
-def _check_count(name: str, value: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-
-
 def build_crystal(ell: int, depth: int, model: str = CLASSICAL) -> CrystalGraph:
     """Breadth-first closure of the empty partition under the raising operators."""
     check_ell(ell)
-    _check_count("depth", depth)
+    check_count("depth", depth)
     check_model(model)
     levels: list[tuple[Partition, ...]] = [((),)]
     edges: list[Edge] = []
@@ -224,9 +219,10 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
     - the Mullineux images of the ell-regular partitions of sizes n - 1 and
       n.  Level n's table is built from level n - 1's, by
       m(rho) = f_{-i} m(e_i rho) for the smallest live residue i
-      (Ford-Kleshchev), so an image costs at most ell + 1 one-residue
-      reads and the check m(R(lam)) == R(lam') is one lookup.  Level n - 1's
-      table is dropped once level n's is built.
+      (Ford-Kleshchev), so an image costs one read of rho's reduced words
+      and one of its image's, and the check m(R(lam)) == R(lam') is one
+      lookup.  The table's keys are exactly the ell-regular partitions of
+      size n.  Level n - 1's table is dropped once level n's is built.
     - membership in the JM, ell-partition and weak classes, memoized per
       size.  The string-end checks ask about the same neighbours of many
       partitions, each answer is computed once, and every size below n is
@@ -243,7 +239,7 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
     `mullineux` is not touched.
     """
     check_ell(ell, minimum=3)
-    _check_count("nmax", nmax)
+    check_count("nmax", nmax)
     report = VerificationReport(suite="crystal-theorems", ell=ell, params={"nmax": nmax})
     jm_table = _ClassTable(_is_jm)
     ell_table = _ClassTable(_is_ell_partition)
@@ -251,7 +247,7 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
     below: dict[Partition, Partition] = {}
     for n in range(nmax + 1):
         level = all_partitions(n)
-        here = _mullineux_level((lam for lam in level if is_regular(lam, ell)), below, ell)
+        here = _mullineux_level((lam for lam in level if _is_regular(lam, ell)), below, ell)
         for lam in level:
             jm = jm_table(lam, ell)
             core = _is_core(lam, ell)
@@ -274,7 +270,7 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
                 f"mullineux(R(lam)) == R(lam') iff L-partition ({balanced})",
                 format_partition(mull),
             )
-            if is_regular(lam, ell):
+            if lam in here:
                 words = None  # one classical read serves both classes
                 for name, table in (("ell-partition", ell_table), ("weak", weak_table)):
                     if table(lam, ell):

@@ -36,11 +36,12 @@ from typing import NamedTuple
 from .partitions import (
     Box,
     Partition,
+    _is_regular,
     all_partitions,
+    check_count,
     check_ell,
     check_partition,
     hook_grid,
-    is_regular,
     partition_cache,
     transpose,
 )
@@ -149,7 +150,7 @@ def _only_horizontal_hereditarily(lam: Partition, ell: int) -> bool:
 
 
 def _is_ell_partition(lam: Partition, ell: int) -> bool:
-    return is_regular(lam, ell) and _only_horizontal_hereditarily(lam, ell)
+    return _is_regular(lam, ell) and _only_horizontal_hereditarily(lam, ell)
 
 
 def is_ell_partition(lam: Partition, ell: int) -> bool:
@@ -393,8 +394,7 @@ def count_jm(core: Partition, w: int, ell: int) -> int:
     """
     check_ell(ell, minimum=3)
     core = check_partition(core)
-    if w < 0:
-        raise ValueError(f"weight must be non-negative, got {w}")
+    check_count("weight", w)
     if not _is_core(core, ell):
         raise NotACoreError(f"{core} is not an {ell}-core")
     mu, r, s = _core_frame(core, ell)
@@ -410,8 +410,7 @@ def enumerate_jm(core: Partition, w: int, ell: int) -> list[Partition]:
     """All JM partitions with the given core and weight, largest-first."""
     check_ell(ell, minimum=3)
     core = check_partition(core)
-    if w < 0:
-        raise ValueError(f"weight must be non-negative, got {w}")
+    check_count("weight", w)
     if not _is_core(core, ell):
         raise NotACoreError(f"{core} is not an {ell}-core")
     mu, r, s = _core_frame(core, ell)

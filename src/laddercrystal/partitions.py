@@ -74,6 +74,23 @@ def check_ell(ell: int, minimum: int = 2) -> int:
     return ell
 
 
+def check_residue(i: int, ell: int) -> int:
+    """i as a residue mod ell, after checking ell; a bool is not a residue."""
+    check_ell(ell)
+    if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < ell:
+        raise ValueError(f"residue must be an integer in 0..{ell - 1}, got {i!r}")
+    return i
+
+
+def check_count(name: str, value: int) -> int:
+    """value as a non-negative count (a depth, a size bound, a weight); a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value!r}")
+    return value
+
+
 def size(lam: Partition) -> int:
     return sum(lam)
 
@@ -160,6 +177,10 @@ def ladder_positions(k: int, ell: int) -> list[Box]:
 def is_regular(lam: Partition, ell: int) -> bool:
     """True when no part value repeats ell or more times."""
     check_ell(ell)
+    return _is_regular(check_partition(lam), ell)
+
+
+def _is_regular(lam: Partition, ell: int) -> bool:
     run = 1
     for k in range(1, len(lam)):
         run = run + 1 if lam[k] == lam[k - 1] else 1
@@ -189,20 +210,14 @@ def removable_corners(lam: Partition) -> list[Box]:
 
 def addable_boxes(lam: Partition, i: int, ell: int) -> list[Box]:
     """Addable boxes of residue i, ordered top row first."""
-    _check_residue(i, ell)
+    check_residue(i, ell)
     return [b for b in addable_corners(lam) if residue(b, ell) == i]
 
 
 def removable_boxes(lam: Partition, i: int, ell: int) -> list[Box]:
     """Removable boxes of residue i, ordered top row first."""
-    _check_residue(i, ell)
+    check_residue(i, ell)
     return [b for b in removable_corners(lam) if residue(b, ell) == i]
-
-
-def _check_residue(i: int, ell: int) -> None:
-    check_ell(ell)
-    if not 0 <= i < ell:
-        raise ValueError(f"residue must lie in 0..{ell - 1}, got {i}")
 
 
 def add_box(lam: Partition, box: Box) -> Partition:

@@ -36,14 +36,14 @@ from itertools import combinations
 from .partitions import (
     Box,
     Partition,
+    _is_regular,
     check_ell,
     check_partition,
     hook_grid,
-    is_regular,
     partition_cache,
     transpose,
 )
-from .crystal import CLASSICAL, ReducedWord, apply_e, apply_f, reduced_word
+from .crystal import CLASSICAL, ReducedWord, _cancel, _signatures, apply_e, apply_f, reduced_word
 from .jm import _is_jm
 
 LOCKED_I = "I"
@@ -328,7 +328,7 @@ def _is_weak_ell_partition(lam: Partition, ell: int, is_jm=_is_jm) -> bool:
     A sweep passes its memoized JM table as *is_jm*: D(lam) has the size of
     lam, so its answer shares the table's level.
     """
-    return is_regular(lam, ell) and is_jm(_deregularize(lam, ell), ell)
+    return _is_regular(lam, ell) and is_jm(_deregularize(lam, ell), ell)
 
 
 def is_weak_ell_partition(lam: Partition, ell: int) -> bool:
@@ -339,15 +339,20 @@ def is_weak_ell_partition(lam: Partition, ell: int) -> bool:
     """
     check_ell(ell, minimum=3)
     lam = check_partition(lam)
-    if not is_regular(lam, ell):
+    if not _is_regular(lam, ell):
         raise NotRegularError(f"{lam} is not {ell}-regular")
     return _is_weak_ell_partition(lam, ell)
 
 
 def _live_word(lam: Partition, residues: Iterable[int], ell: int) -> tuple[int, ReducedWord]:
-    """The first of *residues* with epsilon_i(lam) > 0, and lam's reduced i-word."""
+    """The first of *residues* with epsilon_i(lam) > 0, and lam's reduced i-word.
+
+    One pass over the rows reads every residue's signature; only the words
+    up to the live one are cancelled.
+    """
+    signatures = _signatures(lam, ell, CLASSICAL)
     for i in residues:
-        word = reduced_word(lam, i, ell, CLASSICAL)
+        word = _cancel(signatures[i])
         if word.minus:
             return i, word
     raise ValueError(f"no removable good box for {lam}; is it {ell}-regular?")
@@ -360,8 +365,8 @@ def _mullineux_level(
 
     *below* maps every ell-regular partition of size n - 1 to its image.
     m(rho) = f_{-i} m(e_i rho) for the smallest live residue i of rho, so
-    each image costs the reduced words up to that residue plus one more,
-    and nothing is peeled below n - 1.  A sweep over n keeps two levels.
+    each image costs one read of rho's words and one of its image's, and
+    nothing is peeled below n - 1.  A sweep over n keeps two levels.
     """
     here = {}
     for rho in level:
@@ -410,6 +415,6 @@ def mullineux(lam: Partition, ell: int) -> Partition:
     """
     check_ell(ell, minimum=3)
     lam = check_partition(lam)
-    if not is_regular(lam, ell):
+    if not _is_regular(lam, ell):
         raise NotRegularError(f"{lam} is not {ell}-regular")
     return _mullineux(lam, ell, largest=False)

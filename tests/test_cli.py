@@ -301,3 +301,36 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "empty 2\n"
+
+
+LEAF_COMMANDS = [
+    ["info"],
+    ["core"],
+    ["jm", "check"],
+    ["jm", "count"],
+    ["jm", "enumerate"],
+    ["jm", "census"],
+    ["jm", "decompose"],
+    ["crystal", "build"],
+    ["crystal", "verify"],
+    ["regularize"],
+    ["deregularize"],
+    ["regclass"],
+    ["mullineux"],
+    ["suite"],
+]
+
+
+@pytest.mark.parametrize("command", LEAF_COMMANDS, ids=" ".join)
+def test_every_subcommand_documents_ell_and_plain(capsys, command):
+    assert main(command + ["--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--ell ELL modulus (>= 2; JM needs >= 3)" in text
+    assert "--plain plain text instead of JSON" in text
+    if command[0] in ("regularize", "deregularize", "mullineux"):
+        # one partition string: a JSON string in JSON, bare with --plain
+        argv = command + ["--ell", "3", "4,2,1,1"]
+        assert main(argv) == 0
+        as_json = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--plain"]) == 0
+        assert capsys.readouterr().out == as_json + "\n"

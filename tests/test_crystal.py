@@ -216,7 +216,8 @@ def test_public_operators_reject_non_partitions(fn):
 
 @pytest.mark.parametrize("fn", PUBLIC_OPERATORS)
 def test_public_operators_reject_bad_residues_and_moduli(fn):
-    for i, ell in ((1.0, 3), ("1", 3), (-1, 3), (3, 3), (0, 1), (0, 3.0)):
+    # a bool is not a residue: True would act as residue 1
+    for i, ell in ((1.0, 3), (True, 3), ("1", 3), (-1, 3), (3, 3), (0, 1), (0, 3.0)):
         with pytest.raises(ValueError):
             fn((2, 1), i, ell)
 

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 
 import pytest
 
-from laddercrystal import crystal
+from laddercrystal import crystal, regular
 from laddercrystal.crystal import (
     LADDER,
     ReducedWord,
@@ -270,8 +271,10 @@ def test_graph_sweeps_reject_a_bool_depth(sweep):
 
 
 def test_theorem_suite_reads_one_word_per_node_and_model(monkeypatch):
-    # one all-residue read per walked node and model, plus the Mullineux
-    # levels' one-residue reads; a read per string step gave 10,151
+    # one all-residue read per walked node and model, plus two per regular
+    # partition for the Mullineux levels (2,216 in all); a read per string
+    # step gave 10,151, and a one-residue read per residue tried for the
+    # Mullineux levels 2,825
     calls = 0
     signatures = crystal._signatures
 
@@ -281,9 +284,29 @@ def test_theorem_suite_reads_one_word_per_node_and_model(monkeypatch):
         return signatures(*args)
 
     monkeypatch.setattr(crystal, "_signatures", counted)
+    monkeypatch.setattr(regular, "_signatures", counted)  # the Mullineux peel reads it directly
     assert theorem_suite(3, 16).checks == 6197
     assert theorem_suite(4, 14).checks == 4685
-    assert 0 < calls <= 3500
+    assert 0 < calls <= 2500
+
+
+def test_theorem_suite_makes_no_checked_regularity_calls(monkeypatch):
+    # the sweep tests regularity unchecked (its Mullineux table's keys are
+    # the regular partitions of the level); it made 5,045 public calls
+    calls = 0
+
+    def counted(lam, ell):
+        nonlocal calls
+        calls += 1
+        return is_regular(lam, ell)
+
+    for name in ("partitions", "jm", "regular", "graph"):
+        module = importlib.import_module(f"laddercrystal.{name}")
+        if hasattr(module, "is_regular"):
+            monkeypatch.setattr(module, "is_regular", counted)
+    assert theorem_suite(3, 16).checks == 6197
+    assert theorem_suite(4, 14).checks == 4685
+    assert calls == 0
 
 
 @pytest.mark.parametrize("ell", [3, 4])

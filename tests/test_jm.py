@@ -394,6 +394,14 @@ def test_count_and_enumerate_reject_negative_weight():
             fn((), -1, 3)
 
 
+@pytest.mark.parametrize("weight", [True, False, 2.5, "3", None])
+def test_count_and_enumerate_reject_non_integer_weights(weight):
+    # count_jm((), True, 3) used to return 2, and 2.5 raised TypeError
+    for fn in (count_jm, enumerate_jm):
+        with pytest.raises(ValueError, match="weight must be an integer"):
+            fn((), weight, 3)
+
+
 def test_count_golden():
     assert count_jm((3, 1), 3, 3) == 6
     assert enumerate_jm((3, 1), 3, 3) == [

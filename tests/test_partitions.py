@@ -155,6 +155,14 @@ def test_is_regular_golden():
     assert is_regular(EMPTY, 2)
 
 
+def test_is_regular_checks_the_partition():
+    # the other public predicates already raised for a non-partition
+    for bad in ((1, 2), (2, 0, 1), (2, -1)):
+        with pytest.raises(ValueError):
+            is_regular(bad, 3)
+    assert is_regular([1, 1], 3) and not is_regular([1, 1, 1, 0], 3)
+
+
 @given(partitions(), moduli())
 def test_is_regular_matches_run_lengths(lam, ell):
     longest = 0
@@ -199,10 +207,11 @@ def test_residue_filtered_corners(lam, ell):
 
 
 def test_residue_filter_rejects_bad_residue():
-    with pytest.raises(ValueError):
-        addable_boxes((2, 1), 3, 3)
-    with pytest.raises(ValueError):
-        removable_boxes((2, 1), -1, 3)
+    # 1.0 and True would select residue 1: addable_boxes((2, 1), 1, 3) == [(3, 1)]
+    for fn in (addable_boxes, removable_boxes):
+        for i in (3, -1, 1.0, True, False, "1", None):
+            with pytest.raises(ValueError):
+                fn((2, 1), i, 3)
 
 
 def test_dominance_golden():
