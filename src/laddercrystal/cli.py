@@ -8,11 +8,12 @@ subcommand finds failures, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
-from .partitions import all_partitions, is_regular, size, transpose
+from .partitions import Partition, add_box, addable_boxes, check_ell, is_regular, size, transpose
 from .rimhooks import ell_core, is_core
 from .jm import (
     compose_jm,
@@ -128,6 +129,25 @@ def _cmd_jm_enumerate(args) -> int:
     return 0
 
 
+def _cores(ell: int, max_size: int) -> list[Partition]:
+    """The ell-cores of size <= max_size, smallest first, then reverse-lex.
+
+    Adding all addable i-boxes of a core (the affine s_i action) gives a core,
+    every core is reached so from (), and sizes only grow, so the walk stops
+    at max_size.
+    """
+    check_ell(ell)
+    found, todo = {()}, [()]
+    while todo:
+        core = todo.pop()
+        for i in range(ell):
+            grown = functools.reduce(add_box, addable_boxes(core, i, ell), core)
+            if sum(grown) <= max_size and grown not in found:
+                found.add(grown)
+                todo.append(grown)
+    return sorted(found, key=lambda core: (-sum(core), core), reverse=True)
+
+
 def _cmd_jm_census(args) -> int:
     if args.max_core < 0 or args.max_weight < 0:
         raise ValueError("--max-core and --max-weight must be non-negative")
@@ -135,21 +155,18 @@ def _cmd_jm_census(args) -> int:
     cores = []
     plain = []
     total = 0
-    for n in range(args.max_core + 1):
-        for core in all_partitions(n):
-            if not is_core(core, args.ell):
-                continue
-            name = format_partition(core)
-            counts = [count_jm(core, w, args.ell) for w in weights]
-            total += sum(counts)
-            entry = {"core": name, "counts": counts}
-            row = " ".join(f"w={w}:{c}" for w, c in zip(weights, counts))
-            plain.append(f"core {name:<12} {row}")
-            if args.list:
-                found = [[format_partition(lam) for lam in enumerate_jm(core, w, args.ell)] for w in weights]
-                entry["partitions"] = found
-                plain += [f"    w={w}: {', '.join(names) or '-'}" for w, names in zip(weights, found)]
-            cores.append(entry)
+    for core in _cores(args.ell, args.max_core):
+        name = format_partition(core)
+        counts = [count_jm(core, w, args.ell) for w in weights]
+        total += sum(counts)
+        entry = {"core": name, "counts": counts}
+        row = " ".join(f"w={w}:{c}" for w, c in zip(weights, counts))
+        plain.append(f"core {name:<12} {row}")
+        if args.list:
+            found = [[format_partition(lam) for lam in enumerate_jm(core, w, args.ell)] for w in weights]
+            entry["partitions"] = found
+            plain += [f"    w={w}: {', '.join(names) or '-'}" for w, names in zip(weights, found)]
+        cores.append(entry)
     plain.append(f"total JM partitions counted: {total}")
     payload = {"ell": args.ell, "weights": list(weights), "cores": cores, "total": total}
     _emit(payload, plain, args.plain)
@@ -271,13 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
     _command(jm, "check", "test the (ell,0)-JM property", _cmd_jm_check, partition=True)
     core_weight = {
         "--core": {"required": True, "help": "an ell-core partition"},
-        "--weight": {"type": int, "required": True},
+        "--weight": {"type": int, "required": True, "help": "ell-weight (number of ell-rim hooks)"},
     }
     _command(jm, "count", "count JM partitions for a core and weight", _cmd_jm_count, core_weight)
     _command(jm, "enumerate", "list JM partitions for a core and weight", _cmd_jm_enumerate, core_weight)
     census = {
         "--max-core": {"type": int, "default": 6, "help": "largest core size"},
-        "--max-weight": {"type": int, "default": 4},
+        "--max-weight": {"type": int, "default": 4, "help": "count weights 1..this"},
         "--list": {"action": "store_true", "help": "list the partitions too"},
     }
     _command(
@@ -293,10 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     crystal = sub.add_parser("crystal", help="crystal graph tools")
     crystal = crystal.add_subparsers(dest="crystal_command", required=True)
-    depth = {"--depth": {"type": int, "default": 10}}
+    depth = {"--depth": {"type": int, "default": 10, "help": "largest partition size (levels 0..depth)"}}
     build = {
         **depth,
-        "--model": {"choices": ["classical", "ladder"], "default": "classical"},
+        "--model": {"choices": ["classical", "ladder"], "default": "classical", "help": "which crystal operators"},
         "--dot": {"help": "write a DOT rendering to this path"},
     }
     _command(crystal, "build", "breadth-first crystal graph from empty", _cmd_crystal_build, build)
@@ -309,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("mullineux", "Mullineux image of a regular partition", _partition_map(mullineux)),
     ):
         _command(sub, name, help, func, partition=True)
-    nmax = {"--nmax": {"type": int, "default": 12}}
+    nmax = {"--nmax": {"type": int, "default": 12, "help": "largest partition size checked"}}
     _command(sub, "suite", "run the theorem checks up to a size bound", _cmd_suite, nmax)
     return parser
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .partitions import Box, Partition, check_ell, check_partition, check_residue, contains
+from .partitions import Box, Partition, check_ell, check_partition, check_residue
 
 PLUS = "+"
 MINUS = "-"
@@ -237,9 +237,7 @@ def residue_content(lam: Partition, ell: int) -> tuple[int, ...]:
 
 def _inside(lam: Partition, pos: Box) -> bool:
     row, col = pos
-    if row <= 0 or col <= 0:
-        return True
-    return contains(lam, pos)
+    return row <= 0 or col <= 0 or (row <= len(lam) and col <= lam[row - 1])
 
 
 def box_type(lam: Partition, pos: Box) -> str:

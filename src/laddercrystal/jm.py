@@ -37,12 +37,12 @@ from .partitions import (
     Box,
     Partition,
     _is_regular,
-    all_partitions,
     check_count,
     check_ell,
     check_partition,
     hook_grid,
     partition_cache,
+    partitions_of,
     transpose,
 )
 from .rimhooks import HORIZONTAL, _ell_core, _is_core, _remove, _removable_rim_hooks
@@ -350,38 +350,32 @@ def compose_jm(dec: JMDecomposition, ell: int) -> Partition:
     """Rebuild the JM partition from its decomposition."""
     check_ell(ell, minimum=3)
     dec = _validate_decomposition(dec, ell)
-    rows = _frame_rows(dec.mu, dec.r, dec.s, ell)
-    if len(rows) < dec.r + 1:
-        rows += [0] * (dec.r + 1 - len(rows))
-    for i, mult in enumerate(dec.rho):
+    return _compose(dec.mu, dec.r, dec.s, dec.rho, dec.sigma, ell)
+
+
+def _compose(mu: Partition, r: int, s: int, rho: Partition, sigma: Partition, ell: int) -> Partition:
+    """compose_jm, unchecked: hooks added to weakly decreasing rows (then columns) always stack."""
+    rows = _frame_rows(mu, r, s, ell) + [0] * (r + 1)
+    for i, mult in enumerate(rho):
         rows[i] += mult * ell
-    try:
-        lam = check_partition(rows)
-    except ValueError as exc:
-        raise InvalidDecompositionError(f"row hooks do not stack: {dec}") from exc
-    cols = list(transpose(lam))
-    if len(cols) < dec.s + 1:
-        cols += [0] * (dec.s + 1 - len(cols))
-    for j, mult in enumerate(dec.sigma):
+    cols = list(transpose(tuple(p for p in rows if p))) + [0] * (s + 1)
+    for j, mult in enumerate(sigma):
         cols[j] += mult * ell
-    try:
-        return transpose(check_partition(cols))
-    except ValueError as exc:
-        raise InvalidDecompositionError(f"column hooks do not stack: {dec}") from exc
+    return transpose(tuple(p for p in cols if p))
 
 
-@functools.lru_cache(maxsize=None)
-def _partitions_at_most(n: int, k: int) -> int:
-    """Number of partitions of n into at most k parts."""
-    if n == 0:
-        return 1
-    if k == 0 or n < 0:
-        return 0
-    return _partitions_at_most(n, k - 1) + _partitions_at_most(n - k, k)
+@functools.lru_cache(maxsize=64)  # each entry holds n + 1 counts
+def _partitions_at_most(n: int, k: int) -> tuple[int, ...]:
+    """Numbers of partitions of 0..n into at most k parts (conjugate: parts at most k), O(n k)."""
+    ways = [1] + [0] * n
+    for part in range(1, k + 1):
+        for m in range(part, n + 1):
+            ways[m] += ways[m - part]
+    return tuple(ways)
 
 
 def _pair_count(w: int, rows: int, cols: int) -> int:
-    return sum(_partitions_at_most(t, rows) * _partitions_at_most(w - t, cols) for t in range(w + 1))
+    return sum(a * b for a, b in zip(_partitions_at_most(w, rows), reversed(_partitions_at_most(w, cols))))
 
 
 def count_jm(core: Partition, w: int, ell: int) -> int:
@@ -407,7 +401,7 @@ def count_jm(core: Partition, w: int, ell: int) -> int:
 
 
 def enumerate_jm(core: Partition, w: int, ell: int) -> list[Partition]:
-    """All JM partitions with the given core and weight, largest-first."""
+    """All JM partitions with the given core and weight, largest-first; builds only what it returns."""
     check_ell(ell, minimum=3)
     core = check_partition(core)
     check_count("weight", w)
@@ -416,15 +410,12 @@ def enumerate_jm(core: Partition, w: int, ell: int) -> list[Partition]:
     mu, r, s = _core_frame(core, ell)
     out = []
     for t in range(w + 1):
-        for rho in all_partitions(t):
-            if len(rho) > r + 1:
-                continue
-            for sigma in all_partitions(w - t):
-                if len(sigma) > s + 1:
-                    continue
+        sigmas = [transpose(p) for p in partitions_of(w - t, s + 1)]
+        for rho in map(transpose, partitions_of(t, r + 1)):
+            for sigma in sigmas:
                 if not mu and len(rho) == r + 1 and len(sigma) == s + 1:
                     continue
-                lam = compose_jm(JMDecomposition(mu, r, s, rho, sigma), ell)
+                lam = _compose(mu, r, s, rho, sigma, ell)
                 if not _is_jm(lam, ell):
                     raise AssertionError(f"composed partition fails the JM check: {lam}")
                 if _ell_core(lam, ell) != (core, w):

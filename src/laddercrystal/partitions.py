@@ -28,7 +28,8 @@ class BoxNotInDiagramError(ValueError):
 
 
 def check_partition(parts: Iterable[int]) -> Partition:
-    """Canonicalize a part sequence (trailing zeros dropped) or raise ValueError.
+    """Canonicalize a non-string iterable of ints (no floats or bools; trailing
+    zeros dropped) or raise ValueError.
 
     A tuple of ints is used as it is (a copy per checked call raised peak
     memory in sweeps), and both checks are C-level passes, since the public
@@ -37,7 +38,12 @@ def check_partition(parts: Iterable[int]) -> Partition:
     if type(parts) is tuple and set(map(type, parts)) <= {int}:
         lam = parts
     else:
-        lam = tuple(int(p) for p in parts)
+        try:
+            if isinstance(parts, str) or bool in map(type, parts := tuple(parts)):
+                raise TypeError
+            lam = tuple(map(operator.index, parts))
+        except TypeError:
+            raise ValueError(f"a partition is a sequence of integer parts, got {parts!r}") from None
     while lam and lam[-1] == 0:
         lam = lam[:-1]
     if lam and min(lam) <= 0:
@@ -96,19 +102,20 @@ def size(lam: Partition) -> int:
 
 
 def contains(lam: Partition, box: Box) -> bool:
+    lam = check_partition(lam)
     row, col = box
     return 1 <= row <= len(lam) and 1 <= col <= lam[row - 1]
 
 
 def boxes(lam: Partition) -> Iterator[Box]:
     """All boxes of the diagram, row by row."""
-    for row, part in enumerate(lam, start=1):
-        for col in range(1, part + 1):
-            yield (row, col)
+    lam = check_partition(lam)
+    return ((row, col) for row, part in enumerate(lam, start=1) for col in range(1, part + 1))
 
 
-@functools.lru_cache(maxsize=None)
+@partition_cache
 def transpose(lam: Partition) -> Partition:
+    lam = check_partition(lam)
     if not lam:
         return ()
     return tuple(sum(1 for p in lam if p >= c) for c in range(1, lam[0] + 1))
@@ -137,13 +144,13 @@ def hook_length(lam: Partition, box: Box) -> int:
     return (lam[row - 1] - col) + (transpose(lam)[col - 1] - row) + 1
 
 
-@functools.lru_cache(maxsize=None)
+@partition_cache
 def hook_grid(lam: Partition) -> tuple[tuple[int, ...], ...]:
     """Hook lengths of every box, as a tuple of rows."""
-    cols = transpose(lam)
+    cols = transpose(lam)  # checks lam, which is then valid but may end in zeros
     return tuple(
         tuple(lam[i] - (j + 1) + cols[j] - (i + 1) + 1 for j in range(lam[i]))
-        for i in range(len(lam))
+        for i in range(cols[0] if cols else 0)
     )
 
 
@@ -211,13 +218,13 @@ def removable_corners(lam: Partition) -> list[Box]:
 def addable_boxes(lam: Partition, i: int, ell: int) -> list[Box]:
     """Addable boxes of residue i, ordered top row first."""
     check_residue(i, ell)
-    return [b for b in addable_corners(lam) if residue(b, ell) == i]
+    return [b for b in addable_corners(check_partition(lam)) if residue(b, ell) == i]
 
 
 def removable_boxes(lam: Partition, i: int, ell: int) -> list[Box]:
     """Removable boxes of residue i, ordered top row first."""
     check_residue(i, ell)
-    return [b for b in removable_corners(lam) if residue(b, ell) == i]
+    return [b for b in removable_corners(check_partition(lam)) if residue(b, ell) == i]
 
 
 def add_box(lam: Partition, box: Box) -> Partition:
@@ -240,6 +247,7 @@ def remove_box(lam: Partition, box: Box) -> Partition:
 
 def dominance_compare(lam: Partition, mu: Partition) -> str:
     """Compare in dominance order; partitions of unequal size are incomparable."""
+    lam, mu = check_partition(lam), check_partition(mu)
     if sum(lam) != sum(mu):
         return INCOMPARABLE
     if lam == mu:
@@ -262,16 +270,14 @@ def dominance_compare(lam: Partition, mu: Partition) -> str:
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """Generate all partitions of n with parts bounded by max_part."""
-    if n < 0:
-        return
-    cap = n if max_part is None else min(max_part, n)
-    if n == 0:
-        yield ()
-        return
-    for first in range(cap, 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield (first,) + rest
+    """All partitions of n with parts at most max_part, reverse-lex, from a stack: no recursion."""
+    stack = [((), n, n if max_part is None else max_part)] if n >= 0 else []
+    while stack:
+        prefix, rest, cap = stack.pop()
+        if not rest:
+            yield prefix
+        for part in range(1, min(cap, rest) + 1):
+            stack.append((prefix + (part,), rest - part, part))
 
 
 @functools.lru_cache(maxsize=None)

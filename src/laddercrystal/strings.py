@@ -29,6 +29,8 @@ def parse_partition(text: str) -> Partition:
 
 def format_partition(lam: Partition) -> str:
     """Canonical text form: comma-separated parts, never exponents."""
-    if not lam:
-        return "empty"
-    return ",".join(map(str, lam))
+    return _format(check_partition(lam))
+
+
+def _format(lam: Partition) -> str:
+    return ",".join(map(str, lam)) or "empty"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import sys
 import pytest
 from hypothesis import given
 
-from laddercrystal.cli import _report_exit, main
+from laddercrystal.cli import _report_exit, build_parser, main
 from laddercrystal.graph import VerificationReport
 from laddercrystal.strings import format_partition, parse_partition
 
@@ -327,6 +328,11 @@ def test_every_subcommand_documents_ell_and_plain(capsys, command):
     text = " ".join(capsys.readouterr().out.split())
     assert "--ell ELL modulus (>= 2; JM needs >= 3)" in text
     assert "--plain plain text instead of JSON" in text
+    parser = build_parser()
+    for name in command:
+        parser = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[name]
+    for action in parser._actions:
+        assert action.help, f"{' '.join(command)} {action.option_strings or action.dest} has no help"
     if command[0] in ("regularize", "deregularize", "mullineux"):
         # one partition string: a JSON string in JSON, bare with --plain
         argv = command + ["--ell", "3", "4,2,1,1"]

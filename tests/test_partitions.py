@@ -49,7 +49,7 @@ def test_check_partition_canonicalizes():
     assert check_partition([]) == EMPTY
     assert check_partition((5,)) == (5,)
     assert check_partition((3, 2, 0)) == (3, 2)
-    assert [type(p) for p in check_partition((True, 1))] == [int, int]
+    assert check_partition(iter([3, 1, 0])) == (3, 1)  # any iterable of ints
     lam = (4, 2, 1)
     assert check_partition(lam) is lam  # a partition tuple is returned, not copied
 
@@ -63,6 +63,10 @@ def test_check_partition_rejects_bad_input():
         check_partition([2, 0, 1])
     for bad in [(1, 2), (2, -1), (2, 0, 1)]:
         with pytest.raises(ValueError):
+            check_partition(bad)
+    # a float or a bool is not a part (tests/test_contract.py has the rest)
+    for bad in [[2.5, 1], [2.0], (True, 1), [1, False]]:
+        with pytest.raises(ValueError, match="sequence of integer parts"):
             check_partition(bad)
 
 

@@ -14,7 +14,6 @@ from laddercrystal.partitions import (
     all_partitions,
     boxes,
     check_partition,
-    contains,
     dominance_compare,
     is_regular,
     ladder_index,
@@ -84,12 +83,18 @@ def _reference_regularize(lam, ell):
     return _reference_diagram(filled, "regularization")
 
 
+def _inside(lam, box):
+    """contains() without its partition check, which would cost O(len(lam)) a box here."""
+    row, col = box
+    return 1 <= row <= len(lam) and 1 <= col <= lam[row - 1]
+
+
 def _reference_gaps_stacked(lam, box, ell):
     row, col = box
     k = ladder_index(box, ell)
     for b in range(1, col):
         pos = (k - (ell - 1) * (b - 1), b)
-        if not contains(lam, pos) and contains(lam, (pos[0] - 1, pos[1])):
+        if not _inside(lam, pos) and _inside(lam, (pos[0] - 1, pos[1])):
             return False
     return True
 
