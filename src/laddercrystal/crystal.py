@@ -22,10 +22,9 @@ arguments before they start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .partitions import Box, Partition, check_ell, check_partition, check_residue
+from .partitions import Box, Partition, check_box, check_ell, check_partition, check_residue
 
 PLUS = "+"
 MINUS = "-"
@@ -39,10 +38,37 @@ class SignatureEntry(NamedTuple):
     box: Box
 
 
-@dataclass(frozen=True)
 class SignatureWord:
-    entries: tuple[SignatureEntry, ...]
-    order: str
+    """The entries of a signature in reading order, and the order's name.
+
+    A frozen record that iterates its entries, so not a tuple of its fields.
+    """
+
+    __slots__ = ("entries", "order")
+
+    def __init__(self, entries: tuple[SignatureEntry, ...], order: str) -> None:
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "order", order)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(entries={self.entries!r}, order={self.order!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries and self.order == other.order
+
+    def __hash__(self) -> int:
+        return hash((self.entries, self.order))
+
+    def __reduce__(self):
+        return type(self), (self.entries, self.order)
 
     @property
     def word(self) -> str:
@@ -242,7 +268,7 @@ def _inside(lam: Partition, pos: Box) -> bool:
 
 def box_type(lam: Partition, pos: Box) -> str:
     lam = check_partition(lam)
-    row, col = pos
+    row, col = pos = check_box(pos)
     if row < 0 or col < 0:
         raise ValueError(f"position must have non-negative coordinates: {pos}")
     if _inside(lam, pos):

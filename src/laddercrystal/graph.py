@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .partitions import Partition, _is_regular, all_partitions, check_count, check_ell, transpose
 from .rimhooks import _is_core
@@ -13,6 +13,7 @@ from .regular import (
     _is_ladder_node,
     _is_weak_ell_partition,
     _mullineux_level,
+    _regularize,
     regularize,
 )
 from .strings import _format
@@ -20,8 +21,7 @@ from .strings import _format
 Edge = tuple[Partition, Partition, int]
 
 
-@dataclass(frozen=True)
-class CrystalGraph:
+class CrystalGraph(NamedTuple):
     ell: int
     model: str
     depth: int
@@ -33,13 +33,27 @@ class CrystalGraph:
         return [lam for level in self.levels for lam in level]
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    ell: int
-    params: dict
-    checks: int = 0
-    failures: list[dict] = field(default_factory=list)
+    """The count of checks a suite ran and a record of each that failed."""
+
+    __slots__ = ("suite", "ell", "params", "checks", "failures")
+    __hash__ = None  # mutable
+
+    def __init__(self, suite: str, ell: int, params: dict, checks: int = 0, failures: list[dict] | None = None):
+        self.suite = suite
+        self.ell = ell
+        self.params = params
+        self.checks = checks
+        self.failures = [] if failures is None else failures
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.to_dict().items())
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
 
     @property
     def passed(self) -> bool:
@@ -234,7 +248,8 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
     gives every residue's reduced word, and each i-string is walked from
     that word one box per step; one hook grid for the core, ladder node
     and L-partition checks, with the ladder node test made at most once;
-    and a regularization per partition.
+    and one regularization per partition, in a table kept for its level,
+    since lam and lam' lie in the same level.
     The tables live only as long as the call; the Mullineux cache of
     `mullineux` is not touched.
     """
@@ -248,6 +263,7 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
     for n in range(nmax + 1):
         level = all_partitions(n)
         here = _mullineux_level((lam for lam in level if _is_regular(lam, ell)), below, ell)
+        reg = {lam: _regularize(lam, ell) for lam in level}
         for lam in level:
             jm = jm_table(lam, ell)
             core = _is_core(lam, ell)
@@ -261,9 +277,8 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
                 report.check(node, lam, None, "cores are ladder nodes", "not a node")
             if balanced:
                 report.check(node, lam, None, "L-partitions are ladder nodes", "not a node")
-            reg_transpose = regularize(transpose(lam), ell)
-            mull = here[regularize(lam, ell)]
-            ok = (mull == reg_transpose) == balanced
+            mull = here[reg[lam]]
+            ok = (mull == reg[transpose(lam)]) == balanced
             expected = f"mullineux(R(lam)) == R(lam') iff L-partition ({balanced})"
             report.check(ok, lam, None, expected, "" if ok else _format(mull))  # kept on failure only
             if lam in here:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .partitions import (
@@ -72,8 +71,7 @@ class FayersWitness(NamedTuple):
     col_mate: Box
 
 
-@dataclass(frozen=True)
-class JMDecomposition:
+class JMDecomposition(NamedTuple):
     """Skeleton (mu, r, s) plus hook multiplicities (rho, sigma) of a JM partition.
 
     mu is an ell-core whose first two rows and first two columns differ by

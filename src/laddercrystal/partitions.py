@@ -80,21 +80,37 @@ def check_ell(ell: int, minimum: int = 2) -> int:
     return ell
 
 
+def _is_int(value) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_residue(i: int, ell: int) -> int:
     """i as a residue mod ell, after checking ell; a bool is not a residue."""
     check_ell(ell)
-    if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < ell:
+    if not _is_int(i) or not 0 <= i < ell:
         raise ValueError(f"residue must be an integer in 0..{ell - 1}, got {i!r}")
     return i
 
 
 def check_count(name: str, value: int) -> int:
     """value as a non-negative count (a depth, a size bound, a weight); a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 0:
         raise ValueError(f"{name} must be non-negative, got {value!r}")
     return value
+
+
+def check_box(box: Box) -> Box:
+    """box as a (row, col) tuple of ints, whatever their range; a bool is not a coordinate."""
+    try:
+        row, col = box
+    except (TypeError, ValueError):
+        row = col = None
+    if not (_is_int(row) and _is_int(col)):
+        raise ValueError(f"a box is a (row, col) pair of integers, got {box!r}")
+    return row, col
 
 
 def size(lam: Partition) -> int:
@@ -103,7 +119,7 @@ def size(lam: Partition) -> int:
 
 def contains(lam: Partition, box: Box) -> bool:
     lam = check_partition(lam)
-    row, col = box
+    row, col = check_box(box)
     return 1 <= row <= len(lam) and 1 <= col <= lam[row - 1]
 
 
@@ -121,26 +137,28 @@ def transpose(lam: Partition) -> Partition:
     return tuple(sum(1 for p in lam if p >= c) for c in range(1, lam[0] + 1))
 
 
-def _require_box(lam: Partition, box: Box) -> None:
+def _require_box(lam: Partition, box: Box) -> tuple[Partition, Box]:
+    """lam and box, checked, once box is known to lie in lam's diagram."""
+    lam, box = check_partition(lam), check_box(box)
     if not contains(lam, box):
         raise BoxNotInDiagramError(f"box {box} not in diagram of {lam}")
+    return lam, box
 
 
 def arm(lam: Partition, box: Box) -> int:
     """Number of boxes strictly to the right of *box* in its row."""
-    _require_box(lam, box)
-    return lam[box[0] - 1] - box[1]
+    lam, (row, col) = _require_box(lam, box)
+    return lam[row - 1] - col
 
 
 def leg(lam: Partition, box: Box) -> int:
     """Number of boxes strictly below *box* in its column."""
-    _require_box(lam, box)
-    return transpose(lam)[box[1] - 1] - box[0]
+    lam, (row, col) = _require_box(lam, box)
+    return transpose(lam)[col - 1] - row
 
 
 def hook_length(lam: Partition, box: Box) -> int:
-    _require_box(lam, box)
-    row, col = box
+    lam, (row, col) = _require_box(lam, box)
     return (lam[row - 1] - col) + (transpose(lam)[col - 1] - row) + 1
 
 
@@ -157,7 +175,7 @@ def hook_grid(lam: Partition) -> tuple[tuple[int, ...], ...]:
 def residue(box: Box, ell: int) -> int:
     """(col - row) mod ell, normalized to 0..ell-1."""
     check_ell(ell)
-    row, col = box
+    row, col = check_box(box)
     return (col - row) % ell
 
 
@@ -168,15 +186,15 @@ def ladder_index(box: Box, ell: int) -> int:
     the residue (1 - k) mod ell.
     """
     check_ell(ell)
-    row, col = box
+    row, col = check_box(box)
     return row + (ell - 1) * (col - 1)
 
 
 def ladder_positions(k: int, ell: int) -> list[Box]:
     """Positions of ladder k in the first quadrant, topmost (smallest row) first."""
     check_ell(ell)
-    if k < 1:
-        raise ValueError(f"ladder index must be positive, got {k}")
+    if not _is_int(k) or k < 1:
+        raise ValueError(f"ladder index must be a positive integer, got {k!r}")
     top_col = (k - 1) // (ell - 1) + 1
     return [(k - (ell - 1) * (b - 1), b) for b in range(top_col, 0, -1)]
 
@@ -218,13 +236,13 @@ def removable_corners(lam: Partition) -> list[Box]:
 def addable_boxes(lam: Partition, i: int, ell: int) -> list[Box]:
     """Addable boxes of residue i, ordered top row first."""
     check_residue(i, ell)
-    return [b for b in addable_corners(check_partition(lam)) if residue(b, ell) == i]
+    return [(r, c) for r, c in addable_corners(check_partition(lam)) if (c - r) % ell == i]
 
 
 def removable_boxes(lam: Partition, i: int, ell: int) -> list[Box]:
     """Removable boxes of residue i, ordered top row first."""
     check_residue(i, ell)
-    return [b for b in removable_corners(check_partition(lam)) if residue(b, ell) == i]
+    return [(r, c) for r, c in removable_corners(check_partition(lam)) if (c - r) % ell == i]
 
 
 def add_box(lam: Partition, box: Box) -> Partition:

@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterable
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .partitions import (
     Box,
@@ -55,8 +55,7 @@ class NotRegularError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RegClass:
+class RegClass(NamedTuple):
     """All partitions sharing a regularization image."""
 
     representative: Partition  # the unique ell-regular member
@@ -106,7 +105,11 @@ def _assemble(lengths: list[int], widest: list[int], context: str) -> Partition:
 def regularize(lam: Partition, ell: int) -> Partition:
     """Slide the boxes of every ladder into that ladder's topmost positions."""
     check_ell(ell)
-    lam = check_partition(lam)
+    return _regularize(check_partition(lam), ell)
+
+
+def _regularize(lam: Partition, ell: int) -> Partition:
+    """regularize without the argument checks or the cache."""
     step = ell - 1
     tally = _ladder_tally(lam, ell)
     lengths = [0] * len(tally)

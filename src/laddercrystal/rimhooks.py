@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import bisect
 import operator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .partitions import (
@@ -39,8 +38,7 @@ class InvalidHookError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RimHook:
+class RimHook(NamedTuple):
     """A removable rim hook; boxes run along the rim from northeast to southwest."""
 
     boxes: tuple[Box, ...]

@@ -1,6 +1,6 @@
-"""The public boundary: every exported function that takes a partition
-rejects anything that is not one with ValueError, never a TypeError, an
-IndexError or a silent answer for a different partition."""
+"""The public boundary: every exported function that takes a partition, a
+box or a ladder index rejects anything that is not one with ValueError,
+never a TypeError, an IndexError or a silent answer for a different input."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import inspect
 import pytest
 
 import laddercrystal
+from laddercrystal.partitions import check_box, ladder_positions
 from laddercrystal.rimhooks import removable_rim_hooks
 
 # Not partitions: not iterable, not decreasing, a string read digit by digit,
@@ -16,6 +17,12 @@ from laddercrystal.rimhooks import removable_rim_hooks
 NOT_PARTITIONS = [None, 5, (1, 2), "21", [2.5]]
 
 PARTITION_PARAMS = {"lam", "mu", "core", "parts"}
+
+# Not boxes: fractional or bool coordinates (True would read as row 1), no
+# pair at all, a string read character by character, and the wrong length.
+NOT_BOXES = [(1.5, 1), (1, 2.0), (True, 1), (1, False), None, 5, "11", (1,), (1, 2, 3)]
+
+BOX_PARAMS = {"box", "pos"}
 
 # Valid values for the other parameters of the exported functions.
 OTHER_ARGS = {
@@ -29,18 +36,26 @@ OTHER_ARGS = {
 VALID = {"lam": (1,), "mu": (1,), "core": (1,), "parts": (1,)}
 
 
-def _takes_a_partition():
+def _takes(kinds):
     found = []
     for name in sorted(dir(laddercrystal)):
         fn = getattr(laddercrystal, name)
         if name.startswith("_") or not (inspect.isfunction(fn) or hasattr(fn, "cache_info")):
             continue  # classes, type aliases and constants
         params = list(inspect.signature(fn).parameters)
-        found += [(name, param) for param in params if param in PARTITION_PARAMS]
+        found += [(name, param) for param in params if param in kinds]
     return found
 
 
-CASES = _takes_a_partition()
+CASES = _takes(PARTITION_PARAMS)
+BOX_CASES = _takes(BOX_PARAMS)
+
+
+def _call_with(name, param, bad):
+    """The exported function name, with bad for param and valid values for the rest."""
+    fn = getattr(laddercrystal, name)
+    params = inspect.signature(fn).parameters
+    return fn(*[bad if p == param else VALID.get(p, OTHER_ARGS.get(p)) for p in params])
 
 
 def test_the_contract_covers_the_exported_partition_functions():
@@ -54,8 +69,34 @@ def test_the_contract_covers_the_exported_partition_functions():
 @pytest.mark.parametrize("bad", NOT_PARTITIONS, ids=repr)
 @pytest.mark.parametrize("name, param", CASES)
 def test_public_functions_reject_non_partitions(name, param, bad):
-    fn = getattr(laddercrystal, name)
-    params = inspect.signature(fn).parameters
-    args = [bad if p == param else VALID.get(p, OTHER_ARGS.get(p)) for p in params]
     with pytest.raises(ValueError):
-        fn(*args)
+        _call_with(name, param, bad)
+
+
+def test_the_contract_covers_the_exported_box_functions():
+    names = {name for name, _ in BOX_CASES}
+    assert {"contains", "arm", "leg", "hook_length", "residue", "ladder_index", "box_type"} <= names
+
+
+@pytest.mark.parametrize("bad", NOT_BOXES, ids=repr)
+@pytest.mark.parametrize("name, param", BOX_CASES)
+def test_public_functions_reject_non_boxes(name, param, bad):
+    with pytest.raises(ValueError):
+        _call_with(name, param, bad)
+
+
+@pytest.mark.parametrize("bad", [2.5, True, 0, -1, "3", None], ids=repr)
+def test_ladder_positions_rejects_non_ladder_indices(bad):
+    with pytest.raises(ValueError):
+        ladder_positions(bad, 3)
+
+
+def test_box_checks_keep_the_range_rules():
+    assert check_box([2, 3]) == (2, 3)
+    assert laddercrystal.contains((2, 1), (5, 5)) is False
+    assert laddercrystal.contains((2, 1), (0, 1)) is False
+    assert laddercrystal.box_type((2, 1), (0, 1)) == laddercrystal.box_type((2, 1), [0, 1])
+    with pytest.raises(ValueError):
+        laddercrystal.box_type((2, 1), (-1, 1))
+    assert laddercrystal.residue((-2, 3), 3) == 2
+    assert ladder_positions(3, 3) == [(1, 2), (3, 1)]
