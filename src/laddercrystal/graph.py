@@ -246,8 +246,9 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
     Apart from those lookups a check costs what its predicate costs, with
     no argument checks: one pass over the rows per partition and model
     gives every residue's reduced word, and each i-string is walked from
-    that word one box per step; one hook grid for the core, ladder node
-    and L-partition checks, with the ladder node test made at most once;
+    that word one box per step; the core check on the abacus and one hook
+    grid for the ladder node and L-partition checks, with the ladder node
+    test made at most once;
     and one regularization per partition, in a table kept for its level,
     since lam and lam' lie in the same level.
     The tables live only as long as the call; the Mullineux cache of

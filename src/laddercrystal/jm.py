@@ -44,7 +44,7 @@ from .partitions import (
     partitions_of,
     transpose,
 )
-from .rimhooks import HORIZONTAL, _ell_core, _is_core, _remove, _removable_rim_hooks
+from .rimhooks import _ell_core, _is_core
 
 
 class NotJMPartitionError(ValueError):
@@ -90,14 +90,9 @@ class JMDecomposition(NamedTuple):
 def star_condition(lam: Partition, ell: int) -> bool:
     """True when every column has all or none of its hook lengths divisible by ell."""
     check_ell(ell)
-    lam = check_partition(lam)
-    grid = hook_grid(lam)
-    cols = transpose(lam)
-    for col in range(1, len(cols) + 1):
-        flags = {grid[row - 1][col - 1] % ell == 0 for row in range(1, cols[col - 1] + 1)}
-        if len(flags) > 1:
-            return False
-    return True
+    grid = hook_grid(check_partition(lam))
+    top = grid[0] if grid else ()
+    return all((h % ell == 0) == (t % ell == 0) for hooks in grid for h, t in zip(hooks, top))
 
 
 def _runners(lam: Partition, ell: int) -> tuple[list[int], list[int], list[int], list[int]]:
@@ -267,60 +262,45 @@ def _core_frame(core: Partition, ell: int) -> tuple[Partition, int, int]:
 
 
 def decompose_jm(lam: Partition, ell: int) -> JMDecomposition:
-    """Record, per row and column, the hooks removed in passing to the core.
+    """The inverse of compose_jm: lam's ell-core fixes the frame (mu, r, s).
 
-    Horizontal hooks are removed first (topmost first), then vertical ones
-    (leftmost first); for a JM partition the tallies are order-independent.
+    Horizontal hooks lengthen the first r + 1 rows of the frame by rho_i
+    hooks each, and vertical hooks then lengthen the first s + 1 columns by
+    sigma_j hooks each.  A vertical hook reaches those rows only when mu is
+    empty and rho_r = 0, and then puts a single box (fewer than ell) on row
+    r + 1, so rho_i is (lam_i - F_i) // ell for the frame rows F, and sigma_j
+    is the excess of lam's column j over the columns of F plus rho.  Costs
+    O(|lam|), whatever the weight.
     """
     check_ell(ell, minimum=3)
     lam = check_partition(lam)
     if not _is_jm(lam, ell):
         raise NotJMPartitionError(f"{lam} is not ({ell},0)-JM")
-    rho_count: dict[int, int] = {}
-    sigma_count: dict[int, int] = {}
-    cur = lam
-    while True:
-        hooks = _removable_rim_hooks(cur, ell)
-        if not hooks:
-            break
-        horizontal = [h for h in hooks if h.shape == HORIZONTAL]
-        if horizontal:
-            hook = horizontal[0]
-            row = hook.boxes[0][0]
-            rho_count[row] = rho_count.get(row, 0) + 1
-        else:
-            hook = min(hooks, key=lambda h: h.boxes[0][1])
-            col = hook.boxes[0][1]
-            sigma_count[col] = sigma_count.get(col, 0) + 1
-        cur = _remove(cur, hook)
-    mu, r, s = _core_frame(cur, ell)
-    rho = _tally_to_partition(rho_count)
-    sigma = _tally_to_partition(sigma_count)
-    if len(rho) > r + 1 or len(sigma) > s + 1:
-        raise AssertionError(f"hook tallies escape the frame for {lam}: {rho}, {sigma}")
+    mu, r, s = _core_frame(_ell_core(lam, ell).core, ell)
+    rows = _frame_rows(mu, r, s, ell) + [0] * (r + 1)
+    padded = lam + (0,) * (r + 1)
+    rho = check_partition([(padded[i] - rows[i]) // ell for i in range(r + 1)])
+    for i, mult in enumerate(rho):
+        rows[i] += mult * ell
+    cols = transpose(lam) + (0,) * (s + 1)
+    sigma = check_partition([(cols[j] - sum(p > j for p in rows)) // ell for j in range(s + 1)])
+    if _compose(mu, r, s, rho, sigma, ell) != lam:
+        raise AssertionError(f"the decomposition of {lam} does not compose back: {mu, r, s, rho, sigma}")
     return JMDecomposition(mu, r, s, rho, sigma)
-
-
-def _tally_to_partition(count: dict[int, int]) -> Partition:
-    if not count:
-        return ()
-    parts = tuple(count.get(i, 0) for i in range(1, max(count) + 1))
-    return check_partition(parts)
 
 
 def _validate_decomposition(dec: JMDecomposition, ell: int) -> JMDecomposition:
     mu = check_partition(dec.mu)
     rho = check_partition(dec.rho)
     sigma = check_partition(dec.sigma)
-    r, s = dec.r, dec.s
-    if r < 0 or s < 0:
-        raise InvalidDecompositionError(f"r and s must be non-negative: {dec}")
+    try:
+        r, s = check_count("r", dec.r), check_count("s", dec.s)
+    except ValueError as exc:
+        raise InvalidDecompositionError(f"{exc}: {dec}") from None
     if not _is_core(mu, ell):
         raise InvalidDecompositionError(f"mu must be an {ell}-core: {mu}")
-    mu_t = transpose(mu)
-    row_diff = (mu[0] - (mu[1] if len(mu) > 1 else 0)) if mu else 0
-    col_diff = (mu_t[0] - (mu_t[1] if len(mu_t) > 1 else 0)) if mu_t else 0
-    if row_diff >= ell - 1 or col_diff >= ell - 1:
+    # a core's leading differences are at most ell - 1, so "< ell - 1" is "!= ell - 1"
+    if _leading_run(mu, ell) or _leading_run(transpose(mu), ell):
         raise InvalidDecompositionError(
             f"mu must have leading row and column differences < {ell - 1}: {mu}"
         )

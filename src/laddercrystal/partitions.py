@@ -131,10 +131,12 @@ def boxes(lam: Partition) -> Iterator[Box]:
 
 @partition_cache
 def transpose(lam: Partition) -> Partition:
+    """Column lengths: row i is the last row of columns lam_{i+1} + 1 .. lam_i.  O(len(lam) + lam_1)."""
     lam = check_partition(lam)
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p >= c) for c in range(1, lam[0] + 1))
+    cols: list[int] = []
+    for i in range(len(lam), 0, -1):
+        cols += [i] * (lam[i - 1] - len(cols))
+    return tuple(cols)
 
 
 def _require_box(lam: Partition, box: Box) -> tuple[Partition, Box]:

@@ -41,7 +41,6 @@ from .partitions import (
     check_partition,
     hook_grid,
     partition_cache,
-    transpose,
 )
 from .crystal import CLASSICAL, ReducedWord, _cancel, _signatures, apply_e, apply_f, reduced_word
 from .jm import _is_jm
@@ -305,11 +304,9 @@ def is_ladder_node(lam: Partition, ell: int) -> bool:
 
 
 def _is_L_partition(lam: Partition, ell: int) -> bool:
-    grid = hook_grid(lam)
-    cols = transpose(lam)
-    for row, (hooks, part) in enumerate(zip(grid, lam), start=1):
+    for hooks, part in zip(hook_grid(lam), lam):
         for col, h in enumerate(hooks, start=1):
-            if not h % ell and h // ell <= min(part - col, cols[col - 1] - row):
+            if not h % ell and h // ell <= min(part - col, h - 1 - part + col):  # arm, leg
                 return False
     return True
 
@@ -385,12 +382,11 @@ def _mullineux_level(
 
 
 @functools.lru_cache(maxsize=None)
-def _mullineux(lam: Partition, ell: int, largest: bool) -> Partition:
-    residues = range(ell - 1, -1, -1) if largest else range(ell)
+def _mullineux(lam: Partition, ell: int) -> Partition:
     peeled = []
     cur = lam
     while cur:
-        i, word = _live_word(cur, residues, ell)
+        i, word = _live_word(cur, range(ell), ell)
         eps = len(word.minus)
         peeled.append((i, eps))
         cur = apply_e(cur, word, eps)
@@ -420,4 +416,4 @@ def mullineux(lam: Partition, ell: int) -> Partition:
     lam = check_partition(lam)
     if not _is_regular(lam, ell):
         raise NotRegularError(f"{lam} is not {ell}-regular")
-    return _mullineux(lam, ell, largest=False)
+    return _mullineux(lam, ell)

@@ -9,9 +9,10 @@ and its leg is the number of beads passed, at most ell - 1.  Sliding the
 beads of each runner (residue class mod ell) as far up as they go gives the
 ell-core, and the number of slides is the ell-weight.
 
-So no hook-length grid is built (only is_core uses one): finding the hooks
-costs about ell^2 per distinct part of lam, removing one costs a tuple
-slice, and a core costs O(n log n + ell) for n rows, whatever the weight.
+So no hook-length grid is built: finding the hooks costs about ell^2 per
+distinct part of lam, removing one costs a tuple slice, a core costs
+O(n log n + ell) for n rows, and testing for a core (weight 0) costs O(n),
+whatever the weight.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .partitions import (
     Partition,
     check_ell,
     check_partition,
-    hook_grid,
     partition_cache,
 )
 
@@ -50,6 +50,11 @@ class RimHook(NamedTuple):
     @property
     def box_set(self) -> frozenset[Box]:
         return frozenset(self.boxes)
+
+
+# NamedTuple's _make, which _replace calls, compares len() with the field
+# count, but len() counts boxes here; a NamedTuple body may not override it.
+RimHook._make = classmethod(lambda cls, fields: cls(*fields))
 
 
 class CoreResult(NamedTuple):
@@ -136,7 +141,8 @@ def remove_rim_hook(lam: Partition, hook: RimHook) -> Partition:
     raise InvalidHookError(f"{hook} is not a removable rim hook of {lam}")
 
 
-def _ell_core(lam: Partition, ell: int) -> CoreResult:
+def _packed_runners(lam: Partition, ell: int) -> tuple[list[int], int]:
+    """The bead count of each runner and the number of slides that pack them up."""
     n = len(lam)
     packed = [0] * ell  # beads seen so far on each runner
     weight = 0
@@ -144,6 +150,12 @@ def _ell_core(lam: Partition, ell: int) -> CoreResult:
         level, runner = divmod(lam[s] + n - 1 - s, ell)
         weight += level - packed[runner]
         packed[runner] += 1
+    return packed, weight
+
+
+def _ell_core(lam: Partition, ell: int) -> CoreResult:
+    n = len(lam)
+    packed, weight = _packed_runners(lam, ell)
     beads = sorted(
         (runner + ell * level for runner, k in enumerate(packed) for level in range(k)),
         reverse=True,
@@ -166,11 +178,11 @@ def ell_core(lam: Partition, ell: int) -> CoreResult:
 
 
 def _is_core(lam: Partition, ell: int) -> bool:
-    return not any(h % ell == 0 for row in hook_grid(lam) for h in row)
+    return _packed_runners(lam, ell)[1] == 0
 
 
 def is_core(lam: Partition, ell: int) -> bool:
-    """True when no hook length is divisible by ell."""
+    """True when no hook length is divisible by ell: no bead can slide up its runner."""
     check_ell(ell)
     return _is_core(check_partition(lam), ell)
 

@@ -1,15 +1,31 @@
 """Test oracles computed without the crystal operators: expected crystal
-levels and the Mullineux symbol."""
+levels and the Mullineux symbol; and the Mullineux map peeled by the largest
+live residue instead of the smallest."""
 
 from __future__ import annotations
 
+from laddercrystal.crystal import CLASSICAL, apply_e, apply_f, reduced_word
 from laddercrystal.partitions import Partition, all_partitions, check_partition, is_regular
-from laddercrystal.regular import deregularize
+from laddercrystal.regular import _live_word, deregularize
 
 
 def regular_counts(ell: int, nmax: int) -> list[int]:
     """Number of ell-regular partitions of each n through nmax."""
     return [sum(1 for lam in all_partitions(n) if is_regular(lam, ell)) for n in range(nmax + 1)]
+
+
+def mullineux_by_largest_residue(lam: Partition, ell: int) -> Partition:
+    """m(lam) as mullineux computes it, but peeling whole strings of the
+    largest live residue: any live residue gives the same image."""
+    peeled = []
+    while lam:
+        i, word = _live_word(lam, range(ell - 1, -1, -1), ell)
+        peeled.append((i, len(word.minus)))
+        lam = apply_e(lam, word, len(word.minus))
+    image: Partition = ()
+    for i, eps in reversed(peeled):
+        image = apply_f(image, reduced_word(image, (-i) % ell, ell, CLASSICAL), eps)
+    return image
 
 
 def ladder_node_levels(ell: int, nmax: int) -> list[set[Partition]]:

@@ -53,7 +53,6 @@ from laddercrystal.partitions import (
 )
 from laddercrystal.regular import (
     UNLOCKED,
-    _mullineux,
     deregularize,
     is_L_partition,
     is_ladder_node,
@@ -64,7 +63,7 @@ from laddercrystal.regular import (
     regularize,
 )
 
-from helpers import regular_counts
+from helpers import mullineux_by_largest_residue, regular_counts
 
 BIG_JM = (15, 10, 8, 6, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1)
 
@@ -292,7 +291,7 @@ def test_criterion_5_mullineux_suite():
                 image = mullineux(lam, 3)
                 assert sum(image) == n, lam
                 assert mullineux(image, 3) == lam, lam
-                assert _mullineux(lam, 3, largest=True) == image, lam
+                assert mullineux_by_largest_residue(lam, 3) == image, lam
             if is_L_partition(lam, 3):
                 assert mullineux(regularize(lam, 3), 3) == regularize(transpose(lam), 3), lam
     elapsed = time.monotonic() - t0

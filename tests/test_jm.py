@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import random
 import time
 
@@ -41,6 +42,7 @@ from laddercrystal.jm import (
 from laddercrystal.rimhooks import (
     HORIZONTAL,
     VERTICAL,
+    _removable_rim_hooks,
     _remove,
     adjacent,
     ell_core,
@@ -330,6 +332,19 @@ def test_star_condition_golden():
     assert not star_condition((2, 2, 2, 1, 1, 1), 3)
 
 
+@pytest.mark.parametrize("ell", [2, 3, 4, 5])
+def test_star_condition_matches_a_column_scan(ell):
+    # each column's hook lengths, written out from arm and leg
+    for n in range(15):
+        for lam in all_partitions(n):
+            cols = transpose(lam)
+            expected = all(
+                len({(lam[row] - col - 1 + cols[col] - row) % ell == 0 for row in range(cols[col])}) == 1
+                for col in range(len(cols))
+            )
+            assert star_condition(lam, ell) == expected, lam
+
+
 @pytest.mark.parametrize("ell", [3, 4])
 def test_ell_partition_is_regular_plus_star(ell):
     for n in range(0, 11):
@@ -343,6 +358,65 @@ def test_decompose_golden():
     dec = decompose_jm(lam, 3)
     assert dec == JMDecomposition(mu=(1,), r=3, s=2, rho=(2, 1, 1, 1), sigma=(2, 1))
     assert compose_jm(dec, 3) == lam
+
+
+def _reference_decompose(lam, ell):
+    """Remove rim hooks down to the core and tally them: horizontal hooks
+    first (topmost first) by the row of their northeast box, then vertical
+    ones (leftmost first) by its column; for a JM partition the tallies do
+    not depend on the order."""
+    rho_count, sigma_count = {}, {}
+    cur = lam
+    while hooks := removable_rim_hooks(cur, ell):
+        horizontal = [h for h in hooks if h.shape == HORIZONTAL]
+        if horizontal:
+            hook = horizontal[0]
+            row = hook.boxes[0][0]
+            rho_count[row] = rho_count.get(row, 0) + 1
+        else:
+            hook = min(hooks, key=lambda h: h.boxes[0][1])
+            col = hook.boxes[0][1]
+            sigma_count[col] = sigma_count.get(col, 0) + 1
+        cur = _remove(cur, hook)
+    mu, r, s = _core_frame(cur, ell)
+    rho = tuple(rho_count.get(i, 0) for i in range(1, max(rho_count, default=0) + 1))
+    sigma = tuple(sigma_count.get(j, 0) for j in range(1, max(sigma_count, default=0) + 1))
+    assert len(rho) <= r + 1 and len(sigma) <= s + 1, (lam, rho, sigma)
+    return JMDecomposition(mu, r, s, rho, sigma)
+
+
+@pytest.mark.parametrize("ell,nmax", [(3, 18), (4, 16), (5, 16)])
+def test_decompose_matches_the_removal_walk(ell, nmax):
+    members = [lam for n in range(nmax + 1) for lam in all_partitions(n) if is_jm(lam, ell)]
+    for lam in members:
+        assert decompose_jm(lam, ell) == _reference_decompose(lam, ell), lam
+    # hooks on several rows, hooks of both kinds, and the one case where a
+    # vertical hook puts a box on a row of the frame (mu empty, sigma_s > 0)
+    decs = [decompose_jm(lam, ell) for lam in members]
+    assert len(decs) == {3: 294, 4: 232, 5: 289}[ell]
+    assert any(len(d.rho) > 1 for d in decs)
+    assert any(d.rho and d.sigma for d in decs)
+    assert any(not d.mu and len(d.sigma) == d.s + 1 for d in decs)
+
+
+def test_decompose_removes_no_rim_hooks(monkeypatch):
+    # the walk called _removable_rim_hooks once per unit of weight plus one
+    calls = 0
+
+    def counted(lam, ell):
+        nonlocal calls
+        calls += 1
+        return _removable_rim_hooks(lam, ell)
+
+    for name in ("rimhooks", "jm"):
+        module = importlib.import_module(f"laddercrystal.{name}")
+        if hasattr(module, "_removable_rim_hooks"):
+            monkeypatch.setattr(module, "_removable_rim_hooks", counted)
+    dec = JMDecomposition(mu=(1,), r=3, s=2, rho=(900, 300, 20, 1), sigma=(40, 3))
+    lam = compose_jm(dec, 3)
+    assert len(lam) > 100 and ell_core(lam, 3).weight == 1264
+    assert decompose_jm(lam, 3) == dec
+    assert calls == 0
 
 
 def test_hereditary_checks_at_large_weight():
@@ -376,6 +450,15 @@ def test_compose_rejects_double_full_arms_on_empty_mu():
     # with no sub-partition, boxes cannot pile onto both the last row and column
     with pytest.raises(InvalidDecompositionError):
         compose_jm(JMDecomposition((), 0, 1, (1,), (1, 1)), 3)
+
+
+@pytest.mark.parametrize("field", ["r", "s"])
+@pytest.mark.parametrize("value", [1.5, True, False, "1", None, -1])
+def test_compose_rejects_non_count_frames(field, value):
+    # r=1.5 raised TypeError, and r=True was read as 1 and returned (2,)
+    dec = JMDecomposition((), 0, 0, (), ())._replace(**{field: value})
+    with pytest.raises(InvalidDecompositionError, match=f"{field} must be"):
+        compose_jm(dec, 3)
 
 
 def test_decompose_rejects_non_jm():

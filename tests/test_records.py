@@ -87,6 +87,21 @@ def test_rim_hook_length_is_its_box_count():
     assert hook.box_set == frozenset({(1, 3), (1, 2), (2, 2)})
 
 
+@pytest.mark.parametrize("count", [1, 2, 3, 5])
+def test_rim_hook_replace_and_make_take_any_box_count(count):
+    # _make checked len(), which counts boxes, so a 3-box hook raised
+    # "TypeError: Expected 2 arguments, got 3"
+    hook = RimHook(tuple((1, col) for col in range(count, 0, -1)), "horizontal")
+    turned = hook._replace(shape="vertical")
+    assert turned == RimHook(hook.boxes, "vertical") and len(turned) == count
+    assert RimHook._make([hook.boxes, "horizontal"]) == hook
+    assert hook._replace(boxes=((1, 1),)) == RimHook(((1, 1),), "horizontal")
+    with pytest.raises(TypeError):
+        RimHook._make([hook.boxes])
+    with pytest.raises(ValueError):
+        hook._replace(size=count)
+
+
 def test_signature_word_iterates_its_entries():
     word = SignatureWord(ENTRIES, "ladder")
     assert list(word) == list(ENTRIES)

@@ -37,13 +37,12 @@ from laddercrystal.regular import (
     ladder_counts,
     lock_labels,
     mullineux,
-    _mullineux,
     _mullineux_level,
     reg_class,
     regularize,
 )
 
-from helpers import mullineux_image_symbol, mullineux_symbol
+from helpers import mullineux_by_largest_residue, mullineux_image_symbol, mullineux_symbol
 from strategies import partitions, moduli, jm_moduli
 
 
@@ -431,7 +430,7 @@ def test_mullineux_involution_and_choice_independence(ell):
             assert size(image) == n
             assert is_regular(image, ell)
             assert mullineux(image, ell) == lam
-            assert _mullineux(lam, ell, True) == image
+            assert mullineux_by_largest_residue(lam, ell) == image
 
 
 # Reference Mullineux map, box by box: peel one good box per step and replay
@@ -485,7 +484,7 @@ def test_mullineux_matches_one_box_reference(ell, nmax):
     for lam in _regular_partitions(ell, nmax):
         expected = _reference_mullineux(lam, ell)
         assert mullineux(lam, ell) == expected, lam
-        assert _mullineux(lam, ell, True) == expected, lam
+        assert mullineux_by_largest_residue(lam, ell) == expected, lam
 
 
 @pytest.mark.parametrize("ell", [3, 4])
@@ -494,7 +493,7 @@ def test_mullineux_matches_one_box_reference_on_large_partitions(ell):
         assert is_regular(lam, ell) and 300 < size(lam) <= 4096, lam
         expected = _reference_mullineux(lam, ell)
         assert mullineux(lam, ell) == expected, lam
-        assert _mullineux(lam, ell, True) == expected, lam
+        assert mullineux_by_largest_residue(lam, ell) == expected, lam
 
 
 @pytest.mark.parametrize("ell,nmax", [(3, 18), (4, 16), (5, 16)])
