@@ -88,7 +88,7 @@ def build_crystal(ell: int, depth: int, model: str = CLASSICAL) -> CrystalGraph:
     check_model(model)
     levels: list[tuple[Partition, ...]] = [((),)]
     edges: list[Edge] = []
-    for _ in range(depth):
+    for _ in range(depth):  # levels are sorted, so edges come out by (level, source, residue)
         frontier: set[Partition] = set()
         for lam in levels[-1]:
             for i, word in enumerate(reduced_words(lam, ell, model)):
@@ -97,7 +97,6 @@ def build_crystal(ell: int, depth: int, model: str = CLASSICAL) -> CrystalGraph:
                     edges.append((lam, mu, i))
                     frontier.add(mu)
         levels.append(tuple(sorted(frontier)))
-    edges.sort(key=lambda e: (sum(e[0]), e[0], e[2]))
     return CrystalGraph(ell=ell, model=model, depth=depth, levels=tuple(levels), edges=tuple(edges))
 
 

@@ -6,24 +6,28 @@ another.  Equivalently (and this module checks both sides) it is a
 "generalized ell-partition": every removable ell-rim hook, hereditarily, is a
 horizontal or vertical strip, and opposite-orientation hooks never touch.
 
-The hereditary side is read off James's abacus (see rimhooks), with every
-negative position a bead.  Removing a rim hook moves one bead one level down
-its runner, so the partitions reachable by removals are the product, over
-the runners, of the bead sets M with M_i <= L_i, where L and M list a
-runner's bead levels in ascending order.  A runner can hold a bead at level
-t exactly when t is at most its top bead, and a gap exactly when t is at
-least its packed prefix (the beads with no gap below, which never move).  A
-hook from a bead at level k of runner j, into the gap at k-1, passes one
-position of every other runner, its window: level k on the runners below j
-and level k-1 on those above.  It is horizontal when its window holds only
-gaps and vertical when it holds only beads.  Two hooks of opposite
-orientation, the second exposed by removing the first, touch exactly when
-their northeast boxes' contents differ by ell: the second moves the same
-bead once more, or moves the bead one level above into the vacated place.
-Each condition on reachable partitions is then a few bounds on level k per
-pair of runners, so both hereditary checks cost O(len(lam) + ell^3) for the
-abacus and the bounds, whatever the weight, instead of a walk over every
-partition that removals reach.
+The hereditary side is read off James's abacus: rimhooks._abacus lists each
+runner's bead levels, and every negative position is a bead.  Removing a rim
+hook moves one bead one level down its runner, so the partitions reachable
+by removals are the product, over the runners, of the bead sets M with
+M_i <= L_i, where L and M list a runner's bead levels in ascending order.  A
+runner can hold a bead at level t exactly when t is at most its top bead,
+and a gap exactly when t is at least its packed prefix (the beads with no
+gap below, which never move).  A hook from a bead at level k of runner j,
+into the gap at k-1, passes one position of every other runner, its window:
+level k on the runners below j and level k-1 on those above.  It is
+horizontal when its window holds only gaps and vertical when it holds only
+beads.  Two hooks of opposite orientation, the second exposed by removing
+the first, touch exactly when their northeast boxes' contents differ by ell:
+the second moves the same bead once more, or moves the bead one level above
+into the vacated place.  Each condition on reachable partitions is then a
+few bounds on level k per pair of runners, so both hereditary checks cost
+O(len(lam) + ell^3) for the abacus and the bounds, whatever the weight,
+instead of a walk over every partition that removals reach.
+
+By Fayers's proof of the James-Mathas conjecture, a JM partition is its core
+plus rho_i horizontal hooks on row i + 1 and sigma_j vertical ones on column
+j + 1, rho and sigma bounded by the core's frame; it is composed on that core.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .partitions import (
     partitions_of,
     transpose,
 )
-from .rimhooks import _ell_core, _is_core
+from .rimhooks import _abacus, _ell_core, _is_core
 
 
 class NotJMPartitionError(ValueError):
@@ -99,24 +103,15 @@ def _runners(lam: Partition, ell: int) -> tuple[list[int], list[int], list[int],
     """What the reachable bead sets of each abacus runner of lam can hold,
     as four lists indexed by runner: packed, packed2, top, second.
 
-    Every negative position is a bead.  packed: the beads at levels 0, 1,
-    ... with no gap below; level t can be a gap exactly when t >= packed.
-    packed2: the index of the lowest bead with two gaps below it (the bead
-    count when none has).  top, second: the highest two bead levels (-1 when
-    missing); level t can hold a bead exactly when t <= top.
-
-    Rows are padded with zero parts to a multiple of ell, so row r (0-based)
-    of n carries the bead lam[r] + n - 1 - r at level (bead // ell) of
-    runner (bead % ell).  A bead's slack, its level minus its index on the
-    runner, counts the gaps below it and never decreases up the runner.
+    packed: the beads at levels 0, 1, ... with no gap below; level t can be
+    a gap exactly when t >= packed.  packed2: the index of the lowest bead
+    with two gaps below it (the bead count when none has).  top, second:
+    the highest two bead levels (-1 when missing); level t can hold a bead
+    exactly when t <= top.  A bead's slack, its level minus its index on
+    the runner, counts the gaps below it and never decreases up the runner.
     """
-    n = -(-len(lam) // ell) * ell
-    levels: list[list[int]] = [[] for _ in range(ell)]
-    for r in range(n - 1, -1, -1):  # beads in increasing position
-        level, runner = divmod((lam[r] if r < len(lam) else 0) + n - 1 - r, ell)
-        levels[runner].append(level)
     packed, packed2, top, second = [], [], [], []
-    for beads in levels:
+    for beads in _abacus(lam, ell):
         slack = [level - i for i, level in enumerate(beads)]
         packed.append(bisect.bisect_left(slack, 1))
         packed2.append(bisect.bisect_left(slack, 2))
@@ -244,47 +239,39 @@ def is_generalized_ell_partition(lam: Partition, ell: int) -> bool:
 
 def _leading_run(nu: Partition, ell: int) -> int:
     """Number of leading parts with successive difference exactly ell-1."""
-    r = 0
-    while True:
-        cur = nu[r] if r < len(nu) else 0
-        nxt = nu[r + 1] if r + 1 < len(nu) else 0
-        if cur - nxt != ell - 1:
-            return r
-        r += 1
+    diffs = [a - b for a, b in zip(nu, nu[1:] + (0,))]
+    return next((r for r, d in enumerate(diffs) if d != ell - 1), len(diffs))
 
 
 def _core_frame(core: Partition, ell: int) -> tuple[Partition, int, int]:
     """Strip the leading difference-(ell-1) rows and columns off a core."""
     r = _leading_run(core, ell)
     s = _leading_run(transpose(core), ell)
-    mu = tuple(p - s for p in core[r:] if p - s > 0)
-    return check_partition(mu), r, s
+    return tuple(p - s for p in core[r:] if p > s), r, s
 
 
 def decompose_jm(lam: Partition, ell: int) -> JMDecomposition:
     """The inverse of compose_jm: lam's ell-core fixes the frame (mu, r, s).
 
-    Horizontal hooks lengthen the first r + 1 rows of the frame by rho_i
+    Horizontal hooks lengthen the first r + 1 rows of the core by rho_i
     hooks each, and vertical hooks then lengthen the first s + 1 columns by
     sigma_j hooks each.  A vertical hook reaches those rows only when mu is
     empty and rho_r = 0, and then puts a single box (fewer than ell) on row
-    r + 1, so rho_i is (lam_i - F_i) // ell for the frame rows F, and sigma_j
-    is the excess of lam's column j over the columns of F plus rho.  Costs
-    O(|lam|), whatever the weight.
+    r + 1, so rho_i is (lam_i - core_i) // ell, and sigma_j is the excess of
+    lam's column j over that of the core plus rho.  Costs O(|lam|),
+    whatever the weight.
     """
     check_ell(ell, minimum=3)
     lam = check_partition(lam)
     if not _is_jm(lam, ell):
         raise NotJMPartitionError(f"{lam} is not ({ell},0)-JM")
-    mu, r, s = _core_frame(_ell_core(lam, ell).core, ell)
-    rows = _frame_rows(mu, r, s, ell) + [0] * (r + 1)
-    padded = lam + (0,) * (r + 1)
-    rho = check_partition([(padded[i] - rows[i]) // ell for i in range(r + 1)])
-    for i, mult in enumerate(rho):
-        rows[i] += mult * ell
-    cols = transpose(lam) + (0,) * (s + 1)
-    sigma = check_partition([(cols[j] - sum(p > j for p in rows)) // ell for j in range(s + 1)])
-    if _compose(mu, r, s, rho, sigma, ell) != lam:
+    core = _ell_core(lam, ell).core
+    mu, r, s = _core_frame(core, ell)
+    pad = (0,) * (r + s + 2)
+    rho = check_partition([(a - b) // ell for a, b in zip((lam + pad)[: r + 1], core + pad)])
+    cols = transpose(_compose(core, rho, (), ell)) + pad
+    sigma = check_partition([(a - b) // ell for a, b in zip((transpose(lam) + pad)[: s + 1], cols)])
+    if _compose(core, rho, sigma, ell) != lam:
         raise AssertionError(f"the decomposition of {lam} does not compose back: {mu, r, s, rho, sigma}")
     return JMDecomposition(mu, r, s, rho, sigma)
 
@@ -325,18 +312,18 @@ def _frame_rows(mu: Partition, r: int, s: int, ell: int) -> list[int]:
 
 
 def compose_jm(dec: JMDecomposition, ell: int) -> Partition:
-    """Rebuild the JM partition from its decomposition."""
+    """Rebuild the JM partition from its decomposition, on the core of its frame."""
     check_ell(ell, minimum=3)
     dec = _validate_decomposition(dec, ell)
-    return _compose(dec.mu, dec.r, dec.s, dec.rho, dec.sigma, ell)
+    return _compose(tuple(_frame_rows(dec.mu, dec.r, dec.s, ell)), dec.rho, dec.sigma, ell)
 
 
-def _compose(mu: Partition, r: int, s: int, rho: Partition, sigma: Partition, ell: int) -> Partition:
-    """compose_jm, unchecked: hooks added to weakly decreasing rows (then columns) always stack."""
-    rows = _frame_rows(mu, r, s, ell) + [0] * (r + 1)
+def _compose(core: Partition, rho: Partition, sigma: Partition, ell: int) -> Partition:
+    """Add rho_i hooks to row i + 1 of the core, then sigma_j to column j + 1; they always stack."""
+    rows = list(core) + [0] * len(rho)
     for i, mult in enumerate(rho):
         rows[i] += mult * ell
-    cols = list(transpose(tuple(p for p in rows if p))) + [0] * (s + 1)
+    cols = list(transpose(tuple(p for p in rows if p))) + [0] * len(sigma)
     for j, mult in enumerate(sigma):
         cols[j] += mult * ell
     return transpose(tuple(p for p in cols if p))
@@ -356,36 +343,33 @@ def _pair_count(w: int, rows: int, cols: int) -> int:
     return sum(a * b for a, b in zip(_partitions_at_most(w, rows), reversed(_partitions_at_most(w, cols))))
 
 
-def count_jm(core: Partition, w: int, ell: int) -> int:
-    """Number of JM partitions with the given core and weight w.
-
-    With r, s read off the core, the count is the number of pairs (rho, sigma)
-    of total size w with len(rho) <= r+1 and len(sigma) <= s+1; when the core
-    is the bare frame (core[r] == s, i.e. mu is empty) pairs using both extra
-    slots are excluded, which inclusion-exclusion handles below.
-    """
+def _checked_frame(core: Partition, w: int, ell: int) -> tuple[Partition, Partition, int, int]:
+    """core and its frame (mu, r, s), once the modulus, the core and the weight are checked."""
     check_ell(ell, minimum=3)
     core = check_partition(core)
     check_count("weight", w)
     if not _is_core(core, ell):
         raise NotACoreError(f"{core} is not an {ell}-core")
-    mu, r, s = _core_frame(core, ell)
-    nu_next = core[r] if r < len(core) else 0
-    if nu_next < s:
-        raise AssertionError(f"core frame reading failed for {core}")
-    if nu_next > s:
+    return (core, *_core_frame(core, ell))
+
+
+def count_jm(core: Partition, w: int, ell: int) -> int:
+    """Number of JM partitions with the given core and weight w.
+
+    With the frame (mu, r, s) read off the core, the count is the number of
+    pairs (rho, sigma) of total size w with len(rho) <= r+1 and
+    len(sigma) <= s+1; when mu is empty (the core is the bare frame) pairs
+    using both extra slots are excluded, which inclusion-exclusion handles.
+    """
+    core, mu, r, s = _checked_frame(core, w, ell)
+    if mu:
         return _pair_count(w, r + 1, s + 1)
     return _pair_count(w, r + 1, s) + _pair_count(w, r, s + 1) - _pair_count(w, r, s)
 
 
 def enumerate_jm(core: Partition, w: int, ell: int) -> list[Partition]:
     """All JM partitions with the given core and weight, largest-first; builds only what it returns."""
-    check_ell(ell, minimum=3)
-    core = check_partition(core)
-    check_count("weight", w)
-    if not _is_core(core, ell):
-        raise NotACoreError(f"{core} is not an {ell}-core")
-    mu, r, s = _core_frame(core, ell)
+    core, mu, r, s = _checked_frame(core, w, ell)
     out = []
     for t in range(w + 1):
         sigmas = [transpose(p) for p in partitions_of(w - t, s + 1)]
@@ -393,7 +377,7 @@ def enumerate_jm(core: Partition, w: int, ell: int) -> list[Partition]:
             for sigma in sigmas:
                 if not mu and len(rho) == r + 1 and len(sigma) == s + 1:
                     continue
-                lam = _compose(mu, r, s, rho, sigma, ell)
+                lam = _compose(core, rho, sigma, ell)
                 if not _is_jm(lam, ell):
                     raise AssertionError(f"composed partition fails the JM check: {lam}")
                 if _ell_core(lam, ell) != (core, w):

@@ -35,7 +35,7 @@ def check_partition(parts: Iterable[int]) -> Partition:
     memory in sweeps), and both checks are C-level passes, since the public
     operators check every call.
     """
-    if type(parts) is tuple and set(map(type, parts)) <= {int}:
+    if type(parts) is tuple and {int}.issuperset(map(type, parts)):
         lam = parts
     else:
         try:
@@ -56,16 +56,16 @@ def check_partition(parts: Iterable[int]) -> Partition:
 def partition_cache(fn):
     """An unbounded lru_cache on fn(lam, ...) that also takes lists.
 
-    A tuple goes straight to the cache, so a hit costs no check; fn must
-    check lam itself, which then runs only on a miss.  Anything else is
-    checked (and made a tuple) before the cache hashes it.  Arguments may
-    be passed by keyword, lam included, as to fn itself.
+    A tuple of ints goes straight to the typed cache (2.0 and True never hit
+    the entries of 2 and 1), so a hit costs only a type scan; fn must check
+    lam itself, on a miss.  Anything else is checked (and made a tuple)
+    before the cache hashes it.  Arguments may be passed by keyword.
     """
-    cached = functools.lru_cache(maxsize=None)(fn)
+    cached = functools.lru_cache(maxsize=None, typed=True)(fn)
 
     @functools.wraps(fn)
     def call(lam, *args, **kwargs):
-        if type(lam) is not tuple:
+        if type(lam) is not tuple or not {int}.issuperset(map(type, lam)):
             lam = check_partition(lam)
         return cached(lam, *args, **kwargs)
 

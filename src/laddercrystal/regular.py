@@ -42,7 +42,7 @@ from .partitions import (
     hook_grid,
     partition_cache,
 )
-from .crystal import CLASSICAL, ReducedWord, _cancel, _signatures, apply_e, apply_f, reduced_word
+from .crystal import CLASSICAL, _live_word, apply_e, apply_f, reduced_word
 from .jm import _is_jm
 
 LOCKED_I = "I"
@@ -344,20 +344,6 @@ def is_weak_ell_partition(lam: Partition, ell: int) -> bool:
     return _is_weak_ell_partition(lam, ell)
 
 
-def _live_word(lam: Partition, residues: Iterable[int], ell: int) -> tuple[int, ReducedWord]:
-    """The first of *residues* with epsilon_i(lam) > 0, and lam's reduced i-word.
-
-    One pass over the rows reads every residue's signature; only the words
-    up to the live one are cancelled.
-    """
-    signatures = _signatures(lam, ell, CLASSICAL)
-    for i in residues:
-        word = _cancel(signatures[i])
-        if word.minus:
-            return i, word
-    raise ValueError(f"no removable good box for {lam}; is it {ell}-regular?")
-
-
 def _mullineux_level(
     level: Iterable[Partition], below: dict[Partition, Partition], ell: int
 ) -> dict[Partition, Partition]:
@@ -373,7 +359,7 @@ def _mullineux_level(
         if not rho:
             here[rho] = rho
             continue
-        i, word = _live_word(rho, range(ell), ell)
+        i, word = _live_word(rho, ell)
         image = below[apply_e(rho, word)]
         image = apply_f(image, reduced_word(image, (-i) % ell, ell, CLASSICAL))
         assert image is not None, f"mullineux step stalled at {rho}"
@@ -386,7 +372,7 @@ def _mullineux(lam: Partition, ell: int) -> Partition:
     peeled = []
     cur = lam
     while cur:
-        i, word = _live_word(cur, range(ell), ell)
+        i, word = _live_word(cur, ell)
         eps = len(word.minus)
         peeled.append((i, eps))
         cur = apply_e(cur, word, eps)

@@ -9,6 +9,10 @@ and its leg is the number of beads passed, at most ell - 1.  Sliding the
 beads of each runner (residue class mod ell) as far up as they go gives the
 ell-core, and the number of slides is the ell-weight.
 
+``_beads`` is the one bead reader: cores count its beads per runner, the
+core test reads it up to the first bead that can slide, and jm's hereditary
+checks read the per-runner levels that ``_abacus`` sorts out of it.
+
 So no hook-length grid is built: finding the hooks costs about ell^2 per
 distinct part of lam, removing one costs a tuple slice, a core costs
 O(n log n + ell) for n rows, and testing for a core (weight 0) costs O(n),
@@ -19,6 +23,8 @@ from __future__ import annotations
 
 import bisect
 import operator
+from collections.abc import Iterator
+from itertools import chain
 from typing import NamedTuple
 
 from .partitions import (
@@ -141,44 +147,58 @@ def remove_rim_hook(lam: Partition, hook: RimHook) -> Partition:
     raise InvalidHookError(f"{hook} is not a removable rim hook of {lam}")
 
 
-def _packed_runners(lam: Partition, ell: int) -> tuple[list[int], int]:
-    """The bead count of each runner and the number of slides that pack them up."""
-    n = len(lam)
-    packed = [0] * ell  # beads seen so far on each runner
-    weight = 0
-    for s in range(n - 1, -1, -1):  # beads in increasing position
-        level, runner = divmod(lam[s] + n - 1 - s, ell)
-        weight += level - packed[runner]
-        packed[runner] += 1
-    return packed, weight
+def _beads(lam: Partition, ell: int) -> Iterator[int]:
+    """lam's bead positions, ascending: row r (0-based) of n carries lam[r] + n - 1 - r.
+
+    The rows are padded with zero parts to n, a multiple of ell, so runner i
+    holds the rows whose last box has residue i; that changes neither core nor weight.
+    """
+    n = -(-len(lam) // ell) * ell
+    return map(operator.add, reversed(lam + (0,) * (n - len(lam))), range(n))
+
+
+def _abacus(lam: Partition, ell: int) -> list[list[int]]:
+    """The bead levels of each runner of lam's abacus, ascending, indexed by runner."""
+    levels: list[list[int]] = [[] for _ in range(ell)]
+    for bead in _beads(lam, ell):
+        level, runner = divmod(bead, ell)
+        levels[runner].append(level)
+    return levels
 
 
 def _ell_core(lam: Partition, ell: int) -> CoreResult:
-    n = len(lam)
-    packed, weight = _packed_runners(lam, ell)
-    beads = sorted(
-        (runner + ell * level for runner, k in enumerate(packed) for level in range(k)),
-        reverse=True,
-    )
-    parts = (bead - (n - 1 - j) for j, bead in enumerate(beads))
-    return CoreResult(tuple(part for part in parts if part), weight)
+    counts = [0] * ell  # beads seen so far on each runner
+    weight = 0
+    for bead in _beads(lam, ell):
+        level, runner = divmod(bead, ell)
+        weight += level - counts[runner]
+        counts[runner] += 1
+    packed = chain.from_iterable(range(runner, runner + ell * k, ell) for runner, k in enumerate(counts))
+    parts = map(operator.sub, sorted(packed, reverse=True), range(sum(counts) - 1, -1, -1))
+    return CoreResult(tuple(filter(None, parts)), weight)
 
 
 @partition_cache
 def ell_core(lam: Partition, ell: int) -> CoreResult:
     """The ell-core and ell-weight of lam, read off James's abacus.
 
-    With n = len(lam) beads at lam_r + n - r (r = 1..n), each runner's beads
-    slide up to the top positions of their runner; the core is read back from
-    the packed beads and the weight is the total number of slides.  The cost
-    is O(n log n + ell), whatever the weight.
+    Each runner's beads slide up to its lowest levels; the core is read back
+    from the packed beads, and the weight is the number of slides.  The cost
+    is O(n log n + ell) for n rows, whatever the weight.
     """
     check_ell(ell)
     return _ell_core(check_partition(lam), ell)
 
 
 def _is_core(lam: Partition, ell: int) -> bool:
-    return _packed_runners(lam, ell)[1] == 0
+    """Weight 0: each bead lies right above its runner's earlier beads; stops at the first that does not."""
+    counts = [0] * ell  # beads seen so far on each runner
+    for bead in _beads(lam, ell):
+        level, runner = divmod(bead, ell)
+        if level != counts[runner]:
+            return False
+        counts[runner] += 1
+    return True
 
 
 def is_core(lam: Partition, ell: int) -> bool:

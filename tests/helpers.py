@@ -4,9 +4,9 @@ live residue instead of the smallest."""
 
 from __future__ import annotations
 
-from laddercrystal.crystal import CLASSICAL, apply_e, apply_f, reduced_word
+from laddercrystal.crystal import CLASSICAL, apply_e, apply_f, reduced_word, reduced_words
 from laddercrystal.partitions import Partition, all_partitions, check_partition, is_regular
-from laddercrystal.regular import _live_word, deregularize
+from laddercrystal.regular import deregularize
 
 
 def regular_counts(ell: int, nmax: int) -> list[int]:
@@ -19,7 +19,9 @@ def mullineux_by_largest_residue(lam: Partition, ell: int) -> Partition:
     largest live residue: any live residue gives the same image."""
     peeled = []
     while lam:
-        i, word = _live_word(lam, range(ell - 1, -1, -1), ell)
+        words = reduced_words(lam, ell, CLASSICAL)
+        i = max(i for i, word in enumerate(words) if word.minus)
+        word = words[i]
         peeled.append((i, len(word.minus)))
         lam = apply_e(lam, word, len(word.minus))
     image: Partition = ()

@@ -100,3 +100,28 @@ def test_box_checks_keep_the_range_rules():
         laddercrystal.box_type((2, 1), (-1, 1))
     assert laddercrystal.residue((-2, 3), 3) == 2
     assert ladder_positions(3, 3) == [(1, 2), (3, 1)]
+
+
+# The partition_cache functions, and their arguments after the partition.
+CACHED = [
+    ("transpose", ()),
+    ("hook_grid", ()),
+    ("regularize", (3,)),
+    ("ell_core", (3,)),
+    ("is_generalized_ell_partition", (3,)),
+]
+
+
+@pytest.mark.parametrize("name, rest", CACHED)
+def test_cached_functions_answer_the_same_warm_or_cold(name, rest):
+    # lru_cache keys 2.0 and True as 2 and 1, so once the int arguments are
+    # cached, a float or bool argument could be answered instead of rejected
+    fn = getattr(laddercrystal, name)
+    for lam in [(2, 1), (1,)]:
+        fn(lam, *rest)
+    bad = [((2.0, 1.0), *rest), ((True,), *rest)]
+    if rest:
+        bad.append(((2, 1), 3.0))
+    for args in bad:
+        with pytest.raises(ValueError):
+            fn(*args)

@@ -7,7 +7,7 @@ import importlib
 
 import pytest
 
-from laddercrystal import crystal, regular
+from laddercrystal import crystal
 from laddercrystal.crystal import (
     LADDER,
     ReducedWord,
@@ -284,7 +284,6 @@ def test_theorem_suite_reads_one_word_per_node_and_model(monkeypatch):
         return signatures(*args)
 
     monkeypatch.setattr(crystal, "_signatures", counted)
-    monkeypatch.setattr(regular, "_signatures", counted)  # the Mullineux peel reads it directly
     assert theorem_suite(3, 16).checks == 6197
     assert theorem_suite(4, 14).checks == 4685
     assert 0 < calls <= 2500

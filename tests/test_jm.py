@@ -15,6 +15,7 @@ from laddercrystal.partitions import (
     all_partitions,
     hook_grid,
     is_regular,
+    partitions_of,
     remove_box,
     removable_corners,
     size,
@@ -26,8 +27,10 @@ from laddercrystal.jm import (
     JMDecomposition,
     NotACoreError,
     NotJMPartitionError,
+    _compose,
     _core_frame,
     _fayers_witness,
+    _frame_rows,
     _only_horizontal_hereditarily,
     compose_jm,
     count_jm,
@@ -49,6 +52,8 @@ from laddercrystal.rimhooks import (
     is_core,
     removable_rim_hooks,
 )
+
+from laddercrystal.cli import _cores
 
 from strategies import partitions, jm_moduli
 
@@ -432,6 +437,40 @@ def test_hereditary_checks_at_large_weight():
     assert is_ell_partition(horizontal, 3)
     # 600 horizontal hooks peel off row 1 before (2, 2) shows a bent one
     assert not is_ell_partition((3 * 600 + 2, 2), 3)
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5, 6])
+def test_the_frame_rebuilds_its_core(ell):
+    # compose_jm builds its core from the frame, and the other callers of
+    # _compose hold the core the frame was read from
+    for core in _cores(ell, 60):
+        assert _frame_rows(*_core_frame(core, ell), ell) == list(core), core
+
+
+def _reference_compose(mu, r, s, rho, sigma, ell):
+    """_compose as it was: the core rebuilt from its frame (mu, r, s)."""
+    rows = _frame_rows(mu, r, s, ell) + [0] * (r + 1)
+    for i, mult in enumerate(rho):
+        rows[i] += mult * ell
+    cols = list(transpose(tuple(p for p in rows if p))) + [0] * (s + 1)
+    for j, mult in enumerate(sigma):
+        cols[j] += mult * ell
+    return transpose(tuple(p for p in cols if p))
+
+
+@pytest.mark.parametrize("ell", [3, 4])
+def test_compose_on_the_core_matches_the_frame_form(ell):
+    # every (rho, sigma) that enumerate_jm builds
+    for core in _cores(ell, 12):
+        mu, r, s = _core_frame(core, ell)
+        for w in range(7):
+            for t in range(w + 1):
+                for rho in map(transpose, partitions_of(t, r + 1)):
+                    for sigma in map(transpose, partitions_of(w - t, s + 1)):
+                        if not mu and len(rho) == r + 1 and len(sigma) == s + 1:
+                            continue
+                        expected = _reference_compose(mu, r, s, rho, sigma, ell)
+                        assert _compose(core, rho, sigma, ell) == expected, (core, rho, sigma)
 
 
 def test_compose_canonicalizes_trailing_zeros():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 
@@ -19,6 +21,8 @@ from laddercrystal.rimhooks import (
     VERTICAL,
     InvalidHookError,
     RimHook,
+    _ell_core,
+    _is_core,
     adjacent,
     ell_core,
     is_core,
@@ -96,6 +100,49 @@ def test_abacus_matches_hook_grid_oracle(ell):
             for hook, (path, _shape) in zip(hooks, expected):
                 assert remove_rim_hook(lam, hook) == _reference_remove(lam, path), (lam, hook)
             assert ell_core(lam, ell) == _reference_core(lam, ell), lam
+
+
+def _reference_ell_core(lam, ell):
+    """_ell_core as it was: one bead per row, no padding, beads counted per runner."""
+    n = len(lam)
+    packed = [0] * ell  # beads seen so far on each runner
+    weight = 0
+    for s in range(n - 1, -1, -1):  # beads in increasing position
+        level, runner = divmod(lam[s] + n - 1 - s, ell)
+        weight += level - packed[runner]
+        packed[runner] += 1
+    beads = sorted(
+        (runner + ell * level for runner, k in enumerate(packed) for level in range(k)),
+        reverse=True,
+    )
+    parts = (bead - (n - 1 - j) for j, bead in enumerate(beads))
+    return tuple(part for part in parts if part), weight
+
+
+def _assert_matches_unpadded_abacus(lam, ell):
+    core, weight = _reference_ell_core(lam, ell)
+    assert _ell_core(lam, ell) == (core, weight), lam
+    assert _is_core(lam, ell) == (weight == 0), lam
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 5, 6])
+def test_padded_abacus_matches_the_unpadded_bead_loop(ell):
+    for n in range(19):
+        for lam in all_partitions(n):
+            _assert_matches_unpadded_abacus(lam, ell)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 5, 6])
+def test_padded_abacus_matches_the_unpadded_bead_loop_on_large_partitions(ell):
+    rng = random.Random(5300 + ell)
+    for _ in range(12):
+        n = rng.randint(500, 5000)
+        cap = rng.choice([3, int(n**0.5) + 1, n // 8 + 1])
+        parts = []
+        while n:
+            parts.append(rng.randint(1, min(cap, n)))
+            n -= parts[-1]
+        _assert_matches_unpadded_abacus(tuple(sorted(parts, reverse=True)), ell)
 
 
 def test_hooks_of_321():
