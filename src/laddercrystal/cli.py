@@ -335,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: a part or weight past the index range
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,9 +9,9 @@ from .rimhooks import _is_core
 from .crystal import CLASSICAL, LADDER, ReducedWord, apply_e, apply_f, check_model, reduced_words
 from .jm import _is_ell_partition, _is_jm
 from .regular import (
+    _deregularize,
     _is_L_partition,
     _is_ladder_node,
-    _is_weak_ell_partition,
     _mullineux_level,
     _regularize,
     regularize,
@@ -166,8 +166,9 @@ class _ClassTable:
 
 
 def _weak_table(jm_table: _ClassTable) -> _ClassTable:
-    """Weak ell-partition membership that asks *jm_table* about D(lam)."""
-    return _ClassTable(lambda lam, ell: _is_weak_ell_partition(lam, ell, jm_table))
+    """Weak ell-partition membership that asks *jm_table* about D(lam): D(lam)
+    has the size of lam, so its answer shares the table's level."""
+    return _ClassTable(lambda lam, ell: _is_regular(lam, ell) and jm_table(_deregularize(lam, ell), ell))
 
 
 def _string_end_checks(

@@ -27,7 +27,8 @@ instead of a walk over every partition that removals reach.
 
 By Fayers's proof of the James-Mathas conjecture, a JM partition is its core
 plus rho_i horizontal hooks on row i + 1 and sigma_j vertical ones on column
-j + 1, rho and sigma bounded by the core's frame; it is composed on that core.
+j + 1, rho and sigma fitting the core's frame (see _fits); it is composed on
+that core.  Frames and decompositions are checked by reading them back.
 """
 
 from __future__ import annotations
@@ -258,48 +259,31 @@ def decompose_jm(lam: Partition, ell: int) -> JMDecomposition:
     sigma_j hooks each.  A vertical hook reaches those rows only when mu is
     empty and rho_r = 0, and then puts a single box (fewer than ell) on row
     r + 1, so rho_i is (lam_i - core_i) // ell, and sigma_j is the excess of
-    lam's column j over that of the core plus rho.  Costs O(|lam|),
+    lam's column j over that of the core plus rho.  lam is JM exactly when
+    this reading gives partitions rho and sigma that fit the frame and
+    compose back to lam, so no hook grid is built.  Costs O(|lam|),
     whatever the weight.
     """
     check_ell(ell, minimum=3)
     lam = check_partition(lam)
-    if not _is_jm(lam, ell):
-        raise NotJMPartitionError(f"{lam} is not ({ell},0)-JM")
     core = _ell_core(lam, ell).core
     mu, r, s = _core_frame(core, ell)
     pad = (0,) * (r + s + 2)
-    rho = check_partition([(a - b) // ell for a, b in zip((lam + pad)[: r + 1], core + pad)])
-    cols = transpose(_compose(core, rho, (), ell)) + pad
-    sigma = check_partition([(a - b) // ell for a, b in zip((transpose(lam) + pad)[: s + 1], cols)])
-    if _compose(core, rho, sigma, ell) != lam:
-        raise AssertionError(f"the decomposition of {lam} does not compose back: {mu, r, s, rho, sigma}")
-    return JMDecomposition(mu, r, s, rho, sigma)
-
-
-def _validate_decomposition(dec: JMDecomposition, ell: int) -> JMDecomposition:
-    mu = check_partition(dec.mu)
-    rho = check_partition(dec.rho)
-    sigma = check_partition(dec.sigma)
     try:
-        r, s = check_count("r", dec.r), check_count("s", dec.s)
-    except ValueError as exc:
-        raise InvalidDecompositionError(f"{exc}: {dec}") from None
-    if not _is_core(mu, ell):
-        raise InvalidDecompositionError(f"mu must be an {ell}-core: {mu}")
-    # a core's leading differences are at most ell - 1, so "< ell - 1" is "!= ell - 1"
-    if _leading_run(mu, ell) or _leading_run(transpose(mu), ell):
-        raise InvalidDecompositionError(
-            f"mu must have leading row and column differences < {ell - 1}: {mu}"
-        )
-    if len(rho) > r + 1:
-        raise InvalidDecompositionError(f"rho has more than r+1 parts: {dec}")
-    if len(sigma) > s + 1:
-        raise InvalidDecompositionError(f"sigma has more than s+1 parts: {dec}")
-    if not mu and len(rho) == r + 1 and len(sigma) == s + 1:
-        raise InvalidDecompositionError(
-            f"with empty mu at most one of rho[r], sigma[s] may be positive: {dec}"
-        )
-    return JMDecomposition(mu, r, s, rho, sigma)
+        rho = check_partition([(a - b) // ell for a, b in zip((lam + pad)[: r + 1], core + pad)])
+        cols = transpose(_compose(core, rho, (), ell)) + pad
+        sigma = check_partition([(a - b) // ell for a, b in zip((transpose(lam) + pad)[: s + 1], cols)])
+        if _fits(mu, r, s, rho, sigma) and _compose(core, rho, sigma, ell) == lam:
+            return JMDecomposition(mu, r, s, rho, sigma)
+    except ValueError:  # a negative or increasing reading
+        pass
+    raise NotJMPartitionError(f"{lam} is not ({ell},0)-JM")
+
+
+def _fits(mu: Partition, r: int, s: int, rho: Partition, sigma: Partition) -> bool:
+    """Fayers's fit rule: rho has at most r + 1 parts and sigma at most s + 1,
+    and when mu is empty they do not both use their last slot."""
+    return len(rho) <= r + 1 and len(sigma) <= s + 1 and (bool(mu) or len(rho) <= r or len(sigma) <= s)
 
 
 def _frame_rows(mu: Partition, r: int, s: int, ell: int) -> list[int]:
@@ -312,10 +296,20 @@ def _frame_rows(mu: Partition, r: int, s: int, ell: int) -> list[int]:
 
 
 def compose_jm(dec: JMDecomposition, ell: int) -> Partition:
-    """Rebuild the JM partition from its decomposition, on the core of its frame."""
+    """Rebuild the JM partition on the core of its frame: the frame's rows must form a core
+    whose frame reads back as (mu, r, s), and rho and sigma must fit it."""
     check_ell(ell, minimum=3)
-    dec = _validate_decomposition(dec, ell)
-    return _compose(tuple(_frame_rows(dec.mu, dec.r, dec.s, ell)), dec.rho, dec.sigma, ell)
+    mu, rho, sigma = map(check_partition, (dec.mu, dec.rho, dec.sigma))
+    try:
+        r, s = check_count("r", dec.r), check_count("s", dec.s)
+    except ValueError as exc:
+        raise InvalidDecompositionError(f"{exc}: {dec}") from None
+    core = tuple(_frame_rows(mu, r, s, ell))
+    if not (_is_core(core, ell) and _core_frame(core, ell) == (mu, r, s)):
+        raise InvalidDecompositionError(f"({mu}, {r}, {s}) is not the frame of an {ell}-core: {dec}")
+    if not _fits(mu, r, s, rho, sigma):
+        raise InvalidDecompositionError(f"rho and sigma do not fit the frame: {dec}")
+    return _compose(core, rho, sigma, ell)
 
 
 def _compose(core: Partition, rho: Partition, sigma: Partition, ell: int) -> Partition:
@@ -357,9 +351,9 @@ def count_jm(core: Partition, w: int, ell: int) -> int:
     """Number of JM partitions with the given core and weight w.
 
     With the frame (mu, r, s) read off the core, the count is the number of
-    pairs (rho, sigma) of total size w with len(rho) <= r+1 and
-    len(sigma) <= s+1; when mu is empty (the core is the bare frame) pairs
-    using both extra slots are excluded, which inclusion-exclusion handles.
+    pairs (rho, sigma) of total size w that _fits admits: len(rho) <= r+1
+    and len(sigma) <= s+1, and when mu is empty (the core is the bare frame)
+    not both at their limit, which inclusion-exclusion handles.
     """
     core, mu, r, s = _checked_frame(core, w, ell)
     if mu:
@@ -375,7 +369,7 @@ def enumerate_jm(core: Partition, w: int, ell: int) -> list[Partition]:
         sigmas = [transpose(p) for p in partitions_of(w - t, s + 1)]
         for rho in map(transpose, partitions_of(t, r + 1)):
             for sigma in sigmas:
-                if not mu and len(rho) == r + 1 and len(sigma) == s + 1:
+                if not _fits(mu, r, s, rho, sigma):
                     continue
                 lam = _compose(core, rho, sigma, ell)
                 if not _is_jm(lam, ell):

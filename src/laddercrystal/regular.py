@@ -211,8 +211,7 @@ def _deregularize(lam: Partition, ell: int) -> Partition:
             row -= step
             col += 1
     result = _assemble(lengths, widest, "deregularization")
-    _, after = _lock_prefixes(result, ell)
-    if after != list(result):
+    if not _is_ladder_node(result, ell):
         raise ValueError(f"deregularization of {lam} left unlocked boxes: {result}")
     return result
 
@@ -285,19 +284,15 @@ def reg_class(lam: Partition, ell: int) -> RegClass:
 
 
 def _is_ladder_node(lam: Partition, ell: int) -> bool:
-    grid = hook_grid(lam)
-    for hooks, part in zip(grid, lam):
-        for col, h in enumerate(hooks, start=1):
-            if h == ell * (part - col):
-                return False
-    return True
+    return _lock_prefixes(lam, ell)[1] == list(lam)
 
 
 def is_ladder_node(lam: Partition, ell: int) -> bool:
-    """True when no box has hook length equal to ell times its arm.
+    """True when every box is locked (equivalently, no box has hook length
+    equal to ell times its arm).
 
     These are exactly the partitions fixed by deregularization, i.e. the
-    nodes of the ladder crystal.
+    nodes of the ladder crystal.  O(|lam|), from the locked prefixes.
     """
     check_ell(ell)
     return _is_ladder_node(check_partition(lam), ell)
@@ -322,13 +317,8 @@ def is_L_partition(lam: Partition, ell: int) -> bool:
     return _is_L_partition(check_partition(lam), ell)
 
 
-def _is_weak_ell_partition(lam: Partition, ell: int, is_jm=_is_jm) -> bool:
-    """lam is ell-regular and *is_jm* holds for its deregularization.
-
-    A sweep passes its memoized JM table as *is_jm*: D(lam) has the size of
-    lam, so its answer shares the table's level.
-    """
-    return _is_regular(lam, ell) and is_jm(_deregularize(lam, ell), ell)
+def _is_weak_ell_partition(lam: Partition, ell: int) -> bool:
+    return _is_regular(lam, ell) and _is_jm(_deregularize(lam, ell), ell)
 
 
 def is_weak_ell_partition(lam: Partition, ell: int) -> bool:

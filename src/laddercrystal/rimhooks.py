@@ -30,6 +30,7 @@ from typing import NamedTuple
 from .partitions import (
     Box,
     Partition,
+    check_box,
     check_ell,
     check_partition,
     partition_cache,
@@ -135,9 +136,20 @@ def _remove(lam: Partition, hook: RimHook) -> Partition:
     return lam[: top - 1] + tuple(rows) + lam[bottom:]
 
 
+def _check_hook(hook: RimHook) -> RimHook:
+    """hook with its boxes as (row, col) tuples; InvalidHookError unless it is a RimHook of boxes."""
+    if isinstance(hook, RimHook):
+        try:
+            return RimHook(tuple(map(check_box, hook.boxes)), hook.shape)
+        except (TypeError, ValueError):
+            pass
+    raise InvalidHookError(f"not a rim hook of (row, col) boxes: {hook!r}")
+
+
 def remove_rim_hook(lam: Partition, hook: RimHook) -> Partition:
     """Remove *hook* from lam; raises InvalidHookError unless it is removable."""
     lam = check_partition(lam)
+    hook = _check_hook(hook)
     ell = len(hook.boxes)
     if ell < 2:
         raise InvalidHookError(f"hook too short: {hook}")
@@ -212,7 +224,7 @@ def adjacent(a: RimHook, b: RimHook) -> bool:
 
     The hooks must not overlap.
     """
-    sa, sb = a.box_set, b.box_set
+    sa, sb = _check_hook(a).box_set, _check_hook(b).box_set
     if sa & sb:
         raise InvalidHookError(f"hooks overlap: {sorted(sa & sb)}")
     for row, col in sa:

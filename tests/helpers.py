@@ -1,11 +1,11 @@
 """Test oracles computed without the crystal operators: expected crystal
-levels and the Mullineux symbol; and the Mullineux map peeled by the largest
-live residue instead of the smallest."""
+levels, the Mullineux symbol and the hook rule for ladder nodes; and the
+Mullineux map peeled by the largest live residue instead of the smallest."""
 
 from __future__ import annotations
 
 from laddercrystal.crystal import CLASSICAL, apply_e, apply_f, reduced_word, reduced_words
-from laddercrystal.partitions import Partition, all_partitions, check_partition, is_regular
+from laddercrystal.partitions import Partition, all_partitions, check_partition, hook_grid, is_regular
 from laddercrystal.regular import deregularize
 
 
@@ -36,6 +36,16 @@ def ladder_node_levels(ell: int, nmax: int) -> list[set[Partition]]:
         {deregularize(lam, ell) for lam in all_partitions(n) if is_regular(lam, ell)}
         for n in range(nmax + 1)
     ]
+
+
+def ladder_node_by_hooks(lam: Partition, ell: int) -> bool:
+    """True when no box has hook length equal to ell times its arm: the hook
+    rule for ladder crystal nodes, scanned over the whole hook grid."""
+    for hooks, part in zip(hook_grid(lam), lam):
+        for col, h in enumerate(hooks, start=1):
+            if h == ell * (part - col):
+                return False
+    return True
 
 
 def ell_rim(lam: Partition, ell: int) -> list[int]:

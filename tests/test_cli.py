@@ -228,6 +228,30 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+HUGE = "99999999999999999999"  # past 2**63, so no list or range can be that long
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info", HUGE],
+        ["regularize", HUGE],
+        ["deregularize", HUGE],
+        ["regclass", HUGE],
+        ["jm", "check", HUGE],
+        ["jm", "decompose", HUGE],
+        ["jm", "count", "--core", "1", "--weight", HUGE],
+    ],
+    ids=lambda argv: " ".join(arg for arg in argv if arg != HUGE),
+)
+def test_oversized_input_is_a_usage_error(capsys, argv):
+    # these raised OverflowError and exited 1 with a traceback
+    assert main([*argv, "--ell", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_suite_rejects_negative_nmax(capsys):
     assert main(["suite", "--ell", "3", "--nmax", "-1"]) == 2
     captured = capsys.readouterr()

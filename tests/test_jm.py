@@ -13,6 +13,7 @@ from laddercrystal.partitions import (
     add_box,
     addable_corners,
     all_partitions,
+    check_partition,
     hook_grid,
     is_regular,
     partitions_of,
@@ -31,6 +32,7 @@ from laddercrystal.jm import (
     _core_frame,
     _fayers_witness,
     _frame_rows,
+    _leading_run,
     _only_horizontal_hereditarily,
     compose_jm,
     count_jm,
@@ -126,14 +128,16 @@ def test_witness_matches_the_rescan_reference(ell, nmax):
             assert _fayers_witness(lam, ell) == _reference_witness(lam, ell), lam
 
 
-def _large_jm_partitions(ell, rng, count):
-    """JM partitions of a hundred boxes or more, composed on random small cores."""
+def _large_jm_partitions(ell, rng, count, hooks=(1, 60)):
+    """JM partitions composed on random small cores, with a number of hooks
+    in the range *hooks* on every row and column that the frame allows: a
+    hundred boxes or more, or 600 or more from 100 hooks up."""
     cores = [c for n in range(1, 13) for c in all_partitions(n) if is_core(c, ell)]
     out = []
     for core in rng.sample(cores, count):
         mu, r, s = _core_frame(core, ell)
-        rho = sorted((rng.randint(1, 60) for _ in range(r + 1)), reverse=True)
-        sigma = sorted((rng.randint(1, 60) for _ in range(s + 1)), reverse=True)
+        rho = sorted((rng.randint(*hooks) for _ in range(r + 1)), reverse=True)
+        sigma = sorted((rng.randint(*hooks) for _ in range(s + 1)), reverse=True)
         if not mu:  # then rho[r] and sigma[s] may not both be positive
             sigma.pop()
         out.append(compose_jm(JMDecomposition(mu, r, s, tuple(rho), tuple(sigma)), ell))
@@ -575,3 +579,124 @@ def test_enumerated_partitions_round_trip(ell):
             for lam in enumerate_jm(core, w, ell):
                 dec = decompose_jm(lam, ell)
                 assert compose_jm(dec, ell) == lam
+
+
+def _reference_validate_decomposition(dec, ell):
+    """compose_jm's frame and fit checks as five separate conditions, before
+    they became a read-back of the frame and one fit rule."""
+    mu, rho, sigma, r, s = dec.mu, dec.rho, dec.sigma, dec.r, dec.s
+    if not is_core(mu, ell):
+        return False
+    if _leading_run(mu, ell) or _leading_run(transpose(mu), ell):
+        return False
+    if len(rho) > r + 1 or len(sigma) > s + 1:
+        return False
+    return bool(mu) or len(rho) != r + 1 or len(sigma) != s + 1
+
+
+def _reference_decompose_witness_first(lam, ell):
+    """decompose_jm as it was: the Fayers-witness test on a hook grid, then
+    the frame reading, then a check that it composes back."""
+    if _fayers_witness(lam, ell) is not None:
+        raise NotJMPartitionError(f"{lam} is not ({ell},0)-JM")
+    core = ell_core(lam, ell).core
+    mu, r, s = _core_frame(core, ell)
+    pad = (0,) * (r + s + 2)
+    rho = check_partition([(a - b) // ell for a, b in zip((lam + pad)[: r + 1], core + pad)])
+    cols = transpose(_compose(core, rho, (), ell)) + pad
+    sigma = check_partition([(a - b) // ell for a, b in zip((transpose(lam) + pad)[: s + 1], cols)])
+    assert _compose(core, rho, sigma, ell) == lam
+    return JMDecomposition(mu, r, s, rho, sigma)
+
+
+def _past_limits(limit):
+    """Tallies with limit - 1, limit and limit + 1 parts: below, at and just past it."""
+    return [(1,) * k for k in range(max(limit - 1, 0), limit + 2)]
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5, 6])
+def test_compose_accepts_exactly_the_old_frames_and_fits(ell):
+    mus = [mu for n in range(15) for mu in all_partitions(n)]
+    frames = valid = 0
+    for mu in mus:
+        for r in range(4):
+            for s in range(4):
+                frames += 1
+                for rho in _past_limits(r + 1):
+                    for sigma in _past_limits(s + 1):
+                        dec = JMDecomposition(mu, r, s, rho, sigma)
+                        expected = _reference_validate_decomposition(dec, ell)
+                        try:
+                            lam = compose_jm(dec, ell)
+                        except InvalidDecompositionError:
+                            assert not expected, dec
+                            continue
+                        assert expected, dec
+                        assert lam == _reference_compose(mu, r, s, rho, sigma, ell)
+                valid += _reference_validate_decomposition(JMDecomposition(mu, r, s, (), ()), ell)
+    assert frames == 8128
+    assert valid == {3: 32, 4: 208, 5: 688, 6: 1536}[ell]
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5, 6])
+def test_decompose_rejects_exactly_the_non_jm_partitions(ell):
+    members = 0
+    for n in range(19):
+        for lam in all_partitions(n):
+            if _fayers_witness(lam, ell) is None:
+                members += 1
+                assert decompose_jm(lam, ell) == _reference_decompose_witness_first(lam, ell), lam
+            else:
+                with pytest.raises(NotJMPartitionError):
+                    decompose_jm(lam, ell)
+    assert members == {3: 294, 4: 330, 5: 414, 6: 522}[ell]
+
+
+def test_the_fit_rule_rejects_readings_that_compose_back(monkeypatch):
+    # without _fits these non-JM partitions would read back as decompositions
+    monkeypatch.setattr("laddercrystal.jm._fits", lambda *frame: True)
+    accepted = 0
+    for ell in (3, 4, 5, 6):
+        for n in range(19):
+            for lam in all_partitions(n):
+                if _fayers_witness(lam, ell) is not None:
+                    try:
+                        decompose_jm(lam, ell)
+                    except NotJMPartitionError:
+                        continue
+                    accepted += 1
+    assert accepted == 46
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5])
+def test_decompose_rejects_exactly_the_non_jm_neighbours_of_large_partitions(ell):
+    rng = random.Random(7400 + ell)
+    for lam in _large_jm_partitions(ell, rng, 8, hooks=(100, 300)):
+        assert size(lam) >= 600
+        assert decompose_jm(lam, ell) == _reference_decompose_witness_first(lam, ell)
+        for near in _one_box_away(lam):
+            if _fayers_witness(near, ell) is None:
+                assert decompose_jm(near, ell) == _reference_decompose_witness_first(near, ell), near
+            else:
+                with pytest.raises(NotJMPartitionError):
+                    decompose_jm(near, ell)
+
+
+def test_decompose_builds_no_hook_grid(monkeypatch):
+    big = compose_jm(JMDecomposition(mu=(1,), r=3, s=2, rho=(900, 300, 20, 1), sigma=(40, 3)), 3)
+    near_misses = [lam for lam in _one_box_away(big) if _fayers_witness(lam, 3) is not None]
+    assert near_misses
+    calls = 0
+
+    def counted(lam):
+        nonlocal calls
+        calls += 1
+        return hook_grid(lam)
+
+    for name in ("partitions", "jm"):
+        monkeypatch.setattr(importlib.import_module(f"laddercrystal.{name}"), "hook_grid", counted)
+    assert decompose_jm(big, 3).rho == (900, 300, 20, 1)
+    for lam in [(2, 2), (3, 3)] + near_misses:
+        with pytest.raises(NotJMPartitionError):
+            decompose_jm(lam, 3)
+    assert calls == 0

@@ -42,7 +42,12 @@ from laddercrystal.regular import (
     regularize,
 )
 
-from helpers import mullineux_by_largest_residue, mullineux_image_symbol, mullineux_symbol
+from helpers import (
+    ladder_node_by_hooks,
+    mullineux_by_largest_residue,
+    mullineux_image_symbol,
+    mullineux_symbol,
+)
 from strategies import partitions, moduli, jm_moduli
 
 
@@ -354,6 +359,26 @@ def test_ladder_node_triple_equivalence(ell):
             )
             fixed = deregularize(lam, ell) == lam
             assert node == all_locked == fixed
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 5, 6])
+def test_ladder_node_matches_the_hook_rule(ell):
+    for n in range(19):
+        for lam in all_partitions(n):
+            assert is_ladder_node(lam, ell) == ladder_node_by_hooks(lam, ell), lam
+    # large diagrams and their deregularizations, which are all nodes
+    rng = random.Random(8100 + ell)
+    for _ in range(40):
+        n = rng.randint(200, 4000)
+        cap = rng.choice([2, ell, int(n**0.5) + 1, n])
+        parts = []
+        while n:
+            parts.append(rng.randint(1, min(cap, n)))
+            n -= parts[-1]
+        lam = tuple(sorted(parts, reverse=True))
+        for mu in (lam, deregularize(lam, ell)):
+            assert is_ladder_node(mu, ell) == ladder_node_by_hooks(mu, ell), mu
+        assert is_ladder_node(deregularize(lam, ell), ell)
 
 
 def test_L_partition_golden():

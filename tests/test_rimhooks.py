@@ -189,6 +189,33 @@ def test_remove_validates_membership():
         remove_rim_hook((3, 2, 1), bogus)
 
 
+@pytest.mark.parametrize(
+    "hook",
+    [
+        None,
+        (((1, 1), (1, 2), (1, 3)), HORIZONTAL),
+        RimHook(5, HORIZONTAL),
+        RimHook(((4, 1), (4, True), (4, 3)), HORIZONTAL),
+    ],
+    ids=["None", "plain tuple", "boxes not iterable", "bool coordinate"],
+)
+def test_hook_functions_reject_non_hooks(hook):
+    # None raised AttributeError, and boxes that are lists raised TypeError
+    real = removable_rim_hooks((3,), 3)[0]
+    with pytest.raises(InvalidHookError):
+        remove_rim_hook((3,), hook)
+    with pytest.raises(InvalidHookError):
+        adjacent(real, hook)
+    with pytest.raises(InvalidHookError):
+        adjacent(hook, real)
+
+
+def test_hook_boxes_may_be_lists():
+    listed = RimHook(([1, 1], [1, 2], [1, 3]), HORIZONTAL)
+    assert remove_rim_hook((3,), listed) == ()
+    assert adjacent(listed, RimHook(([2, 1], [2, 2], [2, 3]), HORIZONTAL))
+
+
 @given(partitions(), moduli())
 def test_enumerated_hooks_are_consistent(lam, ell):
     hooks = removable_rim_hooks(lam, ell)
