@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -44,6 +43,8 @@ def _emit(payload, plain_lines: list[str], plain: bool) -> None:
         for line in plain_lines:
             print(line)
     else:
+        import json  # only JSON output needs it, so --plain never loads it
+
         print(json.dumps(payload, indent=2))
 
 

@@ -80,24 +80,16 @@ def ladder_counts(lam: Partition, ell: int) -> dict[int, int]:
     return {k: count for k, count in enumerate(_ladder_tally(lam, ell)) if count}
 
 
-def _assemble(lengths: list[int], widest: list[int], context: str) -> Partition:
-    """Row box counts as a partition, insisting on contiguous rows.
+def _assemble(lengths: list[int]) -> Partition:
+    """Row box counts (index 0 unused) as a partition, less the empty rows at the end.
 
-    lengths[r] and widest[r] are the number of boxes and the largest column
-    placed in row r (index 0 unused); row r is contiguous exactly when the
-    two agree.
+    The callers fill contiguous rows that form a partition by construction;
+    the tests check that rather than each call.
     """
     depth = len(lengths) - 1
     while depth and not lengths[depth]:
         depth -= 1
-    rows = lengths[1 : depth + 1]
-    for r in range(1, depth + 1):
-        if lengths[r] != widest[r]:
-            raise ValueError(f"{context} produced a non-contiguous row {r}")
-    try:
-        return check_partition(rows)
-    except ValueError as exc:
-        raise ValueError(f"{context} did not produce a partition: {rows}") from exc
+    return tuple(lengths[1 : depth + 1])
 
 
 @partition_cache
@@ -108,22 +100,18 @@ def regularize(lam: Partition, ell: int) -> Partition:
 
 
 def _regularize(lam: Partition, ell: int) -> Partition:
-    """regularize without the argument checks or the cache."""
+    """regularize without the checks or the cache; the filled ladder tops form a partition (James)."""
     step = ell - 1
     tally = _ladder_tally(lam, ell)
     lengths = [0] * len(tally)
-    widest = [0] * len(tally)
     for k, count in enumerate(tally):
         if not count:
             continue
         # ladder k's topmost position is in column top; fill columns top-count+1..top
         top = (k - 1) // step + 1
         for col in range(top - count + 1, top + 1):
-            row = k - step * (col - 1)
-            lengths[row] += 1
-            if col > widest[row]:
-                widest[row] = col
-    return _assemble(lengths, widest, "regularization")
+            lengths[k - step * (col - 1)] += 1
+    return _assemble(lengths)
 
 
 def _lock_prefixes(lam: Partition, ell: int) -> tuple[list[int], list[int]]:
@@ -193,9 +181,8 @@ def _deregularize(lam: Partition, ell: int) -> Partition:
     size = len(lam) + step * (lam[0] - 1) + 1 if lam else 1
     loose = [0] * size
     lengths = [0] * size
-    widest = [0] * size
     for row, (part, locked) in enumerate(zip(lam, prefixes), start=1):
-        lengths[row] = widest[row] = locked
+        lengths[row] = locked
         for k in range(row + step * locked, row + step * part, step):
             loose[k] += 1
     depth = len(lam)
@@ -205,24 +192,20 @@ def _deregularize(lam: Partition, ell: int) -> Partition:
         while count:
             if row > depth or col > prefixes[row - 1]:
                 lengths[row] += 1
-                if col > widest[row]:
-                    widest[row] = col
                 count -= 1
             row -= step
             col += 1
-    result = _assemble(lengths, widest, "deregularization")
-    if not _is_ladder_node(result, ell):
-        raise ValueError(f"deregularization of {lam} left unlocked boxes: {result}")
-    return result
+    return _assemble(lengths)
 
 
 def deregularize(lam: Partition, ell: int) -> Partition:
     """Slide every unlocked box to the lowest free position on its ladder.
 
     The result keeps each ladder's box count, is itself a partition, and is
-    fully locked; those postconditions are re-checked rather than trusted.
-    O(|lam|): each ladder is walked once from the bottom, past its locked
-    positions, until its loose boxes are placed.
+    fully locked (a ladder node), as the paper shows; the tests check those
+    postconditions, so no call repeats them.  O(|lam|): each ladder is
+    walked once from the bottom, past its locked positions, until its loose
+    boxes are placed.
     """
     check_ell(ell)
     return _deregularize(check_partition(lam), ell)

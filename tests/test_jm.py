@@ -47,6 +47,7 @@ from laddercrystal.jm import (
 from laddercrystal.rimhooks import (
     HORIZONTAL,
     VERTICAL,
+    _ell_core,
     _removable_rim_hooks,
     _remove,
     adjacent,
@@ -579,6 +580,19 @@ def test_enumerated_partitions_round_trip(ell):
             for lam in enumerate_jm(core, w, ell):
                 dec = decompose_jm(lam, ell)
                 assert compose_jm(dec, ell) == lam
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5])
+def test_enumerated_partitions_are_jm_of_their_core_and_weight(ell):
+    # enumerate_jm trusts Fayers's theorem; this holds it to the hook-grid
+    # test and the abacus on every (core, w) the other tests enumerate
+    cases = [(core, w) for core in _cores(ell, 12) for w in range(7)]
+    if ell == 3:
+        cases.append(((1,), 40))
+    for core, w in cases:
+        for lam in enumerate_jm(core, w, ell):
+            assert _fayers_witness(lam, ell) is None, lam
+            assert _ell_core(lam, ell) == (core, w), lam
 
 
 def _reference_validate_decomposition(dec, ell):

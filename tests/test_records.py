@@ -1,5 +1,5 @@
 """The six record classes: construction, repr, equality, hashing, immutability
-and pickling, and a cold import that loads neither dataclasses nor inspect."""
+and pickling, and a cold import that loads none of dataclasses, inspect and json."""
 
 from __future__ import annotations
 
@@ -141,7 +141,7 @@ def test_importing_the_package_loads_no_dataclasses_or_inspect():
     src = os.path.dirname(os.path.dirname(os.path.abspath(laddercrystal.__file__)))
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import laddercrystal, laddercrystal.cli; "
-        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules))"
     )
     out = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -148,6 +148,19 @@ def _reference_deregularize(lam, ell):
     return result
 
 
+def _assert_postconditions(lam, ell):
+    """What regularize and deregularize guarantee by construction and no call
+    re-checks: both give partitions with lam's ladder counts, the first
+    ell-regular and the second a ladder node by the hook rule."""
+    counts = _reference_ladder_counts(lam, ell)
+    reg, dereg = regularize(lam, ell), deregularize(lam, ell)
+    for mu in (reg, dereg):
+        assert all(part > 0 for part in mu) and list(mu) == sorted(mu, reverse=True), (lam, mu)
+        assert _reference_ladder_counts(mu, ell) == counts, (lam, mu)
+    assert is_regular(reg, ell), lam
+    assert ladder_node_by_hooks(dereg, ell), lam
+
+
 def _reference_classes(n, ell):
     """The p(n) scan: every partition of n grouped by its regularization."""
     classes = {}
@@ -193,7 +206,22 @@ def test_ladder_arithmetic_matches_reference(ell, nmax):
 def test_ladder_arithmetic_matches_reference_on_large_partitions(ell):
     rng = random.Random(20090 + ell)
     for _ in range(12):
-        _assert_matches_reference(_random_partition(rng.randint(100, 800), rng), ell)
+        lam = _random_partition(rng.randint(100, 800), rng)
+        _assert_matches_reference(lam, ell)
+        _assert_postconditions(lam, ell)
+
+
+@pytest.mark.parametrize("ell,nmax,reach", [(2, 16, 16), (3, 20, 25), (4, 18, 22), (5, 18, 19)])
+def test_regularize_and_deregularize_keep_their_postconditions(ell, nmax, reach):
+    # every partition up to nmax, as theorem_suite, the equivalence sweep and
+    # the reference and class scans see them, and the ell-regular ones up to
+    # reach, which theorem_suite's string walks deregularize past its nmax
+    for n in range(reach + 1):
+        for lam in all_partitions(n):
+            if n <= nmax or is_regular(lam, ell):
+                _assert_postconditions(lam, ell)
+    if ell == 3:  # the CLI's 342-box partition with hooks on nine rows
+        _assert_postconditions((70, 62, 54, 46, 38, 30, 22, 14, 6), ell)
 
 
 @pytest.mark.parametrize("ell", [2, 3, 4, 5])
@@ -212,6 +240,7 @@ def test_reg_class_matches_the_partition_scan(ell):
 )
 def test_reg_class_of_large_partitions(lam):
     # the staircase has 1024 members; a scan would regularize p(66) partitions
+    _assert_postconditions(lam, 3)
     cls = reg_class(lam, 3)
     assert list(cls.members) == sorted(set(cls.members))
     assert all(regularize(mu, 3) == cls.representative for mu in cls.members)
@@ -223,6 +252,8 @@ def test_reg_class_of_large_partitions(lam):
 
 @pytest.mark.parametrize("lam", [(3000,), (1,) * 3000], ids=["row-3000", "column-3000"])
 def test_deregularize_at_size_3000(lam):
+    for mu in (lam, regularize(lam, 3)):
+        _assert_postconditions(mu, 3)
     dereg = deregularize(regularize(lam, 3), 3)
     assert ladder_counts(dereg, 3) == ladder_counts(lam, 3)
     assert is_ladder_node(dereg, 3)
@@ -288,6 +319,7 @@ def test_same_class_example():
 
 @given(partitions(), moduli())
 def test_regularize_properties(lam, ell):
+    _assert_postconditions(lam, ell)
     reg = regularize(lam, ell)
     assert is_regular(reg, ell)
     assert size(reg) == size(lam)
@@ -328,6 +360,7 @@ def test_deregularize_golden():
 
 @given(partitions(max_part=7, max_len=7), moduli())
 def test_deregularize_properties(lam, ell):
+    _assert_postconditions(lam, ell)
     dereg = deregularize(lam, ell)
     assert size(dereg) == size(lam)
     assert regularize(dereg, ell) == regularize(lam, ell)
@@ -378,7 +411,7 @@ def test_ladder_node_matches_the_hook_rule(ell):
         lam = tuple(sorted(parts, reverse=True))
         for mu in (lam, deregularize(lam, ell)):
             assert is_ladder_node(mu, ell) == ladder_node_by_hooks(mu, ell), mu
-        assert is_ladder_node(deregularize(lam, ell), ell)
+        _assert_postconditions(lam, ell)
 
 
 def test_L_partition_golden():
