@@ -336,8 +336,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OverflowError) as exc:  # OverflowError: a part or weight past the index range
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OverflowError, MemoryError) as exc:  # a part or weight too large to index or to allocate
+        print(f"error: {str(exc) or 'not enough memory for this input'}", file=sys.stderr)
         return 2
 
 

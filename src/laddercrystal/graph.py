@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .partitions import Partition, _is_regular, all_partitions, check_count, check_ell, transpose
+from .partitions import Partition, _is_regular, _transpose, check_count, check_ell, partitions_of
 from .rimhooks import _is_core
 from .crystal import CLASSICAL, LADDER, ReducedWord, apply_e, apply_f, check_model, reduced_words
 from .jm import _is_ell_partition, _is_jm
@@ -14,7 +14,6 @@ from .regular import (
     _is_ladder_node,
     _mullineux_level,
     _regularize,
-    regularize,
 )
 from .strings import _format
 
@@ -126,14 +125,15 @@ def verify_isomorphism(ell: int, depth: int) -> VerificationReport:
     """
     check_ell(ell)
     report = VerificationReport(suite="crystal-isomorphism", ell=ell, params={"depth": depth})
+    regularized = _ClassTable(_regularize)
     for lam in build_crystal(ell, depth, LADDER).nodes:
-        image = regularize(lam, ell)
+        image = regularized(lam, ell)
         pairs = zip(reduced_words(lam, ell, LADDER), reduced_words(image, ell, CLASSICAL))
         for i, (ladder, classical) in enumerate(pairs):
             for apply in (apply_f, apply_e):
                 expected = apply(image, classical)
                 moved = apply(lam, ladder)
-                actual = None if moved is None else regularize(moved, ell)
+                actual = None if moved is None else regularized(moved, ell)
                 report.check(actual == expected, lam, i, expected, actual)
             phi, ladder_phi = len(classical.plus), len(ladder.plus)
             report.check(ladder_phi == phi, lam, i, f"phi {phi}", f"phi {ladder_phi}")
@@ -143,22 +143,20 @@ def verify_isomorphism(ell: int, depth: int) -> VerificationReport:
 
 
 class _ClassTable:
-    """Memoized membership in one class, one table per partition size.
+    """Memoized fn(lam, ell), never None, per partition size: a class's membership or a
+    map such as _regularize.  A sweep owns its tables; dropping the sizes it has passed
+    keeps a few levels in them, never every partition seen."""
 
-    A sweep owns one per class and drops the sizes it has passed, so the
-    tables hold a few levels at a time, never every partition seen.
-    """
+    def __init__(self, fn):
+        self._fn = fn
+        self._by_size: dict[int, dict] = {}
 
-    def __init__(self, predicate):
-        self._predicate = predicate
-        self._by_size: dict[int, dict[Partition, bool]] = {}
-
-    def __call__(self, lam: Partition, ell: int) -> bool:
+    def __call__(self, lam: Partition, ell: int):
         table = self._by_size.setdefault(sum(lam), {})
-        member = table.get(lam)
-        if member is None:
-            member = table[lam] = self._predicate(lam, ell)
-        return member
+        value = table.get(lam)
+        if value is None:
+            value = table[lam] = self._fn(lam, ell)
+        return value
 
     def drop_below(self, n: int) -> None:
         for size in [size for size in self._by_size if size < n]:
@@ -228,31 +226,29 @@ def _string_end_checks(
 def theorem_suite(ell: int, nmax: int) -> VerificationReport:
     """Exhaustive structural checks over all partitions of size up to nmax.
 
-    The sweep runs level by level, n = 0..nmax, and holds:
+    The sweep runs level by level, n = 0..nmax.  Level n streams from
+    partitions_of into a table of its regularizations (lam and lam' lie in
+    the same level), and the sweep holds:
 
     - the Mullineux images of the ell-regular partitions of sizes n - 1 and
-      n.  Level n's table is built from level n - 1's, by
-      m(rho) = f_{-i} m(e_i rho) for the smallest live residue i
-      (Ford-Kleshchev), so an image costs one read of rho's reduced words
-      and one of its image's, and the check m(R(lam)) == R(lam') is one
-      lookup.  The table's keys are exactly the ell-regular partitions of
-      size n.  Level n - 1's table is dropped once level n's is built.
+      n, keyed by exactly those partitions.  Level n's table is built from
+      level n - 1's, which is then dropped, by m(rho) = f_{-i} m(e_i rho)
+      for the smallest live residue i (Ford-Kleshchev), so an image costs
+      one read of rho's reduced words and one of its image's, and the check
+      m(R(lam)) == R(lam') is one lookup.
     - membership in the JM, ell-partition and weak classes, memoized per
-      size.  The string-end checks ask about the same neighbours of many
-      partitions, each answer is computed once, and every size below n is
-      dropped when level n is done.  Weak membership asks the JM table
-      about D(lam), which has the size of lam.
+      size, since the string-end checks ask about the same neighbours of
+      many partitions; sizes below n go when level n is done.  Weak
+      membership asks the JM table about D(lam), which has the size of lam.
 
     Apart from those lookups a check costs what its predicate costs, with
     no argument checks: one pass over the rows per partition and model
-    gives every residue's reduced word, and each i-string is walked from
-    that word one box per step; the core check on the abacus; the ladder
-    node test, made at most once, from the locked prefixes of the rows; a
-    hook grid only for the JM witness and the L-partition checks; and one
-    regularization per partition, in a table kept for its level, since lam
-    and lam' lie in the same level.
-    The tables live only as long as the call; the Mullineux cache of
-    `mullineux` is not touched.
+    gives every residue's reduced word, each i-string is walked from that
+    word one box per step, cores are read off the abacus, the ladder node
+    test (made at most once) reads the blocking table up to the first row
+    that is not locked, and only the JM witness and the L-partition checks
+    build a hook grid.  No table outlives the call, and no process-wide
+    cache is read or filled.
     """
     check_ell(ell, minimum=3)
     check_count("nmax", nmax)
@@ -262,10 +258,9 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
     weak_table = _weak_table(jm_table)
     below: dict[Partition, Partition] = {}
     for n in range(nmax + 1):
-        level = all_partitions(n)
-        here = _mullineux_level((lam for lam in level if _is_regular(lam, ell)), below, ell)
-        reg = {lam: _regularize(lam, ell) for lam in level}
-        for lam in level:
+        reg = {lam: _regularize(lam, ell) for lam in partitions_of(n)}  # the level, in order
+        here = _mullineux_level((lam for lam in reg if _is_regular(lam, ell)), below, ell)
+        for lam in reg:
             jm = jm_table(lam, ell)
             core = _is_core(lam, ell)
             balanced = _is_L_partition(lam, ell)
@@ -279,7 +274,7 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
             if balanced:
                 report.check(node, lam, None, "L-partitions are ladder nodes", "not a node")
             mull = here[reg[lam]]
-            ok = (mull == reg[transpose(lam)]) == balanced
+            ok = (mull == reg[_transpose(lam)]) == balanced
             expected = f"mullineux(R(lam)) == R(lam') iff L-partition ({balanced})"
             report.check(ok, lam, None, expected, "" if ok else _format(mull))  # kept on failure only
             if lam in here:

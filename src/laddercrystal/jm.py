@@ -40,14 +40,14 @@ from typing import NamedTuple
 from .partitions import (
     Box,
     Partition,
+    _hook_grid,
     _is_regular,
+    _transpose,
     check_count,
     check_ell,
     check_partition,
-    hook_grid,
     partition_cache,
     partitions_of,
-    transpose,
 )
 from .rimhooks import _abacus, _ell_core, _is_core
 
@@ -95,7 +95,7 @@ class JMDecomposition(NamedTuple):
 def star_condition(lam: Partition, ell: int) -> bool:
     """True when every column has all or none of its hook lengths divisible by ell."""
     check_ell(ell)
-    grid = hook_grid(check_partition(lam))
+    grid = _hook_grid(check_partition(lam))
     top = grid[0] if grid else ()
     return all((h % ell == 0) == (t % ell == 0) for hooks in grid for h, t in zip(hooks, top))
 
@@ -154,7 +154,7 @@ def _fayers_witness(lam: Partition, ell: int) -> FayersWitness | None:
     row and the first indivisible row of every column; then the first
     divisible box whose row and column both have one is the base.  O(|lam|).
     """
-    grid = hook_grid(lam)
+    grid = _hook_grid(lam)
     first_row = [0] * (lam[0] if lam else 0)  # by column; 0 when all divisible
     first_col = []  # by row; 0 when all divisible
     for a, hooks in enumerate(grid, start=1):
@@ -217,7 +217,7 @@ def is_generalized_ell_partition(lam: Partition, ell: int) -> bool:
     O(len(lam) + ell^3), whatever the weight.
     """
     check_ell(ell)
-    packed, packed2, top, second = _runners(check_partition(lam), ell)
+    packed, packed2, top, second = _runners(lam, ell)
     for j in range(ell):
         first, last = packed[j] + 1, top[j]
         if first > last:
@@ -247,7 +247,7 @@ def _leading_run(nu: Partition, ell: int) -> int:
 def _core_frame(core: Partition, ell: int) -> tuple[Partition, int, int]:
     """Strip the leading difference-(ell-1) rows and columns off a core."""
     r = _leading_run(core, ell)
-    s = _leading_run(transpose(core), ell)
+    s = _leading_run(_transpose(core), ell)
     return tuple(p - s for p in core[r:] if p > s), r, s
 
 
@@ -271,8 +271,8 @@ def decompose_jm(lam: Partition, ell: int) -> JMDecomposition:
     pad = (0,) * (r + s + 2)
     try:
         rho = check_partition([(a - b) // ell for a, b in zip((lam + pad)[: r + 1], core + pad)])
-        cols = transpose(_compose(core, rho, (), ell)) + pad
-        sigma = check_partition([(a - b) // ell for a, b in zip((transpose(lam) + pad)[: s + 1], cols)])
+        cols = _transpose(_compose(core, rho, (), ell)) + pad
+        sigma = check_partition([(a - b) // ell for a, b in zip((_transpose(lam) + pad)[: s + 1], cols)])
         if _fits(mu, r, s, rho, sigma) and _compose(core, rho, sigma, ell) == lam:
             return JMDecomposition(mu, r, s, rho, sigma)
     except ValueError:  # a negative or increasing reading
@@ -317,10 +317,10 @@ def _compose(core: Partition, rho: Partition, sigma: Partition, ell: int) -> Par
     rows = list(core) + [0] * len(rho)
     for i, mult in enumerate(rho):
         rows[i] += mult * ell
-    cols = list(transpose(tuple(p for p in rows if p))) + [0] * len(sigma)
+    cols = list(_transpose(rows)) + [0] * len(sigma)
     for j, mult in enumerate(sigma):
         cols[j] += mult * ell
-    return transpose(tuple(p for p in cols if p))
+    return _transpose(cols)
 
 
 @functools.lru_cache(maxsize=64)  # each entry holds n + 1 counts
@@ -371,8 +371,8 @@ def enumerate_jm(core: Partition, w: int, ell: int) -> list[Partition]:
     core, mu, r, s = _checked_frame(core, w, ell)
     out = []
     for t in range(w + 1):
-        sigmas = [transpose(p) for p in partitions_of(w - t, s + 1)]
-        for rho in map(transpose, partitions_of(t, r + 1)):
+        sigmas = [_transpose(p) for p in partitions_of(w - t, s + 1)]
+        for rho in map(_transpose, partitions_of(t, r + 1)):
             for sigma in sigmas:
                 if _fits(mu, r, s, rho, sigma):
                     out.append(_compose(core, rho, sigma, ell))

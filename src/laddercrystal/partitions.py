@@ -54,20 +54,19 @@ def check_partition(parts: Iterable[int]) -> Partition:
 
 
 def partition_cache(fn):
-    """An unbounded lru_cache on fn(lam, ...) that also takes lists.
+    """An unbounded lru_cache on fn(lam, ...) that checks lam first.
 
-    A tuple of ints goes straight to the typed cache (2.0 and True never hit
-    the entries of 2 and 1), so a hit costs only a type scan; fn must check
-    lam itself, on a miss.  Anything else is checked (and made a tuple)
-    before the cache hashes it.  Arguments may be passed by keyword.
+    lam is checked and canonicalized (a list becomes a tuple, trailing zeros
+    go) before the cache hashes it, so fn always gets a partition and needs
+    no check of its own; fn stays reachable, uncached, as __wrapped__.  The
+    cache is typed, so 2.0 and True never hit the entries of 2 and 1.
+    Arguments may be passed by keyword.
     """
     cached = functools.lru_cache(maxsize=None, typed=True)(fn)
 
     @functools.wraps(fn)
     def call(lam, *args, **kwargs):
-        if type(lam) is not tuple or not {int}.issuperset(map(type, lam)):
-            lam = check_partition(lam)
-        return cached(lam, *args, **kwargs)
+        return cached(check_partition(lam), *args, **kwargs)
 
     call.cache_info = cached.cache_info
     call.cache_clear = cached.cache_clear
@@ -114,7 +113,7 @@ def check_box(box: Box) -> Box:
 
 
 def size(lam: Partition) -> int:
-    return sum(lam)
+    return sum(check_partition(lam))
 
 
 def contains(lam: Partition, box: Box) -> bool:
@@ -131,12 +130,15 @@ def boxes(lam: Partition) -> Iterator[Box]:
 
 @partition_cache
 def transpose(lam: Partition) -> Partition:
-    """Column lengths: row i is the last row of columns lam_{i+1} + 1 .. lam_i.  O(len(lam) + lam_1)."""
-    lam = check_partition(lam)
+    """Column lengths: row i ends columns lam_{i+1} + 1 .. lam_i, zero rows none.  O(len(lam) + lam_1)."""
     cols: list[int] = []
     for i in range(len(lam), 0, -1):
         cols += [i] * (lam[i - 1] - len(cols))
     return tuple(cols)
+
+
+# The body of a cached function, unchecked and uncached, is what library code calls.
+_transpose = transpose.__wrapped__
 
 
 def _require_box(lam: Partition, box: Box) -> tuple[Partition, Box]:
@@ -156,22 +158,22 @@ def arm(lam: Partition, box: Box) -> int:
 def leg(lam: Partition, box: Box) -> int:
     """Number of boxes strictly below *box* in its column."""
     lam, (row, col) = _require_box(lam, box)
-    return transpose(lam)[col - 1] - row
+    return _transpose(lam)[col - 1] - row
 
 
 def hook_length(lam: Partition, box: Box) -> int:
     lam, (row, col) = _require_box(lam, box)
-    return (lam[row - 1] - col) + (transpose(lam)[col - 1] - row) + 1
+    return (lam[row - 1] - col) + (_transpose(lam)[col - 1] - row) + 1
 
 
 @partition_cache
 def hook_grid(lam: Partition) -> tuple[tuple[int, ...], ...]:
-    """Hook lengths of every box, as a tuple of rows."""
-    cols = transpose(lam)  # checks lam, which is then valid but may end in zeros
-    return tuple(
-        tuple(lam[i] - (j + 1) + cols[j] - (i + 1) + 1 for j in range(lam[i]))
-        for i in range(cols[0] if cols else 0)
-    )
+    """Hook lengths of every box, as rows: box (i, j + 1) has hook lam'_{j+1} - (i - lam_i + j)."""
+    cols = _transpose(lam)
+    return tuple(tuple(map(operator.sub, cols, range(i - part, i))) for i, part in enumerate(lam, start=1))
+
+
+_hook_grid = hook_grid.__wrapped__
 
 
 def residue(box: Box, ell: int) -> int:
@@ -218,6 +220,7 @@ def _is_regular(lam: Partition, ell: int) -> bool:
 
 def addable_corners(lam: Partition) -> list[Box]:
     """Positions where a box can be added leaving a partition, top row first."""
+    lam = check_partition(lam)
     out = []
     for row in range(1, len(lam) + 1):
         if row == 1 or lam[row - 2] > lam[row - 1]:
@@ -228,6 +231,7 @@ def addable_corners(lam: Partition) -> list[Box]:
 
 def removable_corners(lam: Partition) -> list[Box]:
     """Positions where a box can be removed leaving a partition, top row first."""
+    lam = check_partition(lam)
     out = []
     for row in range(1, len(lam) + 1):
         if row == len(lam) or lam[row] < lam[row - 1]:
@@ -238,18 +242,18 @@ def removable_corners(lam: Partition) -> list[Box]:
 def addable_boxes(lam: Partition, i: int, ell: int) -> list[Box]:
     """Addable boxes of residue i, ordered top row first."""
     check_residue(i, ell)
-    return [(r, c) for r, c in addable_corners(check_partition(lam)) if (c - r) % ell == i]
+    return [(r, c) for r, c in addable_corners(lam) if (c - r) % ell == i]
 
 
 def removable_boxes(lam: Partition, i: int, ell: int) -> list[Box]:
     """Removable boxes of residue i, ordered top row first."""
     check_residue(i, ell)
-    return [(r, c) for r, c in removable_corners(check_partition(lam)) if (c - r) % ell == i]
+    return [(r, c) for r, c in removable_corners(lam) if (c - r) % ell == i]
 
 
 def add_box(lam: Partition, box: Box) -> Partition:
-    row, col = box
-    if box not in addable_corners(lam):
+    lam, (row, col) = check_partition(lam), check_box(box)
+    if (row, col) not in addable_corners(lam):
         raise ValueError(f"box {box} is not addable to {lam}")
     if row == len(lam) + 1:
         return lam + (1,)
@@ -257,8 +261,8 @@ def add_box(lam: Partition, box: Box) -> Partition:
 
 
 def remove_box(lam: Partition, box: Box) -> Partition:
-    row, col = box
-    if box not in removable_corners(lam):
+    lam, (row, col) = check_partition(lam), check_box(box)
+    if (row, col) not in removable_corners(lam):
         raise ValueError(f"box {box} is not removable from {lam}")
     if lam[row - 1] == 1:
         return lam[: row - 1]

@@ -29,6 +29,7 @@ instead: m(rho) = f_{-i} m(e_i rho) reads them off the level below.
 from __future__ import annotations
 
 import functools
+import sys
 from collections.abc import Iterable
 from itertools import combinations
 from typing import NamedTuple
@@ -36,10 +37,11 @@ from typing import NamedTuple
 from .partitions import (
     Box,
     Partition,
+    _hook_grid,
     _is_regular,
+    _transpose,
     check_ell,
     check_partition,
-    hook_grid,
     partition_cache,
 )
 from .crystal import CLASSICAL, _live_word, apply_e, apply_f, reduced_word
@@ -96,7 +98,7 @@ def _assemble(lengths: list[int]) -> Partition:
 def regularize(lam: Partition, ell: int) -> Partition:
     """Slide the boxes of every ladder into that ladder's topmost positions."""
     check_ell(ell)
-    return _regularize(check_partition(lam), ell)
+    return _regularize(lam, ell)
 
 
 def _regularize(lam: Partition, ell: int) -> Partition:
@@ -114,29 +116,26 @@ def _regularize(lam: Partition, ell: int) -> Partition:
     return _assemble(lengths)
 
 
-def _lock_prefixes(lam: Partition, ell: int) -> tuple[list[int], list[int]]:
-    """The blocking column of every ladder and the locked prefix of every row.
-
-    A box (r, c) on ladder k has its empty ladder positions below stacked
-    under empty positions exactly when no column b < c has its first empty
-    position (lam'_b + 1, b) on ladder k.  blocked[k] is the leftmost such
-    column (lam[0] + 1 when there is none), so (r, c) passes when
-    blocked[k] >= c.  Row r's type I boxes are the passing boxes under a
-    locked box, and its locked boxes are the prefix up to the rightmost of
-    them; prefixes[r - 1] is that prefix's length.  O(|lam|).
+def _blocking(lam: Partition, ell: int) -> list[int]:
+    """blocked[k]: the leftmost column b whose first empty position (lam'_b + 1, b)
+    lies on ladder k, or lam_1 + 1.  A box (r, c) on ladder k has its empty ladder
+    positions below stacked under empty positions exactly when no column b < c
+    blocks ladder k, that is when blocked[k] >= c.  O(len(lam) + lam_1).
     """
     step = ell - 1
     width = lam[0] if lam else 0
     blocked = [width + 1] * (len(lam) + step * width + 2)
-    col_length = len(lam)
-    for b in range(1, width + 1):
-        while lam[col_length - 1] < b:
-            col_length -= 1
+    for b, col_length in enumerate(_transpose(lam), start=1):
         k = col_length + 1 + step * (b - 1)
-        if blocked[k] > b:
-            blocked[k] = b
+        blocked[k] = min(blocked[k], b)
+    return blocked
+
+
+def _lock_prefixes(lam: Partition, blocked: list[int], ell: int) -> list[int]:
+    """Each row's locked prefix: up to its rightmost type I box, a passing box under a locked one."""
+    step = ell - 1
     prefixes = []
-    bound = width
+    bound = lam[0] if lam else 0
     for row, part in enumerate(lam, start=1):
         col = min(part, bound)
         k = row + step * (col - 1)
@@ -145,7 +144,7 @@ def _lock_prefixes(lam: Partition, ell: int) -> tuple[list[int], list[int]]:
             k -= step
         prefixes.append(col)
         bound = col
-    return blocked, prefixes
+    return prefixes
 
 
 def lock_labels(lam: Partition, ell: int) -> dict[Box, str]:
@@ -162,7 +161,8 @@ def lock_labels(lam: Partition, ell: int) -> dict[Box, str]:
     check_ell(ell)
     lam = check_partition(lam)
     step = ell - 1
-    blocked, prefixes = _lock_prefixes(lam, ell)
+    blocked = _blocking(lam, ell)
+    prefixes = _lock_prefixes(lam, blocked, ell)
     labels: dict[Box, str] = {}
     for row, (part, locked) in enumerate(zip(lam, prefixes), start=1):
         for col in range(1, part + 1):
@@ -177,7 +177,7 @@ def lock_labels(lam: Partition, ell: int) -> dict[Box, str]:
 
 def _deregularize(lam: Partition, ell: int) -> Partition:
     step = ell - 1
-    _, prefixes = _lock_prefixes(lam, ell)
+    prefixes = _lock_prefixes(lam, _blocking(lam, ell), ell)
     size = len(lam) + step * (lam[0] - 1) + 1 if lam else 1
     loose = [0] * size
     lengths = [0] * size
@@ -247,8 +247,7 @@ def _class_members(tally: list[int], ell: int) -> list[Partition]:
                 if k < len(tally):
                     stack.append((k + 1, tuple(new)))
                 else:  # past the last ladder every column has closed; rows are the conjugate
-                    depth = new[0] if new else 0
-                    members.append(tuple(sum(1 for length in new if length >= r) for r in range(1, depth + 1)))
+                    members.append(_transpose(new))
     return members
 
 
@@ -258,16 +257,19 @@ def reg_class(lam: Partition, ell: int) -> RegClass:
     Members are exactly the partitions with lam's ladder counts; they are
     built column by column while walking the ladders in order, keeping
     only ladder prefixes whose counts are exact, instead of scanning every
-    partition of |lam|.
+    partition of |lam|.  The representative R(lam) dominates the class, so
+    it is the last member.
     """
     check_ell(ell)
     lam = check_partition(lam)
-    members = _class_members(_ladder_tally(lam, ell), ell)
-    return RegClass(representative=regularize(lam, ell), members=tuple(sorted(members)))
+    members = tuple(sorted(_class_members(_ladder_tally(lam, ell), ell)))
+    return RegClass(representative=members[-1], members=members)
 
 
 def _is_ladder_node(lam: Partition, ell: int) -> bool:
-    return _lock_prefixes(lam, ell)[1] == list(lam)
+    """Row by row from the top, a row is locked exactly when its last box passes the blocking test."""
+    blocked = _blocking(lam, ell)
+    return all(blocked[row + (ell - 1) * (part - 1)] >= part for row, part in enumerate(lam, start=1))
 
 
 def is_ladder_node(lam: Partition, ell: int) -> bool:
@@ -282,7 +284,7 @@ def is_ladder_node(lam: Partition, ell: int) -> bool:
 
 
 def _is_L_partition(lam: Partition, ell: int) -> bool:
-    for hooks, part in zip(hook_grid(lam), lam):
+    for hooks, part in zip(_hook_grid(lam), lam):
         for col, h in enumerate(hooks, start=1):
             if not h % ell and h // ell <= min(part - col, h - 1 - part + col):  # arm, leg
                 return False
@@ -300,10 +302,6 @@ def is_L_partition(lam: Partition, ell: int) -> bool:
     return _is_L_partition(check_partition(lam), ell)
 
 
-def _is_weak_ell_partition(lam: Partition, ell: int) -> bool:
-    return _is_regular(lam, ell) and _is_jm(_deregularize(lam, ell), ell)
-
-
 def is_weak_ell_partition(lam: Partition, ell: int) -> bool:
     """An ell-regular partition whose deregularization is (ell,0)-JM.
 
@@ -314,7 +312,7 @@ def is_weak_ell_partition(lam: Partition, ell: int) -> bool:
     lam = check_partition(lam)
     if not _is_regular(lam, ell):
         raise NotRegularError(f"{lam} is not {ell}-regular")
-    return _is_weak_ell_partition(lam, ell)
+    return _is_jm(_deregularize(lam, ell), ell)
 
 
 def _mullineux_level(
@@ -375,4 +373,6 @@ def mullineux(lam: Partition, ell: int) -> Partition:
     lam = check_partition(lam)
     if not _is_regular(lam, ell):
         raise NotRegularError(f"{lam} is not {ell}-regular")
+    if sum(lam) > sys.maxsize:  # the peel takes one step per string, so it would never end
+        raise OverflowError(f"{lam} has more boxes than the index range holds")
     return _mullineux(lam, ell)

@@ -199,7 +199,7 @@ def ell_core(lam: Partition, ell: int) -> CoreResult:
     is O(n log n + ell) for n rows, whatever the weight.
     """
     check_ell(ell)
-    return _ell_core(check_partition(lam), ell)
+    return _ell_core(lam, ell)
 
 
 def _is_core(lam: Partition, ell: int) -> bool:

@@ -26,7 +26,7 @@ def test_parse_golden():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["x", "3,,1", "1,2", "2^", "-3", "1^2^3"]:
+    for bad in ["x", "3,,1", "1,2", "2^", "-3", "1^2^3", "3^0"]:
         with pytest.raises(ValueError):
             parse_partition(bad)
 
@@ -81,6 +81,20 @@ def test_deregularize_and_mullineux(capsys):
     assert out == "2,1,1,1,1\n"
     _, out = run_cli(capsys, "mullineux", "--ell", "3", "3,2,1", "--plain")
     assert out == "5,1\n"
+
+
+def test_regclass_json_and_plain(capsys):
+    status, out = run_cli(capsys, "regclass", "--ell", "3", "2,2,2,1,1,1")
+    assert status == 0
+    assert json.loads(out) == {
+        "partition": "2,2,2,1,1,1",
+        "ell": 3,
+        "representative": "3,3,2,1",
+        "members": ["2,2,2,1,1,1", "2,2,2,2,1", "3,2,1,1,1,1", "3,2,2,2", "3,3,1,1,1", "3,3,2,1"],
+    }
+    status, out = run_cli(capsys, "regclass", "--ell", "3", "2,2,2,1,1,1", "--plain")
+    assert status == 0
+    assert out == "2,2,2,1,1,1\n2,2,2,2,1\n3,2,1,1,1,1\n3,2,2,2\n3,3,1,1,1\n3,3,2,1\n"
 
 
 def test_jm_count_emits_bare_number(capsys):
@@ -229,6 +243,9 @@ def test_usage_errors_exit_two(capsys):
 
 
 HUGE = "99999999999999999999"  # past 2**63, so no list or range can be that long
+# Below 2**63, but each command below asks for a list of more than 2**62
+# bytes, which the allocator refuses at once.
+UNALLOCATABLE = "999999999999999999"
 
 
 @pytest.mark.parametrize(
@@ -241,11 +258,18 @@ HUGE = "99999999999999999999"  # past 2**63, so no list or range can be that lon
         ["jm", "check", HUGE],
         ["jm", "decompose", HUGE],
         ["jm", "count", "--core", "1", "--weight", HUGE],
+        ["mullineux", HUGE],
+        ["info", UNALLOCATABLE],
+        ["regularize", UNALLOCATABLE],
+        ["deregularize", UNALLOCATABLE],
+        ["regclass", UNALLOCATABLE],
+        ["jm", "check", UNALLOCATABLE],
+        ["jm", "decompose", UNALLOCATABLE],
     ],
     ids=lambda argv: " ".join(arg for arg in argv if arg != HUGE),
 )
 def test_oversized_input_is_a_usage_error(capsys, argv):
-    # these raised OverflowError and exited 1 with a traceback
+    # these raised OverflowError or MemoryError and exited 1 with a traceback, and mullineux never returned
     assert main([*argv, "--ell", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -9,6 +9,7 @@ import inspect
 import pytest
 
 import laddercrystal
+from laddercrystal import partitions
 from laddercrystal.partitions import check_box, ladder_positions
 from laddercrystal.rimhooks import removable_rim_hooks
 
@@ -76,6 +77,49 @@ def test_public_functions_reject_non_partitions(name, param, bad):
 def test_the_contract_covers_the_exported_box_functions():
     names = {name for name, _ in BOX_CASES}
     assert {"contains", "arm", "leg", "hook_length", "residue", "ladder_index", "box_type"} <= names
+
+
+# Partition functions of the partitions layer that the package does not export.
+CORNER_CALLS = {
+    "add_box": lambda lam: partitions.add_box(lam, (1, 2)),
+    "remove_box": lambda lam: partitions.remove_box(lam, (1, 1)),
+    "addable_corners": partitions.addable_corners,
+    "removable_corners": partitions.removable_corners,
+    "size": partitions.size,
+}
+
+
+@pytest.mark.parametrize("bad", NOT_PARTITIONS, ids=repr)
+@pytest.mark.parametrize("name", CORNER_CALLS)
+def test_corner_functions_reject_non_partitions(name, bad):
+    assert CORNER_CALLS[name]((1,)) is not None  # (1,) is valid input for each
+    with pytest.raises(ValueError):
+        CORNER_CALLS[name](bad)
+
+
+def test_corner_functions_take_lists_and_return_tuples():
+    # a list used to raise TypeError in add_box and come back as a list from remove_box
+    assert partitions.add_box([2, 1], (1, 3)) == (3, 1)
+    assert partitions.remove_box([2, 1], (2, 1)) == (2,)
+    assert partitions.addable_corners([2, 1]) == [(1, 3), (2, 2), (3, 1)]
+    assert partitions.removable_corners([2, 1]) == [(1, 2), (2, 1)]
+    assert partitions.size([2, 1]) == 3
+
+
+@pytest.mark.parametrize(
+    "fn, box",
+    [
+        (partitions.add_box, (1, 2)),  # in the diagram
+        (partitions.add_box, (3, 3)),  # off the rim
+        (partitions.add_box, [True, 3]),  # not a box, though (1, 3) is addable
+        (partitions.remove_box, (1, 1)),  # not a corner
+        (partitions.remove_box, (3, 1)),  # outside the diagram
+    ],
+    ids=repr,
+)
+def test_box_edits_reject_a_box_that_is_not_a_corner(fn, box):
+    with pytest.raises(ValueError):
+        fn((2, 1), box)
 
 
 @pytest.mark.parametrize("bad", NOT_BOXES, ids=repr)

@@ -30,8 +30,8 @@ from laddercrystal.graph import (
     verify_isomorphism,
 )
 from laddercrystal.jm import _is_jm, is_jm
-from laddercrystal.partitions import all_partitions, is_regular, residue, size
-from laddercrystal.regular import _mullineux, deregularize, is_weak_ell_partition
+from laddercrystal.partitions import all_partitions, hook_grid, is_regular, residue, size, transpose
+from laddercrystal.regular import _mullineux, deregularize, is_weak_ell_partition, regularize
 
 from helpers import ladder_node_levels, regular_counts
 
@@ -214,6 +214,21 @@ def test_theorem_suite_leaves_the_mullineux_cache_alone():
     _mullineux.cache_clear()
     assert theorem_suite(3, 12).passed
     assert _mullineux.cache_info().currsize == 0
+
+
+def test_sweeps_read_no_process_wide_cache():
+    # the public caches serve outside callers; a sweep keeps its tables for the call only
+    caches = (transpose, hook_grid, regularize, all_partitions)
+    for cache in caches:
+        cache.cache_clear()
+    assert theorem_suite(3, 10).passed
+    assert verify_isomorphism(3, 8).passed
+    assert all(cache.cache_info().hits + cache.cache_info().misses == 0 for cache in caches)
+
+
+def test_build_crystal_rejects_an_unknown_model():
+    with pytest.raises(ValueError):
+        build_crystal(3, 2, "nope")
 
 
 def test_string_end_checks_skip_steps_that_can_stay_in_class():

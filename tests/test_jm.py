@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 
 from laddercrystal.partitions import (
+    _hook_grid,
     add_box,
     addable_corners,
     all_partitions,
@@ -705,10 +706,10 @@ def test_decompose_builds_no_hook_grid(monkeypatch):
     def counted(lam):
         nonlocal calls
         calls += 1
-        return hook_grid(lam)
+        return _hook_grid(lam)
 
     for name in ("partitions", "jm"):
-        monkeypatch.setattr(importlib.import_module(f"laddercrystal.{name}"), "hook_grid", counted)
+        monkeypatch.setattr(importlib.import_module(f"laddercrystal.{name}"), "_hook_grid", counted)
     assert decompose_jm(big, 3).rho == (900, 300, 20, 1)
     for lam in [(2, 2), (3, 3)] + near_misses:
         with pytest.raises(NotJMPartitionError):

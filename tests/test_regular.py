@@ -284,7 +284,8 @@ def test_cached_boundary_takes_keyword_arguments():
         regularize(lam=[1, 2], ell=3)
 
 
-def test_regularize_checks_a_tuple_on_a_cache_miss_only():
+def test_regularize_checks_a_tuple_before_the_cache():
+    # every call is checked before the cache, so a bad tuple never reaches it
     regularize((4, 2), 3)
     hits = regularize.cache_info().hits
     assert regularize((4, 2), 3) == (4, 2)

@@ -210,6 +210,11 @@ def test_hook_functions_reject_non_hooks(hook):
         adjacent(hook, real)
 
 
+def test_remove_rejects_a_one_box_hook():
+    with pytest.raises(InvalidHookError, match="too short"):
+        remove_rim_hook((3,), RimHook(((1, 3),), HORIZONTAL))
+
+
 def test_hook_boxes_may_be_lists():
     listed = RimHook(([1, 1], [1, 2], [1, 3]), HORIZONTAL)
     assert remove_rim_hook((3,), listed) == ()
