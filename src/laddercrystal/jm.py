@@ -182,11 +182,17 @@ def fayers_witness(lam: Partition, ell: int) -> FayersWitness | None:
 
 
 def _is_jm(lam: Partition, ell: int) -> bool:
+    """Checked on whichever of lam and its conjugate has fewer rows: the JM
+    condition is conjugation-invariant (hooks are kept, row-mates and
+    column-mates swap), and the hook grid costs least with few long rows."""
+    if lam and len(lam) > lam[0]:
+        lam = _transpose(lam)
     return _fayers_witness(lam, ell) is None
 
 
 def is_jm(lam: Partition, ell: int) -> bool:
-    return fayers_witness(lam, ell) is None
+    check_ell(ell, minimum=3)
+    return _is_jm(check_partition(lam), ell)
 
 
 @partition_cache

@@ -17,13 +17,13 @@ covers consecutive ladders, so a regularization class is built column by
 column while walking the ladders in order, instead of scanning every
 partition of |lam|.
 
-The Mullineux map twists the crystal residues i -> -i, so it carries a
-whole i-string to a (-i)-string of the same length.  It peels whole strings
-(e_i^eps of the first live residue i) down to the empty partition and
-replays f_{-i}^eps upward; which live residue and which string length are
-taken does not change the image.  Each string costs one reduced word, not
-one per box.  A sweep over all sizes builds the images level by level
-instead: m(rho) = f_{-i} m(e_i rho) reads them off the level below.
+The Mullineux map is read off Mullineux's symbol: peel ell-rims down to the
+empty partition, map each column (a; r) to (a; a - r + eps), and add the
+rims back from the innermost column, each in O(len(lam)) with no crystal
+signature read.  Ford-Kleshchev proved that this is the crystal involution
+twisting residues i -> -i.  A sweep over all sizes builds the images on the
+crystal instead, level by level: m(rho) = f_{-i} m(e_i rho) reads them off
+the level below.
 """
 
 from __future__ import annotations
@@ -338,41 +338,84 @@ def _mullineux_level(
     return here
 
 
+def _peel_rim(lam: Partition, ell: int) -> tuple[int, Partition]:
+    """Remove lam's ell-rim (Mullineux 1979); return its size and what is left.
+
+    The rim walk, south-west from (1, lam_1), enters each row at its last
+    box and takes boxes leftward down to the column of the row below (to
+    column 1 on the last row).  A segment of ell boxes that ends inside a
+    row starts the next segment at the end of the row below, exactly where
+    the walk would have gone, so only the segment count restarts.  O(len(lam)).
+    """
+    rest = []
+    size = 0
+    left = ell  # boxes left in the current segment
+    for part, below in zip(lam, lam[1:] + (0,)):
+        take = min(left, part - max(below, 1) + 1)
+        rest.append(part - take)
+        size += take
+        left = left - take or ell
+    while rest and not rest[-1]:
+        rest.pop()
+    return size, tuple(rest)
+
+
+def _add_rim(mu: Partition, a: int, r: int, ell: int) -> Partition:
+    """The partition whose ell-rim has a boxes, last row r, and leaves mu.
+
+    The rim's ceil(a / ell) segments are laid from the bottom up: all have
+    ell boxes but the last, and the last ends on row r.  A segment of k
+    boxes over rows u..e gets lam_u = c + u, with c = k - e + mu_e, and
+    lam_i = mu_{i-1} + 1 below it (so it has k boxes); u is the row with
+    mu_{u-1} - (u-1) >= c > mu_u - u (or 1).  mu_i - i strictly decreases,
+    so u is found by walking up from e, and the next segment ends on row
+    u - 1.  The walk only moves up: O(r).
+    """
+    lam = list(mu) + [0] * (r - len(mu))
+    e = r
+    k = a - ell * ((a - 1) // ell)
+    while a:
+        c = k - e + lam[e - 1]
+        u = e
+        while u > 1 and lam[u - 2] - (u - 1) < c:
+            u -= 1
+        for i in range(e, u, -1):  # rows are 1-based; lam[i - 1] is row i
+            lam[i - 1] = lam[i - 2] + 1
+        lam[u - 1] = c + u
+        a -= k
+        e, k = u - 1, ell
+    return tuple(lam)
+
+
 @functools.lru_cache(maxsize=None)
 def _mullineux(lam: Partition, ell: int) -> Partition:
-    peeled = []
-    cur = lam
-    while cur:
-        i, word = _live_word(cur, ell)
-        eps = len(word.minus)
-        peeled.append((i, eps))
-        cur = apply_e(cur, word, eps)
+    symbol = []
+    while lam:
+        depth = len(lam)
+        a, lam = _peel_rim(lam, ell)
+        symbol.append((a, depth))
     image: Partition = ()
-    for i, k in reversed(peeled):
-        image = apply_f(image, reduced_word(image, (-i) % ell, ell, CLASSICAL), k)
-        assert image is not None, f"mullineux replay stalled at {lam}"
+    for a, r in reversed(symbol):
+        image = _add_rim(image, a, a - r + (1 if a % ell else 0), ell)
     return image
 
 
 def mullineux(lam: Partition, ell: int) -> Partition:
-    """The Mullineux map, computed through the crystal recursion.
+    """The Mullineux map, computed from Mullineux's symbol.
 
-    The Mullineux map is the crystal involution that twists residues
-    i -> -i (Ford-Kleshchev), so m(e_i^k lam) = e_{-i}^k m(lam) for every
-    k <= epsilon_i(lam).  The image of lam is therefore f_{-i}^eps applied
-    to the image of e_i^eps lam, where i is the smallest live residue and
-    eps = epsilon_i(lam): any live residue and any string length would do,
-    and taking the whole string costs the fewest steps.  It is computed
-    without recursion: peel whole i-strings down to the empty partition
-    (e_i^eps removes every minus box of one reduced word), then replay
-    f_{-i}^eps from the empty partition upward (the last eps plus boxes of
-    one reduced word).  Each string costs one signature read, not one per
-    box.
+    Peeling ell-rims until lam is empty gives the symbol's columns (a; r):
+    the rim's size and lam's row count at each peel.  The map sends each
+    column to (a; a - r + eps), eps = 0 when ell divides a and 1 otherwise
+    (Mullineux 1979; Bessenrodt-Olsson 1998), and the image is rebuilt from
+    the innermost column outwards, one rim at a time.  Ford-Kleshchev proved
+    that this is the crystal involution twisting residues i -> -i; the tests
+    check it against that crystal map.  Each column, peeled or rebuilt, costs
+    O(len(lam)).
     """
     check_ell(ell, minimum=3)
     lam = check_partition(lam)
     if not _is_regular(lam, ell):
         raise NotRegularError(f"{lam} is not {ell}-regular")
-    if sum(lam) > sys.maxsize:  # the peel takes one step per string, so it would never end
+    if sum(lam) > sys.maxsize:  # the peel takes one step per ell-rim, so it would never end
         raise OverflowError(f"{lam} has more boxes than the index range holds")
     return _mullineux(lam, ell)

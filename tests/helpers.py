@@ -1,6 +1,7 @@
-"""Test oracles computed without the crystal operators: expected crystal
-levels, the Mullineux symbol and the hook rule for ladder nodes; and the
-Mullineux map peeled by the largest live residue instead of the smallest."""
+"""Test oracles: expected crystal levels, the hook rule for ladder nodes,
+the ell-rim walked box by box with the Mullineux symbol it gives, and the
+Mullineux map as the crystal defines it, peeled by whole strings of the
+largest live residue."""
 
 from __future__ import annotations
 
@@ -15,8 +16,12 @@ def regular_counts(ell: int, nmax: int) -> list[int]:
 
 
 def mullineux_by_largest_residue(lam: Partition, ell: int) -> Partition:
-    """m(lam) as mullineux computes it, but peeling whole strings of the
-    largest live residue: any live residue gives the same image."""
+    """m(lam) on the crystal, an oracle for mullineux's symbol computation.
+
+    The map twists residues i -> -i (Ford-Kleshchev), so it carries a whole
+    i-string to a (-i)-string of the same length: peel e_i^eps of the
+    largest live residue i down to the empty partition, then replay
+    f_{-i}^eps upward.  Any live residue gives the same image."""
     peeled = []
     while lam:
         words = reduced_words(lam, ell, CLASSICAL)

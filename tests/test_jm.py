@@ -166,6 +166,14 @@ def test_jm_iff_no_witness_and_transpose_symmetric(lam, ell):
     assert is_jm(lam, ell) == is_jm(transpose(lam), ell)
 
 
+@pytest.mark.parametrize("ell", [3, 4, 5])
+def test_jm_on_either_orientation_matches_the_witness(ell):
+    # is_jm checks whichever of lam and lam' has fewer rows; fayers_witness keeps lam's own
+    for n in range(17):
+        for lam in all_partitions(n):
+            assert is_jm(lam, ell) == is_jm(transpose(lam), ell) == (fayers_witness(lam, ell) is None), lam
+
+
 @pytest.mark.parametrize(
     "fn",
     [is_jm, fayers_witness, is_ell_partition, is_generalized_ell_partition, star_condition, decompose_jm],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from laddercrystal.partitions import (
     transpose,
 )
 from laddercrystal.jm import is_generalized_ell_partition, is_jm
+from laddercrystal import crystal
 from laddercrystal.crystal import CLASSICAL, reduced_word
 from laddercrystal.rimhooks import ell_core
 from laddercrystal.regular import (
@@ -37,12 +39,16 @@ from laddercrystal.regular import (
     ladder_counts,
     lock_labels,
     mullineux,
+    _add_rim,
+    _mullineux,
     _mullineux_level,
+    _peel_rim,
     reg_class,
     regularize,
 )
 
 from helpers import (
+    ell_rim,
     ladder_node_by_hooks,
     mullineux_by_largest_residue,
     mullineux_image_symbol,
@@ -546,13 +552,36 @@ def test_mullineux_matches_one_box_reference(ell, nmax):
         assert mullineux_by_largest_residue(lam, ell) == expected, lam
 
 
-@pytest.mark.parametrize("ell", [3, 4])
+@pytest.mark.parametrize("ell", [3, 4, 5, 7])
 def test_mullineux_matches_one_box_reference_on_large_partitions(ell):
     for lam in _large_regular_partitions(ell):
         assert is_regular(lam, ell) and 300 < size(lam) <= 4096, lam
         expected = _reference_mullineux(lam, ell)
         assert mullineux(lam, ell) == expected, lam
         assert mullineux_by_largest_residue(lam, ell) == expected, lam
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5])
+def test_peeled_rim_is_the_ell_rim_and_adding_it_back_restores_lam(ell):
+    for lam in _regular_partitions(ell, 20):
+        if not lam:
+            continue
+        a, rest = _peel_rim(lam, ell)
+        taken = [p - q for p, q in itertools.zip_longest(lam, rest, fillvalue=0)]
+        assert taken == ell_rim(lam, ell), lam
+        assert a == sum(taken)
+        assert _add_rim(rest, a, len(lam), ell) == lam, lam
+
+
+def test_mullineux_reads_no_signatures(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("mullineux read a crystal signature")
+
+    monkeypatch.setattr(crystal, "_signatures", forbidden)
+    _mullineux.cache_clear()
+    assert mullineux((3, 2, 1), 3) == (5, 1)
+    for lam in _large_regular_partitions(3):
+        assert mullineux(mullineux(lam, 3), 3) == lam
 
 
 @pytest.mark.parametrize("ell,nmax", [(3, 18), (4, 16), (5, 16)])
