@@ -115,7 +115,7 @@ def test_corner_functions_take_lists_and_return_tuples():
         (partitions.remove_box, (1, 1)),  # not a corner
         (partitions.remove_box, (3, 1)),  # outside the diagram
     ],
-    ids=repr,
+    ids=lambda v: v.__name__ if callable(v) else repr(v),  # a function's repr holds its address
 )
 def test_box_edits_reject_a_box_that_is_not_a_corner(fn, box):
     with pytest.raises(ValueError):
