@@ -6,6 +6,11 @@ another.  Equivalently (and this module checks both sides) it is a
 "generalized ell-partition": every removable ell-rim hook, hereditarily, is a
 horizontal or vertical strip, and opposite-orientation hooks never touch.
 
+The witness side is read off James's abacus: is_jm reads each runner's
+highest bead and lowest gap in one pass over the beads (see _is_jm), with no
+hook grid.  fayers_witness scans the hook grid to name the witness boxes, and
+is the tests' oracle for is_jm.
+
 The hereditary side is read off James's abacus: rimhooks._abacus lists each
 runner's bead levels, and every negative position is a bead.  Removing a rim
 hook moves one bead one level down its runner, so the partitions reachable
@@ -49,7 +54,7 @@ from .partitions import (
     partition_cache,
     partitions_of,
 )
-from .rimhooks import _abacus, _ell_core, _is_core
+from .rimhooks import _abacus, _beads, _ell_core, _is_core
 
 
 class NotJMPartitionError(ValueError):
@@ -182,12 +187,37 @@ def fayers_witness(lam: Partition, ell: int) -> FayersWitness | None:
 
 
 def _is_jm(lam: Partition, ell: int) -> bool:
-    """Checked on whichever of lam and its conjugate has fewer rows: the JM
-    condition is conjugation-invariant (hooks are kept, row-mates and
-    column-mates swap), and the hook grid costs least with few long rows."""
-    if lam and len(lam) > lam[0]:
-        lam = _transpose(lam)
-    return _fayers_witness(lam, ell) is None
+    """No Fayers witness, decided in one pass over lam's beads (rimhooks._beads).
+
+    The boxes of lam are the pairs (gap g, bead b) with g < b: the box lies
+    in b's row and g's column, and its hook length is b - g, so ell divides
+    it exactly when g and b lie on the same runner.  A witness is then a
+    runner r with a gap g below a bead b, a gap of another runner below b
+    (the row-mate) and a bead of another runner above g (the column-mate).
+    Taking r's highest bead and lowest gap makes all three easiest to meet,
+    so one pass that records both per runner decides it: O(len(lam) + ell),
+    whatever the size of lam, with no hook grid and no conjugate.
+    """
+    packed = [0] * ell  # beads at levels 0, 1, ... with no gap below
+    top = [-1] * ell  # highest bead position; -1 when the runner holds none
+    for bead in _beads(lam, ell):
+        level, runner = divmod(bead, ell)
+        if level == packed[runner]:
+            packed[runner] += 1
+        top[runner] = bead
+    gap = [runner + ell * k for runner, k in enumerate(packed)]  # lowest gap position
+    lowest, highest = min(gap), max(top)
+    for g, b in zip(gap, top):
+        # positions are distinct, so x != g and x != b leave out runner r
+        # itself (tops repeat only as -1, where g < b fails); only the
+        # runners holding the lowest gap and the highest bead need a scan
+        if (
+            g < b
+            and (g != lowest or any(x < b for x in gap if x != g))
+            and (b != highest or any(x > g for x in top if x != b))
+        ):
+            return False
+    return True
 
 
 def is_jm(lam: Partition, ell: int) -> bool:

@@ -10,8 +10,9 @@ beads of each runner (residue class mod ell) as far up as they go gives the
 ell-core, and the number of slides is the ell-weight.
 
 ``_beads`` is the one bead reader: cores count its beads per runner, the
-core test reads it up to the first bead that can slide, and jm's hereditary
-checks read the per-runner levels that ``_abacus`` sorts out of it.
+core test reads it up to the first bead that can slide, jm's membership
+test reads each runner's highest bead and lowest gap from it, and jm's
+hereditary checks read the per-runner levels that ``_abacus`` sorts out of it.
 
 So no hook-length grid is built: finding the hooks costs about ell^2 per
 distinct part of lam, removing one costs a tuple slice, a core costs

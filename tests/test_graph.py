@@ -30,7 +30,7 @@ from laddercrystal.graph import (
     verify_isomorphism,
 )
 from laddercrystal.jm import _is_jm, is_jm
-from laddercrystal.partitions import all_partitions, hook_grid, is_regular, residue, size, transpose
+from laddercrystal.partitions import _hook_grid, all_partitions, hook_grid, is_regular, residue, size, transpose
 from laddercrystal.regular import _mullineux, deregularize, is_weak_ell_partition, regularize
 
 from helpers import ladder_node_levels, regular_counts
@@ -321,6 +321,22 @@ def test_theorem_suite_makes_no_checked_regularity_calls(monkeypatch):
     assert theorem_suite(3, 16).checks == 6197
     assert theorem_suite(4, 14).checks == 4685
     assert calls == 0
+
+
+def test_theorem_suite_builds_one_hook_grid_per_partition(monkeypatch):
+    # only the L-partition check builds one, for each partition of n <= 12:
+    # sum p(n) = 272; JM membership reads the abacus
+    calls = 0
+
+    def counted(lam):
+        nonlocal calls
+        calls += 1
+        return _hook_grid(lam)
+
+    for name in ("regular", "jm"):
+        monkeypatch.setattr(importlib.import_module(f"laddercrystal.{name}"), "_hook_grid", counted)
+    assert theorem_suite(3, 12).passed
+    assert calls == sum(len(all_partitions(n)) for n in range(13)) == 272
 
 
 @pytest.mark.parametrize("ell", [3, 4])

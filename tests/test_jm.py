@@ -33,6 +33,7 @@ from laddercrystal.jm import (
     _core_frame,
     _fayers_witness,
     _frame_rows,
+    _is_jm,
     _leading_run,
     _only_horizontal_hereditarily,
     compose_jm,
@@ -160,15 +161,41 @@ def test_witness_matches_the_rescan_reference_on_large_partitions(ell):
             assert _fayers_witness(near, ell) == _reference_witness(near, ell), near
 
 
+@pytest.mark.parametrize("ell", [3, 4, 5])
+def test_abacus_jm_matches_the_witness_on_large_partitions(ell):
+    # _is_jm reads the beads; the hook-grid witness is its oracle, on
+    # composed JM partitions and their one-box neighbours (mostly near misses)
+    rng = random.Random(7400 + ell)
+    for lam in _large_jm_partitions(ell, rng, 6) + _large_jm_partitions(ell, rng, 4, hooks=(100, 300)):
+        assert _is_jm(lam, ell) and _fayers_witness(lam, ell) is None, lam
+        for near in _one_box_away(lam):
+            assert _is_jm(near, ell) == (_fayers_witness(near, ell) is None), near
+
+
+def test_is_jm_reads_no_hook_grid(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("is_jm built a hook grid or a conjugate")
+
+    jm_module = importlib.import_module("laddercrystal.jm")
+    for name in ("_hook_grid", "_transpose"):
+        monkeypatch.setattr(jm_module, name, forbidden)
+    assert is_jm(JM_EXAMPLE, 3) and is_jm((), 3) and is_jm((2,), 3) and is_jm((3, 1), 3)
+    assert not is_jm((2, 2), 3) and not is_jm((3, 3), 3)
+    assert is_jm((10**12,), 3)
+    assert not is_jm((10**12, 10**12 - 1, 2), 3)
+    assert is_jm((1,) * 300_000, 3)
+
+
 @given(partitions(max_part=7, max_len=7), jm_moduli())
 def test_jm_iff_no_witness_and_transpose_symmetric(lam, ell):
     assert is_jm(lam, ell) == (fayers_witness(lam, ell) is None)
     assert is_jm(lam, ell) == is_jm(transpose(lam), ell)
 
 
-@pytest.mark.parametrize("ell", [3, 4, 5])
+@pytest.mark.parametrize("ell", [3, 4, 5, 6, 7])
 def test_jm_on_either_orientation_matches_the_witness(ell):
-    # is_jm checks whichever of lam and lam' has fewer rows; fayers_witness keeps lam's own
+    # is_jm reads the beads of lam and of lam' (whose beads are lam's gaps,
+    # reflected); fayers_witness scans the hook grid of lam's own orientation
     for n in range(17):
         for lam in all_partitions(n):
             assert is_jm(lam, ell) == is_jm(transpose(lam), ell) == (fayers_witness(lam, ell) is None), lam
