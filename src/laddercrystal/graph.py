@@ -119,26 +119,44 @@ def verify_isomorphism(ell: int, depth: int) -> VerificationReport:
 
     For every ladder-crystal node through the given depth and every residue:
     regularize(f_hat(lam)) == f_tilde(regularize(lam)), the same for the
-    lowering operators, and the string lengths agree.  All four answers on
-    each side are read from one reduced word, and one pass over the rows of
-    lam (and one of its image) gives the words of every residue.
+    lowering operators, and the string lengths agree.
+
+    The check walks the ladder crystal once, level by level, with the nodes
+    of a level in sorted order (the nodes and order of build_crystal).  One
+    pass over the rows of lam gives its ladder words of every residue, and
+    one over its image R(lam) the classical words; all four answers on each
+    side are read from those words, and the f_hat targets form the next
+    level.  The regularizations are memoized per level, and the levels below
+    n are dropped when level n is done, so the walk holds the levels n - 1,
+    n and n + 1 of the table and two levels of nodes.
     """
     check_ell(ell)
+    check_count("depth", depth)
     report = VerificationReport(suite="crystal-isomorphism", ell=ell, params={"depth": depth})
     regularized = _ClassTable(_regularize)
-    for lam in build_crystal(ell, depth, LADDER).nodes:
-        image = regularized(lam, ell)
-        pairs = zip(reduced_words(lam, ell, LADDER), reduced_words(image, ell, CLASSICAL))
-        for i, (ladder, classical) in enumerate(pairs):
-            for apply in (apply_f, apply_e):
-                expected = apply(image, classical)
-                moved = apply(lam, ladder)
-                actual = None if moved is None else regularized(moved, ell)
-                report.check(actual == expected, lam, i, expected, actual)
-            phi, ladder_phi = len(classical.plus), len(ladder.plus)
-            report.check(ladder_phi == phi, lam, i, f"phi {phi}", f"phi {ladder_phi}")
-            eps, ladder_eps = len(classical.minus), len(ladder.minus)
-            report.check(ladder_eps == eps, lam, i, f"epsilon {eps}", f"epsilon {ladder_eps}")
+    level: list[Partition] = [()]
+    for n in range(depth + 1):
+        above: set[Partition] = set()
+        for lam in level:
+            image = regularized(lam, ell)
+            pairs = zip(reduced_words(lam, ell, LADDER), reduced_words(image, ell, CLASSICAL))
+            for i, (ladder, classical) in enumerate(pairs):
+                up = apply_f(lam, ladder)
+                if up is not None:
+                    above.add(up)
+                moves = ((up, apply_f(image, classical)), (apply_e(lam, ladder), apply_e(image, classical)))
+                for moved, expected in moves:
+                    actual = None if moved is None else regularized(moved, ell)
+                    report.check(actual == expected, lam, i, expected, actual)
+                phi, ladder_phi = len(classical.plus), len(ladder.plus)
+                eps, ladder_eps = len(classical.minus), len(ladder.minus)
+                if ladder_phi == phi and ladder_eps == eps:
+                    report.checks += 2
+                else:  # the failure text is built only for a failed check
+                    report.check(ladder_phi == phi, lam, i, f"phi {phi}", f"phi {ladder_phi}")
+                    report.check(ladder_eps == eps, lam, i, f"epsilon {eps}", f"epsilon {ladder_eps}")
+        regularized.drop_below(n)
+        level = sorted(above)
     return report
 
 

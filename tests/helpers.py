@@ -1,11 +1,12 @@
-"""Test oracles: expected crystal levels, the hook rule for ladder nodes,
-the ell-rim walked box by box with the Mullineux symbol it gives, and the
-Mullineux map as the crystal defines it, peeled by whole strings of the
-largest live residue."""
+"""Test oracles: expected crystal levels, the isomorphism check over a built
+ladder crystal, the hook rule for ladder nodes, the ell-rim walked box by
+box with the Mullineux symbol it gives, and the Mullineux map as the crystal
+defines it, peeled by whole strings of the largest live residue."""
 
 from __future__ import annotations
 
-from laddercrystal.crystal import CLASSICAL, apply_e, apply_f, reduced_word, reduced_words
+from laddercrystal import graph
+from laddercrystal.crystal import CLASSICAL, LADDER, apply_e, apply_f, reduced_word, reduced_words
 from laddercrystal.partitions import Partition, all_partitions, check_partition, hook_grid, is_regular
 from laddercrystal.regular import deregularize
 
@@ -33,6 +34,32 @@ def mullineux_by_largest_residue(lam: Partition, ell: int) -> Partition:
     for i, eps in reversed(peeled):
         image = apply_f(image, reduced_word(image, (-i) % ell, ell, CLASSICAL), eps)
     return image
+
+
+def verify_isomorphism_by_graph(ell: int, depth: int) -> graph.VerificationReport:
+    """verify_isomorphism as a loop over the nodes of build_crystal: an oracle
+    for its report, failure records included.
+
+    Each node's words are read again after the build, and every
+    regularization is recomputed.  The map is graph._regularize, looked up
+    at call time, so a test can replace it with a wrong one.
+    """
+    report = graph.VerificationReport(suite="crystal-isomorphism", ell=ell, params={"depth": depth})
+    regularize = graph._regularize
+    for lam in graph.build_crystal(ell, depth, LADDER).nodes:
+        image = regularize(lam, ell)
+        pairs = zip(reduced_words(lam, ell, LADDER), reduced_words(image, ell, CLASSICAL))
+        for i, (ladder, classical) in enumerate(pairs):
+            for apply in (apply_f, apply_e):
+                expected = apply(image, classical)
+                moved = apply(lam, ladder)
+                actual = None if moved is None else regularize(moved, ell)
+                report.check(actual == expected, lam, i, expected, actual)
+            phi, ladder_phi = len(classical.plus), len(ladder.plus)
+            report.check(ladder_phi == phi, lam, i, f"phi {phi}", f"phi {ladder_phi}")
+            eps, ladder_eps = len(classical.minus), len(ladder.minus)
+            report.check(ladder_eps == eps, lam, i, f"epsilon {eps}", f"epsilon {ladder_eps}")
+    return report
 
 
 def ladder_node_levels(ell: int, nmax: int) -> list[set[Partition]]:

@@ -7,7 +7,7 @@ import importlib
 
 import pytest
 
-from laddercrystal import crystal
+from laddercrystal import crystal, graph
 from laddercrystal.crystal import (
     LADDER,
     ReducedWord,
@@ -31,9 +31,9 @@ from laddercrystal.graph import (
 )
 from laddercrystal.jm import _is_jm, is_jm
 from laddercrystal.partitions import _hook_grid, all_partitions, hook_grid, is_regular, residue, size, transpose
-from laddercrystal.regular import _mullineux, deregularize, is_weak_ell_partition, regularize
+from laddercrystal.regular import _mullineux, _regularize, deregularize, is_weak_ell_partition, regularize
 
-from helpers import ladder_node_levels, regular_counts
+from helpers import ladder_node_levels, regular_counts, verify_isomorphism_by_graph
 
 
 REGULAR_COUNTS_3 = [1, 1, 2, 2, 4, 5, 7, 9, 13, 16, 22]
@@ -67,18 +67,11 @@ def test_classical_nodes_are_regular_partitions():
 
 
 def test_ladder_nodes_are_deregularizations():
-    graph = build_crystal(3, 7, "ladder")
-    expected_levels = ladder_node_levels(3, 7)
-    for n, level in enumerate(graph.levels):
-        expected = sorted(
-            {
-                deregularize(lam, 3)
-                for lam in all_partitions(n)
-                if is_regular(lam, 3)
-            }
-        )
-        assert list(level) == expected
-        assert set(level) == expected_levels[n]
+    # the paper's description of B(Lambda_0): ladder level n is
+    # {D(rho) : rho ell-regular of size n}, in sorted order
+    for ell in (3, 4, 5):
+        levels = build_crystal(ell, 16, "ladder").levels
+        assert [list(level) for level in levels] == [sorted(level) for level in ladder_node_levels(ell, 16)]
 
 
 @pytest.mark.parametrize("model", ["classical", "ladder"])
@@ -169,11 +162,67 @@ def test_verify_isomorphism_passes():
     assert report.checks == 4 * 3 * node_count
 
 
-@pytest.mark.parametrize("ell,depth,checks", [(3, 18, 7776), (4, 14, 5424)])
+@pytest.mark.parametrize("ell,depth,checks", [(3, 18, 7776), (4, 14, 5424), (5, 12, 4460)])
 def test_verify_isomorphism_check_counts(ell, depth, checks):
     report = verify_isomorphism(ell, depth)
     assert report.checks == checks
     assert not report.failures
+    assert report.to_dict() == verify_isomorphism_by_graph(ell, depth).to_dict()
+
+
+def test_verify_isomorphism_reads_one_word_per_node_and_model(monkeypatch):
+    # one ladder read per node and one classical read per image, and no
+    # built crystal, whose build would read the ladder words a second time
+    calls = 0
+    signatures = crystal._signatures
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return signatures(*args)
+
+    def refuse(*args):
+        raise AssertionError("verify_isomorphism walks the ladder crystal itself")
+
+    monkeypatch.setattr(crystal, "_signatures", counted)
+    monkeypatch.setattr(graph, "build_crystal", refuse)
+    nodes = sum(regular_counts(3, 12))
+    assert verify_isomorphism(3, 12).checks == 4 * 3 * nodes
+    assert calls == 2 * nodes == 290
+
+
+def test_verify_isomorphism_holds_at_most_three_levels_of_regularizations(monkeypatch):
+    # the walk drops the levels it has passed: it looks up R at levels n - 1
+    # (e-moves), n and n + 1 (f-moves), never every node seen
+    held = []
+
+    class Recorded(_ClassTable):
+        def __call__(self, lam, ell):
+            value = super().__call__(lam, ell)
+            held.append(len(self._by_size))
+            return value
+
+    monkeypatch.setattr(graph, "_ClassTable", Recorded)
+    assert verify_isomorphism(3, 20).passed
+    assert held and max(held) <= 3
+
+
+def _transposed_at_size_five(lam, ell):
+    image = _regularize(lam, ell)
+    return transpose(image) if sum(lam) == 5 else image
+
+
+@pytest.mark.parametrize("wrong", [_transposed_at_size_five, lambda lam, ell: lam], ids=["one-level", "identity"])
+@pytest.mark.parametrize("ell,depth", [(3, 10), (4, 8)])
+def test_verify_isomorphism_records_failures_like_the_built_crystal_loop(monkeypatch, wrong, ell, depth):
+    # a wrong map fails operator checks and string-length checks alike; the
+    # records, their order and the check count match the oracle's
+    monkeypatch.setattr(graph, "_regularize", wrong)
+    report = verify_isomorphism(ell, depth).to_dict()
+    assert report == verify_isomorphism_by_graph(ell, depth).to_dict()
+    lengths = [failure for failure in report["failures"] if failure["expected"].startswith(("phi ", "epsilon "))]
+    assert {failure["expected"].split()[0] for failure in lengths} == {"phi", "epsilon"}
+    assert 0 < len(lengths) < len(report["failures"])
 
 
 @pytest.mark.parametrize(
