@@ -264,9 +264,10 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
     gives every residue's reduced word, each i-string is walked from that
     word one box per step, cores are read off the abacus, the ladder node
     test (made at most once) reads the blocking table up to the first row
-    that is not locked, JM membership reads each runner's highest bead and
-    lowest gap, and only the L-partition check builds a hook grid, one per
-    partition of the level.  No table outlives the call, and no process-wide
+    that is not locked, JM and ell-partition membership read each runner's
+    highest bead and lowest gap, and the L-partition check reads the beads
+    once, testing each against the nearby gaps of its runner.  No check
+    builds a hook grid.  No table outlives the call, and no process-wide
     cache is read or filled.
     """
     check_ell(ell, minimum=3)

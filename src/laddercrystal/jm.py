@@ -11,14 +11,16 @@ highest bead and lowest gap in one pass over the beads (see _is_jm), with no
 hook grid.  fayers_witness scans the hook grid to name the witness boxes, and
 is the tests' oracle for is_jm.
 
-The hereditary side is read off James's abacus: rimhooks._abacus lists each
-runner's bead levels, and every negative position is a bead.  Removing a rim
-hook moves one bead one level down its runner, so the partitions reachable
-by removals are the product, over the runners, of the bead sets M with
-M_i <= L_i, where L and M list a runner's bead levels in ascending order.  A
-runner can hold a bead at level t exactly when t is at most its top bead,
-and a gap exactly when t is at least its packed prefix (the beads with no
-gap below, which never move).  A hook from a bead at level k of runner j,
+The hereditary side is read off James's abacus too: rimhooks._abacus lists
+each runner's bead levels for is_generalized_ell_partition, and every
+negative position is a bead; the ell-partition test needs only each
+runner's lowest gap and highest bead (rimhooks._runner_ends), as is_jm
+does.  Removing a rim hook moves one bead one level down its runner, so the
+partitions reachable by removals are the product, over the runners, of the
+bead sets M with M_i <= L_i, where L and M list a runner's bead levels in
+ascending order.  A runner can hold a bead at level t exactly when t is at
+most its top bead, and a gap exactly when t is at least its packed prefix
+(the beads with no gap below, which never move).  A hook from a bead at level k of runner j,
 into the gap at k-1, passes one position of every other runner, its window:
 level k on the runners below j and level k-1 on those above.  It is
 horizontal when its window holds only gaps and vertical when it holds only
@@ -26,9 +28,10 @@ beads.  Two hooks of opposite orientation, the second exposed by removing
 the first, touch exactly when their northeast boxes' contents differ by ell:
 the second moves the same bead once more, or moves the bead one level above
 into the vacated place.  Each condition on reachable partitions is then a
-few bounds on level k per pair of runners, so both hereditary checks cost
-O(len(lam) + ell^3) for the abacus and the bounds, whatever the weight,
-instead of a walk over every partition that removals reach.
+few bounds on level k per pair of runners, so the generalized check costs
+O(len(lam) + ell^3) and the ell-partition check O(len(lam) + ell),
+whatever the weight, instead of a walk over every partition that removals
+reach.
 
 By Fayers's proof of the James-Mathas conjecture, a JM partition is its core
 plus rho_i horizontal hooks on row i + 1 and sigma_j vertical ones on column
@@ -54,7 +57,7 @@ from .partitions import (
     partition_cache,
     partitions_of,
 )
-from .rimhooks import _abacus, _beads, _ell_core, _is_core
+from .rimhooks import _abacus, _ell_core, _is_core, _runner_ends
 
 
 class NotJMPartitionError(ValueError):
@@ -133,14 +136,18 @@ def _only_horizontal_hereditarily(lam: Partition, ell: int) -> bool:
     It has one exactly when some hook's window can hold a bead.  A hook on
     runner j starts at a level k in (packed, top]; the lowest k asks least
     of the window, and window level t on runner i can hold a bead when
-    t <= top_i.  Cost O(len(lam) + ell^2).
+    t <= top_i.  In positions (rimhooks._runner_ends): that lowest hook
+    drops a bead into runner j's lowest gap g, so it exists when g lies
+    below j's highest bead, and its window, the positions g+1..g+ell-1, can
+    hold a bead when another runner's highest bead lies above g.  Cost
+    O(len(lam) + ell).
     """
-    packed, _, top, _ = _runners(lam, ell)
-    for j in range(ell):
-        k = packed[j] + 1
-        if k <= top[j] and any(k - (i > j) <= top[i] for i in range(ell) if i != j):
-            return False
-    return True
+    gap, top = _runner_ends(lam, ell)
+    highest = max(top)
+    # as in _is_jm: only the runner holding the highest bead needs a scan
+    return not any(
+        g < b and (b != highest or any(x > g for x in top if x != b)) for g, b in zip(gap, top)
+    )
 
 
 def _is_ell_partition(lam: Partition, ell: int) -> bool:
@@ -187,7 +194,7 @@ def fayers_witness(lam: Partition, ell: int) -> FayersWitness | None:
 
 
 def _is_jm(lam: Partition, ell: int) -> bool:
-    """No Fayers witness, decided in one pass over lam's beads (rimhooks._beads).
+    """No Fayers witness, decided in one pass over lam's beads (rimhooks._runner_ends).
 
     The boxes of lam are the pairs (gap g, bead b) with g < b: the box lies
     in b's row and g's column, and its hook length is b - g, so ell divides
@@ -198,14 +205,7 @@ def _is_jm(lam: Partition, ell: int) -> bool:
     so one pass that records both per runner decides it: O(len(lam) + ell),
     whatever the size of lam, with no hook grid and no conjugate.
     """
-    packed = [0] * ell  # beads at levels 0, 1, ... with no gap below
-    top = [-1] * ell  # highest bead position; -1 when the runner holds none
-    for bead in _beads(lam, ell):
-        level, runner = divmod(bead, ell)
-        if level == packed[runner]:
-            packed[runner] += 1
-        top[runner] = bead
-    gap = [runner + ell * k for runner, k in enumerate(packed)]  # lowest gap position
+    gap, top = _runner_ends(lam, ell)
     lowest, highest = min(gap), max(top)
     for g, b in zip(gap, top):
         # positions are distinct, so x != g and x != b leave out runner r

@@ -37,7 +37,6 @@ from typing import NamedTuple
 from .partitions import (
     Box,
     Partition,
-    _hook_grid,
     _is_regular,
     _transpose,
     check_ell,
@@ -46,6 +45,7 @@ from .partitions import (
 )
 from .crystal import CLASSICAL, _live_word, apply_e, apply_f, reduced_word
 from .jm import _is_jm
+from .rimhooks import _beads
 
 LOCKED_I = "I"
 LOCKED_II = "II"
@@ -284,9 +284,29 @@ def is_ladder_node(lam: Partition, ell: int) -> bool:
 
 
 def _is_L_partition(lam: Partition, ell: int) -> bool:
-    for hooks, part in zip(_hook_grid(lam), lam):
-        for col, h in enumerate(hooks, start=1):
-            if not h % ell and h // ell <= min(part - col, h - 1 - part + col):  # arm, leg
+    """One ascending pass over lam's beads (rimhooks._beads).
+
+    A box is a gap g below a bead b; ell divides its hook b - g exactly
+    when g and b share a runner, its leg is the number of beads between
+    them and its arm the number of gaps.  So each gap is recorded on its
+    runner with its count of beads below, and each bead is tested against
+    the recorded gaps of its runner.  A disqualifying box has
+    (b - g) / ell <= leg < len(lam), so gaps farther than *reach* below a
+    bead are neither recorded nor tested: a long row costs no more than a
+    short one.
+    """
+    reach = ell * len(lam)
+    gaps: list[list[tuple[int, int]]] = [[] for _ in range(ell)]  # (gap, beads below it), ascending
+    start = 0  # the lowest position not yet read
+    for count, bead in enumerate(_beads(lam, ell)):
+        for g in range(max(start, bead - reach), bead):
+            gaps[g % ell].append((g, count))
+        start = bead + 1
+        for g, below in reversed(gaps[bead % ell]):
+            if bead - g > reach:
+                break
+            q, leg = (bead - g) // ell, count - below
+            if q <= leg and q <= bead - g - 1 - leg:  # leg, arm
                 return False
     return True
 
@@ -297,6 +317,13 @@ def is_L_partition(lam: Partition, ell: int) -> bool:
     A box (i, j) is disqualifying when ell divides its hook length h and
     h / ell <= min(arm, leg), equivalently when both arm < (ell-1) * leg
     and leg < (ell-1) * arm hold.
+
+    Decided on James's abacus, with no hook grid: a box with a divisible
+    hook is a gap and a bead on one runner, and in a disqualifying box they
+    lie less than ell * len(lam) positions apart.  One pass over the beads
+    costs O(len(lam) + ell + lam_1 + w) for weight w, and never more than
+    O(ell * (len(lam) + ell)^2) however long the rows: a row of 10**18 - 1
+    boxes is answered as fast as a short one.
     """
     check_ell(ell, minimum=3)
     return _is_L_partition(check_partition(lam), ell)

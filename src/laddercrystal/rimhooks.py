@@ -10,9 +10,12 @@ beads of each runner (residue class mod ell) as far up as they go gives the
 ell-core, and the number of slides is the ell-weight.
 
 ``_beads`` is the one bead reader: cores count its beads per runner, the
-core test reads it up to the first bead that can slide, jm's membership
-test reads each runner's highest bead and lowest gap from it, and jm's
-hereditary checks read the per-runner levels that ``_abacus`` sorts out of it.
+core test reads it up to the first bead that can slide, and regular's
+L-partition test reads it once, pairing each bead with the gaps below it
+on its runner.  ``_runner_ends`` reads each runner's lowest gap and highest
+bead from it, for jm's membership test and its ell-partition test; jm's
+generalized ell-partition test reads the per-runner levels that
+``_abacus`` sorts out of it.
 
 So no hook-length grid is built: finding the hooks costs about ell^2 per
 distinct part of lam, removing one costs a tuple slice, a core costs
@@ -168,6 +171,19 @@ def _beads(lam: Partition, ell: int) -> Iterator[int]:
     """
     n = -(-len(lam) // ell) * ell
     return map(operator.add, reversed(lam + (0,) * (n - len(lam))), range(n))
+
+
+def _runner_ends(lam: Partition, ell: int) -> tuple[list[int], list[int]]:
+    """Each runner's lowest gap position and highest bead position (-1 when
+    it holds none), as two lists indexed by runner; one pass over the beads."""
+    packed = [0] * ell  # beads at levels 0, 1, ... with no gap below
+    top = [-1] * ell
+    for bead in _beads(lam, ell):
+        level, runner = divmod(bead, ell)
+        if level == packed[runner]:
+            packed[runner] += 1
+        top[runner] = bead
+    return [runner + ell * k for runner, k in enumerate(packed)], top
 
 
 def _abacus(lam: Partition, ell: int) -> list[list[int]]:

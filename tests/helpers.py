@@ -1,14 +1,28 @@
 """Test oracles: expected crystal levels, the isomorphism check over a built
-ladder crystal, the hook rule for ladder nodes, the ell-rim walked box by
-box with the Mullineux symbol it gives, and the Mullineux map as the crystal
-defines it, peeled by whole strings of the largest live residue."""
+ladder crystal, the hook rules for ladder nodes and L-partitions, the
+ell-rim walked box by box with the Mullineux symbol it gives, and the
+Mullineux map as the crystal defines it, peeled by whole strings of the
+largest live residue; and large JM partitions with their one-box
+neighbours, for the oracles to check."""
 
 from __future__ import annotations
 
 from laddercrystal import graph
 from laddercrystal.crystal import CLASSICAL, LADDER, apply_e, apply_f, reduced_word, reduced_words
-from laddercrystal.partitions import Partition, all_partitions, check_partition, hook_grid, is_regular
+from laddercrystal.jm import JMDecomposition, _core_frame, compose_jm
+from laddercrystal.partitions import (
+    Partition,
+    add_box,
+    addable_corners,
+    all_partitions,
+    check_partition,
+    hook_grid,
+    is_regular,
+    remove_box,
+    removable_corners,
+)
 from laddercrystal.regular import deregularize
+from laddercrystal.rimhooks import is_core
 
 
 def regular_counts(ell: int, nmax: int) -> list[int]:
@@ -78,6 +92,38 @@ def ladder_node_by_hooks(lam: Partition, ell: int) -> bool:
             if h == ell * (part - col):
                 return False
     return True
+
+
+def L_partition_by_hooks(lam: Partition, ell: int) -> bool:
+    """True when no box has a hook length h divisible by ell with
+    h / ell <= min(arm, leg): the L-partition rule, scanned over the whole
+    hook grid."""
+    for hooks, part in zip(hook_grid(lam), lam):
+        for col, h in enumerate(hooks, start=1):
+            if not h % ell and h // ell <= min(part - col, h - 1 - part + col):  # arm, leg
+                return False
+    return True
+
+
+def large_jm_partitions(ell: int, rng, count: int, hooks: tuple[int, int] = (1, 60)) -> list[Partition]:
+    """JM partitions composed on random small cores, with a number of hooks
+    in the range *hooks* on every row and column that the frame allows: a
+    hundred boxes or more, or 600 or more from 100 hooks up."""
+    cores = [c for n in range(1, 13) for c in all_partitions(n) if is_core(c, ell)]
+    out = []
+    for core in rng.sample(cores, count):
+        mu, r, s = _core_frame(core, ell)
+        rho = sorted((rng.randint(*hooks) for _ in range(r + 1)), reverse=True)
+        sigma = sorted((rng.randint(*hooks) for _ in range(s + 1)), reverse=True)
+        if not mu:  # then rho[r] and sigma[s] may not both be positive
+            sigma.pop()
+        out.append(compose_jm(JMDecomposition(mu, r, s, tuple(rho), tuple(sigma)), ell))
+    return out
+
+
+def one_box_away(lam: Partition) -> list[Partition]:
+    """The partitions with one box more or one box less than lam."""
+    return [add_box(lam, b) for b in addable_corners(lam)] + [remove_box(lam, b) for b in removable_corners(lam)]
 
 
 def ell_rim(lam: Partition, ell: int) -> list[int]:

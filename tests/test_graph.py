@@ -29,7 +29,7 @@ from laddercrystal.graph import (
     theorem_suite,
     verify_isomorphism,
 )
-from laddercrystal.jm import _is_jm, is_jm
+from laddercrystal.jm import _is_jm, fayers_witness, is_jm
 from laddercrystal.partitions import _hook_grid, all_partitions, hook_grid, is_regular, residue, size, transpose
 from laddercrystal.regular import _mullineux, _regularize, deregularize, is_weak_ell_partition, regularize
 
@@ -372,9 +372,10 @@ def test_theorem_suite_makes_no_checked_regularity_calls(monkeypatch):
     assert calls == 0
 
 
-def test_theorem_suite_builds_one_hook_grid_per_partition(monkeypatch):
-    # only the L-partition check builds one, for each partition of n <= 12:
-    # sum p(n) = 272; JM membership reads the abacus
+def test_theorem_suite_builds_no_hook_grid(monkeypatch):
+    # JM membership, the ell-partition test and the L-partition test all
+    # read James's abacus; the L-partition check built one grid per
+    # partition (272 for n <= 12) before it moved there
     calls = 0
 
     def counted(lam):
@@ -382,10 +383,14 @@ def test_theorem_suite_builds_one_hook_grid_per_partition(monkeypatch):
         calls += 1
         return _hook_grid(lam)
 
-    for name in ("regular", "jm"):
-        monkeypatch.setattr(importlib.import_module(f"laddercrystal.{name}"), "_hook_grid", counted)
-    assert theorem_suite(3, 12).passed
-    assert calls == sum(len(all_partitions(n)) for n in range(13)) == 272
+    for name in ("regular", "jm", "partitions"):
+        module = importlib.import_module(f"laddercrystal.{name}")
+        monkeypatch.setattr(module, "_hook_grid", counted, raising=False)  # regular no longer imports it
+    assert theorem_suite(3, 16).checks == 6197
+    assert theorem_suite(4, 14).checks == 4685
+    assert calls == 0
+    fayers_witness((2, 2), 3)  # the witness scan still reads the grid, so the patch counts
+    assert calls == 1
 
 
 @pytest.mark.parametrize("ell", [3, 4])

@@ -11,15 +11,11 @@ from hypothesis import given
 
 from laddercrystal.partitions import (
     _hook_grid,
-    add_box,
-    addable_corners,
     all_partitions,
     check_partition,
     hook_grid,
     is_regular,
     partitions_of,
-    remove_box,
-    removable_corners,
     size,
     transpose,
 )
@@ -36,6 +32,7 @@ from laddercrystal.jm import (
     _is_jm,
     _leading_run,
     _only_horizontal_hereditarily,
+    _runners,
     compose_jm,
     count_jm,
     decompose_jm,
@@ -60,6 +57,7 @@ from laddercrystal.rimhooks import (
 
 from laddercrystal.cli import _cores
 
+from helpers import large_jm_partitions, one_box_away
 from strategies import partitions, jm_moduli
 
 
@@ -131,22 +129,6 @@ def test_witness_matches_the_rescan_reference(ell, nmax):
             assert _fayers_witness(lam, ell) == _reference_witness(lam, ell), lam
 
 
-def _large_jm_partitions(ell, rng, count, hooks=(1, 60)):
-    """JM partitions composed on random small cores, with a number of hooks
-    in the range *hooks* on every row and column that the frame allows: a
-    hundred boxes or more, or 600 or more from 100 hooks up."""
-    cores = [c for n in range(1, 13) for c in all_partitions(n) if is_core(c, ell)]
-    out = []
-    for core in rng.sample(cores, count):
-        mu, r, s = _core_frame(core, ell)
-        rho = sorted((rng.randint(*hooks) for _ in range(r + 1)), reverse=True)
-        sigma = sorted((rng.randint(*hooks) for _ in range(s + 1)), reverse=True)
-        if not mu:  # then rho[r] and sigma[s] may not both be positive
-            sigma.pop()
-        out.append(compose_jm(JMDecomposition(mu, r, s, tuple(rho), tuple(sigma)), ell))
-    return out
-
-
 @pytest.mark.parametrize("ell", [3, 4, 5])
 def test_witness_matches_the_rescan_reference_on_large_partitions(ell):
     rng = random.Random(7300 + ell)
@@ -155,9 +137,9 @@ def test_witness_matches_the_rescan_reference_on_large_partitions(ell):
         assert _fayers_witness(lam, ell) == _reference_witness(lam, ell), lam
     # JM partitions have no witness, so both scans run to the end; their
     # one-box neighbours are near misses with a witness deep in the diagram
-    for lam in _large_jm_partitions(ell, rng, 6):
+    for lam in large_jm_partitions(ell, rng, 6):
         assert _fayers_witness(lam, ell) is None and _reference_witness(lam, ell) is None
-        for near in _one_box_away(lam):
+        for near in one_box_away(lam):
             assert _fayers_witness(near, ell) == _reference_witness(near, ell), near
 
 
@@ -166,9 +148,9 @@ def test_abacus_jm_matches_the_witness_on_large_partitions(ell):
     # _is_jm reads the beads; the hook-grid witness is its oracle, on
     # composed JM partitions and their one-box neighbours (mostly near misses)
     rng = random.Random(7400 + ell)
-    for lam in _large_jm_partitions(ell, rng, 6) + _large_jm_partitions(ell, rng, 4, hooks=(100, 300)):
+    for lam in large_jm_partitions(ell, rng, 6) + large_jm_partitions(ell, rng, 4, hooks=(100, 300)):
         assert _is_jm(lam, ell) and _fayers_witness(lam, ell) is None, lam
-        for near in _one_box_away(lam):
+        for near in one_box_away(lam):
             assert _is_jm(near, ell) == (_fayers_witness(near, ell) is None), near
 
 
@@ -305,10 +287,6 @@ def test_hereditary_checks_match_the_walk_on_random_partitions(ell):
         _assert_matches_walk(_random_partition(rng.randint(20, 90), rng), ell)
 
 
-def _one_box_away(lam):
-    return [add_box(lam, b) for b in addable_corners(lam)] + [remove_box(lam, b) for b in removable_corners(lam)]
-
-
 @pytest.mark.parametrize("ell", [3, 4, 5])
 def test_hereditary_checks_match_the_walk_on_multi_row_jm_partitions(ell):
     # cores with a frame of several rows or columns carry hooks on several
@@ -320,8 +298,30 @@ def test_hereditary_checks_match_the_walk_on_multi_row_jm_partitions(ell):
         members = enumerate_jm(core, rng.randint(2, 5), ell)
         for lam in rng.sample(members, min(6, len(members))):
             assert is_generalized_ell_partition(lam, ell) and _reference_generalized(lam, ell)
-            for near in _one_box_away(lam):
+            for near in one_box_away(lam):
                 _assert_matches_walk(near, ell)
+
+
+def _only_horizontal_by_runner_levels(lam, ell):
+    """_only_horizontal_hereditarily as it was, on the per-runner levels of
+    _runners: runner j's lowest hook starts at level k = packed_j + 1, and
+    its window level on runner i is k, or k - 1 when i > j."""
+    packed, _, top, _ = _runners(lam, ell)
+    for j in range(ell):
+        k = packed[j] + 1
+        if k <= top[j] and any(k - (i > j) <= top[i] for i in range(ell) if i != j):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5])
+def test_only_horizontal_on_runner_ends_matches_the_runner_levels(ell):
+    # the check now reads each runner's lowest gap and highest bead
+    # (rimhooks._runner_ends) in positions, not levels
+    only_horizontal = _only_horizontal_hereditarily.__wrapped__
+    for n in range(19):
+        for lam in partitions_of(n):
+            assert only_horizontal(lam, ell) == _only_horizontal_by_runner_levels(lam, ell), lam
 
 
 @pytest.mark.parametrize("ell", [3, 4])
@@ -721,10 +721,10 @@ def test_the_fit_rule_rejects_readings_that_compose_back(monkeypatch):
 @pytest.mark.parametrize("ell", [3, 4, 5])
 def test_decompose_rejects_exactly_the_non_jm_neighbours_of_large_partitions(ell):
     rng = random.Random(7400 + ell)
-    for lam in _large_jm_partitions(ell, rng, 8, hooks=(100, 300)):
+    for lam in large_jm_partitions(ell, rng, 8, hooks=(100, 300)):
         assert size(lam) >= 600
         assert decompose_jm(lam, ell) == _reference_decompose_witness_first(lam, ell)
-        for near in _one_box_away(lam):
+        for near in one_box_away(lam):
             if _fayers_witness(near, ell) is None:
                 assert decompose_jm(near, ell) == _reference_decompose_witness_first(near, ell), near
             else:
@@ -734,7 +734,7 @@ def test_decompose_rejects_exactly_the_non_jm_neighbours_of_large_partitions(ell
 
 def test_decompose_builds_no_hook_grid(monkeypatch):
     big = compose_jm(JMDecomposition(mu=(1,), r=3, s=2, rho=(900, 300, 20, 1), sigma=(40, 3)), 3)
-    near_misses = [lam for lam in _one_box_away(big) if _fayers_witness(lam, 3) is not None]
+    near_misses = [lam for lam in one_box_away(big) if _fayers_witness(lam, 3) is not None]
     assert near_misses
     calls = 0
 

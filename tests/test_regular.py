@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -19,6 +20,7 @@ from laddercrystal.partitions import (
     is_regular,
     ladder_index,
     ladder_positions,
+    partitions_of,
     size,
     transpose,
 )
@@ -48,11 +50,14 @@ from laddercrystal.regular import (
 )
 
 from helpers import (
+    L_partition_by_hooks,
     ell_rim,
     ladder_node_by_hooks,
+    large_jm_partitions,
     mullineux_by_largest_residue,
     mullineux_image_symbol,
     mullineux_symbol,
+    one_box_away,
 )
 from strategies import partitions, moduli, jm_moduli
 
@@ -443,6 +448,41 @@ def test_L_partition_two_definitions(lam, ell):
             by_inequalities = False
             break
     assert is_L_partition(lam, ell) == by_inequalities
+
+
+@pytest.mark.parametrize("ell,nmax", [(3, 20), (4, 20), (5, 17), (6, 17), (7, 17)])
+def test_L_partition_on_the_abacus_matches_the_hook_grid(ell, nmax):
+    for n in range(nmax + 1):
+        for lam in partitions_of(n):
+            assert is_L_partition(lam, ell) == L_partition_by_hooks(lam, ell), lam
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5])
+def test_L_partition_on_the_abacus_matches_the_hook_grid_on_large_jm_partitions(ell):
+    # composed JM partitions of 600 boxes or more, their conjugates and
+    # their one-box neighbours; both answers occur
+    rng = random.Random(8300 + ell)
+    seen = set()
+    for lam in large_jm_partitions(ell, rng, 6, hooks=(100, 300)):
+        assert size(lam) >= 500
+        for mu in (lam, transpose(lam)):
+            for nu in [mu] + one_box_away(mu):
+                balanced = is_L_partition(nu, ell)
+                assert balanced == L_partition_by_hooks(nu, ell), nu
+                seen.add(balanced)
+    assert seen == {True, False}
+
+
+def test_L_partition_on_long_rows_and_columns():
+    # only gaps less than ell * len(lam) below a bead are read, so a row of
+    # 10**18 - 1 boxes costs what a short row costs; its hook grid could not
+    # be allocated
+    start = time.perf_counter()
+    assert is_L_partition((10**18 - 1,), 3)
+    assert is_L_partition((10**18 - 1, 1), 3)
+    assert is_L_partition((1,) * 3000, 3)
+    assert not is_L_partition((10**18, 10**18), 3)  # box (1, 10**18 - 1): hook 3, arm 1, leg 1
+    assert time.perf_counter() - start < 1
 
 
 def test_L_partition_rejects_small_ell():

@@ -21,8 +21,10 @@ from laddercrystal.rimhooks import (
     VERTICAL,
     InvalidHookError,
     RimHook,
+    _abacus,
     _ell_core,
     _is_core,
+    _runner_ends,
     adjacent,
     ell_core,
     is_core,
@@ -143,6 +145,20 @@ def test_padded_abacus_matches_the_unpadded_bead_loop_on_large_partitions(ell):
             parts.append(rng.randint(1, min(cap, n)))
             n -= parts[-1]
         _assert_matches_unpadded_abacus(tuple(sorted(parts, reverse=True)), ell)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 5])
+def test_runner_ends_match_the_bead_levels(ell):
+    # each runner's lowest gap sits at its count of packed beads, and its
+    # highest bead at its top level
+    for n in range(15):
+        for lam in all_partitions(n):
+            gaps, tops = [], []
+            for runner, levels in enumerate(_abacus(lam, ell)):
+                packed = next((i for i, level in enumerate(levels) if level != i), len(levels))
+                gaps.append(runner + ell * packed)
+                tops.append(runner + ell * levels[-1] if levels else -1)
+            assert _runner_ends(lam, ell) == (gaps, tops), lam
 
 
 def test_hooks_of_321():
