@@ -153,15 +153,6 @@ def reduced_word(lam: Partition, i: int, ell: int, model: str) -> ReducedWord:
     return _cancel(_signatures(lam, ell, model)[i])
 
 
-def _live_word(lam: Partition, ell: int) -> tuple[int, ReducedWord]:
-    """The smallest i with epsilon_i(lam) > 0 and lam's reduced classical i-word, read in one pass."""
-    for i, entries in enumerate(_signatures(lam, ell, CLASSICAL)):
-        word = _cancel(entries)
-        if word.minus:
-            return i, word
-    raise ValueError(f"no removable good box for {lam}; is it {ell}-regular?")
-
-
 def _signature_word(lam, i: int, ell: int, model: str) -> SignatureWord:
     entries = _signatures(_checked(lam, i, ell), ell, model)[i]
     return SignatureWord(tuple(SignatureEntry(sign, box) for _, _, box, sign in entries), model)

@@ -8,13 +8,7 @@ from .partitions import Partition, _is_regular, _transpose, check_count, check_e
 from .rimhooks import _is_core
 from .crystal import CLASSICAL, LADDER, ReducedWord, apply_e, apply_f, check_model, reduced_words
 from .jm import _is_ell_partition, _is_jm
-from .regular import (
-    _deregularize,
-    _is_L_partition,
-    _is_ladder_node,
-    _mullineux_level,
-    _regularize,
-)
+from .regular import _deregularize, _is_L_partition, _is_ladder_node, _mullineux_symbol, _regularize
 from .strings import _format
 
 Edge = tuple[Partition, Partition, int]
@@ -248,12 +242,11 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
     partitions_of into a table of its regularizations (lam and lam' lie in
     the same level), and the sweep holds:
 
-    - the Mullineux images of the ell-regular partitions of sizes n - 1 and
-      n, keyed by exactly those partitions.  Level n's table is built from
-      level n - 1's, which is then dropped, by m(rho) = f_{-i} m(e_i rho)
-      for the smallest live residue i (Ford-Kleshchev), so an image costs
-      one read of rho's reduced words and one of its image's, and the check
-      m(R(lam)) == R(lam') is one lookup.
+    - the Mullineux images of the ell-regular partitions of size n, keyed
+      by exactly those partitions, each read off Mullineux's symbol
+      (regular._mullineux_symbol) in O(len(rho)) per ell-rim.  The check
+      m(R(lam)) == R(lam') is one lookup, and the keys answer the sweep's
+      regularity test.
     - membership in the JM, ell-partition and weak classes, memoized per
       size, since the string-end checks ask about the same neighbours of
       many partitions; sizes below n go when level n is done.  Weak
@@ -276,10 +269,9 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
     jm_table = _ClassTable(_is_jm)
     ell_table = _ClassTable(_is_ell_partition)
     weak_table = _weak_table(jm_table)
-    below: dict[Partition, Partition] = {}
     for n in range(nmax + 1):
         reg = {lam: _regularize(lam, ell) for lam in partitions_of(n)}  # the level, in order
-        here = _mullineux_level((lam for lam in reg if _is_regular(lam, ell)), below, ell)
+        here = {rho: _mullineux_symbol(rho, ell) for rho in reg if _is_regular(rho, ell)}
         for lam in reg:
             jm = jm_table(lam, ell)
             core = _is_core(lam, ell)
@@ -304,7 +296,6 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
                         words = words or reduced_words(lam, ell, CLASSICAL)
                         for i, word in enumerate(words):
                             _string_end_checks(report, lam, i, ell, name, table, word)
-        below = here
         for table in (jm_table, ell_table, weak_table):
             table.drop_below(n)
     return report

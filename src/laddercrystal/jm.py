@@ -140,7 +140,9 @@ def _only_horizontal_hereditarily(lam: Partition, ell: int) -> bool:
     drops a bead into runner j's lowest gap g, so it exists when g lies
     below j's highest bead, and its window, the positions g+1..g+ell-1, can
     hold a bead when another runner's highest bead lies above g.  Cost
-    O(len(lam) + ell).
+    O(len(lam) + ell).  The cache serves only the public is_ell_partition;
+    the theorem sweep memoizes _is_ell_partition per level, and that calls
+    the uncached _horizontal_hereditarily.
     """
     gap, top = _runner_ends(lam, ell)
     highest = max(top)
@@ -150,15 +152,20 @@ def _only_horizontal_hereditarily(lam: Partition, ell: int) -> bool:
     )
 
 
+# The uncached body, for sweeps that keep their own tables.
+_horizontal_hereditarily = _only_horizontal_hereditarily.__wrapped__
+
+
 def _is_ell_partition(lam: Partition, ell: int) -> bool:
-    return _is_regular(lam, ell) and _only_horizontal_hereditarily(lam, ell)
+    return _is_regular(lam, ell) and _horizontal_hereditarily(lam, ell)
 
 
 def is_ell_partition(lam: Partition, ell: int) -> bool:
     """ell-regular, and no removal sequence of horizontal ell-rim hooks ever
     exposes a non-horizontal one."""
     check_ell(ell)
-    return _is_ell_partition(check_partition(lam), ell)
+    lam = check_partition(lam)
+    return _is_regular(lam, ell) and _only_horizontal_hereditarily(lam, ell)
 
 
 def _fayers_witness(lam: Partition, ell: int) -> FayersWitness | None:

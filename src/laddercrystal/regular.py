@@ -21,16 +21,14 @@ The Mullineux map is read off Mullineux's symbol: peel ell-rims down to the
 empty partition, map each column (a; r) to (a; a - r + eps), and add the
 rims back from the innermost column, each in O(len(lam)) with no crystal
 signature read.  Ford-Kleshchev proved that this is the crystal involution
-twisting residues i -> -i.  A sweep over all sizes builds the images on the
-crystal instead, level by level: m(rho) = f_{-i} m(e_i rho) reads them off
-the level below.
+twisting residues i -> -i.  The public mullineux caches its answers; a sweep
+calls the uncached _mullineux_symbol.
 """
 
 from __future__ import annotations
 
 import functools
 import sys
-from collections.abc import Iterable
 from itertools import combinations
 from typing import NamedTuple
 
@@ -43,7 +41,6 @@ from .partitions import (
     check_partition,
     partition_cache,
 )
-from .crystal import CLASSICAL, _live_word, apply_e, apply_f, reduced_word
 from .jm import _is_jm
 from .rimhooks import _beads
 
@@ -342,29 +339,6 @@ def is_weak_ell_partition(lam: Partition, ell: int) -> bool:
     return _is_jm(_deregularize(lam, ell), ell)
 
 
-def _mullineux_level(
-    level: Iterable[Partition], below: dict[Partition, Partition], ell: int
-) -> dict[Partition, Partition]:
-    """Mullineux images of the ell-regular partitions *level*, all of one size n.
-
-    *below* maps every ell-regular partition of size n - 1 to its image.
-    m(rho) = f_{-i} m(e_i rho) for the smallest live residue i of rho, so
-    each image costs one read of rho's words and one of its image's, and
-    nothing is peeled below n - 1.  A sweep over n keeps two levels.
-    """
-    here = {}
-    for rho in level:
-        if not rho:
-            here[rho] = rho
-            continue
-        i, word = _live_word(rho, ell)
-        image = below[apply_e(rho, word)]
-        image = apply_f(image, reduced_word(image, (-i) % ell, ell, CLASSICAL))
-        assert image is not None, f"mullineux step stalled at {rho}"
-        here[rho] = image
-    return here
-
-
 def _peel_rim(lam: Partition, ell: int) -> tuple[int, Partition]:
     """Remove lam's ell-rim (Mullineux 1979); return its size and what is left.
 
@@ -425,6 +399,10 @@ def _mullineux(lam: Partition, ell: int) -> Partition:
     for a, r in reversed(symbol):
         image = _add_rim(image, a, a - r + (1 if a % ell else 0), ell)
     return image
+
+
+# The uncached body, for sweeps that compute each image once.
+_mullineux_symbol = _mullineux.__wrapped__
 
 
 def mullineux(lam: Partition, ell: int) -> Partition:

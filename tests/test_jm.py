@@ -29,6 +29,7 @@ from laddercrystal.jm import (
     _core_frame,
     _fayers_witness,
     _frame_rows,
+    _horizontal_hereditarily,
     _is_jm,
     _leading_run,
     _only_horizontal_hereditarily,
@@ -318,10 +319,9 @@ def _only_horizontal_by_runner_levels(lam, ell):
 def test_only_horizontal_on_runner_ends_matches_the_runner_levels(ell):
     # the check now reads each runner's lowest gap and highest bead
     # (rimhooks._runner_ends) in positions, not levels
-    only_horizontal = _only_horizontal_hereditarily.__wrapped__
     for n in range(19):
         for lam in partitions_of(n):
-            assert only_horizontal(lam, ell) == _only_horizontal_by_runner_levels(lam, ell), lam
+            assert _horizontal_hereditarily(lam, ell) == _only_horizontal_by_runner_levels(lam, ell), lam
 
 
 @pytest.mark.parametrize("ell", [3, 4])
