@@ -12,17 +12,19 @@ r, r + (ell-1), ..., r + (ell-1)(lam_r - 1), so ladder counts and
 regularization cost O(|lam|).  The locked boxes of every row form a prefix
 1..R_r (type I boxes and everything left of the rightmost one), and R_r
 follows from R_{r-1} and the columns whose first empty position lies on each
-ladder, so lock labels and deregularization cost O(|lam|) too.  Each column
+ladder, so lock labels and deregularization cost O(|lam|) too.  That table
+of columns takes one strided slice write per row, O(len(lam)) writes and no
+transpose: the columns a row ends all have the same length.  Each column
 covers consecutive ladders, so a regularization class is built column by
 column while walking the ladders in order, instead of scanning every
 partition of |lam|.
 
 The Mullineux map is read off Mullineux's symbol: peel ell-rims down to the
 empty partition, map each column (a; r) to (a; a - r + eps), and add the
-rims back from the innermost column, each in O(len(lam)) with no crystal
-signature read.  Ford-Kleshchev proved that this is the crystal involution
-twisting residues i -> -i.  The public mullineux caches its answers; a sweep
-calls the uncached _mullineux_symbol.
+rims back from the innermost column, each in O(len(lam)) on one mutable
+list of rows, with no crystal signature read.  Ford-Kleshchev proved that
+this is the crystal involution twisting residues i -> -i.  The public
+mullineux caches its answers; a sweep calls the uncached _mullineux_symbol.
 """
 
 from __future__ import annotations
@@ -117,14 +119,23 @@ def _blocking(lam: Partition, ell: int) -> list[int]:
     """blocked[k]: the leftmost column b whose first empty position (lam'_b + 1, b)
     lies on ladder k, or lam_1 + 1.  A box (r, c) on ladder k has its empty ladder
     positions below stacked under empty positions exactly when no column b < c
-    blocks ladder k, that is when blocked[k] >= c.  O(len(lam) + lam_1).
+    blocks ladder k, that is when blocked[k] >= c.
+
+    The columns lam_{r+1} + 1 .. lam_r have length r, so their first empty
+    positions lie on the ladders r + 1 + (ell-1) lam_{r+1}, ... in steps of
+    ell - 1: one strided slice write per row, with no transpose.  The rows
+    go from the top down, so a ladder's leftmost column is written last.
+    O(len(lam) + lam_1).
     """
     step = ell - 1
     width = lam[0] if lam else 0
     blocked = [width + 1] * (len(lam) + step * width + 2)
-    for b, col_length in enumerate(_transpose(lam), start=1):
-        k = col_length + 1 + step * (b - 1)
-        blocked[k] = min(blocked[k], b)
+    part = width
+    for row, below in enumerate((*lam[1:], 0), start=1):
+        if below != part:
+            k = row + 1 + step * below
+            blocked[k : k + step * (part - below) : step] = range(below + 1, part + 1)
+            part = below
     return blocked
 
 
@@ -339,66 +350,75 @@ def is_weak_ell_partition(lam: Partition, ell: int) -> bool:
     return _is_jm(_deregularize(lam, ell), ell)
 
 
-def _peel_rim(lam: Partition, ell: int) -> tuple[int, Partition]:
-    """Remove lam's ell-rim (Mullineux 1979); return its size and what is left.
+def _peel_rims(lam: Partition, ell: int) -> list[tuple[int, int]]:
+    """Mullineux's symbol: peel ell-rims (Mullineux 1979) until lam is empty,
+    recording each rim's size a and the row count r before the peel.
 
     The rim walk, south-west from (1, lam_1), enters each row at its last
     box and takes boxes leftward down to the column of the row below (to
     column 1 on the last row).  A segment of ell boxes that ends inside a
     row starts the next segment at the end of the row below, exactly where
-    the walk would have gone, so only the segment count restarts.  O(len(lam)).
+    the walk would have gone, so only the segment count restarts.  Every
+    rim is peeled in place from one list of rows, O(len(lam)) per column.
     """
-    rest = []
-    size = 0
-    left = ell  # boxes left in the current segment
-    for part, below in zip(lam, lam[1:] + (0,)):
-        take = min(left, part - max(below, 1) + 1)
-        rest.append(part - take)
+    rows = list(lam)
+    symbol = []
+    while rows:
+        depth = len(rows)
+        size = 0
+        left = ell  # boxes left in the current segment
+        part = rows[0]
+        for row in range(1, depth):
+            below = rows[row]
+            take = left if part - below >= left else part - below + 1
+            rows[row - 1] = part - take
+            size += take
+            left = left - take or ell
+            part = below
+        take = left if part > left else part
+        rows[-1] = part - take
         size += take
-        left = left - take or ell
-    while rest and not rest[-1]:
-        rest.pop()
-    return size, tuple(rest)
+        while rows and not rows[-1]:
+            rows.pop()
+        symbol.append((size, depth))
+    return symbol
 
 
-def _add_rim(mu: Partition, a: int, r: int, ell: int) -> Partition:
-    """The partition whose ell-rim has a boxes, last row r, and leaves mu.
+def _add_rims(symbol: list[tuple[int, int]], ell: int) -> Partition:
+    """The partition with this Mullineux symbol: its ell-rims added back
+    from the innermost column (a; r), one rim of a boxes ending on row r at
+    a time, on one list of rows.
 
-    The rim's ceil(a / ell) segments are laid from the bottom up: all have
+    A rim's ceil(a / ell) segments are laid from the bottom up: all have
     ell boxes but the last, and the last ends on row r.  A segment of k
     boxes over rows u..e gets lam_u = c + u, with c = k - e + mu_e, and
     lam_i = mu_{i-1} + 1 below it (so it has k boxes); u is the row with
     mu_{u-1} - (u-1) >= c > mu_u - u (or 1).  mu_i - i strictly decreases,
-    so u is found by walking up from e, and the next segment ends on row
-    u - 1.  The walk only moves up: O(r).
+    so u is found, and the rows below it shifted, in one walk up from e, and
+    the next segment ends on row u - 1.  The walk only moves up: O(r) per
+    column.
     """
-    lam = list(mu) + [0] * (r - len(mu))
-    e = r
-    k = a - ell * ((a - 1) // ell)
-    while a:
-        c = k - e + lam[e - 1]
-        u = e
-        while u > 1 and lam[u - 2] - (u - 1) < c:
-            u -= 1
-        for i in range(e, u, -1):  # rows are 1-based; lam[i - 1] is row i
-            lam[i - 1] = lam[i - 2] + 1
-        lam[u - 1] = c + u
-        a -= k
-        e, k = u - 1, ell
-    return tuple(lam)
+    rows: list[int] = []
+    for a, r in reversed(symbol):
+        if r > len(rows):
+            rows += [0] * (r - len(rows))
+        e = r - 1  # rows are 0-based here: rows[e] is row e + 1
+        k = (a - 1) % ell + 1
+        while a:
+            c = k - e - 1 + rows[e]
+            u = e
+            while u and rows[u - 1] - u < c:
+                rows[u] = rows[u - 1] + 1
+                u -= 1
+            rows[u] = c + u + 1
+            a -= k
+            e, k = u - 1, ell
+    return tuple(rows)
 
 
 @functools.lru_cache(maxsize=None)
 def _mullineux(lam: Partition, ell: int) -> Partition:
-    symbol = []
-    while lam:
-        depth = len(lam)
-        a, lam = _peel_rim(lam, ell)
-        symbol.append((a, depth))
-    image: Partition = ()
-    for a, r in reversed(symbol):
-        image = _add_rim(image, a, a - r + (1 if a % ell else 0), ell)
-    return image
+    return _add_rims([(a, a - r + (1 if a % ell else 0)) for a, r in _peel_rims(lam, ell)], ell)
 
 
 # The uncached body, for sweeps that compute each image once.
@@ -414,8 +434,12 @@ def mullineux(lam: Partition, ell: int) -> Partition:
     (Mullineux 1979; Bessenrodt-Olsson 1998), and the image is rebuilt from
     the innermost column outwards, one rim at a time.  Ford-Kleshchev proved
     that this is the crystal involution twisting residues i -> -i; the tests
-    check it against that crystal map.  Each column, peeled or rebuilt, costs
-    O(len(lam)).
+    check it against that crystal map.
+
+    Each column, peeled or rebuilt, costs O(len(lam)), so a call costs the
+    sum over the symbol's columns of the row count.  A single row of N boxes
+    has ceil(N / ell) columns, so it costs O(N / ell) steps although it is
+    one row: a row near sys.maxsize does not return in practice.
     """
     check_ell(ell, minimum=3)
     lam = check_partition(lam)

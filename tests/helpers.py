@@ -1,9 +1,9 @@
 """Test oracles: expected crystal levels, the isomorphism check over a built
 ladder crystal, the hook rules for ladder nodes and L-partitions, the
-ell-rim walked box by box with the Mullineux symbol it gives, and the
-Mullineux map as the crystal defines it, peeled by whole strings of the
-largest live residue; and large JM partitions with their one-box
-neighbours, for the oracles to check."""
+blocking table scanned column by column, the ell-rim walked box by box with
+the Mullineux symbol it gives, and the Mullineux map as the crystal defines
+it, peeled by whole strings of the largest live residue; and large JM
+partitions with their one-box neighbours, for the oracles to check."""
 
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from laddercrystal.partitions import (
     is_regular,
     remove_box,
     removable_corners,
+    transpose,
 )
 from laddercrystal.regular import deregularize
 from laddercrystal.rimhooks import is_core
@@ -92,6 +93,19 @@ def ladder_node_by_hooks(lam: Partition, ell: int) -> bool:
             if h == ell * (part - col):
                 return False
     return True
+
+
+def blocking_by_columns(lam: Partition, ell: int) -> list[int]:
+    """regular._blocking read off the conjugate: column b, of length lam'_b,
+    has its first empty position on ladder lam'_b + 1 + (ell-1)(b-1), and
+    each ladder keeps the leftmost column found there (lam_1 + 1 if none)."""
+    step = ell - 1
+    width = lam[0] if lam else 0
+    blocked = [width + 1] * (len(lam) + step * width + 2)
+    for b, col_length in enumerate(transpose(lam), start=1):
+        k = col_length + 1 + step * (b - 1)
+        blocked[k] = min(blocked[k], b)
+    return blocked
 
 
 def L_partition_by_hooks(lam: Partition, ell: int) -> bool:

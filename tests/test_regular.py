@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 
@@ -41,16 +40,17 @@ from laddercrystal.regular import (
     ladder_counts,
     lock_labels,
     mullineux,
-    _add_rim,
+    _add_rims,
+    _blocking,
     _mullineux,
-    _peel_rim,
+    _peel_rims,
     reg_class,
     regularize,
 )
 
 from helpers import (
     L_partition_by_hooks,
-    ell_rim,
+    blocking_by_columns,
     ladder_node_by_hooks,
     large_jm_partitions,
     mullineux_by_largest_residue,
@@ -425,6 +425,18 @@ def test_ladder_node_matches_the_hook_rule(ell):
         _assert_postconditions(lam, ell)
 
 
+@pytest.mark.parametrize("ell", [3, 4, 5, 6, 7])
+def test_blocking_matches_the_column_scan(ell):
+    for n in range(17):
+        for lam in partitions_of(n):
+            assert _blocking(lam, ell) == blocking_by_columns(lam, ell), lam
+    rng = random.Random(8500 + ell)
+    large = [(1,) * 3000, (3000,), tuple(range(400, 0, -1))]
+    for lam in large + large_jm_partitions(ell, rng, 6):
+        for mu in (lam, transpose(lam)):
+            assert _blocking(mu, ell) == blocking_by_columns(mu, ell), mu
+
+
 def test_L_partition_golden():
     assert is_L_partition((3,), 3)
     assert not is_L_partition((2, 1), 3)
@@ -600,16 +612,13 @@ def test_mullineux_matches_one_box_reference_on_large_partitions(ell):
         assert mullineux_by_largest_residue(lam, ell) == expected, lam
 
 
-@pytest.mark.parametrize("ell", [3, 4, 5])
+@pytest.mark.parametrize("ell", [3, 4, 5, 7])
 def test_peeled_rim_is_the_ell_rim_and_adding_it_back_restores_lam(ell):
-    for lam in _regular_partitions(ell, 20):
-        if not lam:
-            continue
-        a, rest = _peel_rim(lam, ell)
-        taken = [p - q for p, q in itertools.zip_longest(lam, rest, fillvalue=0)]
-        assert taken == ell_rim(lam, ell), lam
-        assert a == sum(taken)
-        assert _add_rim(rest, a, len(lam), ell) == lam, lam
+    # the oracle symbol walks each ell-rim box by box (helpers.ell_rim)
+    for lam in _regular_partitions(ell, 20) + _large_regular_partitions(ell):
+        symbol = mullineux_symbol(lam, ell)
+        assert _peel_rims(lam, ell) == symbol, lam
+        assert _add_rims(symbol, ell) == lam, lam
 
 
 def test_mullineux_reads_no_signatures(monkeypatch):
