@@ -154,14 +154,22 @@ def verify_isomorphism(ell: int, depth: int) -> VerificationReport:
     return report
 
 
+class _Members(frozenset):
+    """A finished size of a class table: its members, answering get(lam) with
+    membership, so the table reads it as it reads an open size."""
+
+    get = frozenset.__contains__
+
+
 class _ClassTable:
     """Memoized fn(lam, ell), never None, per partition size: a class's membership or a
-    map such as _regularize.  A sweep owns its tables; dropping the sizes it has passed
-    keeps a few levels in them, never every partition seen."""
+    map such as _regularize.  A sweep owns its tables.  A map drops the sizes it has
+    passed, so it keeps a few levels, never every partition seen; a class keeps a
+    finished size, one the sweep has asked about every partition of, as its members."""
 
     def __init__(self, fn):
         self._fn = fn
-        self._by_size: dict[int, dict] = {}
+        self._by_size: dict[int, dict | _Members] = {}
 
     def __call__(self, lam: Partition, ell: int):
         table = self._by_size.setdefault(sum(lam), {})
@@ -169,6 +177,15 @@ class _ClassTable:
         if value is None:
             value = table[lam] = self._fn(lam, ell)
         return value
+
+    def enter(self, lam: Partition, value) -> None:
+        """Record value as fn(lam, ell), for lam of a size not yet finished."""
+        self._by_size.setdefault(sum(lam), {})[lam] = value
+
+    def finish(self, n: int) -> None:
+        """Keep size n as its members: every partition of size n has been asked
+        about, so a partition not among them is outside the class."""
+        self._by_size[n] = _Members(lam for lam, member in self._by_size.get(n, {}).items() if member)
 
     def drop_below(self, n: int) -> None:
         for size in [size for size in self._by_size if size < n]:
@@ -208,31 +225,39 @@ def _string_end_checks(
         addable = col == (cur[row - 1] if row <= len(cur) else 0) + 1 and (
             row == 1 or cur[row - 2] >= col
         )
-        report.check(
-            addable, lam, i, f"{member}: f^{k} adds an addable box", f"{(row, col)} not addable"
-        )
         if not addable:
+            report.check(False, lam, i, f"{member}: f^{k} adds an addable box", f"{(row, col)} not addable")
             return
+        report.checks += 1
         cur = cur[: row - 1] + (col,) + cur[row:]
-        if k == width:
-            report.check(in_class(cur, ell), lam, i, f"{member} after f^phi", "outside class")
-        elif k < width - 1:
-            report.check(not in_class(cur, ell), lam, i, f"not {member} after f^{k}", "inside class")
+        if k == width - 1:
+            continue
+        inside = in_class(cur, ell)
+        if inside == (k == width):
+            report.checks += 1
+        elif inside:
+            report.check(False, lam, i, f"not {member} after f^{k}", "inside class")
+        else:
+            report.check(False, lam, i, f"{member} after f^phi", "outside class")
     depth = len(word.minus)
     cur = lam
     for k in range(1, depth + 1):
         row, col = word.minus[k - 1]
         removable = row <= len(cur) and cur[row - 1] == col and (row == len(cur) or cur[row] < col)
-        report.check(
-            removable, lam, i, f"{member}: e^{k} removes a removable box", f"{(row, col)} not removable"
-        )
         if not removable:
+            report.check(False, lam, i, f"{member}: e^{k} removes a removable box", f"{(row, col)} not removable")
             return
+        report.checks += 1
         cur = cur[: row - 1] + ((col - 1,) if col > 1 else ()) + cur[row:]
-        if k == depth:
-            report.check(in_class(cur, ell), lam, i, f"{member} after e^epsilon", "outside class")
-        elif k > 1:
-            report.check(not in_class(cur, ell), lam, i, f"not {member} after e^{k}", "inside class")
+        if k == 1 and depth > 1:
+            continue
+        inside = in_class(cur, ell)
+        if inside == (k == depth):
+            report.checks += 1
+        elif inside:
+            report.check(False, lam, i, f"not {member} after e^{k}", "inside class")
+        else:
+            report.check(False, lam, i, f"{member} after e^epsilon", "outside class")
 
 
 def theorem_suite(ell: int, nmax: int) -> VerificationReport:
@@ -249,8 +274,14 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
       regularity test.
     - membership in the JM, ell-partition and weak classes, memoized per
       size, since the string-end checks ask about the same neighbours of
-      many partitions; sizes below n go when level n is done.  Weak
-      membership asks the JM table about D(lam), which has the size of lam.
+      many partitions.  Level n asks about every partition of size n, so a
+      finished level keeps only its members: the e-walks of later levels
+      read it without deciding again.  Weak membership asks the JM table
+      about D(lam), which has the size of lam.
+    - the JM, core and L-partition answers of lam, until lam' comes up in
+      the level: the three conditions are kept under conjugation (hooks
+      stay, arm and leg swap), so each is decided once per pair {lam, lam'},
+      and the JM answer is entered in the JM table for both.
 
     Apart from those lookups a check costs what its predicate costs, with
     no argument checks: one pass over the rows per partition and model
@@ -260,8 +291,9 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
     that is not locked, JM and ell-partition membership read each runner's
     highest bead and lowest gap, and the L-partition check reads the beads
     once, testing each against the nearby gaps of its runner.  No check
-    builds a hook grid.  No table outlives the call, and no process-wide
-    cache is read or filled.
+    builds a hook grid.  A passing check is counted; only a failed one
+    builds its record and text.  No table outlives the call, and no
+    process-wide cache is read or filled.
     """
     check_ell(ell, minimum=3)
     check_count("nmax", nmax)
@@ -272,23 +304,32 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
     for n in range(nmax + 1):
         reg = {lam: _regularize(lam, ell) for lam in partitions_of(n)}  # the level, in order
         here = {rho: _mullineux_symbol(rho, ell) for rho in reg if _is_regular(rho, ell)}
+        pairs = {}  # lam' -> (jm, core, L-partition) of lam, until lam' comes up
         for lam in reg:
-            jm = jm_table(lam, ell)
-            core = _is_core(lam, ell)
-            balanced = _is_L_partition(lam, ell)
+            conj = _transpose(lam)
+            decided = pairs.pop(lam, None)
+            if decided is None:
+                decided = pairs[conj] = (jm_table(lam, ell), _is_core(lam, ell), _is_L_partition(lam, ell))
+                jm_table.enter(conj, decided[0])
+            jm, core, balanced = decided
             node = (jm or core or balanced) and _is_ladder_node(lam, ell)
+            if node:
+                report.checks += jm + core + balanced
             if jm:
-                report.check(node, lam, None, "JM partitions are ladder nodes", "not a node")
+                if not node:
+                    report.check(False, lam, None, "JM partitions are ladder nodes", "not a node")
                 for i, word in enumerate(reduced_words(lam, ell, LADDER)):
                     _string_end_checks(report, lam, i, ell, "jm", jm_table, word)
-            if core:
-                report.check(node, lam, None, "cores are ladder nodes", "not a node")
-            if balanced:
-                report.check(node, lam, None, "L-partitions are ladder nodes", "not a node")
+            if core and not node:
+                report.check(False, lam, None, "cores are ladder nodes", "not a node")
+            if balanced and not node:
+                report.check(False, lam, None, "L-partitions are ladder nodes", "not a node")
             mull = here[reg[lam]]
-            ok = (mull == reg[_transpose(lam)]) == balanced
-            expected = f"mullineux(R(lam)) == R(lam') iff L-partition ({balanced})"
-            report.check(ok, lam, None, expected, "" if ok else _format(mull))  # kept on failure only
+            if (mull == reg[conj]) == balanced:
+                report.checks += 1
+            else:
+                expected = f"mullineux(R(lam)) == R(lam') iff L-partition ({balanced})"
+                report.check(False, lam, None, expected, _format(mull))
             if lam in here:
                 words = None  # one classical read serves both classes
                 for name, table in (("ell-partition", ell_table), ("weak", weak_table)):
@@ -297,5 +338,5 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
                         for i, word in enumerate(words):
                             _string_end_checks(report, lam, i, ell, name, table, word)
         for table in (jm_table, ell_table, weak_table):
-            table.drop_below(n)
+            table.finish(n)
     return report

@@ -2,13 +2,14 @@
 ladder crystal, the hook rules for ladder nodes and L-partitions, the
 blocking table scanned column by column, the ell-rim walked box by box with
 the Mullineux symbol it gives, and the Mullineux map as the crystal defines
-it, peeled by whole strings of the largest live residue; and large JM
-partitions with their one-box neighbours, for the oracles to check."""
+it, peeled by whole strings of the largest live residue; the string-end
+checks with one report.check per check; and large JM partitions with their
+one-box neighbours, for the oracles to check."""
 
 from __future__ import annotations
 
 from laddercrystal import graph
-from laddercrystal.crystal import CLASSICAL, LADDER, apply_e, apply_f, reduced_word, reduced_words
+from laddercrystal.crystal import CLASSICAL, LADDER, ReducedWord, apply_e, apply_f, reduced_word, reduced_words
 from laddercrystal.jm import JMDecomposition, _core_frame, compose_jm
 from laddercrystal.partitions import (
     Partition,
@@ -75,6 +76,52 @@ def verify_isomorphism_by_graph(ell: int, depth: int) -> graph.VerificationRepor
             eps, ladder_eps = len(classical.minus), len(ladder.minus)
             report.check(ladder_eps == eps, lam, i, f"epsilon {eps}", f"epsilon {ladder_eps}")
     return report
+
+
+def string_end_checks_by_records(
+    report: graph.VerificationReport,
+    lam: Partition,
+    i: int,
+    ell: int,
+    member: str,
+    in_class,
+    word: ReducedWord,
+) -> None:
+    """graph._string_end_checks with a report.check call, and its text, for
+    every check: an oracle for the count and failure records of the walk that
+    builds a record only for a failed check."""
+    width = len(word.plus)
+    cur = lam
+    for k in range(1, width + 1):
+        row, col = word.plus[-k]
+        addable = col == (cur[row - 1] if row <= len(cur) else 0) + 1 and (
+            row == 1 or cur[row - 2] >= col
+        )
+        report.check(
+            addable, lam, i, f"{member}: f^{k} adds an addable box", f"{(row, col)} not addable"
+        )
+        if not addable:
+            return
+        cur = cur[: row - 1] + (col,) + cur[row:]
+        if k == width:
+            report.check(in_class(cur, ell), lam, i, f"{member} after f^phi", "outside class")
+        elif k < width - 1:
+            report.check(not in_class(cur, ell), lam, i, f"not {member} after f^{k}", "inside class")
+    depth = len(word.minus)
+    cur = lam
+    for k in range(1, depth + 1):
+        row, col = word.minus[k - 1]
+        removable = row <= len(cur) and cur[row - 1] == col and (row == len(cur) or cur[row] < col)
+        report.check(
+            removable, lam, i, f"{member}: e^{k} removes a removable box", f"{(row, col)} not removable"
+        )
+        if not removable:
+            return
+        cur = cur[: row - 1] + ((col - 1,) if col > 1 else ()) + cur[row:]
+        if k == depth:
+            report.check(in_class(cur, ell), lam, i, f"{member} after e^epsilon", "outside class")
+        elif k > 1:
+            report.check(not in_class(cur, ell), lam, i, f"not {member} after e^{k}", "inside class")
 
 
 def ladder_node_levels(ell: int, nmax: int) -> list[set[Partition]]:

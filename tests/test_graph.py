@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import random
 
 import pytest
 
 from laddercrystal import crystal, graph
 from laddercrystal.crystal import (
+    CLASSICAL,
     LADDER,
     ReducedWord,
     e_hat,
@@ -17,6 +19,7 @@ from laddercrystal.crystal import (
     ladder_epsilon,
     ladder_phi,
     reduced_word,
+    reduced_words,
 )
 from laddercrystal.graph import (
     CrystalGraph,
@@ -29,11 +32,19 @@ from laddercrystal.graph import (
     theorem_suite,
     verify_isomorphism,
 )
-from laddercrystal.jm import _is_jm, fayers_witness, is_jm
+from laddercrystal.jm import _is_ell_partition, _is_jm, fayers_witness, is_jm
 from laddercrystal.partitions import _hook_grid, all_partitions, is_regular, residue, size, transpose
-from laddercrystal.regular import _regularize, deregularize, is_weak_ell_partition
+from laddercrystal.regular import _is_L_partition, _regularize, deregularize, is_weak_ell_partition
+from laddercrystal.rimhooks import _is_core
 
-from helpers import ladder_node_levels, regular_counts, verify_isomorphism_by_graph
+from helpers import (
+    ladder_node_levels,
+    large_jm_partitions,
+    one_box_away,
+    regular_counts,
+    string_end_checks_by_records,
+    verify_isomorphism_by_graph,
+)
 
 
 REGULAR_COUNTS_3 = [1, 1, 2, 2, 4, 5, 7, 9, 13, 16, 22]
@@ -319,6 +330,32 @@ def test_string_end_checks_record_a_corrupted_word(lam, word, expected):
     _string_end_checks(report, lam, 2, 3, "jm", is_jm, word)
     assert not report.passed
     assert [f["expected"] for f in report.failures] == [expected]
+    oracle = VerificationReport(suite="demo", ell=3, params={})
+    string_end_checks_by_records(oracle, lam, 2, 3, "jm", is_jm, word)
+    assert report == oracle
+
+
+@pytest.mark.parametrize("ell", [3, 4])
+def test_string_end_checks_match_the_record_per_check_oracle(ell):
+    # passing checks are counted, and only a failed one builds its record:
+    # the count and the records, in order, are those of one report.check per
+    # check, for the class itself and for predicates that fail every kind of check
+    classes = {"jm": _is_jm, "everything": lambda lam, ell: True, "nothing": lambda lam, ell: False}
+    failed = dict.fromkeys(classes, 0)
+    for n in range(13):
+        for lam in all_partitions(n):
+            if not _is_jm(lam, ell):
+                continue
+            for model in (LADDER, CLASSICAL):
+                for i, word in enumerate(reduced_words(lam, ell, model)):
+                    for member, in_class in classes.items():
+                        report = VerificationReport(suite="demo", ell=ell, params={})
+                        oracle = VerificationReport(suite="demo", ell=ell, params={})
+                        _string_end_checks(report, lam, i, ell, member, in_class, word)
+                        string_end_checks_by_records(oracle, lam, i, ell, member, in_class, word)
+                        assert report == oracle, (lam, model, i, member)
+                        failed[member] += len(report.failures)
+    assert failed["everything"] and failed["nothing"], failed
 
 
 def test_theorem_suite_rejects_negative_nmax():
@@ -400,15 +437,110 @@ def test_theorem_suite_builds_no_hook_grid(monkeypatch):
 
 @pytest.mark.parametrize("ell", [3, 4])
 def test_weak_membership_through_the_jm_table(ell):
-    # the sweep's weak table answers from its JM table, at the size of lam
+    # the sweep's weak table answers from its JM table, at the size of lam,
+    # while the size is open and from the members it keeps once finished
     jm_table = _ClassTable(_is_jm)
     weak_table = _weak_table(jm_table)
     for n in range(17):
+        weak = {}
         for lam in all_partitions(n):
             if is_regular(lam, ell):
-                weak = weak_table(lam, ell)
-                assert weak == is_weak_ell_partition(lam, ell), lam
-                assert jm_table._by_size[n][deregularize(lam, ell)] == weak
+                weak[lam] = weak_table(lam, ell)
+                assert weak[lam] == is_weak_ell_partition(lam, ell), lam
+                assert jm_table._by_size[n][deregularize(lam, ell)] == weak[lam]
+        jm_table.finish(n)
+        weak_table.finish(n)
+        for lam, answer in weak.items():
+            assert (deregularize(lam, ell) in jm_table._by_size[n]) == answer
+            assert (lam in weak_table._by_size[n]) == answer
+            assert weak_table(lam, ell) == answer
+
+
+@pytest.mark.parametrize("ell", [3, 4])
+def test_theorem_suite_keeps_finished_levels_as_members(monkeypatch, ell):
+    # once level n is done, each class table keeps exactly the members of
+    # size n, answers for every partition of size n as its predicate does
+    # (non-regular partitions are never ell-partitions or weak), and never
+    # asks its predicate about size n again
+    tables = []
+
+    class Recorded(_ClassTable):
+        def __init__(self, fn):
+            self.predicate, self.finished = fn, set()
+            super().__init__(self.asked)
+            tables.append(self)
+
+        def asked(self, lam, ell):
+            assert sum(lam) not in self.finished, lam
+            return self.predicate(lam, ell)
+
+        def finish(self, n):
+            super().finish(n)
+            self.finished.add(n)
+
+    monkeypatch.setattr(graph, "_ClassTable", Recorded)
+    assert theorem_suite(ell, 14).passed
+    by_predicate = {table.predicate: table for table in tables}
+    jm_table, ell_table = by_predicate.pop(_is_jm), by_predicate.pop(_is_ell_partition)
+    [weak_table] = by_predicate.values()
+    classes = (
+        (jm_table, _is_jm),
+        (ell_table, _is_ell_partition),
+        (weak_table, lambda lam, ell: is_regular(lam, ell) and is_weak_ell_partition(lam, ell)),
+    )
+    for table, predicate in classes:
+        assert table.finished == set(range(15))
+        for n in range(15):
+            members = {lam for lam in all_partitions(n) if predicate(lam, ell)}
+            assert table._by_size[n] == members
+            for lam in all_partitions(n):
+                assert table(lam, ell) == (lam in members), lam
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5, 6, 7])
+def test_sweep_predicates_agree_on_conjugates(ell):
+    # the theorem sweep decides JM, core and L-partition membership once per
+    # conjugate pair {lam, lam'}: hooks are kept, arm and leg swap
+    predicates = (_is_jm, _is_core, _is_L_partition)
+    for n in range(19):
+        for lam in all_partitions(n):
+            conj = transpose(lam)
+            if lam <= conj:
+                assert [p(lam, ell) for p in predicates] == [p(conj, ell) for p in predicates], lam
+    rng = random.Random(8600 + ell)
+    seen = set()
+    for lam in large_jm_partitions(ell, rng, 6):
+        for nu in [lam] + one_box_away(lam):
+            answers = [p(nu, ell) for p in predicates]
+            assert answers == [p(transpose(nu), ell) for p in predicates], nu
+            seen.add(answers[0])
+    assert seen == {True, False}
+
+
+def test_theorem_suite_decides_each_conjugate_pair_once(monkeypatch):
+    # core and L-partition membership are decided once per pair {lam, lam'}
+    # of a level: 740 calls each, where one per partition made 1,423.  JM
+    # membership, also asked by the string walks, is decided 1,145 times: 1,260
+    # without the pair's answer entered for lam', and 1,902 when each level
+    # was decided per partition and dropped, so the walks asked again below it
+    calls = {"core": 0, "L": 0, "jm": 0}
+
+    def counted(name, predicate):
+        def count(lam, ell):
+            calls[name] += 1
+            return predicate(lam, ell)
+
+        return count
+
+    monkeypatch.setattr(graph, "_is_core", counted("core", _is_core))
+    monkeypatch.setattr(graph, "_is_L_partition", counted("L", _is_L_partition))
+    monkeypatch.setattr(graph, "_is_jm", counted("jm", _is_jm))
+    assert theorem_suite(3, 16).checks == 6197
+    assert theorem_suite(4, 14).checks == 4685
+    levels = [n for top in (16, 14) for n in range(top + 1)]
+    pairs = sum(len({min(lam, transpose(lam)) for lam in all_partitions(n)}) for n in levels)
+    assert calls == {"core": pairs, "L": pairs, "jm": 1145}
+    assert pairs == 740
 
 
 def test_report_schema_and_failure_path():
