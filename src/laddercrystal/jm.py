@@ -8,8 +8,10 @@ horizontal or vertical strip, and opposite-orientation hooks never touch.
 
 The witness side is read off James's abacus: is_jm reads each runner's
 highest bead and lowest gap in one pass over the beads (see _is_jm), with no
-hook grid.  fayers_witness scans the hook grid to name the witness boxes, and
-is the tests' oracle for is_jm.
+hook grid.  The condition is symmetric under conjugation, so is_jm reads the
+orientation with fewer rows, as is_generalized_ell_partition does.
+fayers_witness scans the hook grid to name the witness boxes, and is the
+tests' oracle for is_jm.
 
 The hereditary side is read off James's abacus too: rimhooks._abacus lists
 each runner's bead levels for is_generalized_ell_partition, and every
@@ -29,9 +31,9 @@ the first, touch exactly when their northeast boxes' contents differ by ell:
 the second moves the same bead once more, or moves the bead one level above
 into the vacated place.  Each condition on reachable partitions is then a
 few bounds on level k per pair of runners, so the generalized check costs
-O(len(lam) + ell^3) and the ell-partition check O(len(lam) + ell),
-whatever the weight, instead of a walk over every partition that removals
-reach.
+O(min(len(lam), lam_1) + ell^3) and the ell-partition check
+O(len(lam) + ell), whatever the weight, instead of a walk over every
+partition that removals reach.
 
 By Fayers's proof of the James-Mathas conjecture, a JM partition is its core
 plus rho_i horizontal hooks on row i + 1 and sigma_j vertical ones on column
@@ -210,7 +212,8 @@ def _is_jm(lam: Partition, ell: int) -> bool:
     (the row-mate) and a bead of another runner above g (the column-mate).
     Taking r's highest bead and lowest gap makes all three easiest to meet,
     so one pass that records both per runner decides it: O(len(lam) + ell),
-    whatever the size of lam, with no hook grid and no conjugate.
+    whatever the size of lam, with no hook grid.  The public is_jm passes
+    the orientation with fewer rows.
     """
     gap, top = _runner_ends(lam, ell)
     lowest, highest = min(gap), max(top)
@@ -227,9 +230,21 @@ def _is_jm(lam: Partition, ell: int) -> bool:
     return True
 
 
+def _fewer_rows(lam: Partition) -> Partition:
+    """lam or its conjugate, whichever has fewer rows.
+
+    The JM condition is symmetric under conjugation (the witness swaps its
+    row-mate and column-mate), and so is the generalized one (horizontal and
+    vertical hooks swap), while their kernels read one bead per row.
+    """
+    return _transpose(lam) if lam and len(lam) > lam[0] else lam
+
+
 def is_jm(lam: Partition, ell: int) -> bool:
+    """No Fayers witness.  Decided on lam or lam', whichever has fewer rows:
+    O(min(len(lam), lam_1) + ell), whatever the size of lam."""
     check_ell(ell, minimum=3)
-    return _is_jm(check_partition(lam), ell)
+    return _is_jm(_fewer_rows(check_partition(lam)), ell)
 
 
 @partition_cache
@@ -256,11 +271,12 @@ def is_generalized_ell_partition(lam: Partition, ell: int) -> bool:
       max(lo) - 1 <= k <= min(hi): the bead above then drops into the
       vacated level, through the window one level higher.
 
-    Each condition bounds k to an interval, so a call costs
-    O(len(lam) + ell^3), whatever the weight.
+    Each condition bounds k to an interval.  The runners are read off lam
+    or lam', whichever has fewer rows, so a call costs
+    O(min(len(lam), lam_1) + ell^3), whatever the weight.
     """
     check_ell(ell)
-    packed, packed2, top, second = _runners(lam, ell)
+    packed, packed2, top, second = _runners(_fewer_rows(lam), ell)
     for j in range(ell):
         first, last = packed[j] + 1, top[j]
         if first > last:

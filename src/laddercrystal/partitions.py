@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import operator
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 
 Partition = tuple[int, ...]
@@ -130,9 +131,20 @@ def boxes(lam: Partition) -> Iterator[Box]:
 
 @partition_cache
 def transpose(lam: Partition) -> Partition:
-    """Column lengths: row i ends columns lam_{i+1} + 1 .. lam_i, zero rows none.  O(len(lam) + lam_1)."""
+    """Column lengths, walking the shorter side of the diagram.
+
+    With more rows than columns, column c has len(lam) - #{parts < c}
+    boxes, found by bisection of the ascending parts: one step per column.
+    Otherwise row i ends columns lam_{i+1} + 1 .. lam_i (zero rows none):
+    one step per row.  So min(len(lam), lam_1) Python steps, plus
+    C-level list work of O(lam_1) or one O(log len(lam)) bisection per column.
+    """
+    depth = len(lam)
+    if lam and depth > lam[0]:
+        ascending = lam[::-1]
+        return tuple([depth - bisect_left(ascending, c) for c in range(1, lam[0] + 1)])
     cols: list[int] = []
-    for i in range(len(lam), 0, -1):
+    for i in range(depth, 0, -1):
         cols += [i] * (lam[i - 1] - len(cols))
     return tuple(cols)
 

@@ -8,11 +8,15 @@ the class.  Fixed points of deregularization are exactly the partitions that
 appear as nodes of the ladder crystal.
 
 Everything here is integer arithmetic on ladders: row r meets ladders
-r, r + (ell-1), ..., r + (ell-1)(lam_r - 1), so ladder counts and
-regularization cost O(|lam|).  The locked boxes of every row form a prefix
+r, r + (ell-1), ..., r + (ell-1)(lam_r - 1).  The rows of one class mod
+ell - 1 meet only the ladders whose top positions lie on those rows, so
+ladder counts and regularization work one row class at a time: one list of
+end markers per class, summed by accumulate, and one bisection per row for
+the slide.  That is O(len(lam)) Python steps plus C-level sums over the
+ladders, not a step per box.  The locked boxes of every row form a prefix
 1..R_r (type I boxes and everything left of the rightmost one), and R_r
 follows from R_{r-1} and the columns whose first empty position lies on each
-ladder, so lock labels and deregularization cost O(|lam|) too.  That table
+ladder, so lock labels and deregularization cost O(|lam|).  That table
 of columns takes one strided slice write per row, O(len(lam)) writes and no
 transpose: the columns a row ends all have the same length.  Each column
 covers consecutive ladders, so a regularization class is built column by
@@ -31,7 +35,8 @@ from __future__ import annotations
 
 import functools
 import sys
-from itertools import combinations
+from bisect import bisect_right
+from itertools import accumulate, combinations
 from typing import NamedTuple
 
 from .partitions import (
@@ -62,15 +67,38 @@ class RegClass(NamedTuple):
     members: tuple[Partition, ...]
 
 
+def _class_ladders(lam: Partition, ell: int) -> list[list[int]]:
+    """The box counts of each row class's ladders, for the classes c = 1 .. min(ell-1, len(lam)).
+
+    Rows c, c + s, c + 2s, ... (s = ell - 1) meet only the ladders c,
+    c + s, c + 2s, ..., and those ladders have their top positions on those
+    rows.  With mu = lam[c-1::s], class ladder t (ladder c + st) holds one
+    box of class row j (row c + sj) when j <= t < j + mu_j, so one list of
+    end markers, summed by accumulate, counts them all.  Entry t of class
+    c's list is class ladder t's count, for the len(mu) + lam_1 - 1 class
+    ladders that _ladder_tally indexes.  O(len(lam)) Python steps.
+    """
+    step = ell - 1
+    width = lam[0] if lam else 0
+    classes = []
+    for c in range(min(step, len(lam))):
+        mu = lam[c::step]
+        marks = [1] * len(mu) + [0] * width
+        for j, part in enumerate(mu):
+            marks[j + part] -= 1  # row j's boxes end before class ladder j + mu_j
+        marks.pop()  # past the last class ladder, where the count is 0
+        classes.append(list(accumulate(marks)))
+    return classes
+
+
 def _ladder_tally(lam: Partition, ell: int) -> list[int]:
     """Box count of every ladder, indexed by ladder (index 0 is unused)."""
     if not lam:
         return [0]
     step = ell - 1
     tally = [0] * (len(lam) + step * (lam[0] - 1) + 1)
-    for row, part in enumerate(lam, start=1):
-        for k in range(row, row + step * part, step):
-            tally[k] += 1
+    for c, counts in enumerate(_class_ladders(lam, ell), start=1):
+        tally[c::step] = counts
     return tally
 
 
@@ -101,17 +129,19 @@ def regularize(lam: Partition, ell: int) -> Partition:
 
 
 def _regularize(lam: Partition, ell: int) -> Partition:
-    """regularize without the checks or the cache; the filled ladder tops form a partition (James)."""
+    """regularize without the checks or the cache; the filled ladder tops form a partition (James).
+
+    A class ladder's top positions lie on class rows 0, 1, ..., so after the
+    slide class row j holds one box for each class ladder with more than j
+    boxes: the class's rows are the conjugate of its sorted ladder counts,
+    read by bisection.
+    """
     step = ell - 1
-    tally = _ladder_tally(lam, ell)
-    lengths = [0] * len(tally)
-    for k, count in enumerate(tally):
-        if not count:
-            continue
-        # ladder k's topmost position is in column top; fill columns top-count+1..top
-        top = (k - 1) // step + 1
-        for col in range(top - count + 1, top + 1):
-            lengths[k - step * (col - 1)] += 1
+    lengths = [0] * (len(lam) + 1)
+    for c, counts in enumerate(_class_ladders(lam, ell), start=1):
+        counts.sort()
+        held = len(counts)  # class row j gets held - #{counts <= j} boxes
+        lengths[c::step] = [held - bisect_right(counts, j) for j in range((len(lam) - c) // step + 1)]
     return _assemble(lengths)
 
 

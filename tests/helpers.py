@@ -4,7 +4,9 @@ blocking table scanned column by column, the ell-rim walked box by box with
 the Mullineux symbol it gives, and the Mullineux map as the crystal defines
 it, peeled by whole strings of the largest live residue; the string-end
 checks with one report.check per check; and large JM partitions with their
-one-box neighbours, for the oracles to check."""
+one-box neighbours, for the oracles to check; ladder counts and
+regularization box by box and ladder by ladder, and the conjugate box by
+box."""
 
 from __future__ import annotations
 
@@ -122,6 +124,44 @@ def string_end_checks_by_records(
             report.check(in_class(cur, ell), lam, i, f"{member} after e^epsilon", "outside class")
         elif k > 1:
             report.check(not in_class(cur, ell), lam, i, f"not {member} after e^{k}", "inside class")
+
+
+def ladder_tally_by_boxes(lam: Partition, ell: int) -> list[int]:
+    """regular._ladder_tally box by box: row r adds one to each ladder
+    r, r + (ell-1), ..., r + (ell-1)(lam_r - 1)."""
+    if not lam:
+        return [0]
+    step = ell - 1
+    tally = [0] * (len(lam) + step * (lam[0] - 1) + 1)
+    for row, part in enumerate(lam, start=1):
+        for k in range(row, row + step * part, step):
+            tally[k] += 1
+    return tally
+
+
+def regularize_by_ladders(lam: Partition, ell: int) -> Partition:
+    """regular._regularize ladder by ladder: ladder k's boxes fill its
+    topmost positions, columns top - count + 1 .. top for its top column
+    top = (k - 1) // (ell-1) + 1, one box at a time."""
+    step = ell - 1
+    tally = ladder_tally_by_boxes(lam, ell)
+    lengths = [0] * len(tally)
+    for k, count in enumerate(tally):
+        top = (k - 1) // step + 1
+        for col in range(top - count + 1, top + 1):
+            lengths[k - step * (col - 1)] += 1
+    while lengths[-1] == 0 and len(lengths) > 1:
+        lengths.pop()
+    return check_partition(lengths[1:])
+
+
+def transpose_by_boxes(lam: Partition) -> Partition:
+    """Column lengths counted box by box: column c has one box per row of length c or more."""
+    cols = [0] * (lam[0] if lam else 0)
+    for part in lam:
+        for c in range(part):
+            cols[c] += 1
+    return tuple(cols)
 
 
 def ladder_node_levels(ell: int, nmax: int) -> list[set[Partition]]:

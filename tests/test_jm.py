@@ -156,17 +156,64 @@ def test_abacus_jm_matches_the_witness_on_large_partitions(ell):
 
 
 def test_is_jm_reads_no_hook_grid(monkeypatch):
+    # and builds a conjugate only of a partition with more rows than columns
     def forbidden(*args):
-        raise AssertionError("is_jm built a hook grid or a conjugate")
+        raise AssertionError("is_jm built a hook grid")
+
+    def tall_only(lam):
+        assert len(lam) > lam[0], f"is_jm built the conjugate of {lam}"
+        return transpose(lam)
 
     jm_module = importlib.import_module("laddercrystal.jm")
-    for name in ("_hook_grid", "_transpose"):
-        monkeypatch.setattr(jm_module, name, forbidden)
+    monkeypatch.setattr(jm_module, "_hook_grid", forbidden)
+    monkeypatch.setattr(jm_module, "_transpose", tall_only)
     assert is_jm(JM_EXAMPLE, 3) and is_jm((), 3) and is_jm((2,), 3) and is_jm((3, 1), 3)
     assert not is_jm((2, 2), 3) and not is_jm((3, 3), 3)
     assert is_jm((10**12,), 3)
     assert not is_jm((10**12, 10**12 - 1, 2), 3)
     assert is_jm((1,) * 300_000, 3)
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5, 6])
+def test_short_side_checks_match_the_kernels_on_the_tall_side(ell, monkeypatch):
+    # is_jm and is_generalized_ell_partition read lam or lam', whichever has
+    # fewer rows; their kernels, run on the orientation with more rows, check
+    # that the conditions are symmetric rather than assume it
+    shapes = [lam for n in range(17) for lam in all_partitions(n)]
+    rng = random.Random(2560 + ell)
+    for lam in large_jm_partitions(ell, rng, 4):
+        shapes += [transpose(mu) for mu in [lam, *one_box_away(lam)]]
+    tall = [transpose(lam) if lam and len(lam) < lam[0] else lam for lam in shapes]
+    public = [
+        (is_jm(lam, ell), is_jm(transpose(lam), ell))
+        + (is_generalized_ell_partition(lam, ell), is_generalized_ell_partition(transpose(lam), ell))
+        for lam in shapes
+    ]
+    monkeypatch.setattr(importlib.import_module("laddercrystal.jm"), "_fewer_rows", lambda lam: lam)
+    unswitched = is_generalized_ell_partition.__wrapped__
+    for lam, mu, answers in zip(shapes, tall, public):
+        jm, generalized = _is_jm(mu, ell), unswitched(mu, ell)
+        assert answers == (jm, jm, generalized, generalized), lam
+
+
+def test_short_side_checks_read_one_bead_per_column(monkeypatch):
+    # (1,) * 100_000 has 100_000 rows and one column: its conjugate's beads
+    # are one row padded to ell rows
+    rimhooks_module = importlib.import_module("laddercrystal.rimhooks")
+    beads, read = rimhooks_module._beads, []
+
+    def counted(lam, ell):
+        for bead in beads(lam, ell):
+            read.append(bead)
+            yield bead
+
+    monkeypatch.setattr(rimhooks_module, "_beads", counted)
+    lam = (1,) * 100_000
+    assert is_jm(lam, 3)
+    assert len(read) <= lam[0] + 3, len(read)
+    read.clear()
+    assert is_generalized_ell_partition.__wrapped__(lam, 3)
+    assert len(read) <= lam[0] + 3, len(read)
 
 
 @given(partitions(max_part=7, max_len=7), jm_moduli())

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from laddercrystal.partitions import (
     EMPTY,
+    _transpose,
     EQUAL,
     GREATER,
     INCOMPARABLE,
@@ -37,6 +40,7 @@ from laddercrystal.partitions import (
     transpose,
 )
 
+from helpers import transpose_by_boxes
 from strategies import partitions, moduli
 
 
@@ -81,6 +85,21 @@ def test_transpose_golden():
 def test_transpose_involution(lam):
     assert transpose(transpose(lam)) == lam
     assert size(transpose(lam)) == size(lam)
+
+
+def test_transpose_walks_either_side_like_the_box_count():
+    # rows walked when len(lam) <= lam_1, columns bisected otherwise
+    shapes = [lam for n in range(15) for lam in all_partitions(n)]
+    rng = random.Random(2500)
+    for _ in range(20):
+        cap = rng.choice([3, 40, 400])
+        lam = tuple(sorted((rng.randint(1, cap) for _ in range(rng.randint(1, 400))), reverse=True))
+        shapes += [lam, transpose_by_boxes(lam)]
+    shapes += [(1,) * 500, (500,), (2,) * 300, (300, 300)]
+    assert any(lam and len(lam) > lam[0] for lam in shapes)
+    assert any(lam and len(lam) < lam[0] for lam in shapes)
+    for lam in shapes:
+        assert _transpose(lam) == transpose(lam) == transpose_by_boxes(lam), lam
 
 
 @given(partitions())

@@ -42,6 +42,8 @@ from laddercrystal.regular import (
     mullineux,
     _add_rims,
     _blocking,
+    _ladder_tally,
+    _regularize,
     _mullineux,
     _peel_rims,
     reg_class,
@@ -52,11 +54,13 @@ from helpers import (
     L_partition_by_hooks,
     blocking_by_columns,
     ladder_node_by_hooks,
+    ladder_tally_by_boxes,
     large_jm_partitions,
     mullineux_by_largest_residue,
     mullineux_image_symbol,
     mullineux_symbol,
     one_box_away,
+    regularize_by_ladders,
 )
 from strategies import partitions, moduli, jm_moduli
 
@@ -219,6 +223,44 @@ def test_ladder_arithmetic_matches_reference_on_large_partitions(ell):
         lam = _random_partition(rng.randint(100, 800), rng)
         _assert_matches_reference(lam, ell)
         _assert_postconditions(lam, ell)
+
+
+def _assert_matches_the_box_oracles(lam, ell):
+    """The per-class ladder counts and slide against a tally with one step
+    per box and a fill with one step per ladder position."""
+    tally = ladder_tally_by_boxes(lam, ell)
+    assert _ladder_tally(lam, ell) == tally, (lam, ell)
+    assert ladder_counts(lam, ell) == {k: count for k, count in enumerate(tally) if count}, (lam, ell)
+    image = regularize_by_ladders(lam, ell)
+    assert _regularize(lam, ell) == image and regularize(lam, ell) == image, (lam, ell)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 5, 6, 7])
+def test_class_ladders_match_the_box_oracles(ell):
+    for n in range(19):
+        for lam in all_partitions(n):
+            _assert_matches_the_box_oracles(lam, ell)
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5, 11])
+def test_class_ladders_match_the_box_oracles_on_large_partitions(ell):
+    rng = random.Random(25000 + ell)
+    for _ in range(4):
+        lam = _random_partition(rng.randint(500, 5000), rng)
+        for mu in (lam, transpose(lam)):
+            _assert_matches_the_box_oracles(mu, ell)
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [(), (1,), (7,), (40,), (1,) * 7, (1,) * 40, (3, 1), (9, 9), (5, 5, 5)],
+    ids=["empty", "1", "row-7", "row-40", "column-7", "column-40", "3-1", "9-9", "5-5-5"],
+)
+def test_class_ladders_match_the_box_oracles_on_edge_shapes(lam):
+    # single rows and columns; at ell = 5, 7 and 11 the short ones have
+    # fewer rows than ell - 1, so some row classes are empty
+    for ell in (2, 3, 4, 5, 7, 11):
+        _assert_matches_the_box_oracles(lam, ell)
 
 
 @pytest.mark.parametrize("ell,nmax,reach", [(2, 16, 16), (3, 20, 25), (4, 18, 22), (5, 18, 19)])
