@@ -7,13 +7,15 @@ classical word runs bottom-left to top-right; the ladder word runs ladder
 by ladder, top-to-bottom within each ladder.  One pass over the rows, from
 the bottom up, reads the words of every residue at once: a row's removable
 box has the residue of its last box and its addable box the next one, so
-each row feeds at most two words.  The classical words are already in
-reading order; the ladder words are sorted by (ladder, row).  Then each
-word is cancelled.  ``reduced_words`` gives all ell reduced words of a
-partition from that pass, and ``reduced_word`` picks one of them.  epsilon,
-phi, the good box and the cogood box are all read from a reduced word, and
-a walk along an i-string edits the partition box by box from its first
-word (``apply_e`` / ``apply_f``), reading no further word.
+each row feeds at most two words, with entries (ladder, row, col, plus).
+The classical words are already in reading order; sorting a ladder word
+puts it in order by (ladder, row).  One cancel loop, over a list of
+words, sorts each first in the ladder model and then reduces it.
+``reduced_words`` gives all ell reduced words of a partition from that
+pass, and ``reduced_word`` sorts and cancels only the word of its residue.
+epsilon, phi, the good box and the cogood box are all read from a reduced
+word, and a walk along an i-string edits the partition box by box from its
+first word (``apply_e`` / ``apply_f``), reading no further word.
 
 The kernel checks nothing: the public operators check the partition, the
 modulus and the residue once per call, and the graph sweeps check their
@@ -89,6 +91,9 @@ class ReducedWord(NamedTuple):
     minus: list[Box]
 
 
+_new_tuple = tuple.__new__
+
+
 def check_model(model: str) -> None:
     if model not in (CLASSICAL, LADDER):
         raise ValueError(f"model must be {CLASSICAL!r} or {LADDER!r}, got {model!r}")
@@ -100,62 +105,73 @@ def _checked(lam, i: int, ell: int) -> Partition:
     return check_partition(lam)
 
 
-def _signatures(lam: Partition, ell: int, model: str) -> list[list[tuple]]:
-    """lam's i-signature for every residue i, in the model's reading order.
+def _signatures(lam: Partition, ell: int) -> list[list[tuple]]:
+    """lam's i-signature entries for every residue i, in classical order.
 
-    Entry lists are indexed by residue; an entry is (ladder, row, box,
-    sign).  The rows are read once, from the bottom up, which is the
-    classical order; row r's removable box (r, lam_r) has the residue
+    Entry lists are indexed by residue; an entry is (ladder, row, col,
+    plus), with plus True for the addable box (row, col) and False for the
+    removable one.  The rows are read once, from the bottom up, which is
+    the classical order; row r's removable box (r, lam_r) has the residue
     lam_r - r of its last box, and its addable box (r, lam_r + 1) the next
     residue (the first box of the empty row below the diagram is always
-    addable).  The ladder order sorts each list by (ladder, row), which no
-    two boxes share.
+    addable).  Sorting a list gives the ladder order, by (ladder, row),
+    which no two boxes share.
     """
     words: list[list[tuple]] = [[] for _ in range(ell)]
     step = ell - 1
     rows = lam + (0,)
     below = 0
-    for row in range(len(rows), 0, -1):
-        part = rows[row - 1]
+    row = len(rows)
+    for part in reversed(rows):
         last = (part - row) % ell
         if part > below:
-            words[last].append((row + step * (part - 1), row, (row, part), MINUS))
+            words[last].append((row + step * (part - 1), row, part, False))
         if row == 1 or rows[row - 2] > part:
-            words[(last + 1) % ell].append((row + step * part, row, (row, part + 1), PLUS))
+            words[(last + 1) % ell].append((row + step * part, row, part + 1, True))
         below = part
-    if model == LADDER:
-        for entries in words:
-            entries.sort()
+        row -= 1
     return words
 
 
-def _cancel(entries) -> ReducedWord:
-    """Cancel adjacent "-+" pairs exhaustively; the survivors are "+...+-...-"."""
-    plus: list[Box] = []
-    minus: list[Box] = []
-    for _, _, box, sign in entries:
-        if sign == MINUS:
-            minus.append(box)
-        elif minus:
-            minus.pop()
-        else:
-            plus.append(box)
-    return ReducedWord(plus, minus)
+def _cancel(words: list[list[tuple]], ladder: bool) -> list[ReducedWord]:
+    """Each entry list reduced: sorted first into the ladder order when
+    *ladder*, then adjacent "-+" pairs cancelled exhaustively, so the
+    survivors read "+...+-...-"."""
+    reduced = []
+    for entries in words:
+        if ladder:
+            entries.sort()
+        plus: list[Box] = []
+        minus: list[Box] = []
+        for _, row, col, up in entries:
+            if not up:
+                minus.append((row, col))
+            elif minus:
+                minus.pop()
+            else:
+                plus.append((row, col))
+        reduced.append(_new_tuple(ReducedWord, (plus, minus)))  # skips NamedTuple's Python-level __new__
+    return reduced
 
 
 def reduced_words(lam: Partition, ell: int, model: str) -> list[ReducedWord]:
     """The reduced i-signatures of lam for i = 0..ell-1, from one pass over its rows."""
-    return [_cancel(entries) for entries in _signatures(lam, ell, model)]
+    return _cancel(_signatures(lam, ell), model == LADDER)
 
 
 def reduced_word(lam: Partition, i: int, ell: int, model: str) -> ReducedWord:
-    """The reduced i-signature of lam in the reading order of *model*."""
-    return _cancel(_signatures(lam, ell, model)[i])
+    """The reduced i-signature of lam in the reading order of *model*; only
+    residue i is sorted and cancelled."""
+    return _cancel([_signatures(lam, ell)[i]], model == LADDER)[0]
 
 
 def _signature_word(lam, i: int, ell: int, model: str) -> SignatureWord:
-    entries = _signatures(_checked(lam, i, ell), ell, model)[i]
-    return SignatureWord(tuple(SignatureEntry(sign, box) for _, _, box, sign in entries), model)
+    entries = _signatures(_checked(lam, i, ell), ell)[i]
+    if model == LADDER:
+        entries.sort()
+    return SignatureWord(
+        tuple(SignatureEntry(PLUS if plus else MINUS, (row, col)) for _, row, col, plus in entries), model
+    )
 
 
 def apply_e(lam: Partition, word: ReducedWord, k: int = 1) -> Partition | None:
@@ -201,7 +217,7 @@ def ladder_i_signature(lam: Partition, i: int, ell: int) -> SignatureWord:
 
 def reduce_signature(sig: SignatureWord) -> SignatureWord:
     """Cancel adjacent "-+" pairs exhaustively, leaving a word "+...+-...-"."""
-    plus, minus = _cancel((None, None, box, sign) for sign, box in sig)
+    (plus, minus), = _cancel([[(None, *box, sign != MINUS) for sign, box in sig]], False)
     kept = [SignatureEntry(PLUS, b) for b in plus] + [SignatureEntry(MINUS, b) for b in minus]
     return SignatureWord(tuple(kept), sig.order)
 

@@ -120,37 +120,49 @@ def verify_isomorphism(ell: int, depth: int) -> VerificationReport:
     pass over the rows of lam gives its ladder words of every residue, and
     one over its image R(lam) the classical words; all four answers on each
     side are read from those words, and the f_hat targets form the next
-    level.  The regularizations are memoized per level, and the levels below
-    n are dropped when level n is done, so the walk holds the levels n - 1,
-    n and n + 1 of the table and two levels of nodes.
+    level.  R is computed once per node reached and held in three plain
+    dicts, for the levels n - 1 (read by the e-moves), n and n + 1 (filled
+    by the f-moves); the dict of level n - 1 is dropped when level n is
+    done.  An e-move target missing from level n - 1 (only a wrong lowering
+    operator makes one) is regularized then and kept there.  A passing
+    check is counted; only a failed one builds its record and text.
     """
     check_ell(ell)
     check_count("depth", depth)
     report = VerificationReport(suite="crystal-isomorphism", ell=ell, params={"depth": depth})
-    regularized = _ClassTable(_regularize)
-    level: list[Partition] = [()]
-    for n in range(depth + 1):
-        above: set[Partition] = set()
-        for lam in level:
-            image = regularized(lam, ell)
+    passed = 0
+    below: dict[Partition, Partition] = {}
+    here = {(): _regularize((), ell)}
+    for _ in range(depth + 1):
+        above: dict[Partition, Partition] = {}
+        for lam in sorted(here):
+            image = here[lam]
             pairs = zip(reduced_words(lam, ell, LADDER), reduced_words(image, ell, CLASSICAL))
             for i, (ladder, classical) in enumerate(pairs):
-                up = apply_f(lam, ladder)
-                if up is not None:
-                    above.add(up)
-                moves = ((up, apply_f(image, classical)), (apply_e(lam, ladder), apply_e(image, classical)))
-                for moved, expected in moves:
-                    actual = None if moved is None else regularized(moved, ell)
-                    report.check(actual == expected, lam, i, expected, actual)
+                moves = (
+                    (above, apply_f(lam, ladder), apply_f(image, classical)),
+                    (below, apply_e(lam, ladder), apply_e(image, classical)),
+                )
+                for table, moved, expected in moves:
+                    if moved is None:
+                        actual = None
+                    else:
+                        actual = table.get(moved)
+                        if actual is None:
+                            actual = table[moved] = _regularize(moved, ell)
+                    if actual == expected:
+                        passed += 1
+                    else:
+                        report.check(False, lam, i, expected, actual)
                 phi, ladder_phi = len(classical.plus), len(ladder.plus)
                 eps, ladder_eps = len(classical.minus), len(ladder.minus)
                 if ladder_phi == phi and ladder_eps == eps:
-                    report.checks += 2
+                    passed += 2
                 else:  # the failure text is built only for a failed check
                     report.check(ladder_phi == phi, lam, i, f"phi {phi}", f"phi {ladder_phi}")
                     report.check(ladder_eps == eps, lam, i, f"epsilon {eps}", f"epsilon {ladder_eps}")
-        regularized.drop_below(n)
-        level = sorted(above)
+        below, here = here, above
+    report.checks += passed
     return report
 
 
@@ -162,10 +174,9 @@ class _Members(frozenset):
 
 
 class _ClassTable:
-    """Memoized fn(lam, ell), never None, per partition size: a class's membership or a
-    map such as _regularize.  A sweep owns its tables.  A map drops the sizes it has
-    passed, so it keeps a few levels, never every partition seen; a class keeps a
-    finished size, one the sweep has asked about every partition of, as its members."""
+    """Memoized class membership fn(lam, ell) per partition size.  A sweep owns its
+    tables.  A finished size, one the sweep has asked about every partition of, is
+    kept as its members."""
 
     def __init__(self, fn):
         self._fn = fn
@@ -186,10 +197,6 @@ class _ClassTable:
         """Keep size n as its members: every partition of size n has been asked
         about, so a partition not among them is outside the class."""
         self._by_size[n] = _Members(lam for lam, member in self._by_size.get(n, {}).items() if member)
-
-    def drop_below(self, n: int) -> None:
-        for size in [size for size in self._by_size if size < n]:
-            del self._by_size[size]
 
 
 def _weak_table(jm_table: _ClassTable) -> _ClassTable:

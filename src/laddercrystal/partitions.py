@@ -45,8 +45,10 @@ def check_partition(parts: Iterable[int]) -> Partition:
             lam = tuple(map(operator.index, parts))
         except TypeError:
             raise ValueError(f"a partition is a sequence of integer parts, got {parts!r}") from None
-    while lam and lam[-1] == 0:
-        lam = lam[:-1]
+    end = len(lam)
+    while end and lam[end - 1] == 0:
+        end -= 1
+    lam = lam[:end]  # one slice, so stripping is linear in the number of zeros
     if lam and min(lam) <= 0:
         raise ValueError(f"parts must be positive integers: {lam!r}")
     if not all(map(operator.ge, lam, lam[1:])):

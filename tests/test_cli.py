@@ -76,6 +76,12 @@ def test_regularize_emits_bare_string(capsys):
     assert out == "3,3,2,1\n"
 
 
+def test_regularize_strips_many_trailing_zeros(capsys):
+    status, out = run_cli(capsys, "regularize", "--ell", "3", "--plain", "1,0^40000")
+    assert status == 0
+    assert out == "1\n"
+
+
 def test_deregularize_and_mullineux(capsys):
     _, out = run_cli(capsys, "deregularize", "--ell", "3", "3,2,1", "--plain")
     assert out == "2,1,1,1,1\n"

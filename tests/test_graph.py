@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import random
+import sys
 
 import pytest
 
@@ -13,6 +14,7 @@ from laddercrystal.crystal import (
     CLASSICAL,
     LADDER,
     ReducedWord,
+    apply_e,
     e_hat,
     epsilon,
     f_hat,
@@ -37,6 +39,7 @@ from laddercrystal.partitions import _hook_grid, all_partitions, is_regular, res
 from laddercrystal.regular import _is_L_partition, _regularize, deregularize, is_weak_ell_partition
 from laddercrystal.rimhooks import _is_core
 
+import helpers
 from helpers import (
     ladder_node_levels,
     large_jm_partitions,
@@ -204,18 +207,59 @@ def test_verify_isomorphism_reads_one_word_per_node_and_model(monkeypatch):
 
 def test_verify_isomorphism_holds_at_most_three_levels_of_regularizations(monkeypatch):
     # the walk drops the levels it has passed: it looks up R at levels n - 1
-    # (e-moves), n and n + 1 (f-moves), never every node seen
+    # (e-moves), n and n + 1 (f-moves), never every node seen.  At each
+    # regularization, the partitions keyed in the walk's dicts span at most
+    # three sizes.
     held = []
 
-    class Recorded(_ClassTable):
-        def __call__(self, lam, ell):
-            value = super().__call__(lam, ell)
-            held.append(len(self._by_size))
-            return value
+    def recorded(lam, ell):
+        walk = sys._getframe(1).f_locals
+        held.append({sum(mu) for table in walk.values() if isinstance(table, dict) for mu in table})
+        return _regularize(lam, ell)
 
-    monkeypatch.setattr(graph, "_ClassTable", Recorded)
+    monkeypatch.setattr(graph, "_regularize", recorded)
     assert verify_isomorphism(3, 20).passed
-    assert held and max(held) <= 3
+    assert held and max(map(len, held)) <= 3
+    assert max(map(len, held)) == 3
+
+
+def test_verify_isomorphism_regularizes_each_node_once(monkeypatch):
+    # R is computed once for every node the walk reaches, the f_hat targets
+    # of level 12 included: 189 nodes through level 13
+    calls = []
+
+    def counted(lam, ell):
+        calls.append(lam)
+        return _regularize(lam, ell)
+
+    monkeypatch.setattr(graph, "_regularize", counted)
+    assert verify_isomorphism(3, 12).passed
+    assert len(calls) == len(set(calls)) == sum(regular_counts(3, 13)) == 189
+
+
+def _remove_last_minus_box(lam, word, k=1):
+    return apply_e(lam, ReducedWord(word.plus, word.minus[::-1]), k)
+
+
+@pytest.mark.parametrize("ell,depth", [(3, 10), (4, 8)])
+def test_verify_isomorphism_regularizes_an_e_move_off_the_level_below(monkeypatch, ell, depth):
+    # a wrong lowering operator leaves the crystal: its targets are missing
+    # from the level below, so the walk regularizes them on the spot and
+    # records the failures as the built-crystal loop does
+    calls = 0
+
+    def counted(lam, ell):
+        nonlocal calls
+        calls += 1
+        return _regularize(lam, ell)
+
+    monkeypatch.setattr(graph, "apply_e", _remove_last_minus_box)
+    monkeypatch.setattr(helpers, "apply_e", _remove_last_minus_box)
+    monkeypatch.setattr(graph, "_regularize", counted)
+    report = verify_isomorphism(ell, depth)
+    assert calls > sum(regular_counts(ell, depth + 1))
+    assert report.failures
+    assert report.to_dict() == verify_isomorphism_by_graph(ell, depth).to_dict()
 
 
 def _transposed_at_size_five(lam, ell):
