@@ -24,6 +24,7 @@ arguments before they start.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple
 
 from .partitions import Box, Partition, check_box, check_ell, check_partition, check_residue
@@ -263,13 +264,25 @@ def f_hat(lam: Partition, i: int, ell: int) -> Partition | None:
 
 
 def residue_content(lam: Partition, ell: int) -> tuple[int, ...]:
-    """How many boxes of each residue the diagram holds."""
+    """How many boxes of each residue the diagram holds.
+
+    Row r's boxes have the consecutive residues (1 - r), (2 - r), ... mod
+    ell, so its p boxes give every residue p // ell boxes and one more to
+    the p % ell residues from (1 - r) mod ell on.  Those runs are end
+    markers on a list of 2 ell residues, summed once and folded mod ell:
+    O(len(lam) + ell), however long the rows.
+    """
     check_ell(ell)
-    counts = [0] * ell
+    rounds = 0
+    marks = [0] * (2 * ell)
     for row, part in enumerate(check_partition(lam), start=1):
-        for col in range(1, part + 1):
-            counts[(col - row) % ell] += 1
-    return tuple(counts)
+        whole, extra = divmod(part, ell)
+        rounds += whole
+        first = (1 - row) % ell
+        marks[first] += 1
+        marks[first + extra] -= 1
+    runs = list(accumulate(marks))
+    return tuple(rounds + runs[i] + runs[i + ell] for i in range(ell))
 
 
 # Box types (a)-(k).  Positions on row 0 or column 0 count as inside the

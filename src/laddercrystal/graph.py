@@ -8,7 +8,7 @@ from .partitions import Partition, _is_regular, _transpose, check_count, check_e
 from .rimhooks import _is_core
 from .crystal import CLASSICAL, LADDER, ReducedWord, apply_e, apply_f, check_model, reduced_words
 from .jm import _is_ell_partition, _is_jm
-from .regular import _deregularize, _is_L_partition, _is_ladder_node, _mullineux_symbol, _regularize
+from .regular import _add_to_ladder, _deregularize, _is_L_partition, _is_ladder_node, _mullineux_symbol, _regularize
 from .strings import _format
 
 Edge = tuple[Partition, Partition, int]
@@ -123,13 +123,18 @@ def verify_isomorphism(ell: int, depth: int) -> VerificationReport:
     level.  R is computed once per node reached and held in three plain
     dicts, for the levels n - 1 (read by the e-moves), n and n + 1 (filled
     by the f-moves); the dict of level n - 1 is dropped when level n is
-    done.  An e-move target missing from level n - 1 (only a wrong lowering
-    operator makes one) is regularized then and kept there.  A passing
-    check is counted; only a failed one builds its record and text.
+    done.  An f_hat target is lam plus its word's last plus box, so its R,
+    when first met, is one step up that box's ladder from R(lam)
+    (regular._add_to_ladder): R still comes from the ladder counts, not
+    from f_tilde.  An e-move target missing from level n - 1 (only a wrong
+    lowering operator makes one) is regularized in full then and kept
+    there.  A passing check is counted; only a failed one builds its record
+    and text.
     """
     check_ell(ell)
     check_count("depth", depth)
     report = VerificationReport(suite="crystal-isomorphism", ell=ell, params={"depth": depth})
+    step = ell - 1
     passed = 0
     below: dict[Partition, Partition] = {}
     here = {(): _regularize((), ell)}
@@ -139,21 +144,31 @@ def verify_isomorphism(ell: int, depth: int) -> VerificationReport:
             image = here[lam]
             pairs = zip(reduced_words(lam, ell, LADDER), reduced_words(image, ell, CLASSICAL))
             for i, (ladder, classical) in enumerate(pairs):
-                moves = (
-                    (above, apply_f(lam, ladder), apply_f(image, classical)),
-                    (below, apply_e(lam, ladder), apply_e(image, classical)),
-                )
-                for table, moved, expected in moves:
-                    if moved is None:
-                        actual = None
-                    else:
-                        actual = table.get(moved)
-                        if actual is None:
-                            actual = table[moved] = _regularize(moved, ell)
-                    if actual == expected:
-                        passed += 1
-                    else:
-                        report.check(False, lam, i, expected, actual)
+                moved = apply_f(lam, ladder)
+                if moved is None:
+                    actual = None
+                else:
+                    actual = above.get(moved)
+                    if actual is None:  # moved is lam plus the box plus[-1]
+                        row, col = ladder.plus[-1]
+                        actual = above[moved] = _add_to_ladder(image, row + step * (col - 1), ell)
+                expected = apply_f(image, classical)
+                if actual == expected:
+                    passed += 1
+                else:
+                    report.check(False, lam, i, expected, actual)
+                moved = apply_e(lam, ladder)
+                if moved is None:
+                    actual = None
+                else:
+                    actual = below.get(moved)
+                    if actual is None:
+                        actual = below[moved] = _regularize(moved, ell)
+                expected = apply_e(image, classical)
+                if actual == expected:
+                    passed += 1
+                else:
+                    report.check(False, lam, i, expected, actual)
                 phi, ladder_phi = len(classical.plus), len(ladder.plus)
                 eps, ladder_eps = len(classical.minus), len(ladder.minus)
                 if ladder_phi == phi and ladder_eps == eps:
@@ -267,12 +282,31 @@ def _string_end_checks(
             report.check(False, lam, i, f"{member} after e^epsilon", "outside class")
 
 
+def _level_images(below: dict[Partition, Partition], n: int, ell: int) -> dict[Partition, Partition]:
+    """R of every partition of size n, in partitions_of order, given *below*,
+    the images of size n - 1.
+
+    lam is its parent, lam less the last box of its last row, plus that box,
+    so R(lam) is one step up the box's ladder from the parent's image.
+    """
+    if not n:
+        return {(): _regularize((), ell)}
+    step = ell - 1
+    images = {}
+    for lam in partitions_of(n):
+        row, col = len(lam), lam[-1]
+        parent = lam[:-1] + (col - 1,) if col > 1 else lam[:-1]
+        images[lam] = _add_to_ladder(below[parent], row + step * (col - 1), ell)
+    return images
+
+
 def theorem_suite(ell: int, nmax: int) -> VerificationReport:
     """Exhaustive structural checks over all partitions of size up to nmax.
 
     The sweep runs level by level, n = 0..nmax.  Level n streams from
     partitions_of into a table of its regularizations (lam and lam' lie in
-    the same level), and the sweep holds:
+    the same level), each one ladder step from the image of lam's parent in
+    level n - 1's table (_level_images), and the sweep holds:
 
     - the Mullineux images of the ell-regular partitions of size n, keyed
       by exactly those partitions, each read off Mullineux's symbol
@@ -308,8 +342,9 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
     jm_table = _ClassTable(_is_jm)
     ell_table = _ClassTable(_is_ell_partition)
     weak_table = _weak_table(jm_table)
+    reg: dict[Partition, Partition] = {}
     for n in range(nmax + 1):
-        reg = {lam: _regularize(lam, ell) for lam in partitions_of(n)}  # the level, in order
+        reg = _level_images(reg, n, ell)  # the level, in order
         here = {rho: _mullineux_symbol(rho, ell) for rho in reg if _is_regular(rho, ell)}
         pairs = {}  # lam' -> (jm, core, L-partition) of lam, until lam' comes up
         for lam in reg:

@@ -13,12 +13,18 @@ ell - 1 meet only the ladders whose top positions lie on those rows, so
 ladder counts and regularization work one row class at a time: one list of
 end markers per class, summed by accumulate, and one bisection per row for
 the slide.  That is O(len(lam)) Python steps plus C-level sums over the
-ladders, not a step per box.  The locked boxes of every row form a prefix
-1..R_r (type I boxes and everything left of the rightmost one), and R_r
-follows from R_{r-1} and the columns whose first empty position lies on each
-ladder, so lock labels and deregularization cost O(|lam|).  That table
-of columns takes one strided slice write per row, O(len(lam)) writes and no
-transpose: the columns a row ends all have the same length.  Each column
+ladders, not a step per box.  One box more moves R by one box: R is fixed
+by the ladder counts alone (James), so R(lam + box) is R(lam) with one box
+at the first empty position of the new box's ladder.  _add_to_ladder walks
+that ladder down from its top, O(boxes of R(lam) on it) steps and one tuple
+splice, and the sweeps that reach lam + box from lam grow R this way.
+
+The locked boxes of every row form a prefix 1..R_r (type I boxes and
+everything left of the rightmost one), and R_r follows from R_{r-1} and the
+columns whose first empty position lies on each ladder, so lock labels and
+deregularization cost O(|lam|).  That table of columns takes one strided
+slice write per row, O(len(lam)) writes and no transpose: the columns a row
+ends all have the same length.  Each column
 covers consecutive ladders, so a regularization class is built column by
 column while walking the ladders in order, instead of scanning every
 partition of |lam|.
@@ -143,6 +149,26 @@ def _regularize(lam: Partition, ell: int) -> Partition:
         held = len(counts)  # class row j gets held - #{counts <= j} boxes
         lengths[c::step] = [held - bisect_right(counts, j) for j in range((len(lam) - c) // step + 1)]
     return _assemble(lengths)
+
+
+def _add_to_ladder(rho: Partition, k: int, ell: int) -> Partition:
+    """R(lam + box) from rho = R(lam), for a box of ladder k.
+
+    R depends only on the ladder counts and fills each ladder from its top,
+    so R(lam + box) is rho with one more box at the first empty position of
+    ladder k.  The ladder's top position is (k - (ell-1)(c-1), c) with
+    c = (k-1) // (ell-1) + 1, and it runs down ell - 1 rows and one column
+    left at a time.  O(boxes of rho on ladder k) steps and one tuple splice.
+    """
+    step = ell - 1
+    col, row = divmod(k - 1, step)
+    col += 1
+    row += 1
+    depth = len(rho)
+    while row <= depth and rho[row - 1] >= col:
+        row += step
+        col -= 1
+    return rho[: row - 1] + (col,) + rho[row:]
 
 
 def _blocking(lam: Partition, ell: int) -> list[int]:

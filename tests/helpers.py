@@ -59,8 +59,10 @@ def verify_isomorphism_by_graph(ell: int, depth: int) -> graph.VerificationRepor
     for its report, failure records included.
 
     Each node's words are read again after the build, and every
-    regularization is recomputed.  The map is graph._regularize, looked up
-    at call time, so a test can replace it with a wrong one.
+    regularization is recomputed in full.  The map is graph._regularize,
+    looked up at call time, so a test can count its calls, and the words
+    are read through this module's reduced_words, so a test can corrupt the
+    classical words for both walks.
     """
     report = graph.VerificationReport(suite="crystal-isomorphism", ell=ell, params={"depth": depth})
     regularize = graph._regularize

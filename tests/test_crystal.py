@@ -388,6 +388,24 @@ def test_residue_content_totals(lam, ell):
         assert content[i] == sum(1 for box in boxes(lam) if residue(box, ell) == i)
 
 
+@pytest.mark.parametrize("ell", [2, 3, 4, 5, 6])
+def test_residue_content_matches_a_count_per_box(ell):
+    for n in range(13):
+        for lam in all_partitions(n):
+            counts = [0] * ell
+            for box in boxes(lam):
+                counts[residue(box, ell)] += 1
+            assert residue_content(lam, ell) == tuple(counts), (lam, ell)
+
+
+def test_residue_content_of_a_long_row_is_arithmetic():
+    # one row of 10**18 - 1 boxes: a third of them on each residue at ell = 3
+    third = (10**18 - 1) // 3
+    assert residue_content((10**18 - 1,), 3) == (third, third, third)
+    # row 2 of 10**18 - 1 boxes at ell = 4: one extra box on each of residues 3, 0 and 1
+    assert residue_content((10**18, 10**18 - 1), 4) == (5 * 10**17, 5 * 10**17, 5 * 10**17 - 1, 5 * 10**17)
+
+
 @pytest.mark.parametrize("ell", [3, 4])
 def test_jm_ladder_signatures_never_cancel(ell):
     # JM partitions have ladder signatures that are already reduced

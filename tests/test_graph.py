@@ -36,7 +36,7 @@ from laddercrystal.graph import (
 )
 from laddercrystal.jm import _is_ell_partition, _is_jm, fayers_witness, is_jm
 from laddercrystal.partitions import _hook_grid, all_partitions, is_regular, residue, size, transpose
-from laddercrystal.regular import _is_L_partition, _regularize, deregularize, is_weak_ell_partition
+from laddercrystal.regular import _add_to_ladder, _is_L_partition, _regularize, deregularize, is_weak_ell_partition
 from laddercrystal.rimhooks import _is_core
 
 import helpers
@@ -208,33 +208,69 @@ def test_verify_isomorphism_reads_one_word_per_node_and_model(monkeypatch):
 def test_verify_isomorphism_holds_at_most_three_levels_of_regularizations(monkeypatch):
     # the walk drops the levels it has passed: it looks up R at levels n - 1
     # (e-moves), n and n + 1 (f-moves), never every node seen.  At each
-    # regularization, the partitions keyed in the walk's dicts span at most
-    # three sizes.
+    # regularization step, the partitions keyed in the walk's dicts span at
+    # most three sizes.
     held = []
 
-    def recorded(lam, ell):
+    def recorded(rho, k, ell):
         walk = sys._getframe(1).f_locals
         held.append({sum(mu) for table in walk.values() if isinstance(table, dict) for mu in table})
-        return _regularize(lam, ell)
+        return _add_to_ladder(rho, k, ell)
 
-    monkeypatch.setattr(graph, "_regularize", recorded)
+    monkeypatch.setattr(graph, "_add_to_ladder", recorded)
     assert verify_isomorphism(3, 20).passed
     assert held and max(map(len, held)) <= 3
     assert max(map(len, held)) == 3
 
 
+def _counted_regularizations(monkeypatch):
+    """Record every image the walk computes, by _regularize or by a ladder step, per kind."""
+    images = {"full": [], "step": []}
+
+    def full(lam, ell):
+        images["full"].append(_regularize(lam, ell))
+        return images["full"][-1]
+
+    def step(rho, k, ell):
+        images["step"].append(_add_to_ladder(rho, k, ell))
+        return images["step"][-1]
+
+    monkeypatch.setattr(graph, "_regularize", full)
+    monkeypatch.setattr(graph, "_add_to_ladder", step)
+    return images
+
+
 def test_verify_isomorphism_regularizes_each_node_once(monkeypatch):
     # R is computed once for every node the walk reaches, the f_hat targets
-    # of level 12 included: 189 nodes through level 13
-    calls = []
-
-    def counted(lam, ell):
-        calls.append(lam)
-        return _regularize(lam, ell)
-
-    monkeypatch.setattr(graph, "_regularize", counted)
+    # of level 12 included: 189 nodes through level 13.  The root goes
+    # through _regularize and every f_hat target through one ladder step.
+    # R maps ladder nodes one to one, so distinct images are distinct nodes.
+    images = _counted_regularizations(monkeypatch)
     assert verify_isomorphism(3, 12).passed
-    assert len(calls) == len(set(calls)) == sum(regular_counts(3, 13)) == 189
+    assert images["full"] == [()]
+    computed = images["full"] + images["step"]
+    assert len(computed) == len(set(computed)) == sum(regular_counts(3, 13)) == 189
+
+
+def test_sweep_steps_match_regularize_of_their_keys(monkeypatch):
+    # every ladder step gives R of the partition it is stored under: the
+    # f_hat target in verify_isomorphism, the level's partition in
+    # theorem_suite's level table
+    seen = {"moved": 0, "lam": 0}
+
+    def checked(rho, k, ell):
+        caller = sys._getframe(1).f_locals
+        key = "moved" if "moved" in caller else "lam"
+        seen[key] += 1
+        grown = _add_to_ladder(rho, k, ell)
+        assert grown == _regularize(caller[key], ell), (caller[key], rho, k)
+        return grown
+
+    monkeypatch.setattr(graph, "_add_to_ladder", checked)
+    assert verify_isomorphism(3, 14).passed
+    assert seen["moved"] == sum(regular_counts(3, 15)) - 1
+    assert theorem_suite(4, 12).passed
+    assert seen["lam"] == sum(len(all_partitions(n)) for n in range(1, 13))
 
 
 def _remove_last_minus_box(lam, word, k=1):
@@ -244,35 +280,39 @@ def _remove_last_minus_box(lam, word, k=1):
 @pytest.mark.parametrize("ell,depth", [(3, 10), (4, 8)])
 def test_verify_isomorphism_regularizes_an_e_move_off_the_level_below(monkeypatch, ell, depth):
     # a wrong lowering operator leaves the crystal: its targets are missing
-    # from the level below, so the walk regularizes them on the spot and
-    # records the failures as the built-crystal loop does
-    calls = 0
-
-    def counted(lam, ell):
-        nonlocal calls
-        calls += 1
-        return _regularize(lam, ell)
-
+    # from the level below, so the walk regularizes them on the spot with
+    # _regularize (no ladder step reaches them) and records the failures as
+    # the built-crystal loop does
+    images = _counted_regularizations(monkeypatch)
     monkeypatch.setattr(graph, "apply_e", _remove_last_minus_box)
     monkeypatch.setattr(helpers, "apply_e", _remove_last_minus_box)
-    monkeypatch.setattr(graph, "_regularize", counted)
     report = verify_isomorphism(ell, depth)
-    assert calls > sum(regular_counts(ell, depth + 1))
+    assert len(images["step"]) == sum(regular_counts(ell, depth + 1)) - 1
+    assert len(images["full"]) > 1
     assert report.failures
     assert report.to_dict() == verify_isomorphism_by_graph(ell, depth).to_dict()
 
 
-def _transposed_at_size_five(lam, ell):
-    image = _regularize(lam, ell)
-    return transpose(image) if sum(lam) == 5 else image
+def _transposed_at_size_five(rho, ell, model):
+    # the classical words of a wrong image, R(lam)', at one level
+    return reduced_words(transpose(rho) if model == CLASSICAL and sum(rho) == 5 else rho, ell, model)
 
 
-@pytest.mark.parametrize("wrong", [_transposed_at_size_five, lambda lam, ell: lam], ids=["one-level", "identity"])
+def _identity_words(rho, ell, model):
+    # the classical words of the ladder node itself, as if R were the
+    # identity: deregularization sends R(lam) back to the node lam
+    return reduced_words(deregularize(rho, ell) if model == CLASSICAL else rho, ell, model)
+
+
+@pytest.mark.parametrize("wrong", [_transposed_at_size_five, _identity_words], ids=["one-level", "identity"])
 @pytest.mark.parametrize("ell,depth", [(3, 10), (4, 8)])
 def test_verify_isomorphism_records_failures_like_the_built_crystal_loop(monkeypatch, wrong, ell, depth):
-    # a wrong map fails operator checks and string-length checks alike; the
-    # records, their order and the check count match the oracle's
-    monkeypatch.setattr(graph, "_regularize", wrong)
+    # a fault both walks read, in the classical words, fails operator checks
+    # and string-length checks alike; the records, their order and the check
+    # count match the oracle's.  The ladder words stay, so both walks reach
+    # the same nodes.
+    monkeypatch.setattr(graph, "reduced_words", wrong)
+    monkeypatch.setattr(helpers, "reduced_words", wrong)
     report = verify_isomorphism(ell, depth).to_dict()
     assert report == verify_isomorphism_by_graph(ell, depth).to_dict()
     lengths = [failure for failure in report["failures"] if failure["expected"].startswith(("phi ", "epsilon "))]

@@ -12,6 +12,8 @@ from laddercrystal.partitions import (
     EQUAL,
     GREATER,
     LESS,
+    add_box,
+    addable_corners,
     all_partitions,
     boxes,
     check_partition,
@@ -41,6 +43,7 @@ from laddercrystal.regular import (
     lock_labels,
     mullineux,
     _add_rims,
+    _add_to_ladder,
     _blocking,
     _ladder_tally,
     _regularize,
@@ -261,6 +264,31 @@ def test_class_ladders_match_the_box_oracles_on_edge_shapes(lam):
     # fewer rows than ell - 1, so some row classes are empty
     for ell in (2, 3, 4, 5, 7, 11):
         _assert_matches_the_box_oracles(lam, ell)
+
+
+def _assert_one_box_step(lam, box, ell):
+    """R(lam + box) one step up the box's ladder from R(lam), as _regularize gives it."""
+    grown = _add_to_ladder(_regularize(lam, ell), ladder_index(box, ell), ell)
+    assert grown == _regularize(add_box(lam, box), ell), (lam, box, ell)
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5, 6])
+def test_add_to_ladder_matches_regularize_on_every_addable_box(ell):
+    for n in range(15):
+        for lam in all_partitions(n):
+            for box in addable_corners(lam):
+                _assert_one_box_step(lam, box, ell)
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [(2000,) * 2000, (10**5,), (1,) * 10**5],
+    ids=["square-2000", "row-100000", "column-100000"],
+)
+@pytest.mark.parametrize("ell", [3, 7])
+def test_add_to_ladder_matches_regularize_on_large_diagrams(lam, ell):
+    for box in addable_corners(lam):
+        _assert_one_box_step(lam, box, ell)
 
 
 @pytest.mark.parametrize("ell,nmax,reach", [(2, 16, 16), (3, 20, 25), (4, 18, 22), (5, 18, 19)])
