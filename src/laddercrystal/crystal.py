@@ -14,8 +14,12 @@ words, sorts each first in the ladder model and then reduces it.
 ``reduced_words`` gives all ell reduced words of a partition from that
 pass, and ``reduced_word`` sorts and cancels only the word of its residue.
 epsilon, phi, the good box and the cogood box are all read from a reduced
-word, and a walk along an i-string edits the partition box by box from its
-first word (``apply_e`` / ``apply_f``), reading no further word.
+word, and ``apply_e`` / ``apply_f`` remove the good box or add the cogood
+one with one tuple splice.  Removing the good box turns its "-" into a "+"
+in place and leaves the rest of the word as it was, so the next good box
+is the next minus box (and the next cogood box the plus box before the
+last): a walk along an i-string edits the partition box by box from its
+first word, reading no further word.
 
 The kernel checks nothing: the public operators check the partition, the
 modulus and the residue once per call, and the graph sweeps check their
@@ -175,35 +179,20 @@ def _signature_word(lam, i: int, ell: int, model: str) -> SignatureWord:
     )
 
 
-def apply_e(lam: Partition, word: ReducedWord, k: int = 1) -> Partition | None:
-    """e^k: remove the first k minus boxes of lam's reduced word, or None when epsilon < k.
-
-    Removing the good box turns its "-" into a "+" in place and leaves the
-    rest of the word as it was, so the next good box is the next minus box.
-    The boxes lie in distinct rows, so they can be removed in any order.
-    """
-    if len(word.minus) < k:
+def apply_e(lam: Partition, word: ReducedWord) -> Partition | None:
+    """Remove the good box, the first minus box of lam's reduced word, or None when epsilon is 0."""
+    if not word.minus:
         return None
-    while k:
-        k -= 1
-        row, col = word.minus[k]
-        lam = lam[: row - 1] + ((col - 1,) if col > 1 else ()) + lam[row:]
-    return lam
+    row, col = word.minus[0]
+    return lam[: row - 1] + ((col - 1,) if col > 1 else ()) + lam[row:]
 
 
-def apply_f(lam: Partition, word: ReducedWord, k: int = 1) -> Partition | None:
-    """f^k: add the last k plus boxes of lam's reduced word, or None when phi < k.
-
-    Adding the cogood box turns its "+" into a "-" in place, so the next
-    cogood box is the plus box before it.
-    """
-    if len(word.plus) < k:
+def apply_f(lam: Partition, word: ReducedWord) -> Partition | None:
+    """Add the cogood box, the last plus box of lam's reduced word, or None when phi is 0."""
+    if not word.plus:
         return None
-    while k:
-        row, col = word.plus[-k]
-        lam = lam[: row - 1] + (col,) + lam[row:]
-        k -= 1
-    return lam
+    row, col = word.plus[-1]
+    return lam[: row - 1] + (col,) + lam[row:]
 
 
 def i_signature(lam: Partition, i: int, ell: int) -> SignatureWord:

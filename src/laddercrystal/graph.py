@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .partitions import Partition, _is_regular, _transpose, check_count, check_ell, partitions_of
+from .partitions import Partition, _is_regular, _transpose, check_count, check_ell
 from .rimhooks import _is_core
 from .crystal import CLASSICAL, LADDER, ReducedWord, apply_e, apply_f, check_model, reduced_words
 from .jm import _is_ell_partition, _is_jm
@@ -123,21 +123,19 @@ def verify_isomorphism(ell: int, depth: int) -> VerificationReport:
     level.  R is computed once per node reached and held in three plain
     dicts, for the levels n - 1 (read by the e-moves), n and n + 1 (filled
     by the f-moves); the dict of level n - 1 is dropped when level n is
-    done.  An f_hat target is lam plus its word's last plus box, so its R,
-    when first met, is one step up that box's ladder from R(lam)
-    (regular._add_to_ladder): R still comes from the ladder counts, not
-    from f_tilde.  An e-move target missing from level n - 1 (only a wrong
-    lowering operator makes one) is regularized in full then and kept
-    there.  A passing check is counted; only a failed one builds its record
-    and text.
+    done.  The walk starts from R(()) = (); an f_hat target is lam plus its
+    word's last plus box, so its R, when first met, is one step up that
+    box's ladder from R(lam) (regular._add_to_ladder), not f_tilde's answer.
+    Only an e-move target missing from level n - 1, which only a wrong
+    lowering operator makes, is regularized in full, and kept.  A passing
+    check is counted; only a failed one builds its record and text.
     """
     check_ell(ell)
     check_count("depth", depth)
     report = VerificationReport(suite="crystal-isomorphism", ell=ell, params={"depth": depth})
-    step = ell - 1
     passed = 0
     below: dict[Partition, Partition] = {}
-    here = {(): _regularize((), ell)}
+    here: dict[Partition, Partition] = {(): ()}
     for _ in range(depth + 1):
         above: dict[Partition, Partition] = {}
         for lam in sorted(here):
@@ -150,8 +148,7 @@ def verify_isomorphism(ell: int, depth: int) -> VerificationReport:
                 else:
                     actual = above.get(moved)
                     if actual is None:  # moved is lam plus the box plus[-1]
-                        row, col = ladder.plus[-1]
-                        actual = above[moved] = _add_to_ladder(image, row + step * (col - 1), ell)
+                        actual = above[moved] = _add_to_ladder(image, ladder.plus[-1], ell)
                 expected = apply_f(image, classical)
                 if actual == expected:
                     passed += 1
@@ -282,31 +279,32 @@ def _string_end_checks(
             report.check(False, lam, i, f"{member} after e^epsilon", "outside class")
 
 
-def _level_images(below: dict[Partition, Partition], n: int, ell: int) -> dict[Partition, Partition]:
-    """R of every partition of size n, in partitions_of order, given *below*,
-    the images of size n - 1.
+def _level_images(below: dict[Partition, Partition], ell: int) -> dict[Partition, Partition]:
+    """R of the next level, in partitions_of order, from *below*, the images of a level.
 
-    lam is its parent, lam less the last box of its last row, plus that box,
-    so R(lam) is one step up the box's ladder from the parent's image.
+    A partition's one parent is itself less the last box of its last row, so
+    each parent in turn lists its last row one box longer (when the row
+    above is longer), then a new row of one box: the partitions_of order.
+    A child's image is one step up the added box's ladder from its parent's.
     """
-    if not n:
-        return {(): _regularize((), ell)}
-    step = ell - 1
     images = {}
-    for lam in partitions_of(n):
-        row, col = len(lam), lam[-1]
-        parent = lam[:-1] + (col - 1,) if col > 1 else lam[:-1]
-        images[lam] = _add_to_ladder(below[parent], row + step * (col - 1), ell)
+    for mu, rho in below.items():
+        depth = len(mu)
+        if depth and (depth == 1 or mu[-2] > mu[-1]):
+            col = mu[-1] + 1
+            images[mu[:-1] + (col,)] = _add_to_ladder(rho, (depth, col), ell)
+        images[mu + (1,)] = _add_to_ladder(rho, (depth + 1, 1), ell)
     return images
 
 
 def theorem_suite(ell: int, nmax: int) -> VerificationReport:
     """Exhaustive structural checks over all partitions of size up to nmax.
 
-    The sweep runs level by level, n = 0..nmax.  Level n streams from
-    partitions_of into a table of its regularizations (lam and lam' lie in
-    the same level), each one ladder step from the image of lam's parent in
-    level n - 1's table (_level_images), and the sweep holds:
+    The sweep runs level by level, n = 0..nmax.  Level n is a table of
+    every partition of size n and its regularization (lam and lam' lie in
+    the same level), grown from level n - 1's, starting at {(): ()}: each
+    partition lists its children, each image one ladder step from its
+    parent's (_level_images).  The sweep holds:
 
     - the Mullineux images of the ell-regular partitions of size n, keyed
       by exactly those partitions, each read off Mullineux's symbol
@@ -342,9 +340,10 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
     jm_table = _ClassTable(_is_jm)
     ell_table = _ClassTable(_is_ell_partition)
     weak_table = _weak_table(jm_table)
-    reg: dict[Partition, Partition] = {}
+    reg: dict[Partition, Partition] = {(): ()}
     for n in range(nmax + 1):
-        reg = _level_images(reg, n, ell)  # the level, in order
+        if n:
+            reg = _level_images(reg, ell)  # the level, in order
         here = {rho: _mullineux_symbol(rho, ell) for rho in reg if _is_regular(rho, ell)}
         pairs = {}  # lam' -> (jm, core, L-partition) of lam, until lam' comes up
         for lam in reg:

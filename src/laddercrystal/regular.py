@@ -16,8 +16,8 @@ the slide.  That is O(len(lam)) Python steps plus C-level sums over the
 ladders, not a step per box.  One box more moves R by one box: R is fixed
 by the ladder counts alone (James), so R(lam + box) is R(lam) with one box
 at the first empty position of the new box's ladder.  _add_to_ladder walks
-that ladder down from its top, O(boxes of R(lam) on it) steps and one tuple
-splice, and the sweeps that reach lam + box from lam grow R this way.
+that box's ladder down from its top, O(boxes of R(lam) on it) steps and
+one tuple splice, and both sweeps grow R so, box by box from R(()) = ().
 
 The locked boxes of every row form a prefix 1..R_r (type I boxes and
 everything left of the rightmost one), and R_r follows from R_{r-1} and the
@@ -151,18 +151,20 @@ def _regularize(lam: Partition, ell: int) -> Partition:
     return _assemble(lengths)
 
 
-def _add_to_ladder(rho: Partition, k: int, ell: int) -> Partition:
-    """R(lam + box) from rho = R(lam), for a box of ladder k.
+def _add_to_ladder(rho: Partition, box: Box, ell: int) -> Partition:
+    """R(lam + box) from rho = R(lam), for an addable box (row, col) of lam.
 
     R depends only on the ladder counts and fills each ladder from its top,
     so R(lam + box) is rho with one more box at the first empty position of
-    ladder k.  The ladder's top position is (k - (ell-1)(c-1), c) with
-    c = (k-1) // (ell-1) + 1, and it runs down ell - 1 rows and one column
-    left at a time.  O(boxes of rho on ladder k) steps and one tuple splice.
+    the box's ladder.  A ladder runs down ell - 1 rows and one column left
+    at a time, so it starts on row (row - 1) mod (ell-1) + 1, (row - 1) //
+    (ell-1) columns right of the box.  O(boxes of rho on it) steps and one
+    tuple splice.
     """
     step = ell - 1
-    col, row = divmod(k - 1, step)
-    col += 1
+    row, col = box
+    up, row = divmod(row - 1, step)
+    col += up
     row += 1
     depth = len(rho)
     while row <= depth and rho[row - 1] >= col:

@@ -40,17 +40,23 @@ def mullineux_by_largest_residue(lam: Partition, ell: int) -> Partition:
     The map twists residues i -> -i (Ford-Kleshchev), so it carries a whole
     i-string to a (-i)-string of the same length: peel e_i^eps of the
     largest live residue i down to the empty partition, then replay
-    f_{-i}^eps upward.  Any live residue gives the same image."""
+    f_{-i}^eps upward, one box of the reduced word at a time: e^eps removes
+    its minus boxes from the first on and f^eps adds its last eps plus boxes
+    from the last back.  Any live residue gives the same image."""
     peeled = []
     while lam:
         words = reduced_words(lam, ell, CLASSICAL)
         i = max(i for i, word in enumerate(words) if word.minus)
         word = words[i]
         peeled.append((i, len(word.minus)))
-        lam = apply_e(lam, word, len(word.minus))
+        for box in word.minus:
+            lam = remove_box(lam, box)
     image: Partition = ()
     for i, eps in reversed(peeled):
-        image = apply_f(image, reduced_word(image, (-i) % ell, ell, CLASSICAL), eps)
+        plus = reduced_word(image, (-i) % ell, ell, CLASSICAL).plus
+        assert len(plus) >= eps, (image, i, eps)
+        for box in reversed(plus[-eps:]):
+            image = add_box(image, box)
     return image
 
 

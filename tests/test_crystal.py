@@ -365,18 +365,23 @@ def test_counters_match_operator_orbits(lam, ell, data):
 @pytest.mark.parametrize("ell", [2, 3, 4])
 def test_string_edits_repeat_one_box_edits(ell):
     # e^k removes the first k minus boxes of one reduced word and f^k adds
-    # the last k plus boxes: reading a fresh word after each box gives the same
+    # the last k plus boxes: reading a fresh word after each box finds the
+    # next box of the first word, and none after its last
     for n in range(13):
         for lam in all_partitions(n):
             for i in range(ell):
                 for model in ("classical", "ladder"):
                     word = reduced_word(lam, i, ell, model)
-                    for edit, length in ((apply_e, len(word.minus)), (apply_f, len(word.plus))):
+                    for edit, path, good in (
+                        (apply_e, word.minus, lambda w: w.minus[:1]),
+                        (apply_f, word.plus[::-1], lambda w: w.plus[-1:]),
+                    ):
                         cur = lam
-                        for k in range(length + 2):
-                            assert edit(lam, word, k) == cur, (lam, i, model, k)
-                            if cur is not None:
-                                cur = edit(cur, reduced_word(cur, i, ell, model))
+                        for k, box in enumerate(path, start=1):
+                            fresh = reduced_word(cur, i, ell, model)
+                            assert good(fresh) == [box], (lam, i, model, k)
+                            cur = edit(cur, fresh)
+                        assert edit(cur, reduced_word(cur, i, ell, model)) is None, (lam, i, model)
 
 
 @given(partitions(), moduli())

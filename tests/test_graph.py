@@ -6,10 +6,12 @@ import hashlib
 import importlib
 import random
 import sys
+from collections import Counter
 
 import pytest
 
 from laddercrystal import crystal, graph
+from laddercrystal.cli import _cores
 from laddercrystal.crystal import (
     CLASSICAL,
     LADDER,
@@ -35,9 +37,25 @@ from laddercrystal.graph import (
     verify_isomorphism,
 )
 from laddercrystal.jm import _is_ell_partition, _is_jm, fayers_witness, is_jm
-from laddercrystal.partitions import _hook_grid, all_partitions, is_regular, residue, size, transpose
-from laddercrystal.regular import _add_to_ladder, _is_L_partition, _regularize, deregularize, is_weak_ell_partition
-from laddercrystal.rimhooks import _is_core
+from laddercrystal.partitions import (
+    _hook_grid,
+    all_partitions,
+    is_regular,
+    ladder_index,
+    partitions_of,
+    residue,
+    size,
+    transpose,
+)
+from laddercrystal.regular import (
+    _add_to_ladder,
+    _is_L_partition,
+    _regularize,
+    deregularize,
+    is_weak_ell_partition,
+    ladder_counts,
+)
+from laddercrystal.rimhooks import _ell_core, _is_core
 
 import helpers
 from helpers import (
@@ -58,6 +76,25 @@ def test_level_sizes_match_regular_partition_counts():
     for model in ("classical", "ladder"):
         graph = build_crystal(3, 6, model)
         assert [len(level) for level in graph.levels] == REGULAR_COUNTS_3[:7]
+
+
+@pytest.mark.parametrize("ell,depth,count", [(3, 20, 101), (4, 18, 152), (5, 16, 187)])
+def test_ladder_crystal_blocks_have_the_weight_multiplicities_of_the_basic_representation(ell, depth, count):
+    # a node's ell-core c and weight w fix its weight Lambda_0 - sum c_i alpha_i,
+    # so block (c, w) holds as many nodes as that weight space of B(Lambda_0)
+    # has dimensions: the coefficient of q^w in prod_k (1 - q^k)^-(ell-1)
+    # (Kac ch. 12, Frenkel-Kac).  Every block with |c| + ell w <= depth
+    # occurs, and no other; neither R nor D is used.
+    multiplicity = [1] + [0] * (depth // ell)
+    for _ in range(ell - 1):
+        for k in range(1, len(multiplicity)):
+            for w in range(k, len(multiplicity)):
+                multiplicity[w] += multiplicity[w - k]
+    expected = {
+        (core, w): multiplicity[w] for core in _cores(ell, depth) for w in range((depth - sum(core)) // ell + 1)
+    }
+    assert len(expected) == count
+    assert Counter(_ell_core(lam, ell) for lam in build_crystal(ell, depth, LADDER).nodes) == expected
 
 
 def test_depth_zero_graph():
@@ -212,10 +249,10 @@ def test_verify_isomorphism_holds_at_most_three_levels_of_regularizations(monkey
     # most three sizes.
     held = []
 
-    def recorded(rho, k, ell):
+    def recorded(rho, box, ell):
         walk = sys._getframe(1).f_locals
         held.append({sum(mu) for table in walk.values() if isinstance(table, dict) for mu in table})
-        return _add_to_ladder(rho, k, ell)
+        return _add_to_ladder(rho, box, ell)
 
     monkeypatch.setattr(graph, "_add_to_ladder", recorded)
     assert verify_isomorphism(3, 20).passed
@@ -231,8 +268,8 @@ def _counted_regularizations(monkeypatch):
         images["full"].append(_regularize(lam, ell))
         return images["full"][-1]
 
-    def step(rho, k, ell):
-        images["step"].append(_add_to_ladder(rho, k, ell))
+    def step(rho, box, ell):
+        images["step"].append(_add_to_ladder(rho, box, ell))
         return images["step"][-1]
 
     monkeypatch.setattr(graph, "_regularize", full)
@@ -241,40 +278,58 @@ def _counted_regularizations(monkeypatch):
 
 
 def test_verify_isomorphism_regularizes_each_node_once(monkeypatch):
-    # R is computed once for every node the walk reaches, the f_hat targets
-    # of level 12 included: 189 nodes through level 13.  The root goes
-    # through _regularize and every f_hat target through one ladder step.
-    # R maps ladder nodes one to one, so distinct images are distinct nodes.
+    # R is computed once for every node the walk reaches past the root, the
+    # f_hat targets of level 12 included: 188 nodes through level 13.  The
+    # walk starts from R(()) = (), and every f_hat target goes through one
+    # ladder step, none through _regularize.  R maps ladder nodes one to
+    # one, so distinct images are distinct nodes.
     images = _counted_regularizations(monkeypatch)
     assert verify_isomorphism(3, 12).passed
-    assert images["full"] == [()]
-    computed = images["full"] + images["step"]
-    assert len(computed) == len(set(computed)) == sum(regular_counts(3, 13)) == 189
+    assert images["full"] == []
+    computed = images["step"]
+    assert len(computed) == len(set(computed)) == sum(regular_counts(3, 13)) - 1 == 188
 
 
 def test_sweep_steps_match_regularize_of_their_keys(monkeypatch):
-    # every ladder step gives R of the partition it is stored under: the
-    # f_hat target in verify_isomorphism, the level's partition in
-    # theorem_suite's level table
-    seen = {"moved": 0, "lam": 0}
+    # theorem_suite: every level its table grows lists the partitions of its
+    # size in partitions_of order, each with its R.  verify_isomorphism:
+    # every ladder step gives an ell-regular partition with rho's ladder
+    # counts and one more box on the added box's ladder, which by James is
+    # R(lam + box) for rho = R(lam).
+    levels = []
+    level_images = graph._level_images
 
-    def checked(rho, k, ell):
-        caller = sys._getframe(1).f_locals
-        key = "moved" if "moved" in caller else "lam"
-        seen[key] += 1
-        grown = _add_to_ladder(rho, k, ell)
-        assert grown == _regularize(caller[key], ell), (caller[key], rho, k)
+    def listed(below, ell):
+        levels.append((ell, level_images(below, ell)))
+        return levels[-1][1]
+
+    monkeypatch.setattr(graph, "_level_images", listed)
+    for ell in (3, 4, 5, 6):
+        assert theorem_suite(ell, 14).passed
+    sizes = [sum(next(iter(level))) for _, level in levels]
+    assert sizes == [*range(1, 15)] * 4
+    for (ell, level), n in zip(levels, sizes):
+        assert list(level.items()) == [(lam, _regularize(lam, ell)) for lam in partitions_of(n)], (ell, n)
+
+    steps = 0
+
+    def checked(rho, box, ell):
+        nonlocal steps
+        steps += 1
+        grown = _add_to_ladder(rho, box, ell)
+        counts = ladder_counts(rho, ell)
+        k = ladder_index(box, ell)
+        counts[k] = counts.get(k, 0) + 1
+        assert is_regular(grown, ell) and ladder_counts(grown, ell) == counts, (rho, box, ell)
         return grown
 
     monkeypatch.setattr(graph, "_add_to_ladder", checked)
     assert verify_isomorphism(3, 14).passed
-    assert seen["moved"] == sum(regular_counts(3, 15)) - 1
-    assert theorem_suite(4, 12).passed
-    assert seen["lam"] == sum(len(all_partitions(n)) for n in range(1, 13))
+    assert steps == sum(regular_counts(3, 15)) - 1
 
 
-def _remove_last_minus_box(lam, word, k=1):
-    return apply_e(lam, ReducedWord(word.plus, word.minus[::-1]), k)
+def _remove_last_minus_box(lam, word):
+    return apply_e(lam, ReducedWord(word.plus, word.minus[::-1]))
 
 
 @pytest.mark.parametrize("ell,depth", [(3, 10), (4, 8)])
@@ -288,7 +343,7 @@ def test_verify_isomorphism_regularizes_an_e_move_off_the_level_below(monkeypatc
     monkeypatch.setattr(helpers, "apply_e", _remove_last_minus_box)
     report = verify_isomorphism(ell, depth)
     assert len(images["step"]) == sum(regular_counts(ell, depth + 1)) - 1
-    assert len(images["full"]) > 1
+    assert images["full"]
     assert report.failures
     assert report.to_dict() == verify_isomorphism_by_graph(ell, depth).to_dict()
 

@@ -268,7 +268,7 @@ def test_class_ladders_match_the_box_oracles_on_edge_shapes(lam):
 
 def _assert_one_box_step(lam, box, ell):
     """R(lam + box) one step up the box's ladder from R(lam), as _regularize gives it."""
-    grown = _add_to_ladder(_regularize(lam, ell), ladder_index(box, ell), ell)
+    grown = _add_to_ladder(_regularize(lam, ell), box, ell)
     assert grown == _regularize(add_box(lam, box), ell), (lam, box, ell)
 
 
