@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import NamedTuple
 
 from .partitions import Partition, _is_regular, _transpose, check_count, check_ell
@@ -192,10 +193,10 @@ class _ClassTable:
 
     def __init__(self, fn):
         self._fn = fn
-        self._by_size: dict[int, dict | _Members] = {}
+        self._by_size: defaultdict[int, dict | _Members] = defaultdict(dict)  # a new dict only on a miss
 
     def __call__(self, lam: Partition, ell: int):
-        table = self._by_size.setdefault(sum(lam), {})
+        table = self._by_size[sum(lam)]
         value = table.get(lam)
         if value is None:
             value = table[lam] = self._fn(lam, ell)
@@ -203,7 +204,7 @@ class _ClassTable:
 
     def enter(self, lam: Partition, value) -> None:
         """Record value as fn(lam, ell), for lam of a size not yet finished."""
-        self._by_size.setdefault(sum(lam), {})[lam] = value
+        self._by_size[sum(lam)][lam] = value
 
     def finish(self, n: int) -> None:
         """Keep size n as its members: every partition of size n has been asked

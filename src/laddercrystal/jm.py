@@ -37,14 +37,15 @@ partition that removals reach.
 
 By Fayers's proof of the James-Mathas conjecture, a JM partition is its core
 plus rho_i horizontal hooks on row i + 1 and sigma_j vertical ones on column
-j + 1, rho and sigma fitting the core's frame (see _fits); it is composed on
-that core.  Frames and decompositions are checked by reading them back.
+j + 1, rho and sigma fitting the core's frame (see _fits); _compose adds them
+on rows.  Frames and decompositions are checked by reading them back.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+from itertools import zip_longest
 from typing import NamedTuple
 
 from .partitions import (
@@ -57,7 +58,6 @@ from .partitions import (
     check_ell,
     check_partition,
     partition_cache,
-    partitions_of,
 )
 from .rimhooks import _abacus, _ell_core, _is_core, _runner_ends
 
@@ -330,9 +330,9 @@ def decompose_jm(lam: Partition, ell: int) -> JMDecomposition:
     pad = (0,) * (r + s + 2)
     try:
         rho = check_partition([(a - b) // ell for a, b in zip((lam + pad)[: r + 1], core + pad)])
-        cols = _transpose(_compose(core, rho, (), ell)) + pad
+        cols = _transpose(_compose(core, rho, [()], ell)[0]) + pad
         sigma = check_partition([(a - b) // ell for a, b in zip((_transpose(lam) + pad)[: s + 1], cols)])
-        if _fits(mu, r, s, rho, sigma) and _compose(core, rho, sigma, ell) == lam:
+        if _fits(mu, r, s, rho, sigma) and _compose(core, rho, [sigma], ell) == [lam]:
             return JMDecomposition(mu, r, s, rho, sigma)
     except ValueError:  # a negative or increasing reading
         pass
@@ -368,18 +368,24 @@ def compose_jm(dec: JMDecomposition, ell: int) -> Partition:
         raise InvalidDecompositionError(f"({mu}, {r}, {s}) is not the frame of an {ell}-core: {dec}")
     if not _fits(mu, r, s, rho, sigma):
         raise InvalidDecompositionError(f"rho and sigma do not fit the frame: {dec}")
-    return _compose(core, rho, sigma, ell)
+    return _compose(core, rho, [sigma], ell)[0]
 
 
-def _compose(core: Partition, rho: Partition, sigma: Partition, ell: int) -> Partition:
-    """Add rho_i hooks to row i + 1 of the core, then sigma_j to column j + 1; they always stack."""
-    rows = list(core) + [0] * len(rho)
-    for i, mult in enumerate(rho):
-        rows[i] += mult * ell
-    cols = list(_transpose(rows)) + [0] * len(sigma)
-    for j, mult in enumerate(sigma):
-        cols[j] += mult * ell
-    return _transpose(cols)
+def _compose(core: Partition, rho: Partition, sigmas: list[Partition], ell: int) -> list[Partition]:
+    """For each sigma, the core plus rho_i hooks on row i + 1 and sigma_j on column j + 1.
+
+    nu, the core plus rho, is built once.  sigma lengthens nu's first m = len(sigma)
+    columns, c_j long (by bisection), and they stack: the member is nu's first c_m
+    rows over the conjugate of the m tails, each less c_m.
+    """
+    nu = tuple([a + b * ell for a, b in zip_longest(core[: len(rho)], rho, fillvalue=0)]) + core[len(rho) :]
+    ascending, depth = nu[::-1], len(nu)
+    cols = [depth - bisect.bisect_left(ascending, j) for j in range(1, max(map(len, sigmas), default=0) + 1)]
+    out = []
+    for sigma in sigmas:
+        base = cols[len(sigma) - 1] if sigma else depth
+        out.append(nu[:base] + _transpose([c + k * ell - base for c, k in zip(cols, sigma)]))
+    return out
 
 
 @functools.lru_cache(maxsize=64)  # each entry holds n + 1 counts
@@ -420,19 +426,32 @@ def count_jm(core: Partition, w: int, ell: int) -> int:
     return _pair_count(w, r + 1, s) + _pair_count(w, r, s + 1) - _pair_count(w, r, s)
 
 
+def _partitions_by_size(w: int, k: int) -> list[list[Partition]]:
+    """The partitions of 0..w with at most k parts, by size, largest-first: one stack walk."""
+    by_size: list[list[Partition]] = [[] for _ in range(w + 1)]
+    stack = [((), w, w)]  # (prefix, boxes left, largest next part)
+    while stack:
+        prefix, left, cap = stack.pop()
+        by_size[w - left].append(prefix)
+        if len(prefix) < k:
+            stack += [(prefix + (part,), left - part, part) for part in range(1, min(cap, left) + 1)]
+    return by_size
+
+
 def enumerate_jm(core: Partition, w: int, ell: int) -> list[Partition]:
     """All JM partitions with the given core and weight, largest-first; builds only what it returns.
 
     Each pair (rho, sigma) that fits the core's frame composes to a JM
     partition of that core and weight (Fayers); the tests check that on the
-    hook grid and the abacus rather than each call.
+    hook grid and the abacus rather than each call.  One stack walk lists
+    each of rho and sigma, and _compose builds each rho's rows once.
     """
     core, mu, r, s = _checked_frame(core, w, ell)
+    rhos = _partitions_by_size(w, r + 1)
+    sigmas = rhos if s == r else _partitions_by_size(w, s + 1)
+    short = [[sigma for sigma in by if _fits(mu, r, s, (1,) * (r + 1), sigma)] for by in sigmas]
     out = []
     for t in range(w + 1):
-        sigmas = [_transpose(p) for p in partitions_of(w - t, s + 1)]
-        for rho in map(_transpose, partitions_of(t, r + 1)):
-            for sigma in sigmas:
-                if _fits(mu, r, s, rho, sigma):
-                    out.append(_compose(core, rho, sigma, ell))
+        for rho in rhos[t]:  # a rho at its last slot takes only the sigmas that _fits allows it
+            out += _compose(core, rho, (sigmas if len(rho) <= r else short)[w - t], ell)
     return sorted(out, reverse=True)

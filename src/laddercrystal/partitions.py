@@ -33,8 +33,8 @@ def check_partition(parts: Iterable[int]) -> Partition:
     zeros dropped) or raise ValueError.
 
     A tuple of ints is used as it is (a copy per checked call raised peak
-    memory in sweeps), and both checks are C-level passes, since the public
-    operators check every call.
+    memory in sweeps).  Public operators check every call, so valid parts
+    cost one C-level pass: once they decrease, the last decides positivity.
     """
     if type(parts) is tuple and {int}.issuperset(map(type, parts)):
         lam = parts
@@ -49,10 +49,9 @@ def check_partition(parts: Iterable[int]) -> Partition:
     while end and lam[end - 1] == 0:
         end -= 1
     lam = lam[:end]  # one slice, so stripping is linear in the number of zeros
-    if lam and min(lam) <= 0:
-        raise ValueError(f"parts must be positive integers: {lam!r}")
-    if not all(map(operator.ge, lam, lam[1:])):
-        raise ValueError(f"parts must be weakly decreasing: {lam!r}")
+    if not all(map(operator.ge, lam, lam[1:])) or lam and lam[-1] <= 0:
+        kind = "positive integers" if min(lam) <= 0 else "weakly decreasing"  # a non-positive part is named first
+        raise ValueError(f"parts must be {kind}: {lam!r}")
     return lam
 
 

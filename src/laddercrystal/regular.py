@@ -21,13 +21,14 @@ one tuple splice, and both sweeps grow R so, box by box from R(()) = ().
 
 The locked boxes of every row form a prefix 1..R_r (type I boxes and
 everything left of the rightmost one), and R_r follows from R_{r-1} and the
-columns whose first empty position lies on each ladder, so lock labels and
-deregularization cost O(|lam|).  That table of columns takes one strided
-slice write per row, O(len(lam)) writes and no transpose: the columns a row
-ends all have the same length.  Each column
-covers consecutive ladders, so a regularization class is built column by
-column while walking the ladders in order, instead of scanning every
-partition of |lam|.
+columns whose first empty position lies on each ladder.  That table of
+columns takes one strided slice write per row, O(len(lam)) writes and no
+transpose: the columns a row ends all have the same length.  Lock labels
+cost O(|lam|); deregularization makes one pass over the rows, counting
+their unlocked boxes per ladder, and walks up only the ladders that hold
+one.  Each column covers consecutive ladders, so a regularization class is
+built column by column while walking the ladders in order, instead of
+scanning every partition of |lam|.
 
 The Mullineux map is read off Mullineux's symbol: peel ell-rims down to the
 empty partition, map each column (a; r) to (a; a - r + eps), and add the
@@ -42,7 +43,7 @@ from __future__ import annotations
 import functools
 import sys
 from bisect import bisect_right
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, compress
 from typing import NamedTuple
 
 from .partitions import (
@@ -197,22 +198,6 @@ def _blocking(lam: Partition, ell: int) -> list[int]:
     return blocked
 
 
-def _lock_prefixes(lam: Partition, blocked: list[int], ell: int) -> list[int]:
-    """Each row's locked prefix: up to its rightmost type I box, a passing box under a locked one."""
-    step = ell - 1
-    prefixes = []
-    bound = lam[0] if lam else 0
-    for row, part in enumerate(lam, start=1):
-        col = min(part, bound)
-        k = row + step * (col - 1)
-        while col and blocked[k] < col:
-            col -= 1
-            k -= step
-        prefixes.append(col)
-        bound = col
-    return prefixes
-
-
 def lock_labels(lam: Partition, ell: int) -> dict[Box, str]:
     """Label every box LOCKED_I, LOCKED_II or UNLOCKED.
 
@@ -221,42 +206,47 @@ def lock_labels(lam: Partition, ell: int) -> dict[Box, str]:
     unoccupied position directly above.  Boxes left of a locked box in the
     same row are locked too (type II when not already type I).  Locks only
     propagate downward and leftward, so the locked boxes of each row form a
-    prefix, and each row's prefix follows from the one above in a single
-    scan of the row: O(|lam|) in all.
+    prefix, up to its rightmost type I box, and each row's prefix follows
+    from the one above in a single scan of the row: O(|lam|) in all.
     """
     check_ell(ell)
     lam = check_partition(lam)
     step = ell - 1
     blocked = _blocking(lam, ell)
-    prefixes = _lock_prefixes(lam, blocked, ell)
     labels: dict[Box, str] = {}
-    for row, (part, locked) in enumerate(zip(lam, prefixes), start=1):
-        for col in range(1, part + 1):
-            if col > locked:
-                labels[(row, col)] = UNLOCKED
-            elif blocked[row + step * (col - 1)] >= col:
-                labels[(row, col)] = LOCKED_I
-            else:
-                labels[(row, col)] = LOCKED_II
+    locked = lam[0] if lam else 0
+    for row, part in enumerate(lam, start=1):
+        locked = min(part, locked)
+        while locked and blocked[row + step * (locked - 1)] < locked:
+            locked -= 1
+        for col in range(1, locked + 1):
+            labels[(row, col)] = LOCKED_I if blocked[row + step * (col - 1)] >= col else LOCKED_II
+        for col in range(locked + 1, part + 1):
+            labels[(row, col)] = UNLOCKED
     return labels
 
 
 def _deregularize(lam: Partition, ell: int) -> Partition:
     step = ell - 1
-    prefixes = _lock_prefixes(lam, _blocking(lam, ell), ell)
+    blocked = _blocking(lam, ell)
     size = len(lam) + step * (lam[0] - 1) + 1 if lam else 1
-    loose = [0] * size
-    lengths = [0] * size
-    for row, (part, locked) in enumerate(zip(lam, prefixes), start=1):
-        lengths[row] = locked
-        for k in range(row + step * locked, row + step * part, step):
-            loose[k] += 1
-    depth = len(lam)
-    for k, count in enumerate(loose):
-        # walk ladder k upward from column 1, skipping locked positions
-        row, col = k, 1
+    loose, locked = [0] * size, [0] * size  # by ladder; by row, the locked prefix (0 below lam)
+    prefix = lam[0] if lam else 0
+    for row, part in enumerate(lam, start=1):
+        prefix = part if part < prefix else prefix
+        while prefix and blocked[row + step * (prefix - 1)] < prefix:
+            prefix -= 1
+        locked[row] = prefix
+        if prefix < part:  # the row's unlocked boxes, one per ladder
+            for k in range(row + step * prefix, row + step * part, step):
+                loose[k] += 1
+    if not any(loose):
+        return lam  # a ladder node: every box is locked
+    lengths = locked.copy()
+    for k in compress(range(size), loose):  # walk ladder k up from column 1, past locked positions
+        count, row, col = loose[k], k, 1
         while count:
-            if row > depth or col > prefixes[row - 1]:
+            if col > locked[row]:
                 lengths[row] += 1
                 count -= 1
             row -= step
@@ -269,9 +259,10 @@ def deregularize(lam: Partition, ell: int) -> Partition:
 
     The result keeps each ladder's box count, is itself a partition, and is
     fully locked (a ladder node), as the paper shows; the tests check those
-    postconditions, so no call repeats them.  O(|lam|): each ladder is
-    walked once from the bottom, past its locked positions, until its loose
-    boxes are placed.
+    postconditions, so no call repeats them.  One pass over the rows finds
+    the locked prefixes and counts the unlocked boxes per ladder (a ladder
+    node has none and comes back as it is); then each ladder holding some is
+    walked once from the bottom, past its locked positions: O(|lam|) at most.
     """
     check_ell(ell)
     return _deregularize(check_partition(lam), ell)

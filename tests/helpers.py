@@ -6,26 +6,29 @@ it, peeled by whole strings of the largest live residue; the string-end
 checks with one report.check per check; and large JM partitions with their
 one-box neighbours, for the oracles to check; ladder counts and
 regularization box by box and ladder by ladder, and the conjugate box by
-box."""
+box; JM composition through two full transposes, and deregularization from
+a list of locked prefixes."""
 
 from __future__ import annotations
 
 from laddercrystal import graph
 from laddercrystal.crystal import CLASSICAL, LADDER, ReducedWord, apply_e, apply_f, reduced_word, reduced_words
-from laddercrystal.jm import JMDecomposition, _core_frame, compose_jm
+from laddercrystal.jm import JMDecomposition, _core_frame, _fits, compose_jm
 from laddercrystal.partitions import (
     Partition,
+    _transpose,
     add_box,
     addable_corners,
     all_partitions,
     check_partition,
     hook_grid,
     is_regular,
+    partitions_of,
     remove_box,
     removable_corners,
     transpose,
 )
-from laddercrystal.regular import deregularize
+from laddercrystal.regular import _assemble, _blocking, deregularize
 from laddercrystal.rimhooks import is_core
 
 
@@ -281,3 +284,64 @@ def mullineux_image_symbol(lam: Partition, ell: int) -> list[tuple[int, int]]:
     a and 1 otherwise.
     """
     return [(a, a - r + (1 if a % ell else 0)) for a, r in mullineux_symbol(lam, ell)]
+
+
+def compose_by_transposes(core: Partition, rho: Partition, sigma: Partition, ell: int) -> Partition:
+    """jm._compose as it was: rho_i hooks added to row i + 1 of the core,
+    then sigma_j to column j + 1, through two full transposes."""
+    rows = list(core) + [0] * len(rho)
+    for i, mult in enumerate(rho):
+        rows[i] += mult * ell
+    cols = list(_transpose(rows)) + [0] * len(sigma)
+    for j, mult in enumerate(sigma):
+        cols[j] += mult * ell
+    return _transpose(cols)
+
+
+def enumerate_jm_by_transposes(core: Partition, w: int, ell: int) -> list[Partition]:
+    """jm.enumerate_jm as it was: partitions_of and a transpose for every
+    size and every partition, and compose_by_transposes for every pair."""
+    mu, r, s = _core_frame(core, ell)
+    out = []
+    for t in range(w + 1):
+        sigmas = [_transpose(p) for p in partitions_of(w - t, s + 1)]
+        for rho in map(_transpose, partitions_of(t, r + 1)):
+            for sigma in sigmas:
+                if _fits(mu, r, s, rho, sigma):
+                    out.append(compose_by_transposes(core, rho, sigma, ell))
+    return sorted(out, reverse=True)
+
+
+def deregularize_by_lock_prefixes(lam: Partition, ell: int) -> Partition:
+    """regular._deregularize as it was: the list of every row's locked
+    prefix first, then the loose boxes counted box by box, and every ladder
+    walked up from column 1 past its locked positions."""
+    step = ell - 1
+    blocked = _blocking(lam, ell)
+    prefixes = []
+    bound = lam[0] if lam else 0
+    for row, part in enumerate(lam, start=1):
+        col = min(part, bound)
+        k = row + step * (col - 1)
+        while col and blocked[k] < col:
+            col -= 1
+            k -= step
+        prefixes.append(col)
+        bound = col
+    size = len(lam) + step * (lam[0] - 1) + 1 if lam else 1
+    loose = [0] * size
+    lengths = [0] * size
+    for row, (part, locked) in enumerate(zip(lam, prefixes), start=1):
+        lengths[row] = locked
+        for k in range(row + step * locked, row + step * part, step):
+            loose[k] += 1
+    depth = len(lam)
+    for k, count in enumerate(loose):
+        row, col = k, 1
+        while count:
+            if row > depth or col > prefixes[row - 1]:
+                lengths[row] += 1
+                count -= 1
+            row -= step
+            col += 1
+    return _assemble(lengths)

@@ -244,15 +244,27 @@ def test_verify_isomorphism_reads_one_word_per_node_and_model(monkeypatch):
 
 def test_verify_isomorphism_holds_at_most_three_levels_of_regularizations(monkeypatch):
     # the walk drops the levels it has passed: it looks up R at levels n - 1
-    # (e-moves), n and n + 1 (f-moves), never every node seen.  At each
-    # regularization step, the partitions keyed in the walk's dicts span at
-    # most three sizes.
+    # (e-moves), n and n + 1 (f-moves), never every node seen.  Every image
+    # past the root comes from a ladder step, and this spy keeps each one by
+    # size.  At a step from level n, an image of level n - 2 or below is
+    # referenced by nothing but the spy's list (getrefcount counts that list
+    # and its own argument), and the images still referenced elsewhere span
+    # at most three sizes.
+    images: dict[int, list] = {}
     held = []
 
     def recorded(rho, box, ell):
-        walk = sys._getframe(1).f_locals
-        held.append({sum(mu) for table in walk.values() if isinstance(table, dict) for mu in table})
-        return _add_to_ladder(rho, box, ell)
+        n = sum(rho)
+        live = {
+            size  # found[i], not a loop variable: then the count is the list's and the argument's
+            for size, found in images.items()
+            if any(sys.getrefcount(found[i]) > 2 for i in range(len(found)))
+        }
+        assert not {size for size in live if size <= n - 2}, (n, sorted(live))
+        held.append(live)
+        image = _add_to_ladder(rho, box, ell)
+        images.setdefault(n + 1, []).append(image)
+        return image
 
     monkeypatch.setattr(graph, "_add_to_ladder", recorded)
     assert verify_isomorphism(3, 20).passed

@@ -28,6 +28,7 @@ from laddercrystal.jm import (
     _compose,
     _core_frame,
     _fayers_witness,
+    _fits,
     _frame_rows,
     _horizontal_hereditarily,
     _is_jm,
@@ -58,7 +59,7 @@ from laddercrystal.rimhooks import (
 
 from laddercrystal.cli import _cores
 
-from helpers import large_jm_partitions, one_box_away
+from helpers import compose_by_transposes, enumerate_jm_by_transposes, large_jm_partitions, one_box_away
 from strategies import partitions, jm_moduli
 
 
@@ -558,7 +559,42 @@ def test_compose_on_the_core_matches_the_frame_form(ell):
                         if not mu and len(rho) == r + 1 and len(sigma) == s + 1:
                             continue
                         expected = _reference_compose(mu, r, s, rho, sigma, ell)
-                        assert _compose(core, rho, sigma, ell) == expected, (core, rho, sigma)
+                        assert _compose(core, rho, [sigma], ell) == [expected], (core, rho, sigma)
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5, 6])
+def test_enumerate_jm_matches_the_transpose_oracle(ell):
+    # the same members in the same order as two full transposes per member,
+    # for every core of size <= 15 and every weight <= 7
+    pairs = 0
+    for core in _cores(ell, 15):
+        for w in range(8):
+            pairs += 1
+            assert enumerate_jm(core, w, ell) == enumerate_jm_by_transposes(core, w, ell), (core, w)
+    assert pairs == {3: 144, 4: 400, 5: 752, 6: 1320}[ell]  # 2,616 in all
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5, 6])
+def test_compose_jm_matches_the_transpose_oracle(ell):
+    # every (rho, sigma) of total size <= 5 on every core of size <= 10, with
+    # up to one part past each limit: compose_jm refuses exactly the pairs
+    # that do not fit, and builds the others as two full transposes do
+    accepted = refused = 0
+    for core in _cores(ell, 10):
+        mu, r, s = _core_frame(core, ell)
+        for w in range(6):
+            for t in range(w + 1):
+                for rho in map(transpose, partitions_of(t, r + 2)):
+                    for sigma in map(transpose, partitions_of(w - t, s + 2)):
+                        dec = JMDecomposition(mu, r, s, rho, sigma)
+                        if not _fits(mu, r, s, rho, sigma):
+                            with pytest.raises(InvalidDecompositionError):
+                                compose_jm(dec, ell)
+                            refused += 1
+                            continue
+                        accepted += 1
+                        assert compose_jm(dec, ell) == compose_by_transposes(core, rho, sigma, ell), dec
+    assert (accepted, refused) == {3: (523, 323), 4: (788, 712), 5: (1265, 1345), 6: (1565, 1897)}[ell]
 
 
 def test_compose_canonicalizes_trailing_zeros():
@@ -700,9 +736,9 @@ def _reference_decompose_witness_first(lam, ell):
     mu, r, s = _core_frame(core, ell)
     pad = (0,) * (r + s + 2)
     rho = check_partition([(a - b) // ell for a, b in zip((lam + pad)[: r + 1], core + pad)])
-    cols = transpose(_compose(core, rho, (), ell)) + pad
+    cols = transpose(compose_by_transposes(core, rho, (), ell)) + pad
     sigma = check_partition([(a - b) // ell for a, b in zip((transpose(lam) + pad)[: s + 1], cols)])
-    assert _compose(core, rho, sigma, ell) == lam
+    assert compose_by_transposes(core, rho, sigma, ell) == lam
     return JMDecomposition(mu, r, s, rho, sigma)
 
 

@@ -66,6 +66,23 @@ def test_check_partition_strips_many_trailing_zeros():
         check_partition((2, 0, 1) + (0,) * 40000)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((3, -1, 2), "parts must be positive integers: (3, -1, 2)"),
+        ((2, 0, 1), "parts must be positive integers: (2, 0, 1)"),
+        ((1, 2), "parts must be weakly decreasing: (1, 2)"),
+        ((2, -1), "parts must be positive integers: (2, -1)"),
+    ],
+)
+def test_check_partition_reports_a_non_positive_part_before_the_order(bad, message):
+    # a part <= 0 is named even where the order also fails; once the parts
+    # decrease, the last one alone decides positivity
+    with pytest.raises(ValueError) as err:
+        check_partition(bad)
+    assert str(err.value) == message
+
+
 def test_check_partition_rejects_bad_input():
     with pytest.raises(ValueError):
         check_partition([1, 2])

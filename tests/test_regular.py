@@ -45,6 +45,7 @@ from laddercrystal.regular import (
     _add_rims,
     _add_to_ladder,
     _blocking,
+    _deregularize,
     _ladder_tally,
     _regularize,
     _mullineux,
@@ -56,6 +57,7 @@ from laddercrystal.regular import (
 from helpers import (
     L_partition_by_hooks,
     blocking_by_columns,
+    deregularize_by_lock_prefixes,
     ladder_node_by_hooks,
     ladder_tally_by_boxes,
     large_jm_partitions,
@@ -226,6 +228,24 @@ def test_ladder_arithmetic_matches_reference_on_large_partitions(ell):
         lam = _random_partition(rng.randint(100, 800), rng)
         _assert_matches_reference(lam, ell)
         _assert_postconditions(lam, ell)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 5, 6])
+def test_deregularize_matches_the_prefix_list_oracle(ell):
+    # every partition of n <= 16, ladder nodes (returned as they are) included
+    for n in range(17):
+        for lam in all_partitions(n):
+            assert _deregularize(lam, ell) == deregularize_by_lock_prefixes(lam, ell), lam
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5])
+def test_deregularize_matches_the_prefix_list_oracle_on_large_images(ell):
+    # lam, R(lam) and R(lam') of 300 to 3,000 boxes
+    rng = random.Random(29000 + ell)
+    for n in (300, 1000, 2048, 3000):
+        lam = _random_partition(n, rng)
+        for mu in (lam, _regularize(lam, ell), _regularize(transpose(lam), ell)):
+            assert _deregularize(mu, ell) == deregularize_by_lock_prefixes(mu, ell), (n, mu[:8])
 
 
 def _assert_matches_the_box_oracles(lam, ell):
