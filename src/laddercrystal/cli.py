@@ -161,7 +161,7 @@ def _cmd_jm_census(args) -> int:
         total += sum(counts)
         entry = {"core": name, "counts": counts}
         row = " ".join(f"w={w}:{c}" for w, c in zip(weights, counts))
-        plain.append(f"core {name:<12} {row}")
+        plain.append(f"core {name:<12} {row}".rstrip())  # no weights, no blanks after the name
         if args.list:
             found = [[format_partition(lam) for lam in enumerate_jm(core, w, args.ell)] for w in weights]
             entry["partitions"] = found

@@ -1,15 +1,20 @@
-"""Crystal graph construction, isomorphism checks, theorem suites, DOT export."""
+"""Crystal graph construction, isomorphism checks, theorem suites, DOT export.
+
+verify_isomorphism holds R for two levels, stepped up or down one ladder per
+move; theorem_suite grows levels by the child rule and reads ell-partitions off its JM table.
+"""
 
 from __future__ import annotations
 
 from collections import defaultdict
 from typing import NamedTuple
 
-from .partitions import Partition, _is_regular, _transpose, check_count, check_ell
+from .partitions import Partition, _children, _is_regular, _transpose, check_count, check_ell
 from .rimhooks import _is_core
 from .crystal import CLASSICAL, LADDER, ReducedWord, apply_e, apply_f, check_model, reduced_words
-from .jm import _is_ell_partition, _is_jm
-from .regular import _add_to_ladder, _deregularize, _is_L_partition, _is_ladder_node, _mullineux_symbol, _regularize
+from .jm import _is_jm
+from .regular import _add_to_ladder, _deregularize, _is_L_partition, _is_ladder_node
+from .regular import _mullineux_symbol, _remove_from_ladder
 from .strings import _format
 
 Edge = tuple[Partition, Partition, int]
@@ -121,21 +126,17 @@ def verify_isomorphism(ell: int, depth: int) -> VerificationReport:
     pass over the rows of lam gives its ladder words of every residue, and
     one over its image R(lam) the classical words; all four answers on each
     side are read from those words, and the f_hat targets form the next
-    level.  R is computed once per node reached and held in three plain
-    dicts, for the levels n - 1 (read by the e-moves), n and n + 1 (filled
-    by the f-moves); the dict of level n - 1 is dropped when level n is
-    done.  The walk starts from R(()) = (); an f_hat target is lam plus its
-    word's last plus box, so its R, when first met, is one step up that
-    box's ladder from R(lam) (regular._add_to_ladder), not f_tilde's answer.
-    Only an e-move target missing from level n - 1, which only a wrong
-    lowering operator makes, is regularized in full, and kept.  A passing
-    check is counted; only a failed one builds its record and text.
+    level.  R is held in two plain dicts, for the levels n and n + 1, from
+    R(()) = ().  An f_hat (e_hat) target is lam plus its word's last plus
+    box (less its first minus box), so its R is one step up (down) that
+    box's ladder from R(lam): regular._add_to_ladder (_remove_from_ladder),
+    not f_tilde's (e_tilde's) answer.  A passing check is counted; only a
+    failed one builds its record and text.
     """
     check_ell(ell)
     check_count("depth", depth)
     report = VerificationReport(suite="crystal-isomorphism", ell=ell, params={"depth": depth})
     passed = 0
-    below: dict[Partition, Partition] = {}
     here: dict[Partition, Partition] = {(): ()}
     for _ in range(depth + 1):
         above: dict[Partition, Partition] = {}
@@ -155,13 +156,7 @@ def verify_isomorphism(ell: int, depth: int) -> VerificationReport:
                     passed += 1
                 else:
                     report.check(False, lam, i, expected, actual)
-                moved = apply_e(lam, ladder)
-                if moved is None:
-                    actual = None
-                else:
-                    actual = below.get(moved)
-                    if actual is None:
-                        actual = below[moved] = _regularize(moved, ell)
+                actual = _remove_from_ladder(image, ladder.minus[0], ell) if ladder.minus else None
                 expected = apply_e(image, classical)
                 if actual == expected:
                     passed += 1
@@ -174,7 +169,7 @@ def verify_isomorphism(ell: int, depth: int) -> VerificationReport:
                 else:  # the failure text is built only for a failed check
                     report.check(ladder_phi == phi, lam, i, f"phi {phi}", f"phi {ladder_phi}")
                     report.check(ladder_eps == eps, lam, i, f"epsilon {eps}", f"epsilon {ladder_eps}")
-        below, here = here, above
+        here = above
     report.checks += passed
     return report
 
@@ -280,44 +275,25 @@ def _string_end_checks(
             report.check(False, lam, i, f"{member} after e^epsilon", "outside class")
 
 
-def _level_images(below: dict[Partition, Partition], ell: int) -> dict[Partition, Partition]:
-    """R of the next level, in partitions_of order, from *below*, the images of a level.
-
-    A partition's one parent is itself less the last box of its last row, so
-    each parent in turn lists its last row one box longer (when the row
-    above is longer), then a new row of one box: the partitions_of order.
-    A child's image is one step up the added box's ladder from its parent's.
-    """
-    images = {}
-    for mu, rho in below.items():
-        depth = len(mu)
-        if depth and (depth == 1 or mu[-2] > mu[-1]):
-            col = mu[-1] + 1
-            images[mu[:-1] + (col,)] = _add_to_ladder(rho, (depth, col), ell)
-        images[mu + (1,)] = _add_to_ladder(rho, (depth + 1, 1), ell)
-    return images
-
-
 def theorem_suite(ell: int, nmax: int) -> VerificationReport:
     """Exhaustive structural checks over all partitions of size up to nmax.
 
     The sweep runs level by level, n = 0..nmax.  Level n is a table of
     every partition of size n and its regularization (lam and lam' lie in
     the same level), grown from level n - 1's, starting at {(): ()}: each
-    partition lists its children, each image one ladder step from its
-    parent's (_level_images).  The sweep holds:
+    partition lists its children (partitions._children), each image one
+    ladder step up from its parent's.  The sweep holds:
 
     - the Mullineux images of the ell-regular partitions of size n, keyed
       by exactly those partitions, each read off Mullineux's symbol
       (regular._mullineux_symbol) in O(len(rho)) per ell-rim.  The check
       m(R(lam)) == R(lam') is one lookup, and the keys answer the sweep's
       regularity test.
-    - membership in the JM, ell-partition and weak classes, memoized per
-      size, since the string-end checks ask about the same neighbours of
-      many partitions.  Level n asks about every partition of size n, so a
-      finished level keeps only its members: the e-walks of later levels
-      read it without deciding again.  Weak membership asks the JM table
-      about D(lam), which has the size of lam.
+    - JM membership, memoized per size, since the string-end checks ask
+      about the same neighbours of many partitions; finished levels keep
+      only their members.  An ell-partition is an ell-regular JM partition,
+      and a weak one an ell-regular lam with D(lam) JM, of lam's size: both
+      classes ask the JM table, and the weak one memoizes its own answers.
     - the JM, core and L-partition answers of lam, until lam' comes up in
       the level: the three conditions are kept under conjugation (hooks
       stay, arm and leg swap), so each is decided once per pair {lam, lam'},
@@ -328,8 +304,8 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
     gives every residue's reduced word, each i-string is walked from that
     word one box per step, cores are read off the abacus, the ladder node
     test (made at most once) reads the blocking table up to the first row
-    that is not locked, JM and ell-partition membership read each runner's
-    highest bead and lowest gap, and the L-partition check reads the beads
+    that is not locked, JM membership reads each runner's highest bead and
+    lowest gap, and the L-partition check reads the beads
     once, testing each against the nearby gaps of its runner.  No check
     builds a hook grid.  A passing check is counted; only a failed one
     builds its record and text.  No table outlives the call, and no
@@ -339,12 +315,15 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
     check_count("nmax", nmax)
     report = VerificationReport(suite="crystal-theorems", ell=ell, params={"nmax": nmax})
     jm_table = _ClassTable(_is_jm)
-    ell_table = _ClassTable(_is_ell_partition)
     weak_table = _weak_table(jm_table)
+
+    def ell_partition(lam: Partition, ell: int) -> bool:
+        return _is_regular(lam, ell) and jm_table(lam, ell)
+
     reg: dict[Partition, Partition] = {(): ()}
     for n in range(nmax + 1):
-        if n:
-            reg = _level_images(reg, ell)  # the level, in order
+        if n:  # the level, in order, each image one ladder step from its parent's
+            reg = {lam: _add_to_ladder(reg[mu], box, ell) for mu, lam, box in _children(reg)}
         here = {rho: _mullineux_symbol(rho, ell) for rho in reg if _is_regular(rho, ell)}
         pairs = {}  # lam' -> (jm, core, L-partition) of lam, until lam' comes up
         for lam in reg:
@@ -374,11 +353,11 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
                 report.check(False, lam, None, expected, _format(mull))
             if lam in here:
                 words = None  # one classical read serves both classes
-                for name, table in (("ell-partition", ell_table), ("weak", weak_table)):
+                for name, table in (("ell-partition", ell_partition), ("weak", weak_table)):
                     if table(lam, ell):
                         words = words or reduced_words(lam, ell, CLASSICAL)
                         for i, word in enumerate(words):
                             _string_end_checks(report, lam, i, ell, name, table, word)
-        for table in (jm_table, ell_table, weak_table):
-            table.finish(n)
+        jm_table.finish(n)
+        weak_table.finish(n)
     return report

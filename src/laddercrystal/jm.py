@@ -17,7 +17,8 @@ The hereditary side is read off James's abacus too: rimhooks._abacus lists
 each runner's bead levels for is_generalized_ell_partition, and every
 negative position is a bead; the ell-partition test needs only each
 runner's lowest gap and highest bead (rimhooks._runner_ends), as is_jm
-does.  Removing a rim hook moves one bead one level down its runner, so the
+does; an ell-regular partition passes it exactly when it is JM, so the
+theorem sweep reads ell-partitions off its JM table.  Removing a rim hook moves one bead one level down its runner, so the
 partitions reachable by removals are the product, over the runners, of the
 bead sets M with M_i <= L_i, where L and M list a runner's bead levels in
 ascending order.  A runner can hold a bead at level t exactly when t is at
@@ -38,7 +39,8 @@ partition that removals reach.
 By Fayers's proof of the James-Mathas conjecture, a JM partition is its core
 plus rho_i horizontal hooks on row i + 1 and sigma_j vertical ones on column
 j + 1, rho and sigma fitting the core's frame (see _fits); _compose adds them
-on rows.  Frames and decompositions are checked by reading them back.
+on rows, and enumerate_jm lists rho and sigma by the child rule of
+partitions.  Frames and decompositions are checked by reading them back.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from typing import NamedTuple
 from .partitions import (
     Box,
     Partition,
+    _children,
     _hook_grid,
     _is_regular,
     _transpose,
@@ -142,9 +145,7 @@ def _only_horizontal_hereditarily(lam: Partition, ell: int) -> bool:
     drops a bead into runner j's lowest gap g, so it exists when g lies
     below j's highest bead, and its window, the positions g+1..g+ell-1, can
     hold a bead when another runner's highest bead lies above g.  Cost
-    O(len(lam) + ell).  The cache serves only the public is_ell_partition;
-    the theorem sweep memoizes _is_ell_partition per level, and that calls
-    the uncached _horizontal_hereditarily.
+    O(len(lam) + ell).  The cache serves only the public is_ell_partition.
     """
     gap, top = _runner_ends(lam, ell)
     highest = max(top)
@@ -152,14 +153,6 @@ def _only_horizontal_hereditarily(lam: Partition, ell: int) -> bool:
     return not any(
         g < b and (b != highest or any(x > g for x in top if x != b)) for g, b in zip(gap, top)
     )
-
-
-# The uncached body, for sweeps that keep their own tables.
-_horizontal_hereditarily = _only_horizontal_hereditarily.__wrapped__
-
-
-def _is_ell_partition(lam: Partition, ell: int) -> bool:
-    return _is_regular(lam, ell) and _horizontal_hereditarily(lam, ell)
 
 
 def is_ell_partition(lam: Partition, ell: int) -> bool:
@@ -304,9 +297,16 @@ def _leading_run(nu: Partition, ell: int) -> int:
 
 
 def _core_frame(core: Partition, ell: int) -> tuple[Partition, int, int]:
-    """Strip the leading difference-(ell-1) rows and columns off a core."""
+    """Strip the leading difference-(ell-1) rows and columns off a core.  Column
+    j is longer than column j + 1 by the number of parts equal to j, so s is
+    read from the multiplicities of the smallest parts, with no transpose."""
     r = _leading_run(core, ell)
-    s = _leading_run(_transpose(core), ell)
+    step, end, s = ell - 1, len(core), 0
+    while end >= step and core[end - step] == core[end - 1] == s + 1:
+        end -= step
+        if end and core[end - 1] == s + 1:
+            break  # more than ell - 1 parts equal s + 1
+        s += 1
     return tuple(p - s for p in core[r:] if p > s), r, s
 
 
@@ -427,14 +427,10 @@ def count_jm(core: Partition, w: int, ell: int) -> int:
 
 
 def _partitions_by_size(w: int, k: int) -> list[list[Partition]]:
-    """The partitions of 0..w with at most k parts, by size, largest-first: one stack walk."""
-    by_size: list[list[Partition]] = [[] for _ in range(w + 1)]
-    stack = [((), w, w)]  # (prefix, boxes left, largest next part)
-    while stack:
-        prefix, left, cap = stack.pop()
-        by_size[w - left].append(prefix)
-        if len(prefix) < k:
-            stack += [(prefix + (part,), left - part, part) for part in range(1, min(cap, left) + 1)]
+    """The partitions of 0..w with at most k parts, by size: each size the children of the one below."""
+    by_size = [[()]]
+    for _ in range(w):
+        by_size.append([child for _, child, _ in _children(by_size[-1], k)])
     return by_size
 
 
@@ -443,7 +439,7 @@ def enumerate_jm(core: Partition, w: int, ell: int) -> list[Partition]:
 
     Each pair (rho, sigma) that fits the core's frame composes to a JM
     partition of that core and weight (Fayers); the tests check that on the
-    hook grid and the abacus rather than each call.  One stack walk lists
+    hook grid and the abacus rather than each call.  The child rule lists
     each of rho and sigma, and _compose builds each rho's rows once.
     """
     core, mu, r, s = _checked_frame(core, w, ell)

@@ -317,6 +317,18 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
             stack.append((prefix + (part,), rest - part, part))
 
 
+def _children(level: Iterable[Partition], max_rows: int | None = None) -> Iterator[tuple[Partition, Partition, Box]]:
+    """(parent, child, added box) for each partition one box larger than one of *level*,
+    with at most max_rows rows.  A partition's parent is itself less the last box of its
+    last row, so all those of n in partitions_of order give those of n + 1 in order."""
+    for mu in level:
+        depth = len(mu)
+        if depth and (depth == 1 or mu[-2] > mu[-1]):
+            yield mu, mu[:-1] + (mu[-1] + 1,), (depth, mu[-1] + 1)
+        if max_rows is None or depth < max_rows:
+            yield mu, mu + (1,), (depth + 1, 1)
+
+
 @functools.lru_cache(maxsize=None)
 def all_partitions(n: int) -> tuple[Partition, ...]:
     return tuple(partitions_of(n))

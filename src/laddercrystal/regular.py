@@ -13,11 +13,11 @@ ell - 1 meet only the ladders whose top positions lie on those rows, so
 ladder counts and regularization work one row class at a time: one list of
 end markers per class, summed by accumulate, and one bisection per row for
 the slide.  That is O(len(lam)) Python steps plus C-level sums over the
-ladders, not a step per box.  One box more moves R by one box: R is fixed
-by the ladder counts alone (James), so R(lam + box) is R(lam) with one box
-at the first empty position of the new box's ladder.  _add_to_ladder walks
-that box's ladder down from its top, O(boxes of R(lam) on it) steps and
-one tuple splice, and both sweeps grow R so, box by box from R(()) = ().
+ladders, not a step per box.  R is fixed by the ladder counts alone
+(James), so R(lam + box) is R(lam) plus a box at the first empty position
+of the box's ladder, and R(lam - box) is R(lam) less the last box of that
+ladder.  One walk down the ladder from its top finds both (_ladder_end),
+and both sweeps step R so, up and down, from R(()) = ().
 
 The locked boxes of every row form a prefix 1..R_r (type I boxes and
 everything left of the rightmost one), and R_r follows from R_{r-1} and the
@@ -152,26 +152,37 @@ def _regularize(lam: Partition, ell: int) -> Partition:
     return _assemble(lengths)
 
 
-def _add_to_ladder(rho: Partition, box: Box, ell: int) -> Partition:
-    """R(lam + box) from rho = R(lam), for an addable box (row, col) of lam.
+def _ladder_end(rho: Partition, box: Box, ell: int) -> Box:
+    """The first empty position of box's ladder in rho = R(lam), for a box
+    addable to or removable from lam.
 
-    R depends only on the ladder counts and fills each ladder from its top,
-    so R(lam + box) is rho with one more box at the first empty position of
-    the box's ladder.  A ladder runs down ell - 1 rows and one column left
-    at a time, so it starts on row (row - 1) mod (ell-1) + 1, (row - 1) //
-    (ell-1) columns right of the box.  O(boxes of rho on it) steps and one
-    tuple splice.
+    rho fills each ladder from its top, so the walk starts there, on row
+    (row - 1) mod (ell-1) + 1, (row - 1) // (ell-1) columns right of the
+    box, and goes ell - 1 rows down and one column left at a time:
+    O(boxes of rho on it) steps.  It stops by the ladder's foot, since a
+    removable box of lam leaves the next ladder down unfilled below it.
     """
     step = ell - 1
-    row, col = box
-    up, row = divmod(row - 1, step)
-    col += up
-    row += 1
+    up, row = divmod(box[0] - 1, step)
+    row, col = row + 1, box[1] + up
     depth = len(rho)
     while row <= depth and rho[row - 1] >= col:
         row += step
         col -= 1
+    return row, col
+
+
+def _add_to_ladder(rho: Partition, box: Box, ell: int) -> Partition:
+    """R(lam + box) from rho = R(lam): one box more at the first empty position of the box's ladder."""
+    row, col = _ladder_end(rho, box, ell)
     return rho[: row - 1] + (col,) + rho[row:]
+
+
+def _remove_from_ladder(rho: Partition, box: Box, ell: int) -> Partition:
+    """R(lam - box) from rho = R(lam): rho less the last box of the box's ladder, which ends its row."""
+    row, col = _ladder_end(rho, box, ell)
+    row -= ell - 1  # the last box is (row, col + 1)
+    return rho[: row - 1] + ((col,) if col else ()) + rho[row:]
 
 
 def _blocking(lam: Partition, ell: int) -> list[int]:

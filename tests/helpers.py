@@ -11,7 +11,7 @@ a list of locked prefixes."""
 
 from __future__ import annotations
 
-from laddercrystal import graph
+from laddercrystal import graph, regular
 from laddercrystal.crystal import CLASSICAL, LADDER, ReducedWord, apply_e, apply_f, reduced_word, reduced_words
 from laddercrystal.jm import JMDecomposition, _core_frame, _fits, compose_jm
 from laddercrystal.partitions import (
@@ -68,13 +68,13 @@ def verify_isomorphism_by_graph(ell: int, depth: int) -> graph.VerificationRepor
     for its report, failure records included.
 
     Each node's words are read again after the build, and every
-    regularization is recomputed in full.  The map is graph._regularize,
+    regularization is recomputed in full.  The map is regular._regularize,
     looked up at call time, so a test can count its calls, and the words
     are read through this module's reduced_words, so a test can corrupt the
     classical words for both walks.
     """
     report = graph.VerificationReport(suite="crystal-isomorphism", ell=ell, params={"depth": depth})
-    regularize = graph._regularize
+    regularize = regular._regularize
     for lam in graph.build_crystal(ell, depth, LADDER).nodes:
         image = regularize(lam, ell)
         pairs = zip(reduced_words(lam, ell, LADDER), reduced_words(image, ell, CLASSICAL))

@@ -161,6 +161,11 @@ def test_jm_census_plain_golden(capsys):
     assert run_cli(capsys, *listed) == (0, CENSUS_LIST_PLAIN)
 
 
+def test_jm_census_without_weights_ends_no_line_in_blanks(capsys):
+    census = ["jm", "census", "--ell", "3", "--max-core", "1", "--max-weight", "0", "--plain"]
+    assert run_cli(capsys, *census) == (0, "core empty\ncore 1\ntotal JM partitions counted: 0\n")
+
+
 def test_jm_census_json(capsys):
     status, out = run_cli(capsys, "jm", "census", "--ell", "3", "--max-core", "6", "--max-weight", "4")
     assert status == 0

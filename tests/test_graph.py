@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import importlib
 import random
-import sys
 from collections import Counter
 
 import pytest
@@ -36,7 +35,7 @@ from laddercrystal.graph import (
     theorem_suite,
     verify_isomorphism,
 )
-from laddercrystal.jm import _is_ell_partition, _is_jm, fayers_witness, is_jm
+from laddercrystal.jm import _is_jm, fayers_witness, is_jm
 from laddercrystal.partitions import (
     _hook_grid,
     all_partitions,
@@ -51,6 +50,7 @@ from laddercrystal.regular import (
     _add_to_ladder,
     _is_L_partition,
     _regularize,
+    _remove_from_ladder,
     deregularize,
     is_weak_ell_partition,
     ladder_counts,
@@ -242,120 +242,156 @@ def test_verify_isomorphism_reads_one_word_per_node_and_model(monkeypatch):
     assert calls == 2 * nodes == 290
 
 
-def test_verify_isomorphism_holds_at_most_three_levels_of_regularizations(monkeypatch):
-    # the walk drops the levels it has passed: it looks up R at levels n - 1
-    # (e-moves), n and n + 1 (f-moves), never every node seen.  Every image
-    # past the root comes from a ladder step, and this spy keeps each one by
-    # size.  At a step from level n, an image of level n - 2 or below is
-    # referenced by nothing but the spy's list (getrefcount counts that list
-    # and its own argument), and the images still referenced elsewhere span
-    # at most three sizes.
-    images: dict[int, list] = {}
+def test_verify_isomorphism_holds_at_most_two_levels_of_regularizations(monkeypatch):
+    # the walk holds R for the levels n and n + 1 only: an f-move looks up
+    # or steps up to level n + 1, and an e-move steps down from R(lam)
+    # without keeping level n - 1.  Every image past the root comes from an
+    # up step, and the up spy hands each one out as an Image that counts
+    # itself out of *live* when the walk lets it go.  Both ladder-step
+    # spies see the walk's level n in rho, never a finished one, and at
+    # every step the images still alive lie on levels n and n + 1.
+    live: Counter = Counter()
     held = []
+    level = 0
 
-    def recorded(rho, box, ell):
-        n = sum(rho)
-        live = {
-            size  # found[i], not a loop variable: then the count is the list's and the argument's
-            for size, found in images.items()
-            if any(sys.getrefcount(found[i]) > 2 for i in range(len(found)))
-        }
-        assert not {size for size in live if size <= n - 2}, (n, sorted(live))
-        held.append(live)
-        image = _add_to_ladder(rho, box, ell)
-        images.setdefault(n + 1, []).append(image)
-        return image
+    class Image(tuple):
+        def __del__(self):
+            live[sum(self)] -= 1
 
-    monkeypatch.setattr(graph, "_add_to_ladder", recorded)
+    def watched(rho):
+        nonlocal level
+        assert sum(rho) >= level, (rho, level)
+        level = sum(rho)
+        sizes = {size for size, count in live.items() if count}
+        assert sizes <= {level, level + 1}, (level, sorted(sizes))
+        held.append(sizes)
+
+    def up(rho, box, ell):
+        watched(rho)
+        live[level + 1] += 1
+        return Image(_add_to_ladder(rho, box, ell))
+
+    def down(rho, box, ell):
+        watched(rho)
+        return _remove_from_ladder(rho, box, ell)
+
+    monkeypatch.setattr(graph, "_add_to_ladder", up)
+    monkeypatch.setattr(graph, "_remove_from_ladder", down)
     assert verify_isomorphism(3, 20).passed
-    assert held and max(map(len, held)) <= 3
-    assert max(map(len, held)) == 3
+    assert level == 20 and max(map(len, held)) == 2
 
 
-def _counted_regularizations(monkeypatch):
-    """Record every image the walk computes, by _regularize or by a ladder step, per kind."""
-    images = {"full": [], "step": []}
+def _counted_ladder_steps(monkeypatch):
+    """Record every image the walk computes, by a step up or down a ladder, per direction."""
+    images = {"up": [], "down": []}
 
-    def full(lam, ell):
-        images["full"].append(_regularize(lam, ell))
-        return images["full"][-1]
+    def up(rho, box, ell):
+        images["up"].append(_add_to_ladder(rho, box, ell))
+        return images["up"][-1]
 
-    def step(rho, box, ell):
-        images["step"].append(_add_to_ladder(rho, box, ell))
-        return images["step"][-1]
+    def down(rho, box, ell):
+        images["down"].append(_remove_from_ladder(rho, box, ell))
+        return images["down"][-1]
 
-    monkeypatch.setattr(graph, "_regularize", full)
-    monkeypatch.setattr(graph, "_add_to_ladder", step)
+    monkeypatch.setattr(graph, "_add_to_ladder", up)
+    monkeypatch.setattr(graph, "_remove_from_ladder", down)
     return images
 
 
-def test_verify_isomorphism_regularizes_each_node_once(monkeypatch):
+def _e_moves(ell, depth):
+    """The number of (node, residue) pairs of the ladder crystal through depth with epsilon > 0."""
+    nodes = build_crystal(ell, depth, LADDER).nodes
+    return sum(1 for lam in nodes for word in reduced_words(lam, ell, LADDER) if word.minus)
+
+
+def test_verify_isomorphism_steps_up_to_each_node_once(monkeypatch):
     # R is computed once for every node the walk reaches past the root, the
     # f_hat targets of level 12 included: 188 nodes through level 13.  The
     # walk starts from R(()) = (), and every f_hat target goes through one
-    # ladder step, none through _regularize.  R maps ladder nodes one to
-    # one, so distinct images are distinct nodes.
-    images = _counted_regularizations(monkeypatch)
+    # step up a ladder; R maps ladder nodes one to one, so distinct images
+    # are distinct nodes.  Every e-move takes one step down instead of
+    # looking up a level below, and graph has no full regularization to
+    # call.
+    images = _counted_ladder_steps(monkeypatch)
     assert verify_isomorphism(3, 12).passed
-    assert images["full"] == []
-    computed = images["step"]
+    assert not hasattr(graph, "_regularize")
+    computed = images["up"]
     assert len(computed) == len(set(computed)) == sum(regular_counts(3, 13)) - 1 == 188
+    assert len(images["down"]) == _e_moves(3, 12)
 
 
 def test_sweep_steps_match_regularize_of_their_keys(monkeypatch):
-    # theorem_suite: every level its table grows lists the partitions of its
-    # size in partitions_of order, each with its R.  verify_isomorphism:
-    # every ladder step gives an ell-regular partition with rho's ladder
-    # counts and one more box on the added box's ladder, which by James is
-    # R(lam + box) for rho = R(lam).
+    # theorem_suite: every level the child rule grows lists the partitions
+    # of its size in partitions_of order, and each child's image, one step
+    # up from its parent's, is its R.  verify_isomorphism: every ladder step
+    # gives an ell-regular partition with rho's ladder counts and one box
+    # more (less) on the box's ladder, which by James is R(lam + box)
+    # (R(lam - box)) for rho = R(lam).
     levels = []
-    level_images = graph._level_images
+    stepped = []
+    children = graph._children
 
-    def listed(below, ell):
-        levels.append((ell, level_images(below, ell)))
-        return levels[-1][1]
+    def listed(level, max_rows=None):
+        levels.append([])
+        for mu, lam, box in children(level, max_rows):
+            levels[-1].append(lam)
+            yield mu, lam, box
 
-    monkeypatch.setattr(graph, "_level_images", listed)
+    def grown(rho, box, ell):
+        stepped.append((levels[-1][-1], _add_to_ladder(rho, box, ell), ell))
+        return stepped[-1][1]
+
+    monkeypatch.setattr(graph, "_children", listed)
+    monkeypatch.setattr(graph, "_add_to_ladder", grown)
     for ell in (3, 4, 5, 6):
         assert theorem_suite(ell, 14).passed
-    sizes = [sum(next(iter(level))) for _, level in levels]
-    assert sizes == [*range(1, 15)] * 4
-    for (ell, level), n in zip(levels, sizes):
-        assert list(level.items()) == [(lam, _regularize(lam, ell)) for lam in partitions_of(n)], (ell, n)
+    assert [len(level) for level in levels] == [len(all_partitions(n)) for n in range(1, 15)] * 4
+    for level in levels:
+        assert level == list(partitions_of(sum(level[0])))
+    assert len(stepped) == sum(map(len, levels))
+    for lam, image, ell in stepped:
+        assert image == _regularize(lam, ell), (lam, ell)
 
-    steps = 0
+    steps = {1: 0, -1: 0}
 
-    def checked(rho, box, ell):
-        nonlocal steps
-        steps += 1
-        grown = _add_to_ladder(rho, box, ell)
-        counts = ladder_counts(rho, ell)
-        k = ladder_index(box, ell)
-        counts[k] = counts.get(k, 0) + 1
-        assert is_regular(grown, ell) and ladder_counts(grown, ell) == counts, (rho, box, ell)
-        return grown
+    def checked(sign, step):
+        def walk(rho, box, ell):
+            steps[sign] += 1
+            moved = step(rho, box, ell)
+            counts = ladder_counts(rho, ell)
+            k = ladder_index(box, ell)
+            counts[k] = counts.get(k, 0) + sign
+            assert is_regular(moved, ell), (rho, box, ell)
+            assert ladder_counts(moved, ell) == {k: c for k, c in counts.items() if c}, (rho, box, ell)
+            return moved
 
-    monkeypatch.setattr(graph, "_add_to_ladder", checked)
+        return walk
+
+    monkeypatch.setattr(graph, "_add_to_ladder", checked(1, _add_to_ladder))
+    monkeypatch.setattr(graph, "_remove_from_ladder", checked(-1, _remove_from_ladder))
     assert verify_isomorphism(3, 14).passed
-    assert steps == sum(regular_counts(3, 15)) - 1
+    assert steps == {1: sum(regular_counts(3, 15)) - 1, -1: _e_moves(3, 14)}
 
 
-def _remove_last_minus_box(lam, word):
-    return apply_e(lam, ReducedWord(word.plus, word.minus[::-1]))
+def _minus_reversed(rho, ell, model):
+    # ladder words whose minus boxes come last first: e_hat removes the
+    # wrong box, and its target leaves the crystal
+    words = reduced_words(rho, ell, model)
+    return [ReducedWord(word.plus, word.minus[::-1]) for word in words] if model == LADDER else words
 
 
 @pytest.mark.parametrize("ell,depth", [(3, 10), (4, 8)])
 def test_verify_isomorphism_regularizes_an_e_move_off_the_level_below(monkeypatch, ell, depth):
-    # a wrong lowering operator leaves the crystal: its targets are missing
-    # from the level below, so the walk regularizes them on the spot with
-    # _regularize (no ladder step reaches them) and records the failures as
-    # the built-crystal loop does
-    images = _counted_regularizations(monkeypatch)
-    monkeypatch.setattr(graph, "apply_e", _remove_last_minus_box)
-    monkeypatch.setattr(helpers, "apply_e", _remove_last_minus_box)
+    # a wrong lowering operator leaves the crystal: its targets are not
+    # nodes of the level below, and the walk still finds their R one step
+    # down a ladder from R(lam), as full regularization does, and records
+    # the failures as the built-crystal loop does
+    images = _counted_ladder_steps(monkeypatch)
+    monkeypatch.setattr(graph, "reduced_words", _minus_reversed)
+    monkeypatch.setattr(helpers, "reduced_words", _minus_reversed)
     report = verify_isomorphism(ell, depth)
-    assert len(images["step"]) == sum(regular_counts(ell, depth + 1)) - 1
-    assert images["full"]
+    assert len(images["up"]) == sum(regular_counts(ell, depth + 1)) - 1
+    assert len(images["down"]) == _e_moves(ell, depth)
     assert report.failures
     assert report.to_dict() == verify_isomorphism_by_graph(ell, depth).to_dict()
 
@@ -609,10 +645,10 @@ def test_weak_membership_through_the_jm_table(ell):
 
 @pytest.mark.parametrize("ell", [3, 4])
 def test_theorem_suite_keeps_finished_levels_as_members(monkeypatch, ell):
-    # once level n is done, each class table keeps exactly the members of
-    # size n, answers for every partition of size n as its predicate does
-    # (non-regular partitions are never ell-partitions or weak), and never
-    # asks its predicate about size n again
+    # once level n is done, each of the two class tables, JM and weak,
+    # keeps exactly the members of size n, answers for every partition of
+    # size n as its predicate does (non-regular partitions are never weak),
+    # and never asks its predicate about size n again
     tables = []
 
     class Recorded(_ClassTable):
@@ -632,11 +668,10 @@ def test_theorem_suite_keeps_finished_levels_as_members(monkeypatch, ell):
     monkeypatch.setattr(graph, "_ClassTable", Recorded)
     assert theorem_suite(ell, 14).passed
     by_predicate = {table.predicate: table for table in tables}
-    jm_table, ell_table = by_predicate.pop(_is_jm), by_predicate.pop(_is_ell_partition)
+    jm_table = by_predicate.pop(_is_jm)
     [weak_table] = by_predicate.values()
     classes = (
         (jm_table, _is_jm),
-        (ell_table, _is_ell_partition),
         (weak_table, lambda lam, ell: is_regular(lam, ell) and is_weak_ell_partition(lam, ell)),
     )
     for table, predicate in classes:
@@ -671,9 +706,11 @@ def test_sweep_predicates_agree_on_conjugates(ell):
 def test_theorem_suite_decides_each_conjugate_pair_once(monkeypatch):
     # core and L-partition membership are decided once per pair {lam, lam'}
     # of a level: 740 calls each, where one per partition made 1,423.  JM
-    # membership, also asked by the string walks, is decided 1,145 times: 1,260
+    # membership, also asked by the string walks, is decided 1,159 times: 1,260
     # without the pair's answer entered for lam', and 1,902 when each level
-    # was decided per partition and dropped, so the walks asked again below it
+    # was decided per partition and dropped, so the walks asked again below it.
+    # The ell-partition walks ask the JM table too: a table of their own
+    # decided 837 more times beside 1,145 JM decisions
     calls = {"core": 0, "L": 0, "jm": 0}
 
     def counted(name, predicate):
@@ -690,7 +727,7 @@ def test_theorem_suite_decides_each_conjugate_pair_once(monkeypatch):
     assert theorem_suite(4, 14).checks == 4685
     levels = [n for top in (16, 14) for n in range(top + 1)]
     pairs = sum(len({min(lam, transpose(lam)) for lam in all_partitions(n)}) for n in levels)
-    assert calls == {"core": pairs, "L": pairs, "jm": 1145}
+    assert calls == {"core": pairs, "L": pairs, "jm": 1159}
     assert pairs == 740
 
 

@@ -30,7 +30,6 @@ from laddercrystal.jm import (
     _fayers_witness,
     _fits,
     _frame_rows,
-    _horizontal_hereditarily,
     _is_jm,
     _leading_run,
     _only_horizontal_hereditarily,
@@ -369,7 +368,7 @@ def test_only_horizontal_on_runner_ends_matches_the_runner_levels(ell):
     # (rimhooks._runner_ends) in positions, not levels
     for n in range(19):
         for lam in partitions_of(n):
-            assert _horizontal_hereditarily(lam, ell) == _only_horizontal_by_runner_levels(lam, ell), lam
+            assert _only_horizontal_hereditarily.__wrapped__(lam, ell) == _only_horizontal_by_runner_levels(lam, ell), lam
 
 
 @pytest.mark.parametrize("ell", [3, 4])
@@ -445,6 +444,16 @@ def test_ell_partition_is_regular_plus_star(ell):
         for lam in all_partitions(n):
             expected = is_regular(lam, ell) and star_condition(lam, ell)
             assert is_ell_partition(lam, ell) == expected
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5])
+def test_ell_partitions_are_the_regular_jm_partitions(ell):
+    # the (ell,0)-Carter partitions are the ell-regular members of the JM
+    # class, so the theorem sweep reads ell-partition membership off its JM
+    # table
+    for n in range(21):
+        for lam in all_partitions(n):
+            assert is_ell_partition(lam, ell) == (is_regular(lam, ell) and is_jm(lam, ell)), lam
 
 
 def test_decompose_golden():
@@ -534,6 +543,15 @@ def test_the_frame_rebuilds_its_core(ell):
     # _compose hold the core the frame was read from
     for core in _cores(ell, 60):
         assert _frame_rows(*_core_frame(core, ell), ell) == list(core), core
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5, 6, 7])
+def test_core_frame_reads_its_columns_without_a_transpose(ell):
+    # s is read from the multiplicities of the core's smallest parts, as the
+    # leading run of the conjugate's differences gives it
+    for core in _cores(ell, 40):
+        r, s = _leading_run(core, ell), _leading_run(transpose(core), ell)
+        assert _core_frame(core, ell) == (tuple(p - s for p in core[r:] if p > s), r, s), core
 
 
 def _reference_compose(mu, r, s, rho, sigma, ell):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from laddercrystal.partitions import (
     EMPTY,
+    _children,
     _transpose,
     EQUAL,
     GREATER,
@@ -298,6 +299,30 @@ def test_partition_counts(n):
         assert check_partition(lam) == lam
         assert size(lam) == n
     assert all_partitions(n) == tuple(found)
+
+
+def _grown(n, max_rows=None):
+    """The partitions of n by the child rule, grown level by level from ()."""
+    level = [()]
+    for _ in range(n):
+        level = [lam for _, lam, _ in _children(level, max_rows)]
+    return level
+
+
+def test_child_rule_gives_each_level_in_partitions_of_order():
+    level = [()]
+    for n in range(1, 19):
+        grown = list(_children(level))
+        assert [lam for _, lam, _ in grown] == list(partitions_of(n)), n
+        for mu, lam, box in grown:  # the parent is the child less its last row's last box
+            assert mu in level and add_box(mu, box) == lam and box == (len(lam), lam[-1]), lam
+        level = [lam for _, lam, _ in grown]
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_child_rule_with_a_row_cap_gives_the_partitions_of_at_most_k_parts(k):
+    for n in range(15):
+        assert _grown(n, k) == [lam for lam in partitions_of(n) if len(lam) <= k], (n, k)
 
 
 def test_partitions_of_respects_max_part():

@@ -22,6 +22,8 @@ from laddercrystal.partitions import (
     ladder_index,
     ladder_positions,
     partitions_of,
+    removable_corners,
+    remove_box,
     size,
     transpose,
 )
@@ -48,6 +50,7 @@ from laddercrystal.regular import (
     _deregularize,
     _ladder_tally,
     _regularize,
+    _remove_from_ladder,
     _mullineux,
     _peel_rims,
     reg_class,
@@ -292,6 +295,12 @@ def _assert_one_box_step(lam, box, ell):
     assert grown == _regularize(add_box(lam, box), ell), (lam, box, ell)
 
 
+def _assert_one_box_step_down(lam, box, ell):
+    """R(lam - box) one step down the box's ladder from R(lam), as _regularize gives it."""
+    shrunk = _remove_from_ladder(_regularize(lam, ell), box, ell)
+    assert shrunk == _regularize(remove_box(lam, box), ell), (lam, box, ell)
+
+
 @pytest.mark.parametrize("ell", [3, 4, 5, 6])
 def test_add_to_ladder_matches_regularize_on_every_addable_box(ell):
     for n in range(15):
@@ -300,15 +309,33 @@ def test_add_to_ladder_matches_regularize_on_every_addable_box(ell):
                 _assert_one_box_step(lam, box, ell)
 
 
-@pytest.mark.parametrize(
+_LARGE_DIAGRAMS = pytest.mark.parametrize(
     "lam",
     [(2000,) * 2000, (10**5,), (1,) * 10**5],
     ids=["square-2000", "row-100000", "column-100000"],
 )
+
+
+@_LARGE_DIAGRAMS
 @pytest.mark.parametrize("ell", [3, 7])
 def test_add_to_ladder_matches_regularize_on_large_diagrams(lam, ell):
     for box in addable_corners(lam):
         _assert_one_box_step(lam, box, ell)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 5, 6])
+def test_remove_from_ladder_matches_regularize_on_every_removable_box(ell):
+    for n in range(17):
+        for lam in all_partitions(n):
+            for box in removable_corners(lam):
+                _assert_one_box_step_down(lam, box, ell)
+
+
+@_LARGE_DIAGRAMS
+@pytest.mark.parametrize("ell", [3, 7])
+def test_remove_from_ladder_matches_regularize_on_large_diagrams(lam, ell):
+    for box in removable_corners(lam):
+        _assert_one_box_step_down(lam, box, ell)
 
 
 @pytest.mark.parametrize("ell,nmax,reach", [(2, 16, 16), (3, 20, 25), (4, 18, 22), (5, 18, 19)])
