@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 
 from .partitions import Partition, add_box, addable_boxes, check_ell, is_regular, size, transpose
 from .rimhooks import ell_core
@@ -204,7 +203,8 @@ def _cmd_crystal_build(args) -> int:
     }
     if args.dot:
         try:
-            Path(args.dot).write_text(export_dot(graph), encoding="utf-8")
+            with open(args.dot, "w", encoding="utf-8") as out:
+                out.write(export_dot(graph))
         except OSError as exc:
             raise ValueError(f"cannot write the DOT file: {exc}") from exc
     plain = [f"level {n}: " + " ".join(texts) for n, texts in enumerate(levels)]

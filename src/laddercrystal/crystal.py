@@ -28,8 +28,8 @@ arguments before they start.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import accumulate
-from typing import NamedTuple
 
 from .partitions import Box, Partition, check_box, check_ell, check_partition, check_residue
 
@@ -40,9 +40,10 @@ CLASSICAL = "classical"
 LADDER = "ladder"
 
 
-class SignatureEntry(NamedTuple):
-    sign: str
-    box: Box
+class SignatureEntry(namedtuple("SignatureEntry", "sign box")):
+    """One entry of a signature: sign (str, PLUS or MINUS) and box (Box)."""
+
+    __slots__ = ()
 
 
 class SignatureWord:
@@ -85,15 +86,15 @@ class SignatureWord:
         return iter(self.entries)
 
 
-class ReducedWord(NamedTuple):
+class ReducedWord(namedtuple("ReducedWord", "plus minus")):
     """A reduced signature "+...+-...-": its plus boxes, then its minus boxes.
 
-    phi is len(plus), epsilon is len(minus); the cogood box is plus[-1] and
-    the good box minus[0].
+    plus and minus are lists of boxes (list[Box]).  phi is len(plus),
+    epsilon is len(minus); the cogood box is plus[-1] and the good box
+    minus[0].
     """
 
-    plus: list[Box]
-    minus: list[Box]
+    __slots__ = ()
 
 
 _new_tuple = tuple.__new__
@@ -155,7 +156,7 @@ def _cancel(words: list[list[tuple]], ladder: bool) -> list[ReducedWord]:
                 minus.pop()
             else:
                 plus.append((row, col))
-        reduced.append(_new_tuple(ReducedWord, (plus, minus)))  # skips NamedTuple's Python-level __new__
+        reduced.append(_new_tuple(ReducedWord, (plus, minus)))  # skips namedtuple's Python-level __new__
     return reduced
 
 

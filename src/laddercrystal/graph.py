@@ -6,8 +6,7 @@ move; theorem_suite grows levels by the child rule and reads ell-partitions off 
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import NamedTuple
+from collections import defaultdict, namedtuple
 
 from .partitions import Partition, _children, _is_regular, _transpose, check_count, check_ell
 from .rimhooks import _is_core
@@ -20,12 +19,12 @@ from .strings import _format
 Edge = tuple[Partition, Partition, int]
 
 
-class CrystalGraph(NamedTuple):
-    ell: int
-    model: str
-    depth: int
-    levels: tuple[tuple[Partition, ...], ...]
-    edges: tuple[Edge, ...]
+class CrystalGraph(namedtuple("CrystalGraph", "ell model depth levels edges")):
+    """The crystal of one model to a depth: ell (int), model (str), depth
+    (int), levels (tuple[tuple[Partition, ...], ...], the nodes of each size)
+    and edges (tuple[Edge, ...], each (source, target, residue))."""
+
+    __slots__ = ()
 
     @property
     def nodes(self) -> list[Partition]:

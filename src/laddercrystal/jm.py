@@ -47,11 +47,10 @@ from __future__ import annotations
 
 import bisect
 import functools
+from collections import namedtuple
 from itertools import zip_longest
-from typing import NamedTuple
 
 from .partitions import (
-    Box,
     Partition,
     _children,
     _hook_grid,
@@ -77,32 +76,27 @@ class NotACoreError(ValueError):
     pass
 
 
-class FayersWitness(NamedTuple):
-    """Boxes certifying failure of the JM condition.
+class FayersWitness(namedtuple("FayersWitness", "base row_mate col_mate")):
+    """Boxes certifying failure of the JM condition; each field is a Box.
 
     base has hook length divisible by ell; row_mate (same row) and col_mate
     (same column) both have indivisible hooks.
     """
 
-    base: Box
-    row_mate: Box
-    col_mate: Box
+    __slots__ = ()
 
 
-class JMDecomposition(NamedTuple):
+class JMDecomposition(namedtuple("JMDecomposition", "mu r s rho sigma")):
     """Skeleton (mu, r, s) plus hook multiplicities (rho, sigma) of a JM partition.
 
     mu is an ell-core whose first two rows and first two columns differ by
     less than ell-1; r rows and s columns of successive difference ell-1 are
     attached above and to its left; rho[i] horizontal hooks hang off row i+1
-    (i <= r) and sigma[j] vertical hooks off column j+1 (j <= s).
+    (i <= r) and sigma[j] vertical hooks off column j+1 (j <= s).  mu, rho
+    and sigma are Partitions, r and s ints.
     """
 
-    mu: Partition
-    r: int
-    s: int
-    rho: Partition
-    sigma: Partition
+    __slots__ = ()
 
 
 def star_condition(lam: Partition, ell: int) -> bool:

@@ -43,8 +43,8 @@ from __future__ import annotations
 import functools
 import sys
 from bisect import bisect_right
+from collections import namedtuple
 from itertools import accumulate, combinations, compress
-from typing import NamedTuple
 
 from .partitions import (
     Box,
@@ -67,11 +67,12 @@ class NotRegularError(ValueError):
     pass
 
 
-class RegClass(NamedTuple):
-    """All partitions sharing a regularization image."""
+class RegClass(namedtuple("RegClass", "representative members")):
+    """All partitions sharing a regularization image: representative
+    (Partition), the unique ell-regular member, and members
+    (tuple[Partition, ...])."""
 
-    representative: Partition  # the unique ell-regular member
-    members: tuple[Partition, ...]
+    __slots__ = ()
 
 
 def _class_ladders(lam: Partition, ell: int) -> list[list[int]]:

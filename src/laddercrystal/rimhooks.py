@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import bisect
 import operator
+from collections import namedtuple
 from collections.abc import Iterator
 from itertools import chain
-from typing import NamedTuple
 
 from .partitions import (
     Box,
@@ -49,11 +49,11 @@ class InvalidHookError(ValueError):
     pass
 
 
-class RimHook(NamedTuple):
-    """A removable rim hook; boxes run along the rim from northeast to southwest."""
+class RimHook(namedtuple("RimHook", "boxes shape")):
+    """A removable rim hook: boxes (tuple[Box, ...]) run along the rim from
+    northeast to southwest; shape (str) is HORIZONTAL, VERTICAL or NEITHER."""
 
-    boxes: tuple[Box, ...]
-    shape: str
+    __slots__ = ()
 
     def __len__(self) -> int:
         return len(self.boxes)
@@ -62,15 +62,18 @@ class RimHook(NamedTuple):
     def box_set(self) -> frozenset[Box]:
         return frozenset(self.boxes)
 
+    @classmethod
+    def _make(cls, fields):
+        # namedtuple's _make, which _replace calls, compares len() with the
+        # field count, but len() counts boxes here.
+        return cls(*fields)
 
-# NamedTuple's _make, which _replace calls, compares len() with the field
-# count, but len() counts boxes here; a NamedTuple body may not override it.
-RimHook._make = classmethod(lambda cls, fields: cls(*fields))
 
+class CoreResult(namedtuple("CoreResult", "core weight")):
+    """A partition's ell-core (Partition) and ell-weight (int): the number of
+    ell-rim hooks removed to reach the core."""
 
-class CoreResult(NamedTuple):
-    core: Partition
-    weight: int
+    __slots__ = ()
 
 
 def _hook_from_row(lam: Partition, r: int, ell: int) -> RimHook | None:

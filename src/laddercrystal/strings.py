@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-import re
-
 from .partitions import Partition, check_partition
-
-_TOKEN = re.compile(r"^(\d+)(?:\^(\d+))?$")
 
 
 def parse_partition(text: str) -> Partition:
@@ -16,14 +12,16 @@ def parse_partition(text: str) -> Partition:
         return ()
     parts: list[int] = []
     for token in text.split(","):
-        m = _TOKEN.match(token.strip())
-        if not m:
-            raise ValueError(f"malformed partition token {token.strip()!r} in {text!r}")
-        part = int(m.group(1))
-        mult = int(m.group(2)) if m.group(2) else 1
+        token = token.strip()
+        part, caret, exponent = token.partition("^")
+        # isdecimal() takes Unicode decimal digits, which int() reads, but not the
+        # signs, underscores and spaces int() would also accept
+        if not part.isdecimal() or (caret and not exponent.isdecimal()):
+            raise ValueError(f"malformed partition token {token!r} in {text!r}")
+        mult = int(exponent) if caret else 1
         if mult < 1:
-            raise ValueError(f"exponent must be positive in {token.strip()!r}")
-        parts.extend([part] * mult)
+            raise ValueError(f"exponent must be positive in {token!r}")
+        parts.extend([int(part)] * mult)
     return check_partition(parts)
 
 

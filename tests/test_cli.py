@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from laddercrystal.cli import _report_exit, build_parser, main
 from laddercrystal.graph import VerificationReport
+from laddercrystal.partitions import check_partition
 from laddercrystal.strings import format_partition, parse_partition
 
 from strategies import partitions
@@ -23,12 +26,59 @@ def test_parse_golden():
     assert parse_partition("") == ()
     assert parse_partition("10,8,3") == (10, 8, 3)
     assert parse_partition(" 4 , 1 ") == (4, 1)
+    assert parse_partition("３^２") == (3, 3)  # fullwidth digits are decimal digits
 
 
 def test_parse_rejects_garbage():
-    for bad in ["x", "3,,1", "1,2", "2^", "-3", "1^2^3", "3^0"]:
+    bad_tokens = ["x", "3,,1", "1,2", "2^", "-3", "1^2^3", "3^0"]
+    bad_tokens += ["3^", "^2", "3 ^2", "3^ 2", "+3", "1_0", "²"]
+    for bad in bad_tokens:
         with pytest.raises(ValueError):
             parse_partition(bad)
+
+
+# The token grammar parse_partition once matched with a regular expression;
+# the oracle below is that parser, kept to pin the strings it accepts.
+_TOKEN_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
+
+
+def parse_by_regex(text: str):
+    text = text.strip()
+    if text in ("empty", ""):
+        return ()
+    parts = []
+    for token in text.split(","):
+        m = _TOKEN_RE.match(token.strip())
+        if not m:
+            raise ValueError(f"malformed partition token {token.strip()!r} in {text!r}")
+        part = int(m.group(1))
+        mult = int(m.group(2)) if m.group(2) else 1
+        if mult < 1:
+            raise ValueError(f"exponent must be positive in {token.strip()!r}")
+        parts.extend([part] * mult)
+    return check_partition(parts)
+
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# Half the characters are digits: ASCII, fullwidth, Arabic-Indic, Devanagari.
+# The rest are digit-like non-decimals (superscript two, one half, roman
+# twelve), separators, signs and whitespace that str.strip() removes.  A token
+# has at most seven characters, so exponents stay below 10**5.
+_DIGITS = "0139３٣७"
+_OTHERS = "²½Ⅻ^,+-_xe \t\n\u2003\x1c"
+_PIECE = st.text(st.sampled_from(_DIGITS) | st.sampled_from(_OTHERS), max_size=3)
+_TOKENS = st.tuples(_PIECE, st.sampled_from(("", "^")), _PIECE).map("".join)
+
+
+@given(st.lists(_TOKENS, min_size=1, max_size=3).map(",".join))
+def test_parse_matches_the_regex_grammar(text):
+    assert _outcome(parse_partition, text) == _outcome(parse_by_regex, text)
 
 
 def test_format_golden():

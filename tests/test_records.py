@@ -1,5 +1,6 @@
-"""The six record classes: construction, repr, equality, hashing, immutability
-and pickling, and a cold import that loads none of dataclasses, inspect and json."""
+"""The record classes: construction, repr, equality, hashing, immutability,
+pickling and copying, and a cold import that loads none of dataclasses,
+inspect, json, typing, re and pathlib."""
 
 from __future__ import annotations
 
@@ -12,8 +13,17 @@ import sys
 import pytest
 
 import laddercrystal
-from laddercrystal import CrystalGraph, JMDecomposition, RegClass, RimHook, SignatureWord, VerificationReport
-from laddercrystal.crystal import SignatureEntry
+from laddercrystal import (
+    CoreResult,
+    CrystalGraph,
+    FayersWitness,
+    JMDecomposition,
+    RegClass,
+    RimHook,
+    SignatureWord,
+    VerificationReport,
+)
+from laddercrystal.crystal import ReducedWord, SignatureEntry
 
 ENTRIES = (SignatureEntry("+", (1, 2)), SignatureEntry("-", (2, 1)))
 
@@ -45,8 +55,24 @@ FROZEN = [
         "SignatureWord(entries=(SignatureEntry(sign='+', box=(1, 2)), SignatureEntry(sign='-', box=(2, 1))),"
         " order='classical')",
     ),
+    (
+        FayersWitness,
+        {"base": (1, 1), "row_mate": (1, 2), "col_mate": (2, 1)},
+        "FayersWitness(base=(1, 1), row_mate=(1, 2), col_mate=(2, 1))",
+    ),
+    (
+        CoreResult,
+        {"core": (2,), "weight": 3},
+        "CoreResult(core=(2,), weight=3)",
+    ),
+    (
+        SignatureEntry,
+        {"sign": "+", "box": (1, 2)},
+        "SignatureEntry(sign='+', box=(1, 2))",
+    ),
 ]
 IDS = [cls.__name__ for cls, _, _ in FROZEN]
+TUPLES = [spec for spec in FROZEN if issubclass(spec[0], tuple)]
 
 
 @pytest.mark.parametrize("cls, fields, text", FROZEN, ids=IDS)
@@ -69,6 +95,8 @@ def test_frozen_records_reject_assignment(cls, fields, text):
     for name in fields:
         with pytest.raises(AttributeError):
             setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        record.extra = None  # no instance __dict__
     assert repr(record) == text
 
 
@@ -100,6 +128,29 @@ def test_rim_hook_replace_and_make_take_any_box_count(count):
         RimHook._make([hook.boxes])
     with pytest.raises(ValueError):
         hook._replace(size=count)
+
+
+@pytest.mark.parametrize("cls, fields, text", TUPLES, ids=[cls.__name__ for cls, _, _ in TUPLES])
+def test_tuple_records_keep_the_namedtuple_api(cls, fields, text):
+    record = cls(**fields)
+    assert cls._fields == tuple(fields)
+    assert record._asdict() == fields
+    assert cls._make(fields.values()) == record
+    first = next(iter(fields))
+    assert record._replace(**{first: None}) == cls(**{**fields, first: None})
+    assert tuple(record) == tuple(fields.values())
+
+
+def test_reduced_word_is_a_tuple_of_two_box_lists():
+    word = ReducedWord(plus=[(1, 2)], minus=[(2, 1), (3, 1)])
+    assert repr(word) == "ReducedWord(plus=[(1, 2)], minus=[(2, 1), (3, 1)])"
+    assert word == ([(1, 2)], [(2, 1), (3, 1)]) and word._fields == ("plus", "minus")
+    with pytest.raises(AttributeError):
+        word.plus = []
+    with pytest.raises(TypeError):
+        hash(word)  # its fields are lists
+    for twin in (pickle.loads(pickle.dumps(word)), copy.deepcopy(word), copy.copy(word)):
+        assert type(twin) is ReducedWord and twin == word
 
 
 def test_signature_word_iterates_its_entries():
@@ -137,11 +188,17 @@ def test_verification_reports_never_share_failures():
 
 
 def test_importing_the_package_loads_no_dataclasses_or_inspect():
-    # A fresh interpreter: the test run itself has imported inspect.
+    # A fresh interpreter, since the test run itself has imported all of these,
+    # and -S, since site may preload some of them on some versions.
     src = os.path.dirname(os.path.dirname(os.path.abspath(laddercrystal.__file__)))
     code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import laddercrystal, laddercrystal.cli; "
-        "print(sorted(m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules))"
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "import laddercrystal; print(sorted(set(sys.argv[2].split()) & set(sys.modules))); "
+        "import laddercrystal.cli; print(sorted(set(sys.argv[3].split()) & set(sys.modules)))"
     )
-    out = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    package = "dataclasses inspect json typing re pathlib"
+    cli = "dataclasses inspect json typing pathlib"  # argparse itself imports re
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, src, package, cli], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines() == ["[]", "[]"]
