@@ -1,7 +1,10 @@
 """Crystal graph construction, isomorphism checks, theorem suites, DOT export.
 
 verify_isomorphism holds R for two levels, stepped up or down one ladder per
-move; theorem_suite grows levels by the child rule and reads ell-partitions off its JM table.
+move.  theorem_suite grows levels by the child rule and reads each class off
+its level: D(rho) as the last member of rho's fibre, and the JM,
+ell-partition and weak members, against which a string's f-steps are decided
+once their level is built.
 """
 
 from __future__ import annotations
@@ -173,53 +176,14 @@ def verify_isomorphism(ell: int, depth: int) -> VerificationReport:
     return report
 
 
-class _Members(frozenset):
-    """A finished size of a class table: its members, answering get(lam) with
-    membership, so the table reads it as it reads an open size."""
-
-    get = frozenset.__contains__
-
-
-class _ClassTable:
-    """Memoized class membership fn(lam, ell) per partition size.  A sweep owns its
-    tables.  A finished size, one the sweep has asked about every partition of, is
-    kept as its members."""
-
-    def __init__(self, fn):
-        self._fn = fn
-        self._by_size: defaultdict[int, dict | _Members] = defaultdict(dict)  # a new dict only on a miss
-
-    def __call__(self, lam: Partition, ell: int):
-        table = self._by_size[sum(lam)]
-        value = table.get(lam)
-        if value is None:
-            value = table[lam] = self._fn(lam, ell)
-        return value
-
-    def enter(self, lam: Partition, value) -> None:
-        """Record value as fn(lam, ell), for lam of a size not yet finished."""
-        self._by_size[sum(lam)][lam] = value
-
-    def finish(self, n: int) -> None:
-        """Keep size n as its members: every partition of size n has been asked
-        about, so a partition not among them is outside the class."""
-        self._by_size[n] = _Members(lam for lam, member in self._by_size.get(n, {}).items() if member)
-
-
-def _weak_table(jm_table: _ClassTable) -> _ClassTable:
-    """Weak ell-partition membership that asks *jm_table* about D(lam): D(lam)
-    has the size of lam, so its answer shares the table's level."""
-    return _ClassTable(lambda lam, ell: _is_regular(lam, ell) and jm_table(_deregularize(lam, ell), ell))
-
-
 def _string_end_checks(
     report: VerificationReport,
     lam: Partition,
     i: int,
-    ell: int,
     member: str,
-    in_class,
+    members,
     word: ReducedWord,
+    later,
 ) -> None:
     """Walk the i-string of lam to both ends, given lam's reduced i-word.
 
@@ -231,6 +195,11 @@ def _string_end_checks(
     2 <= k <= epsilon - 1.  f^(phi-1) and e^1 are not checked: they can stay
     in the class (at ell = 3, f_hat_2(2) = (3) and e_hat_2(3,1) = (3) are
     JM).
+
+    An e-step lands on a smaller size, so cur in members answers it at once.
+    An f-step lands on a larger size, so its class check is handed to later
+    as (lam, i, member, k, is_end, cur), for _end_checks to decide once the
+    class is known at |cur|.
     """
     width = len(word.plus)
     cur = lam
@@ -244,15 +213,8 @@ def _string_end_checks(
             return
         report.checks += 1
         cur = cur[: row - 1] + (col,) + cur[row:]
-        if k == width - 1:
-            continue
-        inside = in_class(cur, ell)
-        if inside == (k == width):
-            report.checks += 1
-        elif inside:
-            report.check(False, lam, i, f"not {member} after f^{k}", "inside class")
-        else:
-            report.check(False, lam, i, f"{member} after f^phi", "outside class")
+        if k != width - 1:
+            later((lam, i, member, k, k == width, cur))
     depth = len(word.minus)
     cur = lam
     for k in range(1, depth + 1):
@@ -265,13 +227,91 @@ def _string_end_checks(
         cur = cur[: row - 1] + ((col - 1,) if col > 1 else ()) + cur[row:]
         if k == 1 and depth > 1:
             continue
-        inside = in_class(cur, ell)
+        inside = cur in members
         if inside == (k == depth):
             report.checks += 1
         elif inside:
             report.check(False, lam, i, f"not {member} after e^{k}", "inside class")
         else:
             report.check(False, lam, i, f"{member} after e^epsilon", "outside class")
+
+
+def _end_checks(report: VerificationReport, checks, classes: dict) -> None:
+    """Decide the f-step checks (lam, i, member, k, is_end, cur) that
+    _string_end_checks handed on: f^k(lam) = cur must lie in classes[member]
+    exactly when it ends the string."""
+    passed = 0
+    for lam, i, member, k, is_end, cur in checks:
+        inside = cur in classes[member]
+        if inside == is_end:
+            passed += 1
+        elif inside:
+            report.check(False, lam, i, f"not {member} after f^{k}", "inside class")
+        else:
+            report.check(False, lam, i, f"{member} after f^phi", "outside class")
+    report.checks += passed
+
+
+def _check_level(report: VerificationReport, n: int, reg: dict, ell: int, classes: dict, queued: defaultdict) -> None:
+    """Run the checks of level n, given as reg: every partition of size n
+    with its regularization, in partitions_of order.
+
+    D(rho), for each ell-regular rho of size n, is read off the level: the
+    last lam with R(lam) = rho is the lex-least member of rho's ladder class,
+    and D(rho) is its dominance-least one (James), so lex-least too.  JM,
+    core and L-partition membership are decided once per pair {lam, lam'}.
+    The level's members of the three walked classes join classes, and the
+    f-step checks queued for size n are decided; then each lam is checked,
+    in order, and its f-steps are queued under the sizes they land on.
+    """
+
+    def later(check: tuple) -> None:  # check[3] is k, the boxes f^k adds
+        queued[n + check[3]].append(check)
+
+    least = {rho: lam for lam, rho in reg.items()}  # the last lam of each fibre wins: D(rho)
+    facts = []  # (R(lam'), jm, core, L-partition) of each lam, in order
+    pending = {}  # lam' -> its facts, decided at lam, until lam' comes up
+    for lam, image in reg.items():
+        fact = pending.pop(lam, None)
+        if fact is None:
+            conj = _transpose(lam)
+            answers = (_is_jm(lam, ell), _is_core(lam, ell), _is_L_partition(lam, ell))
+            fact = (reg[conj], *answers)
+            pending[conj] = (image, *answers)
+        facts.append(fact)
+    jm_n = {lam for lam, fact in zip(reg, facts) if fact[1]}
+    classes["jm"] |= jm_n
+    classes["ell-partition"].update(rho for rho in least if rho in jm_n)
+    classes["weak"].update(rho for rho, lam in least.items() if lam in jm_n)
+    _end_checks(report, queued.pop(n, ()), classes)
+    here = {rho: _mullineux_symbol(rho, ell) for rho in least}
+    for (lam, image), (mate, jm, core, balanced) in zip(reg.items(), facts):
+        node = (jm or core or balanced) and _is_ladder_node(lam, ell)
+        if node:
+            report.checks += jm + core + balanced
+        if jm:
+            if not node:
+                report.check(False, lam, None, "JM partitions are ladder nodes", "not a node")
+            for i, word in enumerate(reduced_words(lam, ell, LADDER)):
+                _string_end_checks(report, lam, i, "jm", classes["jm"], word, later)
+        if core and not node:
+            report.check(False, lam, None, "cores are ladder nodes", "not a node")
+        if balanced and not node:
+            report.check(False, lam, None, "L-partitions are ladder nodes", "not a node")
+        mull = here[image]
+        if (mull == mate) == balanced:
+            report.checks += 1
+        else:
+            expected = f"mullineux(R(lam)) == R(lam') iff L-partition ({balanced})"
+            report.check(False, lam, None, expected, _format(mull))
+        if lam in here:
+            words = None  # one classical read serves both classes
+            for name in ("ell-partition", "weak"):
+                members = classes[name]
+                if lam in members:
+                    words = words or reduced_words(lam, ell, CLASSICAL)
+                    for i, word in enumerate(words):
+                        _string_end_checks(report, lam, i, name, members, word, later)
 
 
 def theorem_suite(ell: int, nmax: int) -> VerificationReport:
@@ -281,22 +321,29 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
     every partition of size n and its regularization (lam and lam' lie in
     the same level), grown from level n - 1's, starting at {(): ()}: each
     partition lists its children (partitions._children), each image one
-    ladder step up from its parent's.  The sweep holds:
+    ladder step up from its parent's.  From the level the sweep reads:
 
-    - the Mullineux images of the ell-regular partitions of size n, keyed
-      by exactly those partitions, each read off Mullineux's symbol
-      (regular._mullineux_symbol) in O(len(rho)) per ell-rim.  The check
-      m(R(lam)) == R(lam') is one lookup, and the keys answer the sweep's
-      regularity test.
-    - JM membership, memoized per size, since the string-end checks ask
-      about the same neighbours of many partitions; finished levels keep
-      only their members.  An ell-partition is an ell-regular JM partition,
-      and a weak one an ell-regular lam with D(lam) JM, of lam's size: both
-      classes ask the JM table, and the weak one memoizes its own answers.
-    - the JM, core and L-partition answers of lam, until lam' comes up in
-      the level: the three conditions are kept under conjugation (hooks
-      stay, arm and leg swap), so each is decided once per pair {lam, lam'},
-      and the JM answer is entered in the JM table for both.
+    - D(rho) for every ell-regular rho of size n, by inverting the table:
+      D(rho) is the dominance-least member of rho's ladder class (James), so
+      also its lex-least one, and the level lists its partitions in
+      reverse-lex order, so the last lam with R(lam) = rho is D(rho).  The
+      keys are exactly the ell-regular partitions of size n.
+    - the JM, core and L-partition answers of every lam of the level,
+      decided once per pair {lam, lam'}: the three conditions are kept under
+      conjugation (hooks stay, arm and leg swap).
+    - the Mullineux images of the ell-regular partitions, each read off
+      Mullineux's symbol (regular._mullineux_symbol) in O(len(rho)) per
+      ell-rim.  The check m(R(lam)) == R(lam') is one lookup.
+    - the members of size n of the three classes whose strings are walked:
+      JM, ell-partition (ell-regular and JM) and weak (ell-regular with D
+      JM), added to one set per class that holds every finished size.
+
+    An e-step of a string walk lands on a finished size, so its check reads
+    the class's set.  An f-step lands on a larger size: its check waits in a
+    queue for that size and is decided as soon as that level's members are
+    in the sets.  Checks that land past nmax are decided at the end, each
+    distinct partition once, by the predicates (jm._is_jm,
+    partitions._is_regular, regular._deregularize), memoized for the call.
 
     Apart from those lookups a check costs what its predicate costs, with
     no argument checks: one pass over the rows per partition and model
@@ -313,50 +360,31 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
     check_ell(ell, minimum=3)
     check_count("nmax", nmax)
     report = VerificationReport(suite="crystal-theorems", ell=ell, params={"nmax": nmax})
-    jm_table = _ClassTable(_is_jm)
-    weak_table = _weak_table(jm_table)
-
-    def ell_partition(lam: Partition, ell: int) -> bool:
-        return _is_regular(lam, ell) and jm_table(lam, ell)
-
+    classes: dict[str, set[Partition]] = {"jm": set(), "ell-partition": set(), "weak": set()}  # every checked size
+    queued: defaultdict[int, list[tuple]] = defaultdict(list)  # f-step checks by the size they land on
     reg: dict[Partition, Partition] = {(): ()}
     for n in range(nmax + 1):
         if n:  # the level, in order, each image one ladder step from its parent's
             reg = {lam: _add_to_ladder(reg[mu], box, ell) for mu, lam, box in _children(reg)}
-        here = {rho: _mullineux_symbol(rho, ell) for rho in reg if _is_regular(rho, ell)}
-        pairs = {}  # lam' -> (jm, core, L-partition) of lam, until lam' comes up
-        for lam in reg:
-            conj = _transpose(lam)
-            decided = pairs.pop(lam, None)
-            if decided is None:
-                decided = pairs[conj] = (jm_table(lam, ell), _is_core(lam, ell), _is_L_partition(lam, ell))
-                jm_table.enter(conj, decided[0])
-            jm, core, balanced = decided
-            node = (jm or core or balanced) and _is_ladder_node(lam, ell)
-            if node:
-                report.checks += jm + core + balanced
-            if jm:
-                if not node:
-                    report.check(False, lam, None, "JM partitions are ladder nodes", "not a node")
-                for i, word in enumerate(reduced_words(lam, ell, LADDER)):
-                    _string_end_checks(report, lam, i, ell, "jm", jm_table, word)
-            if core and not node:
-                report.check(False, lam, None, "cores are ladder nodes", "not a node")
-            if balanced and not node:
-                report.check(False, lam, None, "L-partitions are ladder nodes", "not a node")
-            mull = here[reg[lam]]
-            if (mull == reg[conj]) == balanced:
-                report.checks += 1
-            else:
-                expected = f"mullineux(R(lam)) == R(lam') iff L-partition ({balanced})"
-                report.check(False, lam, None, expected, _format(mull))
-            if lam in here:
-                words = None  # one classical read serves both classes
-                for name, table in (("ell-partition", ell_partition), ("weak", weak_table)):
-                    if table(lam, ell):
-                        words = words or reduced_words(lam, ell, CLASSICAL)
-                        for i, word in enumerate(words):
-                            _string_end_checks(report, lam, i, ell, name, table, word)
-        jm_table.finish(n)
-        weak_table.finish(n)
+        _check_level(report, n, reg, ell, classes, queued)
+    del reg  # the checks past nmax read no level
+    decided: dict[Partition, bool] = {}  # JM past nmax, each partition decided once
+
+    def is_jm(lam: Partition) -> bool:
+        answer = decided.get(lam)
+        if answer is None:
+            answer = decided[lam] = _is_jm(lam, ell)
+        return answer
+
+    decide = {
+        "jm": is_jm,
+        "ell-partition": lambda lam: _is_regular(lam, ell) and is_jm(lam),
+        "weak": lambda lam: _is_regular(lam, ell) and is_jm(_deregularize(lam, ell)),
+    }
+    for size in sorted(queued):
+        checks = queued[size]
+        for member, cur in {(check[2], check[5]) for check in checks}:
+            if decide[member](cur):
+                classes[member].add(cur)
+        _end_checks(report, checks, classes)
     return report

@@ -3,7 +3,9 @@ ladder crystal, the hook rules for ladder nodes and L-partitions, the
 blocking table scanned column by column, the ell-rim walked box by box with
 the Mullineux symbol it gives, and the Mullineux map as the crystal defines
 it, peeled by whole strings of the largest live residue; the string-end
-checks with one report.check per check; and large JM partitions with their
+checks with one report.check per check, the sweep's walk with its f-steps
+decided at once, and the theorem suite over every partition with one
+report.check per check; and large JM partitions with their
 one-box neighbours, for the oracles to check; ladder counts and
 regularization box by box and ladder by ladder, and the conjugate box by
 box; JM composition through two full transposes, and deregularization from
@@ -28,8 +30,17 @@ from laddercrystal.partitions import (
     removable_corners,
     transpose,
 )
-from laddercrystal.regular import _assemble, _blocking, deregularize
+from laddercrystal.regular import (
+    _assemble,
+    _blocking,
+    deregularize,
+    is_L_partition,
+    is_ladder_node,
+    mullineux,
+    regularize,
+)
 from laddercrystal.rimhooks import is_core
+from laddercrystal.strings import format_partition
 
 
 def regular_counts(ell: int, nmax: int) -> list[int]:
@@ -135,6 +146,64 @@ def string_end_checks_by_records(
             report.check(in_class(cur, ell), lam, i, f"{member} after e^epsilon", "outside class")
         elif k > 1:
             report.check(not in_class(cur, ell), lam, i, f"not {member} after e^{k}", "inside class")
+
+
+def string_end_checks_at_once(
+    report: graph.VerificationReport,
+    lam: Partition,
+    i: int,
+    ell: int,
+    member: str,
+    in_class,
+    word: ReducedWord,
+) -> None:
+    """graph._string_end_checks with in_class(cur, ell) answering every step,
+    each f-step check decided as soon as the walk hands it on: the sweep's
+    count and records, in the order of string_end_checks_by_records."""
+
+    class Members:
+        def __contains__(self, cur):
+            return in_class(cur, ell)
+
+    members = Members()
+
+    def at_once(check):
+        graph._end_checks(report, [check], {member: members})
+
+    graph._string_end_checks(report, lam, i, member, members, word, at_once)
+
+
+def theorem_suite_by_records(ell: int, nmax: int, is_jm) -> graph.VerificationReport:
+    """graph.theorem_suite partition by partition, with one report.check per
+    check, the public predicates and JM membership asked of is_jm(lam, ell):
+    an oracle for the suite's count and failure records, as a multiset."""
+    report = graph.VerificationReport(suite="crystal-theorems", ell=ell, params={"nmax": nmax})
+
+    def ell_partition(lam, ell):
+        return is_regular(lam, ell) and is_jm(lam, ell)
+
+    def weak(lam, ell):
+        return is_regular(lam, ell) and is_jm(deregularize(lam, ell), ell)
+
+    for n in range(nmax + 1):
+        for lam in all_partitions(n):
+            jm, core, balanced = is_jm(lam, ell), is_core(lam, ell), is_L_partition(lam, ell)
+            node = is_ladder_node(lam, ell)
+            for member, noun in ((jm, "JM partitions"), (core, "cores"), (balanced, "L-partitions")):
+                if member:
+                    report.check(node, lam, None, f"{noun} are ladder nodes", "not a node")
+            if jm:
+                for i, word in enumerate(reduced_words(lam, ell, LADDER)):
+                    string_end_checks_by_records(report, lam, i, ell, "jm", is_jm, word)
+            mull = mullineux(regularize(lam, ell), ell)
+            expected = f"mullineux(R(lam)) == R(lam') iff L-partition ({balanced})"
+            agrees = mull == regularize(transpose(lam), ell)
+            report.check(agrees == balanced, lam, None, expected, format_partition(mull))
+            for member, in_class in (("ell-partition", ell_partition), ("weak", weak)):
+                if in_class(lam, ell):
+                    for i, word in enumerate(reduced_words(lam, ell, CLASSICAL)):
+                        string_end_checks_by_records(report, lam, i, ell, member, in_class, word)
+    return report
 
 
 def ladder_tally_by_boxes(lam: Partition, ell: int) -> list[int]:

@@ -27,15 +27,12 @@ from laddercrystal.crystal import (
 from laddercrystal.graph import (
     CrystalGraph,
     VerificationReport,
-    _ClassTable,
-    _string_end_checks,
-    _weak_table,
     build_crystal,
     export_dot,
     theorem_suite,
     verify_isomorphism,
 )
-from laddercrystal.jm import _is_jm, fayers_witness, is_jm
+from laddercrystal.jm import _is_jm, fayers_witness, is_ell_partition, is_jm
 from laddercrystal.partitions import (
     _hook_grid,
     all_partitions,
@@ -63,7 +60,9 @@ from helpers import (
     large_jm_partitions,
     one_box_away,
     regular_counts,
+    string_end_checks_at_once,
     string_end_checks_by_records,
+    theorem_suite_by_records,
     verify_isomorphism_by_graph,
 )
 
@@ -493,7 +492,7 @@ def test_string_end_checks_skip_steps_that_can_stay_in_class():
     assert ladder_epsilon((3, 1), 2, 3) == 2 and e_hat((3, 1), 2, 3) == (3,)
     for lam in ((2,), (3, 1)):
         report = VerificationReport(suite="demo", ell=3, params={})
-        _string_end_checks(report, lam, 2, 3, "jm", is_jm, reduced_word(lam, 2, 3, LADDER))
+        string_end_checks_at_once(report, lam, 2, 3, "jm", is_jm, reduced_word(lam, 2, 3, LADDER))
         # both steps checked defined and the end checked in the class; step 1 unchecked
         assert report.checks == 3
         assert report.passed
@@ -514,7 +513,7 @@ def test_string_end_checks_skip_steps_that_can_stay_in_class():
 )
 def test_string_end_checks_record_a_corrupted_word(lam, word, expected):
     report = VerificationReport(suite="demo", ell=3, params={})
-    _string_end_checks(report, lam, 2, 3, "jm", is_jm, word)
+    string_end_checks_at_once(report, lam, 2, 3, "jm", is_jm, word)
     assert not report.passed
     assert [f["expected"] for f in report.failures] == [expected]
     oracle = VerificationReport(suite="demo", ell=3, params={})
@@ -525,7 +524,8 @@ def test_string_end_checks_record_a_corrupted_word(lam, word, expected):
 @pytest.mark.parametrize("ell", [3, 4])
 def test_string_end_checks_match_the_record_per_check_oracle(ell):
     # passing checks are counted, and only a failed one builds its record:
-    # the count and the records, in order, are those of one report.check per
+    # with each f-step check decided as soon as the walk hands it on, the
+    # count and the records, in order, are those of one report.check per
     # check, for the class itself and for predicates that fail every kind of check
     classes = {"jm": _is_jm, "everything": lambda lam, ell: True, "nothing": lambda lam, ell: False}
     failed = dict.fromkeys(classes, 0)
@@ -538,7 +538,7 @@ def test_string_end_checks_match_the_record_per_check_oracle(ell):
                     for member, in_class in classes.items():
                         report = VerificationReport(suite="demo", ell=ell, params={})
                         oracle = VerificationReport(suite="demo", ell=ell, params={})
-                        _string_end_checks(report, lam, i, ell, member, in_class, word)
+                        string_end_checks_at_once(report, lam, i, ell, member, in_class, word)
                         string_end_checks_by_records(oracle, lam, i, ell, member, in_class, word)
                         assert report == oracle, (lam, model, i, member)
                         failed[member] += len(report.failures)
@@ -623,64 +623,32 @@ def test_theorem_suite_builds_no_hook_grid(monkeypatch):
 
 
 @pytest.mark.parametrize("ell", [3, 4])
-def test_weak_membership_through_the_jm_table(ell):
-    # the sweep's weak table answers from its JM table, at the size of lam,
-    # while the size is open and from the members it keeps once finished
-    jm_table = _ClassTable(_is_jm)
-    weak_table = _weak_table(jm_table)
-    for n in range(17):
-        weak = {}
+def test_theorem_suite_keeps_the_members_of_each_checked_level(monkeypatch, ell):
+    # once level n is checked, the sets that the e-steps read and the queued
+    # f-steps of size n are decided against hold exactly the JM,
+    # ell-partition and weak members of sizes 0..n, as the public predicates
+    # decide them (the weak class is the ell-regular lam with D(lam) JM)
+    expected = {"jm": set(), "ell-partition": set(), "weak": set()}
+    checked = []
+    check_level = graph._check_level
+
+    def recorded(report, n, reg, ell, classes, queued):
+        check_level(report, n, reg, ell, classes, queued)
         for lam in all_partitions(n):
+            if is_jm(lam, ell):
+                expected["jm"].add(lam)
             if is_regular(lam, ell):
-                weak[lam] = weak_table(lam, ell)
-                assert weak[lam] == is_weak_ell_partition(lam, ell), lam
-                assert jm_table._by_size[n][deregularize(lam, ell)] == weak[lam]
-        jm_table.finish(n)
-        weak_table.finish(n)
-        for lam, answer in weak.items():
-            assert (deregularize(lam, ell) in jm_table._by_size[n]) == answer
-            assert (lam in weak_table._by_size[n]) == answer
-            assert weak_table(lam, ell) == answer
+                if is_ell_partition(lam, ell):
+                    expected["ell-partition"].add(lam)
+                if is_weak_ell_partition(lam, ell):
+                    expected["weak"].add(lam)
+        assert classes == expected, n
+        checked.append(n)
 
-
-@pytest.mark.parametrize("ell", [3, 4])
-def test_theorem_suite_keeps_finished_levels_as_members(monkeypatch, ell):
-    # once level n is done, each of the two class tables, JM and weak,
-    # keeps exactly the members of size n, answers for every partition of
-    # size n as its predicate does (non-regular partitions are never weak),
-    # and never asks its predicate about size n again
-    tables = []
-
-    class Recorded(_ClassTable):
-        def __init__(self, fn):
-            self.predicate, self.finished = fn, set()
-            super().__init__(self.asked)
-            tables.append(self)
-
-        def asked(self, lam, ell):
-            assert sum(lam) not in self.finished, lam
-            return self.predicate(lam, ell)
-
-        def finish(self, n):
-            super().finish(n)
-            self.finished.add(n)
-
-    monkeypatch.setattr(graph, "_ClassTable", Recorded)
+    monkeypatch.setattr(graph, "_check_level", recorded)
     assert theorem_suite(ell, 14).passed
-    by_predicate = {table.predicate: table for table in tables}
-    jm_table = by_predicate.pop(_is_jm)
-    [weak_table] = by_predicate.values()
-    classes = (
-        (jm_table, _is_jm),
-        (weak_table, lambda lam, ell: is_regular(lam, ell) and is_weak_ell_partition(lam, ell)),
-    )
-    for table, predicate in classes:
-        assert table.finished == set(range(15))
-        for n in range(15):
-            members = {lam for lam in all_partitions(n) if predicate(lam, ell)}
-            assert table._by_size[n] == members
-            for lam in all_partitions(n):
-                assert table(lam, ell) == (lam in members), lam
+    assert checked == list(range(15))
+    assert all(expected.values())
 
 
 @pytest.mark.parametrize("ell", [3, 4, 5, 6, 7])
@@ -704,14 +672,15 @@ def test_sweep_predicates_agree_on_conjugates(ell):
 
 
 def test_theorem_suite_decides_each_conjugate_pair_once(monkeypatch):
-    # core and L-partition membership are decided once per pair {lam, lam'}
-    # of a level: 740 calls each, where one per partition made 1,423.  JM
-    # membership, also asked by the string walks, is decided 1,159 times: 1,260
-    # without the pair's answer entered for lam', and 1,902 when each level
-    # was decided per partition and dropped, so the walks asked again below it.
-    # The ell-partition walks ask the JM table too: a table of their own
-    # decided 837 more times beside 1,145 JM decisions
+    # JM, core and L-partition membership are decided once per pair
+    # {lam, lam'} of a level: 740 calls each, where one per partition made
+    # 1,423.  Up to nmax the string walks and the ell-partition and weak
+    # classes read the levels' members, and D is read off each level, so
+    # only the f-steps past nmax decide more: 215 JM partitions and 209
+    # deregularizations, each distinct partition once.  JM tables asked by
+    # the walks made 1,159 JM decisions and 953 deregularizations.
     calls = {"core": 0, "L": 0, "jm": 0}
+    deregularized = []
 
     def counted(name, predicate):
         def count(lam, ell):
@@ -720,15 +689,45 @@ def test_theorem_suite_decides_each_conjugate_pair_once(monkeypatch):
 
         return count
 
+    def spied(lam, ell):
+        deregularized.append(sum(lam))
+        return deregularize(lam, ell)
+
     monkeypatch.setattr(graph, "_is_core", counted("core", _is_core))
     monkeypatch.setattr(graph, "_is_L_partition", counted("L", _is_L_partition))
     monkeypatch.setattr(graph, "_is_jm", counted("jm", _is_jm))
-    assert theorem_suite(3, 16).checks == 6197
-    assert theorem_suite(4, 14).checks == 4685
-    levels = [n for top in (16, 14) for n in range(top + 1)]
+    monkeypatch.setattr(graph, "_deregularize", spied)
+    levels = []
+    for ell, nmax, checks in ((3, 16, 6197), (4, 14, 4685)):
+        start = len(deregularized)
+        assert theorem_suite(ell, nmax).checks == checks
+        assert min(deregularized[start:]) > nmax
+        levels += range(nmax + 1)
     pairs = sum(len({min(lam, transpose(lam)) for lam in all_partitions(n)}) for n in levels)
-    assert calls == {"core": pairs, "L": pairs, "jm": 1159}
+    assert calls == {"core": pairs, "L": pairs, "jm": pairs + 215}
     assert pairs == 740
+    assert len(deregularized) == 209
+
+
+@pytest.mark.parametrize("wrong,checks,failures", [(7, 1468, 122), (12, 1470, 41)])
+def test_theorem_suite_failure_records_match_the_record_per_check_sweep(monkeypatch, wrong, checks, failures):
+    # a JM test that is wrong on one size, inside nmax (7) or past it (12),
+    # reached only by f-steps: the count and the failure records are those
+    # of a sweep with one report.check per check and the public predicates.
+    # The f-step checks are decided once their size is known, so only their
+    # records may come in another order
+    monkeypatch.setattr(graph, "_is_jm", lambda lam, ell: _is_jm(lam, ell) != (sum(lam) == wrong))
+    report = theorem_suite(3, 10)
+    oracle = theorem_suite_by_records(3, 10, lambda lam, ell: is_jm(lam, ell) != (sum(lam) == wrong))
+    assert (report.checks, len(report.failures)) == (checks, failures)
+    assert report.checks == oracle.checks
+    records = [tuple(failure.values()) for failure in report.failures]
+    assert Counter(records) == Counter(tuple(failure.values()) for failure in oracle.failures)
+
+    def in_order(report):
+        return [failure for failure in report.failures if " after f^" not in failure["expected"]]
+
+    assert in_order(report) == in_order(oracle)
 
 
 def test_report_schema_and_failure_path():

@@ -18,6 +18,7 @@ from laddercrystal.partitions import (
     boxes,
     check_partition,
     dominance_compare,
+    _children,
     is_regular,
     ladder_index,
     ladder_positions,
@@ -508,6 +509,23 @@ def test_extremes_of_each_class(ell):
             for member in cls.members:
                 assert dominance_compare(top, member) in (GREATER, EQUAL)
                 assert dominance_compare(bottom, member) in (LESS, EQUAL)
+
+
+@pytest.mark.parametrize("ell,nmax", [(2, 19), (3, 22), (4, 22), (5, 22), (6, 22), (7, 22)])
+def test_deregularization_is_the_last_member_of_each_fibre(ell, nmax):
+    # theorem_suite reads D off its levels: grown by the child rule, a level
+    # lists the partitions of n in reverse-lex order with their R, and the
+    # last lam with R(lam) = rho is D(rho), since D(rho) is the
+    # dominance-least, so lex-least, member of the class; the fibres are
+    # exactly the ell-regular partitions of n
+    reg = {(): ()}
+    for n in range(nmax + 1):
+        if n:
+            reg = {lam: _add_to_ladder(reg[mu], box, ell) for mu, lam, box in _children(reg)}
+        least = {rho: lam for lam, rho in reg.items()}
+        assert set(least) == {lam for lam in reg if is_regular(lam, ell)}, n
+        for rho, lam in least.items():
+            assert lam == _deregularize(rho, ell), rho
 
 
 @pytest.mark.parametrize("ell", [3, 4])
