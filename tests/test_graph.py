@@ -623,11 +623,36 @@ def test_theorem_suite_builds_no_hook_grid(monkeypatch):
 
 
 @pytest.mark.parametrize("ell", [3, 4])
-def test_theorem_suite_keeps_the_members_of_each_checked_level(monkeypatch, ell):
+def test_weak_membership_through_the_jm_table(monkeypatch, ell):
+    # once level n is checked, its weak members are read from the JM members
+    # of the same size: an ell-regular lam of size n is weak exactly when
+    # D(lam) is in the JM set, as is_weak_ell_partition decides it
+    checked = []
+    check_level = graph._check_level
+
+    def recorded(report, n, reg, ell, classes, queued):
+        check_level(report, n, reg, ell, classes, queued)
+        for lam in all_partitions(n):
+            if is_regular(lam, ell):
+                weak = lam in classes["weak"]
+                assert weak == (deregularize(lam, ell) in classes["jm"]), lam
+                assert weak == is_weak_ell_partition(lam, ell), lam
+            else:
+                assert lam not in classes["weak"], lam
+        checked.append(n)
+
+    monkeypatch.setattr(graph, "_check_level", recorded)
+    assert theorem_suite(ell, 14).passed
+    assert checked == list(range(15))
+
+
+@pytest.mark.parametrize("ell", [3, 4])
+def test_theorem_suite_keeps_finished_levels_as_members(monkeypatch, ell):
     # once level n is checked, the sets that the e-steps read and the queued
     # f-steps of size n are decided against hold exactly the JM,
     # ell-partition and weak members of sizes 0..n, as the public predicates
-    # decide them (the weak class is the ell-regular lam with D(lam) JM)
+    # decide them (the weak class is the ell-regular lam with D(lam) JM),
+    # and the JM predicate is never asked about a finished size again
     expected = {"jm": set(), "ell-partition": set(), "weak": set()}
     checked = []
     check_level = graph._check_level
@@ -645,7 +670,12 @@ def test_theorem_suite_keeps_the_members_of_each_checked_level(monkeypatch, ell)
         assert classes == expected, n
         checked.append(n)
 
+    def asked(lam, ell):
+        assert sum(lam) not in checked, lam
+        return _is_jm(lam, ell)
+
     monkeypatch.setattr(graph, "_check_level", recorded)
+    monkeypatch.setattr(graph, "_is_jm", asked)
     assert theorem_suite(ell, 14).passed
     assert checked == list(range(15))
     assert all(expected.values())
