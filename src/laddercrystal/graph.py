@@ -2,9 +2,10 @@
 
 verify_isomorphism holds R for two levels, stepped up or down one ladder per
 move.  theorem_suite grows levels by the child rule and reads each class off
-its level: D(rho) as the last member of rho's fibre, and the JM,
-ell-partition and weak members, against which a string's f-steps are decided
-once their level is built.
+its level: D(rho) as the last member of rho's fibre, so the ladder nodes are
+the fibre-last members; the Mullineux images, one symbol read per pair
+{rho, m(rho)}; and the JM, ell-partition and weak members, against which a
+string's f-steps are decided once their level is built.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from .partitions import Partition, _children, _is_regular, _transpose, check_cou
 from .rimhooks import _is_core
 from .crystal import CLASSICAL, LADDER, ReducedWord, apply_e, apply_f, check_model, reduced_words
 from .jm import _is_jm
-from .regular import _add_to_ladder, _deregularize, _is_L_partition, _is_ladder_node
-from .regular import _mullineux_symbol, _remove_from_ladder
+from .regular import _add_to_ladder, _deregularize, _is_L_partition, _mullineux_symbol, _remove_from_ladder
 from .strings import _format
 
 Edge = tuple[Partition, Partition, int]
@@ -258,8 +258,11 @@ def _check_level(report: VerificationReport, n: int, reg: dict, ell: int, classe
 
     D(rho), for each ell-regular rho of size n, is read off the level: the
     last lam with R(lam) = rho is the lex-least member of rho's ladder class,
-    and D(rho) is its dominance-least one (James), so lex-least too.  JM,
-    core and L-partition membership are decided once per pair {lam, lam'}.
+    and D(rho) is its dominance-least one (James), so lex-least too.  The
+    ladder nodes of the level are the D(rho), so lam is a node exactly when
+    it is the last member of its fibre.  JM, core and L-partition membership
+    are decided once per pair {lam, lam'}, and Mullineux's symbol is read
+    once per pair {rho, m(rho)}: m is an involution (Mullineux).
     The level's members of the three walked classes join classes, and the
     f-step checks queued for size n are decided; then each lam is checked,
     in order, and its f-steps are queued under the sizes they land on.
@@ -284,9 +287,13 @@ def _check_level(report: VerificationReport, n: int, reg: dict, ell: int, classe
     classes["ell-partition"].update(rho for rho in least if rho in jm_n)
     classes["weak"].update(rho for rho, lam in least.items() if lam in jm_n)
     _end_checks(report, queued.pop(n, ()), classes)
-    here = {rho: _mullineux_symbol(rho, ell) for rho in least}
+    here: dict[Partition, Partition] = {}  # m(m(rho)) = rho (Mullineux): one read files both images
+    for rho in least:
+        if rho not in here:
+            here[rho] = mull = _mullineux_symbol(rho, ell)
+            here.setdefault(mull, rho)  # no partner overwrites an image read at its own key
     for (lam, image), (mate, jm, core, balanced) in zip(reg.items(), facts):
-        node = (jm or core or balanced) and _is_ladder_node(lam, ell)
+        node = least[image] is lam  # the ladder nodes are the D(rho)
         if node:
             report.checks += jm + core + balanced
         if jm:
@@ -327,13 +334,17 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
       D(rho) is the dominance-least member of rho's ladder class (James), so
       also its lex-least one, and the level lists its partitions in
       reverse-lex order, so the last lam with R(lam) = rho is D(rho).  The
-      keys are exactly the ell-regular partitions of size n.
+      keys are exactly the ell-regular partitions of size n.  The ladder
+      nodes of size n are these D(rho), so lam is a node exactly when it is
+      the last member of its fibre: one lookup, with no lock test.
     - the JM, core and L-partition answers of every lam of the level,
       decided once per pair {lam, lam'}: the three conditions are kept under
       conjugation (hooks stay, arm and leg swap).
-    - the Mullineux images of the ell-regular partitions, each read off
+    - the Mullineux images of the ell-regular partitions, read off
       Mullineux's symbol (regular._mullineux_symbol) in O(len(rho)) per
-      ell-rim.  The check m(R(lam)) == R(lam') is one lookup.
+      ell-rim, once per pair {rho, m(rho)}: m is an involution (Mullineux),
+      so one read gives both images.  The check m(R(lam)) == R(lam') is one
+      lookup.
     - the members of size n of the three classes whose strings are walked:
       JM, ell-partition (ell-regular and JM) and weak (ell-regular with D
       JM), added to one set per class that holds every finished size.
@@ -348,14 +359,12 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
     Apart from those lookups a check costs what its predicate costs, with
     no argument checks: one pass over the rows per partition and model
     gives every residue's reduced word, each i-string is walked from that
-    word one box per step, cores are read off the abacus, the ladder node
-    test (made at most once) reads the blocking table up to the first row
-    that is not locked, JM membership reads each runner's highest bead and
-    lowest gap, and the L-partition check reads the beads
-    once, testing each against the nearby gaps of its runner.  No check
-    builds a hook grid.  A passing check is counted; only a failed one
-    builds its record and text.  No table outlives the call, and no
-    process-wide cache is read or filled.
+    word one box per step, cores are read off the abacus, JM membership
+    reads each runner's highest bead and lowest gap, and the L-partition
+    check reads the beads once, testing each against the nearby gaps of its
+    runner.  No check builds a hook grid.  A passing check is counted; only
+    a failed one builds its record and text.  No table outlives the call,
+    and no process-wide cache is read or filled.
     """
     check_ell(ell, minimum=3)
     check_count("nmax", nmax)

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from laddercrystal import crystal, graph
+from laddercrystal import crystal, graph, regular
 from laddercrystal.cli import _cores
 from laddercrystal.crystal import (
     CLASSICAL,
@@ -35,6 +35,8 @@ from laddercrystal.graph import (
 from laddercrystal.jm import _is_jm, fayers_witness, is_ell_partition, is_jm
 from laddercrystal.partitions import (
     _hook_grid,
+    add_box,
+    addable_corners,
     all_partitions,
     is_regular,
     ladder_index,
@@ -46,6 +48,7 @@ from laddercrystal.partitions import (
 from laddercrystal.regular import (
     _add_to_ladder,
     _is_L_partition,
+    _mullineux_symbol,
     _regularize,
     _remove_from_ladder,
     deregularize,
@@ -737,6 +740,111 @@ def test_theorem_suite_decides_each_conjugate_pair_once(monkeypatch):
     assert calls == {"core": pairs, "L": pairs, "jm": pairs + 215}
     assert pairs == 740
     assert len(deregularized) == 209
+
+
+def test_theorem_suite_reads_each_mullineux_pair_once_and_makes_no_lock_test(monkeypatch):
+    # a ladder node is the last member of its fibre, so the sweep makes no
+    # lock-prefix test (563 when it did); m is an involution, so Mullineux's
+    # symbol is read once per pair {rho, m(rho)}: 402 reads, where one per
+    # ell-regular partition made 744
+    assert not hasattr(graph, "_is_ladder_node")
+    locks = 0
+    read = []
+    lock_test = regular._is_ladder_node
+
+    def counted(lam, ell):
+        nonlocal locks
+        locks += 1
+        return lock_test(lam, ell)
+
+    def spied(rho, ell):
+        read.append(rho)
+        return _mullineux_symbol(rho, ell)
+
+    monkeypatch.setattr(regular, "_is_ladder_node", counted)
+    monkeypatch.setattr(graph, "_mullineux_symbol", spied)
+    regulars = 0
+    for ell, nmax, checks in ((3, 16, 6197), (4, 14, 4685)):
+        start = len(read)
+        assert theorem_suite(ell, nmax).checks == checks
+        pairs = [frozenset((rho, _mullineux_symbol(rho, ell))) for rho in read[start:]]
+        members = [rho for n in range(nmax + 1) for rho in all_partitions(n) if is_regular(rho, ell)]
+        assert len(set(pairs)) == len(pairs)
+        assert set().union(*pairs) == set(members)
+        regulars += len(members)
+    assert locks == 0
+    assert (len(read), regulars) == (402, 744)
+
+
+def test_theorem_suite_reports_a_wrong_mullineux_image(monkeypatch):
+    # a symbol read is filed under its own key, and fills its partner's
+    # entry only while that is empty, so a wrong or non-involutive image of
+    # a partition the sweep reads fails every check that a sweep reading
+    # each image would fail (the record-per-check sweep, given the same
+    # wrong map).  A partition whose image is filed from its partner's read
+    # is not asked.
+    ell, nmax = 3, 7
+    read = []
+
+    def spied(rho, ell):
+        read.append(rho)
+        return _mullineux_symbol(rho, ell)
+
+    monkeypatch.setattr(graph, "_mullineux_symbol", spied)
+    assert theorem_suite(ell, nmax).passed
+    caught = 0
+    for rho in read:
+        if sum(rho) < 5:
+            continue
+        image = _mullineux_symbol(rho, ell)
+        others = [sigma for sigma in all_partitions(sum(rho)) if is_regular(sigma, ell) and sigma not in (rho, image)]
+        for wrong in ([rho] if rho != image else []) + others[:1]:
+
+            def symbol(mu, ell, rho=rho, wrong=wrong):
+                return wrong if mu == rho else _mullineux_symbol(mu, ell)
+
+            monkeypatch.setattr(graph, "_mullineux_symbol", symbol)
+            monkeypatch.setattr(helpers, "mullineux", symbol)
+            report = theorem_suite(ell, nmax)
+            oracle = theorem_suite_by_records(ell, nmax, is_jm)
+            assert report.checks == oracle.checks
+            records = Counter(tuple(failure.values()) for failure in report.failures)
+            expected = Counter(tuple(failure.values()) for failure in oracle.failures)
+            assert not expected - records, (rho, wrong)
+            caught += bool(expected)
+    assert caught == 20
+
+
+def test_theorem_suite_decides_past_nmax_classes_on_regular_partitions_only(monkeypatch):
+    # a classical f-step keeps a partition ell-regular, so only a corrupted
+    # word lands past nmax on a partition that is JM and not ell-regular:
+    # there the ell-partition and weak decisions must say "outside class"
+    # (JM alone says inside, and so does D, which fixes the partition)
+    ell, nmax = 3, 8
+    found = [
+        (lam, box)
+        for lam in all_partitions(nmax)
+        if is_ell_partition(lam, ell) and is_weak_ell_partition(lam, ell)
+        for box in addable_corners(lam)
+        if is_jm(cur := add_box(lam, box), ell) and not is_regular(cur, ell)
+    ]
+    assert found == [((4, 2, 1, 1), (5, 1))]
+    lam, box = found[0]
+    i = residue(box, ell)
+    words = graph.reduced_words
+
+    def corrupted(mu, ell, model):
+        found_words = words(mu, ell, model)
+        if mu == lam and model == CLASSICAL:
+            found_words[i] = ReducedWord([box], found_words[i].minus)
+        return found_words
+
+    monkeypatch.setattr(graph, "reduced_words", corrupted)
+    report = theorem_suite(ell, nmax)
+    assert report.failures == [
+        {"input": "4,2,1,1", "residue": i, "expected": f"{member} after f^phi", "actual": "outside class"}
+        for member in ("ell-partition", "weak")
+    ]
 
 
 @pytest.mark.parametrize("wrong,checks,failures", [(7, 1468, 122), (12, 1470, 41)])

@@ -53,6 +53,7 @@ from laddercrystal.regular import (
     _regularize,
     _remove_from_ladder,
     _mullineux,
+    _mullineux_symbol,
     _peel_rims,
     reg_class,
     regularize,
@@ -517,7 +518,8 @@ def test_deregularization_is_the_last_member_of_each_fibre(ell, nmax):
     # lists the partitions of n in reverse-lex order with their R, and the
     # last lam with R(lam) = rho is D(rho), since D(rho) is the
     # dominance-least, so lex-least, member of the class; the fibres are
-    # exactly the ell-regular partitions of n
+    # exactly the ell-regular partitions of n.  The ladder nodes are the
+    # D(rho), so the sweep decides a node as least[R(lam)] is lam
     reg = {(): ()}
     for n in range(nmax + 1):
         if n:
@@ -526,6 +528,8 @@ def test_deregularization_is_the_last_member_of_each_fibre(ell, nmax):
         assert set(least) == {lam for lam in reg if is_regular(lam, ell)}, n
         for rho, lam in least.items():
             assert lam == _deregularize(rho, ell), rho
+        for lam, image in reg.items():
+            assert (least[image] is lam) == is_ladder_node(lam, ell), lam
 
 
 @pytest.mark.parametrize("ell", [3, 4])
@@ -773,6 +777,16 @@ def test_mullineux_symbol_golden():
     assert mullineux_image_symbol((3, 2, 1), 3) == [(4, 2), (2, 1)]
     assert mullineux_symbol((5, 1), 3) == [(4, 2), (2, 1)]
     assert mullineux_symbol((), 3) == []
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5, 6, 7])
+def test_mullineux_symbol_kernel_is_an_involution(ell):
+    # theorem_suite reads the symbol once per pair {rho, m(rho)} and files
+    # rho as the image of m(rho)
+    for rho in _regular_partitions(ell, 18):
+        image = _mullineux_symbol(rho, ell)
+        assert size(image) == size(rho) and is_regular(image, ell), rho
+        assert _mullineux_symbol(image, ell) == rho, rho
 
 
 @pytest.mark.parametrize("ell", [3, 4])
