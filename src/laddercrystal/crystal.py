@@ -7,19 +7,23 @@ classical word runs bottom-left to top-right; the ladder word runs ladder
 by ladder, top-to-bottom within each ladder.  One pass over the rows, from
 the bottom up, reads the words of every residue at once: a row's removable
 box has the residue of its last box and its addable box the next one, so
-each row feeds at most two words, with entries (ladder, row, col, plus).
-The classical words are already in reading order; sorting a ladder word
-puts it in order by (ladder, row).  One cancel loop, over a list of
-words, sorts each first in the ladder model and then reduces it.
-``reduced_words`` gives all ell reduced words of a partition from that
-pass, and ``reduced_word`` sorts and cancels only the word of its residue.
-epsilon, phi, the good box and the cogood box are all read from a reduced
-word, and ``apply_e`` / ``apply_f`` remove the good box or add the cogood
-one with one tuple splice.  Removing the good box turns its "-" into a "+"
-in place and leaves the rest of the word as it was, so the next good box
-is the next minus box (and the next cogood box the plus box before the
-last): a walk along an i-string edits the partition box by box from its
-first word, reading no further word.
+each row feeds at most two words.  That pass meets the boxes in the
+classical order, so it reduces each classical word as it reads: a
+removable box goes onto its residue's minus list, and an addable box pops
+that list or joins the plus list, with no entry record, sort or second
+loop.  In the ladder model the pass records entries (ladder, row, box,
+plus); sorting a word puts it in order by (ladder, row), and the same
+stack rule then reduces it.  ``reduced_words`` gives all ell reduced words
+in O(len(lam) + ell).  A read of one residue, behind every single-residue
+function, records only that residue's entries, so ``reduced_word`` sorts
+(in the ladder model) and reduces one word, in O(len(lam)) time and memory
+at any ell.  epsilon, phi, the good box and the cogood box are all read
+from a reduced word, and ``apply_e`` / ``apply_f`` remove the good box or
+add the cogood one with one tuple splice.  Removing the good box turns its
+"-" into a "+" in place and leaves the rest of the word as it was, so the
+next good box is the next minus box (and the next cogood box the plus box
+before the last): a walk along an i-string edits the partition box by box
+from its first word, reading no further word.
 
 The kernel checks nothing: the public operators check the partition, the
 modulus and the residue once per call, and the graph sweeps check their
@@ -111,72 +115,103 @@ def _checked(lam, i: int, ell: int) -> Partition:
     return check_partition(lam)
 
 
-def _signatures(lam: Partition, ell: int) -> list[list[tuple]]:
-    """lam's i-signature entries for every residue i, in classical order.
+def _read(lam: Partition, i: int | None, ell: int, model: str) -> list:
+    """lam's signature words of residue i, or of every residue when i is
+    None, from one pass over its rows; every word read passes here.
 
-    Entry lists are indexed by residue; an entry is (ladder, row, col,
-    plus), with plus True for the addable box (row, col) and False for the
-    removable one.  The rows are read once, from the bottom up, which is
-    the classical order; row r's removable box (r, lam_r) has the residue
-    lam_r - r of its last box, and its addable box (r, lam_r + 1) the next
-    residue (the first box of the empty row below the diagram is always
-    addable).  Sorting a list gives the ladder order, by (ladder, row),
-    which no two boxes share.
+    The rows are read once, from the bottom up, which is the classical
+    order.  Row r's removable box (r, lam_r) has the residue lam_r - r of
+    its last box, and its addable box (r, lam_r + 1) the next residue (the
+    first box of the empty row below the diagram is always addable), so
+    each row feeds at most two words.
+
+    A classical read of every residue reduces each word as the rows arrive
+    and returns ell ReducedWords: a removable box goes onto its residue's
+    minus list, and an addable box pops that list or joins the plus list.
+    Every other read returns the entry lists, in the classical order: an
+    entry is (ladder, row, box, plus), with plus True for the addable box
+    and False for the removable one, so sorting a list gives the ladder
+    order, by (ladder, row), which no two boxes share.  A read of residue i
+    keeps one list: residue c goes to slot (c - i) mod ell, and only slot 0
+    is kept, so the read holds O(len(lam)) at any ell.
     """
-    words: list[list[tuple]] = [[] for _ in range(ell)]
-    step = ell - 1
     rows = lam + (0,)
     below = 0
     row = len(rows)
+    if i is None and model == CLASSICAL:
+        words = [_new_tuple(ReducedWord, ([], [])) for _ in range(ell)]  # skips namedtuple's Python-level __new__
+        for part in reversed(rows):
+            last = (part - row) % ell
+            if part > below:
+                words[last][1].append((row, part))
+            if row == 1 or rows[row - 2] > part:
+                plus, minus = words[(last + 1) % ell]
+                if minus:
+                    minus.pop()
+                else:
+                    plus.append((row, part + 1))
+            below = part
+            row -= 1
+        return words
+    shift, width = (0, ell) if i is None else (i, 1)
+    step = ell - 1
+    entries: list[list[tuple]] = [[] for _ in range(width)]
     for part in reversed(rows):
-        last = (part - row) % ell
-        if part > below:
-            words[last].append((row + step * (part - 1), row, part, False))
+        slot = (part - row - shift) % ell
+        if part > below and slot < width:
+            entries[slot].append((row + step * (part - 1), row, (row, part), False))
         if row == 1 or rows[row - 2] > part:
-            words[(last + 1) % ell].append((row + step * part, row, part + 1, True))
+            slot = slot + 1 if slot < step else 0
+            if slot < width:
+                entries[slot].append((row + step * part, row, (row, part + 1), True))
         below = part
         row -= 1
-    return words
+    return entries
 
 
 def _cancel(words: list[list[tuple]], ladder: bool) -> list[ReducedWord]:
     """Each entry list reduced: sorted first into the ladder order when
-    *ladder*, then adjacent "-+" pairs cancelled exhaustively, so the
-    survivors read "+...+-...-"."""
+    *ladder*, then adjacent "-+" pairs cancelled by the stack rule of the
+    classical read, so the survivors read "+...+-...-"."""
     reduced = []
     for entries in words:
         if ladder:
             entries.sort()
         plus: list[Box] = []
         minus: list[Box] = []
-        for _, row, col, up in entries:
+        for _, _, box, up in entries:
             if not up:
-                minus.append((row, col))
+                minus.append(box)
             elif minus:
                 minus.pop()
             else:
-                plus.append((row, col))
-        reduced.append(_new_tuple(ReducedWord, (plus, minus)))  # skips namedtuple's Python-level __new__
+                plus.append(box)
+        reduced.append(_new_tuple(ReducedWord, (plus, minus)))
     return reduced
 
 
 def reduced_words(lam: Partition, ell: int, model: str) -> list[ReducedWord]:
-    """The reduced i-signatures of lam for i = 0..ell-1, from one pass over its rows."""
-    return _cancel(_signatures(lam, ell), model == LADDER)
+    """The reduced i-signatures of lam for i = 0..ell-1, from one pass over
+    its rows, in O(len(lam) + ell): the classical words are reduced as the
+    rows are read; the ladder words are recorded, sorted and reduced."""
+    if model == CLASSICAL:
+        return _read(lam, None, ell, CLASSICAL)
+    return _cancel(_read(lam, None, ell, LADDER), True)
 
 
 def reduced_word(lam: Partition, i: int, ell: int, model: str) -> ReducedWord:
-    """The reduced i-signature of lam in the reading order of *model*; only
-    residue i is sorted and cancelled."""
-    return _cancel([_signatures(lam, ell)[i]], model == LADDER)[0]
+    """The reduced i-signature of lam in the reading order of *model*: the
+    pass records residue i's entries alone, sorts them in the ladder model
+    and reduces them, in O(len(lam)) time and memory at any ell."""
+    return _cancel(_read(lam, i, ell, model), model == LADDER)[0]
 
 
 def _signature_word(lam, i: int, ell: int, model: str) -> SignatureWord:
-    entries = _signatures(_checked(lam, i, ell), ell)[i]
+    entries, = _read(_checked(lam, i, ell), i, ell, model)
     if model == LADDER:
         entries.sort()
     return SignatureWord(
-        tuple(SignatureEntry(PLUS if plus else MINUS, (row, col)) for _, row, col, plus in entries), model
+        tuple(SignatureEntry(PLUS if plus else MINUS, box) for _, _, box, plus in entries), model
     )
 
 
@@ -208,7 +243,7 @@ def ladder_i_signature(lam: Partition, i: int, ell: int) -> SignatureWord:
 
 def reduce_signature(sig: SignatureWord) -> SignatureWord:
     """Cancel adjacent "-+" pairs exhaustively, leaving a word "+...+-...-"."""
-    (plus, minus), = _cancel([[(None, *box, sign != MINUS) for sign, box in sig]], False)
+    (plus, minus), = _cancel([[(None, None, box, sign != MINUS) for sign, box in sig]], False)
     kept = [SignatureEntry(PLUS, b) for b in plus] + [SignatureEntry(MINUS, b) for b in minus]
     return SignatureWord(tuple(kept), sig.order)
 

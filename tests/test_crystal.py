@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -179,14 +180,14 @@ def _random_partition(n, rng):
     return tuple(sorted(parts, reverse=True))
 
 
-@pytest.mark.parametrize("ell", [2, 3, 4, 5])
+@pytest.mark.parametrize("ell", [2, 3, 4, 5, 6, 7])
 def test_one_pass_reader_matches_the_per_residue_reader(ell):
     for n in range(15):
         for lam in all_partitions(n):
             _assert_reader_matches_parent(lam, ell)
 
 
-@pytest.mark.parametrize("ell", [2, 3, 4, 5])
+@pytest.mark.parametrize("ell", [2, 3, 4, 5, 6, 7])
 def test_one_pass_reader_matches_on_large_partitions(ell):
     rng = random.Random(30800 + ell)
     for _ in range(12):
@@ -220,6 +221,34 @@ def test_public_operators_reject_bad_residues_and_moduli(fn):
     for i, ell in ((1.0, 3), (True, 3), ("1", 3), (-1, 3), (3, 3), (0, 1), (0, 3.0)):
         with pytest.raises(ValueError):
             fn((2, 1), i, ell)
+
+
+def test_single_residue_reads_hold_nothing_per_residue_at_any_modulus():
+    # a read of residue i keeps residue i's entries alone: a list per
+    # residue took about 69 MB at ell = 10**6, and at ell = 10**30 it never
+    # returned.  At that modulus every operator must still agree with the
+    # reference, which reads the residue's boxes off the corners.
+    tracemalloc.start()
+    try:
+        for fn in PUBLIC_OPERATORS:
+            for i in (0, 1, 2, 10**5 - 1):
+                fn((2, 1), i, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    ell = 10**30
+    models = (
+        (False, i_signature, (epsilon, phi, e_tilde, f_tilde)),
+        (True, ladder_i_signature, (ladder_epsilon, ladder_phi, e_hat, f_hat)),
+    )
+    for lam in ((2, 1), _random_partition(2048, random.Random(2048))):
+        corners = addable_corners(lam) + removable_corners(lam)
+        for i in sorted({residue(box, ell) for box in corners} | {0, 1, ell - 1}):
+            for ladder, signature, operators in models:
+                assert list(signature(lam, i, ell)) == _reference_signature(lam, i, ell, ladder), (lam, i, ladder)
+                got = tuple(op(lam, i, ell) for op in operators)
+                assert got == _reference_operators(lam, i, ell, ladder), (lam, i, ladder)
 
 
 def test_residue_content_and_box_type_reject_non_partitions():

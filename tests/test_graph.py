@@ -227,17 +227,17 @@ def test_verify_isomorphism_reads_one_word_per_node_and_model(monkeypatch):
     # one ladder read per node and one classical read per image, and no
     # built crystal, whose build would read the ladder words a second time
     calls = 0
-    signatures = crystal._signatures
+    read = crystal._read
 
     def counted(*args):
         nonlocal calls
         calls += 1
-        return signatures(*args)
+        return read(*args)
 
     def refuse(*args):
         raise AssertionError("verify_isomorphism walks the ladder crystal itself")
 
-    monkeypatch.setattr(crystal, "_signatures", counted)
+    monkeypatch.setattr(crystal, "_read", counted)
     monkeypatch.setattr(graph, "build_crystal", refuse)
     nodes = sum(regular_counts(3, 12))
     assert verify_isomorphism(3, 12).checks == 4 * 3 * nodes
@@ -572,14 +572,14 @@ def test_theorem_suite_reads_one_word_per_node_and_model(monkeypatch):
     # the Mullineux images on the crystal added two per regular partition
     # (2,216), and a read per string step gave 10,151
     calls = 0
-    signatures = crystal._signatures
+    read = crystal._read
 
     def counted(*args):
         nonlocal calls
         calls += 1
-        return signatures(*args)
+        return read(*args)
 
-    monkeypatch.setattr(crystal, "_signatures", counted)
+    monkeypatch.setattr(crystal, "_read", counted)
     assert theorem_suite(3, 16).checks == 6197
     assert theorem_suite(4, 14).checks == 4685
     assert 0 < calls <= 800

@@ -764,7 +764,7 @@ def test_mullineux_reads_no_signatures(monkeypatch):
     def forbidden(*args):
         raise AssertionError("mullineux read a crystal signature")
 
-    monkeypatch.setattr(crystal, "_signatures", forbidden)
+    monkeypatch.setattr(crystal, "_read", forbidden)
     _mullineux.cache_clear()
     assert mullineux((3, 2, 1), 3) == (5, 1)
     for lam in _large_regular_partitions(3):
