@@ -1,11 +1,14 @@
 """Crystal graph construction, isomorphism checks, theorem suites, DOT export.
 
-verify_isomorphism holds R for two levels, stepped up or down one ladder per
-move.  theorem_suite grows levels by the child rule and reads each class off
-its level: D(rho) as the last member of rho's fibre, so the ladder nodes are
-the fibre-last members; the Mullineux images, one symbol read per pair
-{rho, m(rho)}; and the JM, ell-partition and weak members, against which a
-string's f-steps are decided once their level is built.
+verify_isomorphism holds R for two levels and checks each move by one walk
+down the moved box's ladder in R: the box it finds is compared with the
+classical operator's, and partitions are built only for a new f_hat target
+and where the boxes differ.  theorem_suite grows levels by the child rule
+and reads each class off its level: D(rho) as the last member of rho's
+fibre, so the ladder nodes are the fibre-last members; the Mullineux
+images, one symbol read per pair {rho, m(rho)}; and the JM, ell-partition
+and weak members, against which a string's f-steps are decided once their
+level is built.
 """
 
 from __future__ import annotations
@@ -16,7 +19,15 @@ from .partitions import Partition, _children, _is_regular, _transpose, check_cou
 from .rimhooks import _is_core
 from .crystal import CLASSICAL, LADDER, ReducedWord, check_model, reduced_words
 from .jm import _is_jm
-from .regular import _add_to_ladder, _deregularize, _is_L_partition, _mullineux_symbol, _remove_from_ladder
+from .regular import (
+    _add_at,
+    _add_to_ladder,
+    _deregularize,
+    _is_L_partition,
+    _ladder_end,
+    _mullineux_symbol,
+    _remove_from_ladder,
+)
 from .strings import _format
 
 Edge = tuple[Partition, Partition, int]
@@ -132,16 +143,28 @@ def verify_isomorphism(ell: int, depth: int) -> VerificationReport:
     O(len + ell).  All four answers on each side are read straight off the
     (plus, minus) pairs: the cogood box plus[-1], the good box minus[0] and
     the two lengths.  The f_hat targets form the next level.  R is held in
-    two plain dicts, for the levels n and n + 1, from R(()) = ().  An f_hat
-    (e_hat) target is lam plus its word's last plus box (less its first
-    minus box), so its R is one step up (down) that box's ladder from
-    R(lam): regular._add_to_ladder (_remove_from_ladder), not f_tilde's
-    (e_tilde's) answer.  A passing check is counted; only a failed one
-    builds its record and text.
+    two plain dicts, for the levels n and n + 1, from R(()) = ().
+
+    Both sides of an operator check differ from R(lam) by one box, so the
+    check compares boxes.  R is fixed by the ladder counts (James), so
+    R(f_hat lam) is R(lam) plus the first empty position of the added box's
+    ladder, and R(e_hat lam) is R(lam) less the last box of the removed
+    box's ladder, (row - (ell-1), col + 1) for that position (row, col).
+    One walk down the ladder (regular._ladder_end) per move finds it, and
+    it must be f_tilde's cogood box plus[-1] (e_tilde's good box minus[0]).
+    R(f_hat lam) is built, by one splice at that position (regular._add_at),
+    only when the target is new to level n + 1; no e_hat target is built.
+    Two different boxes can still splice R(lam) into one tuple (a wrong
+    good box (2, 1) and the last box (3, 1) both take a one-box row off
+    (2, 1, 1)), so where the boxes differ both partitions are built and the
+    check fails only if they differ too, as in a loop over the built
+    crystal.  A passing check is counted; only a failed one builds its
+    record and text.
     """
     check_ell(ell)
     check_count("depth", depth)
     report = VerificationReport(suite="crystal-isomorphism", ell=ell, params={"depth": depth})
+    step = ell - 1
     passed = 0
     here: dict[Partition, Partition] = {(): ()}
     for _ in range(depth + 1):
@@ -150,33 +173,32 @@ def verify_isomorphism(ell: int, depth: int) -> VerificationReport:
             image = here[lam]
             pairs = zip(reduced_words(lam, ell, LADDER), reduced_words(image, ell, CLASSICAL))
             for i, ((ladder_plus, ladder_minus), (plus, minus)) in enumerate(pairs):
+                end = None
                 if ladder_plus:  # f_hat adds the cogood box, ladder_plus[-1]
                     box = row, col = ladder_plus[-1]
+                    end = _ladder_end(image, box, ell)
                     moved = lam[: row - 1] + (col,) + lam[row:]
-                    actual = above.get(moved)
-                    if actual is None:
-                        actual = above[moved] = _add_to_ladder(image, box, ell)
-                else:
-                    actual = None
-                if plus:  # f_tilde adds the cogood box, plus[-1]
-                    row, col = plus[-1]
-                    expected = image[: row - 1] + (col,) + image[row:]
-                else:
-                    expected = None
-                if actual == expected:
+                    if moved not in above:
+                        above[moved] = _add_at(image, end)
+                if end == (plus[-1] if plus else None):  # f_tilde adds the cogood box, plus[-1]
                     passed += 1
-                else:
-                    report.check(False, lam, i, expected, actual)
-                actual = _remove_from_ladder(image, ladder_minus[0], ell) if ladder_minus else None
-                if minus:  # e_tilde removes the good box, minus[0]
-                    row, col = minus[0]
-                    expected = image[: row - 1] + ((col - 1,) if col > 1 else ()) + image[row:]
-                else:
-                    expected = None
-                if actual == expected:
+                else:  # the boxes differ: compare the partitions
+                    actual = above[moved] if ladder_plus else None
+                    expected = _add_at(image, plus[-1]) if plus else None
+                    report.check(actual == expected, lam, i, expected, actual)
+                last = None
+                if ladder_minus:  # e_hat removes the good box, ladder_minus[0]
+                    row, col = _ladder_end(image, ladder_minus[0], ell)
+                    last = row - step, col + 1
+                if last == (minus[0] if minus else None):  # e_tilde removes the good box, minus[0]
                     passed += 1
-                else:
-                    report.check(False, lam, i, expected, actual)
+                else:  # the boxes differ: compare the partitions
+                    actual = _remove_from_ladder(image, ladder_minus[0], ell) if ladder_minus else None
+                    expected = None
+                    if minus:
+                        row, col = minus[0]
+                        expected = image[: row - 1] + ((col - 1,) if col > 1 else ()) + image[row:]
+                    report.check(actual == expected, lam, i, expected, actual)
                 phi, ladder_phi = len(plus), len(ladder_plus)
                 eps, ladder_eps = len(minus), len(ladder_minus)
                 if ladder_phi == phi and ladder_eps == eps:

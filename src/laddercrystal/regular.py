@@ -16,8 +16,9 @@ the slide.  That is O(len(lam)) Python steps plus C-level sums over the
 ladders, not a step per box.  R is fixed by the ladder counts alone
 (James), so R(lam + box) is R(lam) plus a box at the first empty position
 of the box's ladder, and R(lam - box) is R(lam) less the last box of that
-ladder.  One walk down the ladder from its top finds both (_ladder_end),
-and both sweeps step R so, up and down, from R(()) = ().
+ladder.  One walk down the ladder from its top finds both (_ladder_end):
+both sweeps step R up so from R(()) = (), and verify_isomorphism compares
+the box the walk finds with the classical operator's.
 
 The locked boxes of every row form a prefix 1..R_r (type I boxes and
 everything left of the rightmost one), and R_r follows from R_{r-1} and the
@@ -173,10 +174,15 @@ def _ladder_end(rho: Partition, box: Box, ell: int) -> Box:
     return row, col
 
 
+def _add_at(rho: Partition, end: Box) -> Partition:
+    """rho with one box more at end: an addable box, such as the first empty position of a ladder (_ladder_end)."""
+    row, col = end
+    return rho[: row - 1] + (col,) + rho[row:]
+
+
 def _add_to_ladder(rho: Partition, box: Box, ell: int) -> Partition:
     """R(lam + box) from rho = R(lam): one box more at the first empty position of the box's ladder."""
-    row, col = _ladder_end(rho, box, ell)
-    return rho[: row - 1] + (col,) + rho[row:]
+    return _add_at(rho, _ladder_end(rho, box, ell))
 
 
 def _remove_from_ladder(rho: Partition, box: Box, ell: int) -> Partition:

@@ -46,8 +46,10 @@ from laddercrystal.partitions import (
     transpose,
 )
 from laddercrystal.regular import (
+    _add_at,
     _add_to_ladder,
     _is_L_partition,
+    _ladder_end,
     _mullineux_symbol,
     _regularize,
     _remove_from_ladder,
@@ -215,8 +217,9 @@ def test_verify_isomorphism_passes():
     assert report.checks == 4 * 3 * node_count
 
 
-@pytest.mark.parametrize("ell,depth,checks", [(3, 18, 7776), (4, 14, 5424), (5, 12, 4460)])
+@pytest.mark.parametrize("ell,depth,checks", [(2, 16, 1352), (3, 18, 7776), (4, 14, 5424), (5, 12, 4460)])
 def test_verify_isomorphism_check_counts(ell, depth, checks):
+    # at ell = 2 a ladder step is one row down and one column left
     report = verify_isomorphism(ell, depth)
     assert report.checks == checks
     assert not report.failures
@@ -246,12 +249,12 @@ def test_verify_isomorphism_reads_one_word_per_node_and_model(monkeypatch):
 
 def test_verify_isomorphism_holds_at_most_two_levels_of_regularizations(monkeypatch):
     # the walk holds R for the levels n and n + 1 only: an f-move looks up
-    # or steps up to level n + 1, and an e-move steps down from R(lam)
-    # without keeping level n - 1.  Every image past the root comes from an
-    # up step, and the up spy hands each one out as an Image that counts
-    # itself out of *live* when the walk lets it go.  Both ladder-step
-    # spies see the walk's level n in rho, never a finished one, and at
-    # every step the images still alive lie on levels n and n + 1.
+    # or files its target's R in level n + 1, and an e-move walks down from
+    # R(lam) without keeping level n - 1.  Every image past the root is
+    # built by _add_at, and the spy hands each one out as an Image that
+    # counts itself out of *live* when the walk lets it go.  Every ladder
+    # walk and build starts from the walk's level n, never a finished one,
+    # and at every step the images still alive lie on levels n and n + 1.
     live: Counter = Counter()
     held = []
     level = 0
@@ -268,66 +271,95 @@ def test_verify_isomorphism_holds_at_most_two_levels_of_regularizations(monkeypa
         assert sizes <= {level, level + 1}, (level, sorted(sizes))
         held.append(sizes)
 
-    def up(rho, box, ell):
+    def walk(rho, box, ell):
+        watched(rho)
+        return _ladder_end(rho, box, ell)
+
+    def build(rho, end):
         watched(rho)
         live[level + 1] += 1
-        return Image(_add_to_ladder(rho, box, ell))
+        return Image(_add_at(rho, end))
 
-    def down(rho, box, ell):
-        watched(rho)
-        return _remove_from_ladder(rho, box, ell)
-
-    monkeypatch.setattr(graph, "_add_to_ladder", up)
-    monkeypatch.setattr(graph, "_remove_from_ladder", down)
+    monkeypatch.setattr(graph, "_ladder_end", walk)
+    monkeypatch.setattr(graph, "_add_at", build)
     assert verify_isomorphism(3, 20).passed
     assert level == 20 and max(map(len, held)) == 2
 
 
-def _counted_ladder_steps(monkeypatch):
-    """Record every image the walk computes, by a step up or down a ladder, per direction."""
-    images = {"up": [], "down": []}
+def _ladder_walks(monkeypatch):
+    """Record each ladder walk of verify_isomorphism as (rho, box, image), per direction.
 
-    def up(rho, box, ell):
-        images["up"].append(_add_to_ladder(rho, box, ell))
-        return images["up"][-1]
+    The walk reads the ladder words of each node lam and then goes down a
+    ladder of rho = R(lam) once per f-move, with a box addable to lam, and
+    once per e-move, with a box removable from lam.  An up walk stands for
+    R(lam + box), rho with one box more on the box's ladder, and a down
+    walk for R(lam - box).  The spies wrap graph.reduced_words as it is when
+    this is called, so a test that corrupts the words patches them first.
+    """
+    walks = {"up": [], "down": []}
+    node = [()]
+    read = graph.reduced_words
 
-    def down(rho, box, ell):
-        images["down"].append(_remove_from_ladder(rho, box, ell))
-        return images["down"][-1]
+    def words(lam, ell, model):
+        if model == LADDER:
+            node[0] = lam
+        return read(lam, ell, model)
 
-    monkeypatch.setattr(graph, "_add_to_ladder", up)
-    monkeypatch.setattr(graph, "_remove_from_ladder", down)
-    return images
+    def walk(rho, box, ell):
+        lam = node[0]
+        row, col = box
+        if row > len(lam) or lam[row - 1] < col:
+            walks["up"].append((rho, box, _add_to_ladder(rho, box, ell)))
+        else:
+            walks["down"].append((rho, box, _remove_from_ladder(rho, box, ell)))
+        return _ladder_end(rho, box, ell)
+
+    monkeypatch.setattr(graph, "reduced_words", words)
+    monkeypatch.setattr(graph, "_ladder_end", walk)
+    return walks
 
 
-def _e_moves(ell, depth):
-    """The number of (node, residue) pairs of the ladder crystal through depth with epsilon > 0."""
-    nodes = build_crystal(ell, depth, LADDER).nodes
-    return sum(1 for lam in nodes for word in reduced_words(lam, ell, LADDER) if word.minus)
+def _moves(ell, depth):
+    """The f- and e-moves of the ladder crystal through depth: its (node,
+    residue) pairs with phi > 0 ("up") and with epsilon > 0 ("down")."""
+    words = [word for lam in build_crystal(ell, depth, LADDER).nodes for word in reduced_words(lam, ell, LADDER)]
+    return {"up": sum(1 for word in words if word.plus), "down": sum(1 for word in words if word.minus)}
 
 
 def test_verify_isomorphism_steps_up_to_each_node_once(monkeypatch):
-    # R is computed once for every node the walk reaches past the root, the
+    # R is built once for every node the walk reaches past the root, the
     # f_hat targets of level 12 included: 188 nodes through level 13.  The
-    # walk starts from R(()) = (), and every f_hat target goes through one
-    # step up a ladder; R maps ladder nodes one to one, so distinct images
-    # are distinct nodes.  Every e-move takes one step down instead of
-    # looking up a level below, and graph has no full regularization to
-    # call.
-    images = _counted_ladder_steps(monkeypatch)
+    # walk starts from R(()) = (), every f_hat target's R is one walk up a
+    # ladder from R(lam), and it is built (_add_at) only the first time the
+    # walk meets the target; R maps ladder nodes one to one, so distinct
+    # images are distinct nodes.  Every move walks its ladder once, and an
+    # e-move whose boxes agree builds nothing and looks up no level below;
+    # graph has no full regularization to call.
+    walks = _ladder_walks(monkeypatch)
+    built = []
+
+    def build(rho, end):
+        built.append(_add_at(rho, end))
+        return built[-1]
+
+    def refuse(*args):
+        raise AssertionError("a passing e check builds no partition")
+
+    monkeypatch.setattr(graph, "_add_at", build)
+    monkeypatch.setattr(graph, "_remove_from_ladder", refuse)
     assert verify_isomorphism(3, 12).passed
     assert not hasattr(graph, "_regularize")
-    computed = images["up"]
-    assert len(computed) == len(set(computed)) == sum(regular_counts(3, 13)) - 1 == 188
-    assert len(images["down"]) == _e_moves(3, 12)
+    assert len(built) == len(set(built)) == sum(regular_counts(3, 13)) - 1 == 188
+    assert set(built) == {image for _, _, image in walks["up"]}
+    assert {side: len(moves) for side, moves in walks.items()} == _moves(3, 12)
 
 
 def test_sweep_steps_match_regularize_of_their_keys(monkeypatch):
     # theorem_suite: every level the child rule grows lists the partitions
     # of its size in partitions_of order, and each child's image, one step
-    # up from its parent's, is its R.  verify_isomorphism: every ladder step
-    # gives an ell-regular partition with rho's ladder counts and one box
-    # more (less) on the box's ladder, which by James is R(lam + box)
+    # up from its parent's, is its R.  verify_isomorphism: every ladder walk
+    # stands for an ell-regular partition with rho's ladder counts and one
+    # box more (less) on the box's ladder, which by James is R(lam + box)
     # (R(lam - box)) for rho = R(lam).
     levels = []
     stepped = []
@@ -354,25 +386,16 @@ def test_sweep_steps_match_regularize_of_their_keys(monkeypatch):
     for lam, image, ell in stepped:
         assert image == _regularize(lam, ell), (lam, ell)
 
-    steps = {1: 0, -1: 0}
-
-    def checked(sign, step):
-        def walk(rho, box, ell):
-            steps[sign] += 1
-            moved = step(rho, box, ell)
-            counts = ladder_counts(rho, ell)
-            k = ladder_index(box, ell)
-            counts[k] = counts.get(k, 0) + sign
-            assert is_regular(moved, ell), (rho, box, ell)
-            assert ladder_counts(moved, ell) == {k: c for k, c in counts.items() if c}, (rho, box, ell)
-            return moved
-
-        return walk
-
-    monkeypatch.setattr(graph, "_add_to_ladder", checked(1, _add_to_ladder))
-    monkeypatch.setattr(graph, "_remove_from_ladder", checked(-1, _remove_from_ladder))
+    walks = _ladder_walks(monkeypatch)
     assert verify_isomorphism(3, 14).passed
-    assert steps == {1: sum(regular_counts(3, 15)) - 1, -1: _e_moves(3, 14)}
+    for sign, side in ((1, "up"), (-1, "down")):
+        for rho, box, moved in walks[side]:
+            counts = ladder_counts(rho, 3)
+            k = ladder_index(box, 3)
+            counts[k] = counts.get(k, 0) + sign
+            assert is_regular(moved, 3), (rho, box)
+            assert ladder_counts(moved, 3) == {k: c for k, c in counts.items() if c}, (rho, box)
+    assert {side: len(moves) for side, moves in walks.items()} == _moves(3, 14)
 
 
 def _minus_reversed(rho, ell, model):
@@ -385,15 +408,14 @@ def _minus_reversed(rho, ell, model):
 @pytest.mark.parametrize("ell,depth", [(3, 10), (4, 8)])
 def test_verify_isomorphism_regularizes_an_e_move_off_the_level_below(monkeypatch, ell, depth):
     # a wrong lowering operator leaves the crystal: its targets are not
-    # nodes of the level below, and the walk still finds their R one step
-    # down a ladder from R(lam), as full regularization does, and records
-    # the failures as the built-crystal loop does
-    images = _counted_ladder_steps(monkeypatch)
+    # nodes of the level below, and the walk still goes one ladder down
+    # from R(lam) per e-move, finds their R as full regularization does, and
+    # records the failures as the built-crystal loop does
     monkeypatch.setattr(graph, "reduced_words", _minus_reversed)
     monkeypatch.setattr(helpers, "reduced_words", _minus_reversed)
+    walks = _ladder_walks(monkeypatch)
     report = verify_isomorphism(ell, depth)
-    assert len(images["up"]) == sum(regular_counts(ell, depth + 1)) - 1
-    assert len(images["down"]) == _e_moves(ell, depth)
+    assert {side: len(moves) for side, moves in walks.items()} == _moves(ell, depth)
     assert report.failures
     assert report.to_dict() == verify_isomorphism_by_graph(ell, depth).to_dict()
 
@@ -423,6 +445,37 @@ def test_verify_isomorphism_records_failures_like_the_built_crystal_loop(monkeyp
     lengths = [failure for failure in report["failures"] if failure["expected"].startswith(("phi ", "epsilon "))]
     assert {failure["expected"].split()[0] for failure in lengths} == {"phi", "epsilon"}
     assert 0 < len(lengths) < len(report["failures"])
+
+
+def _good_box_moved_to(box):
+    """Classical words in which the good 1-box (3, 1) of (2, 1, 1) at ell = 3 is moved to box."""
+
+    def words(rho, ell, model):
+        words = reduced_words(rho, ell, model)
+        if model == CLASSICAL and rho == (2, 1, 1):
+            words[1] = ReducedWord([], [box, (1, 2)])
+        return words
+
+    return words
+
+
+@pytest.mark.parametrize(
+    "box,failures", [((2, 1), []), ((1, 2), ["(1, 1, 1)"])], ids=["same-partition", "other-partition"]
+)
+def test_verify_isomorphism_compares_partitions_where_the_boxes_differ(monkeypatch, box, failures):
+    # the node (2, 1, 1) is its own image; e_hat_1 walks the ladder of its
+    # good box (1, 2) in R down to the last box (3, 1), and e_tilde_1 takes
+    # off the moved good box instead.  (2, 1) differs from (3, 1), but both
+    # leave (2, 1), so that check passes as the built-crystal loop's does;
+    # (1, 2) leaves (1, 1, 1) and fails with the loop's record.
+    monkeypatch.setattr(graph, "reduced_words", _good_box_moved_to(box))
+    monkeypatch.setattr(helpers, "reduced_words", _good_box_moved_to(box))
+    assert reduced_words((2, 1, 1), 3, LADDER)[1].minus[0] == (1, 2)
+    assert _remove_from_ladder((2, 1, 1), (1, 2), 3) == (2, 1)
+    report = verify_isomorphism(3, 6).to_dict()
+    assert report == verify_isomorphism_by_graph(3, 6).to_dict()
+    assert report["checks"] == 4 * 3 * sum(REGULAR_COUNTS_3[:7])
+    assert [failure["expected"] for failure in report["failures"]] == failures
 
 
 @pytest.mark.parametrize(
