@@ -2,13 +2,15 @@
 
 Subcommands emit JSON by default (stable key order, deterministic bytes) or
 plain text with --plain.  Exit status: 0 on success, 1 when a verification
-subcommand finds failures, 2 on usage errors.
+subcommand finds failures or stdout closes before the output is written
+(as in `| head -1`; no traceback), 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from .partitions import Partition, add_box, addable_boxes, check_ell, is_regular, size, transpose
@@ -329,6 +331,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        status = _run(argv)
+        sys.stdout.flush()  # here, so that a reader who left early is caught below
+    except BrokenPipeError:
+        # stdout's reader closed it (say, `| head -1`): point stdout at devnull, so
+        # that the flush at exit cannot fail too, as the signal module's docs advise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

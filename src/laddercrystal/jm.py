@@ -286,8 +286,12 @@ def is_generalized_ell_partition(lam: Partition, ell: int) -> bool:
 
 def _leading_run(nu: Partition, ell: int) -> int:
     """Number of leading parts with successive difference exactly ell-1."""
-    diffs = [a - b for a, b in zip(nu, nu[1:] + (0,))]
-    return next((r for r, d in enumerate(diffs) if d != ell - 1), len(diffs))
+    run = 0
+    for a, b in zip(nu, nu[1:] + (0,)):
+        if a - b != ell - 1:
+            break
+        run += 1
+    return run
 
 
 def _core_frame(core: Partition, ell: int) -> tuple[Partition, int, int]:
@@ -368,18 +372,37 @@ def compose_jm(dec: JMDecomposition, ell: int) -> Partition:
 def _compose(core: Partition, rho: Partition, sigmas: list[Partition], ell: int) -> list[Partition]:
     """For each sigma, the core plus rho_i hooks on row i + 1 and sigma_j on column j + 1.
 
-    nu, the core plus rho, is built once.  sigma lengthens nu's first m = len(sigma)
-    columns, c_j long (by bisection), and they stack: the member is nu's first c_m
-    rows over the conjugate of the m tails, each less c_m.
+    nu, the core plus rho, is built once, and so are the columns that the
+    longest sigma lengthens (see _stack).
     """
-    nu = tuple([a + b * ell for a, b in zip_longest(core[: len(rho)], rho, fillvalue=0)]) + core[len(rho) :]
+    nu = _add_rows(core, rho, ell)
+    cols = _columns(nu, max(map(len, sigmas), default=0))
+    return [nu[:base] + tail for base, tail in (_stack(cols, sigma, ell) for sigma in sigmas)]
+
+
+def _add_rows(core: Partition, rho: Partition, ell: int) -> Partition:
+    """The core plus rho_i horizontal hooks on row i + 1."""
+    n = len(rho)
+    return tuple([a + b * ell for a, b in zip_longest(core[:n], rho, fillvalue=0)]) + core[n:]
+
+
+def _columns(nu: Partition, m: int) -> list[int]:
+    """The lengths of nu's first m columns, by bisection of its ascending rows."""
     ascending, depth = nu[::-1], len(nu)
-    cols = [depth - bisect.bisect_left(ascending, j) for j in range(1, max(map(len, sigmas), default=0) + 1)]
-    out = []
-    for sigma in sigmas:
-        base = cols[len(sigma) - 1] if sigma else depth
-        out.append(nu[:base] + _transpose([c + k * ell - base for c, k in zip(cols, sigma)]))
-    return out
+    return [depth - bisect.bisect_left(ascending, j) for j in range(1, m + 1)]
+
+
+def _stack(cols: list[int], sigma: Partition, ell: int) -> tuple[int | None, Partition]:
+    """(c_m, rows) for sigma_j hooks on columns c_j long (cols), m = len(sigma).
+
+    The lengthened columns stack: the partition keeps its first c_m rows and
+    then has the conjugate of the m tails, each less c_m.  An empty sigma
+    gives (None, ()), which keeps every row.
+    """
+    if not sigma:
+        return None, ()
+    base = cols[len(sigma) - 1]
+    return base, _transpose([c + k * ell - base for c, k in zip(cols, sigma)])
 
 
 @functools.lru_cache(maxsize=64)  # each entry holds n + 1 counts
@@ -434,14 +457,23 @@ def enumerate_jm(core: Partition, w: int, ell: int) -> list[Partition]:
     Each pair (rho, sigma) that fits the core's frame composes to a JM
     partition of that core and weight (Fayers); the tests check that on the
     hook grid and the abacus rather than each call.  The child rule lists
-    each of rho and sigma, and _compose builds each rho's rows once.
+    rho and sigma together, up to the larger of their part limits.  In a
+    pair that fits, every row that rho lengthens already reaches past the
+    columns that sigma lengthens, so those columns are the core's: each
+    sigma's rows are stacked once, on the core, each rho's rows are built
+    once, and a member is a prefix of the one and the stack of the other.
     """
     core, mu, r, s = _checked_frame(core, w, ell)
-    rhos = _partitions_by_size(w, r + 1)
-    sigmas = rhos if s == r else _partitions_by_size(w, s + 1)
-    short = [[sigma for sigma in by if _fits(mu, r, s, (1,) * (r + 1), sigma)] for by in sigmas]
+    by_size = _partitions_by_size(w, max(r, s) + 1)
+    rhos = by_size if r >= s else [[rho for rho in by if len(rho) <= r + 1] for by in by_size]
+    sigmas = by_size if s >= r else [[sigma for sigma in by if len(sigma) <= s + 1] for by in by_size]
+    cols = _columns(core, s + 1)
     out = []
-    for t in range(w + 1):
-        for rho in rhos[t]:  # a rho at its last slot takes only the sigmas that _fits allows it
-            out += _compose(core, rho, (sigmas if len(rho) <= r else short)[w - t], ell)
+    for rho_t, sigma_t in zip(rhos, reversed(sigmas)):
+        stack = [_stack(cols, sigma, ell) for sigma in sigma_t]
+        # _fits: a rho at its last slot takes only the sigmas short of theirs
+        short = stack if mu else [pair for pair, sigma in zip(stack, sigma_t) if len(sigma) <= s]
+        for rho in rho_t:
+            nu = _add_rows(core, rho, ell)
+            out += [nu[:base] + tail for base, tail in (stack if len(rho) <= r else short)]
     return sorted(out, reverse=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import operator
+from operator import countOf
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 
@@ -34,9 +35,11 @@ def check_partition(parts: Iterable[int]) -> Partition:
 
     A tuple of ints is used as it is (a copy per checked call raised peak
     memory in sweeps).  Public operators check every call, so valid parts
-    cost one C-level pass: once they decrease, the last decides positivity.
+    cost two C-level passes: one over their types, and one sort, which
+    finds a weakly decreasing tuple in a single run; once the parts
+    decrease, the last decides positivity.
     """
-    if type(parts) is tuple and {int}.issuperset(map(type, parts)):
+    if type(parts) is tuple and countOf(map(type, parts), int) == len(parts):
         lam = parts
     else:
         try:
@@ -45,11 +48,12 @@ def check_partition(parts: Iterable[int]) -> Partition:
             lam = tuple(map(operator.index, parts))
         except TypeError:
             raise ValueError(f"a partition is a sequence of integer parts, got {parts!r}") from None
-    end = len(lam)
-    while end and lam[end - 1] == 0:
-        end -= 1
-    lam = lam[:end]  # one slice, so stripping is linear in the number of zeros
-    if not all(map(operator.ge, lam, lam[1:])) or lam and lam[-1] <= 0:
+    if lam and not lam[-1]:
+        end = len(lam) - 1
+        while end and lam[end - 1] == 0:
+            end -= 1
+        lam = lam[:end]  # one slice, so stripping is linear in the number of zeros
+    if lam and (lam[-1] <= 0 or sorted(lam, reverse=True) != list(lam)):
         kind = "positive integers" if min(lam) <= 0 else "weakly decreasing"  # a non-positive part is named first
         raise ValueError(f"parts must be {kind}: {lam!r}")
     return lam

@@ -413,6 +413,28 @@ def test_module_entry_point():
     assert proc.stdout == "empty 2\n"
 
 
+@pytest.mark.parametrize(
+    "args, first",
+    [
+        (["regclass", "--ell", "3", "--plain", "14^14"], "7,7,7,7,7,7,7,7,7,7,7,7,7,7,7,7,6,6,6,6,5,5,5,5,4,4,4,4,3,3,3,3,2,2,2,2,1,1,1,1"),
+        (["jm", "census", "--ell", "3", "--max-core", "20", "--max-weight", "12", "--list", "--plain"], "core empty"),
+    ],
+    ids=["regclass", "jm census"],
+)
+def test_a_reader_that_leaves_after_one_line_gets_no_traceback(args, first):
+    # as in `| head -1`: the output (114 and 451 kB) outgrows the pipe's buffer,
+    # so the writes after the reader leaves fail for certain
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "laddercrystal", *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    )
+    line = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert line.startswith(first) and err == ""
+
+
 LEAF_COMMANDS = [
     ["info"],
     ["core"],
