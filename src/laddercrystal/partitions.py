@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from operator import countOf
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 
@@ -39,7 +38,7 @@ def check_partition(parts: Iterable[int]) -> Partition:
     finds a weakly decreasing tuple in a single run; once the parts
     decrease, the last decides positivity.
     """
-    if type(parts) is tuple and countOf(map(type, parts), int) == len(parts):
+    if type(parts) is tuple and operator.countOf(map(type, parts), int) == len(parts):
         lam = parts
     else:
         try:
