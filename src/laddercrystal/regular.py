@@ -323,7 +323,10 @@ def _class_members(tally: list[int], ell: int) -> list[Partition]:
     left, so by ladder e + ell when that one ended on ladder e.  Every state
     is a prefix of ladders with exact counts, and it moves straight on to
     the next ladder where a column can open or must close or the count
-    changes: on the ladders between, the open columns just grow.
+    changes: on the ladders between, the open columns just grow.  A state
+    holds its open columns and shares the list of closed ones with its
+    parent, so it costs O(open columns), not O(columns): a single row of N
+    boxes, 2N states, takes O(N).
     """
     step = ell - 1
     size = len(tally)
@@ -332,40 +335,47 @@ def _class_members(tally: list[int], ell: int) -> list[Partition]:
     change = [size] * size  # change[k]: the first ladder after k with another count
     for k in range(size - 2, 0, -1):
         change[k] = k + 1 if tally[k + 1] != tally[k] else change[k + 1]
-    never = size + step  # the end of an open column
+    never = size + ell  # past every ladder
     members: list[Partition] = []
-    # (ladder, ends, open columns): ends[c + 1] is the last ladder of column c,
-    # and ends[0] = never stands left of column 0
-    stack: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = [(1, (never,), ())]
+    # (ladder, columns opened, open columns as (column, due), due of the next
+    # column to open, closed columns as ((column, last ladder), rest)): a
+    # column is due to close ell ladders past the end of its left neighbour
+    stack: list[tuple] = [(1, 0, (), never, ())]
     while stack:
-        k, ends, open_cols = stack.pop()
-        forced, free = [], []
-        for c in open_cols:  # an open column c covering ladder k is k - step*c long
-            (forced if ends[c] < k - step else free).append(c)
+        k, columns, open_cols, next_due, closed = stack.pop()
+        forced = [c for c, due in open_cols if due <= k]
+        free = [c for c, due in open_cols if due > k]
         spare = len(open_cols) - (tally[k] if k < size else 0)
-        columns = len(ends) - 1
         for opens in (1, 0) if k == 1 + step * columns else (0,):
             closing = spare + opens - len(forced)
             if not 0 <= closing <= len(free):
                 continue
             for extra in combinations(free, closing):
-                new = list(ends)
-                for c in forced + list(extra):
-                    new[c + 1] = k - 1
-                still = tuple(c for c in open_cols if new[c + 1] == never)
+                shut = {*forced, *extra}
+                ends = closed
+                for c in shut:
+                    ends = ((c, k - 1), ends)
+                due = k - 1 + ell  # of a column whose left neighbour ends on ladder k - 1
+                still = tuple((c, due if c - 1 in shut else d) for c, d in open_cols if c not in shut)
+                after_next = due if columns - 1 in shut else next_due
                 if opens:
-                    new.append(never)
-                    still += (columns,)
+                    still += ((columns, after_next),)
+                    after_next = never
                 if k == size:  # past the last ladder every column has closed; rows are the conjugate
-                    members.append(_transpose([e - step * c for c, e in enumerate(new[1:])]))
+                    lengths = [0] * columns
+                    while ends:
+                        (c, end), ends = ends
+                        lengths[c] = end - step * c
+                    members.append(_transpose(lengths))
                     continue
                 after = change[k]
-                opening = 1 + step * (len(new) - 1)
+                opening = 1 + step * (columns + opens)
                 if k < opening < after:
                     after = opening
-                if still:
-                    after = min(after, min([new[c] for c in still]) + ell)
-                stack.append((after, tuple(new), still))
+                for _, d in still:
+                    if d < after:
+                        after = d
+                stack.append((after, columns + opens, still, after_next, ends))
     return members
 
 
