@@ -388,9 +388,8 @@ def reg_class(lam: Partition, ell: int) -> RegClass:
     partition of |lam| (see _class_members).  A state stops only on the
     ladders where a column can open or must close or the count changes, so
     a class takes a few states per member: 353 for the 24 members of four
-    random partitions of 30 at ell = 3, where a stop on every ladder took
-    603.  The representative R(lam) dominates the class, so it is the last
-    member.
+    random partitions of 30 at ell = 3.  The representative R(lam)
+    dominates the class, so it is the last member.
     """
     check_ell(ell)
     lam = check_partition(lam)
