@@ -379,6 +379,15 @@ def test_reg_class_of_large_partitions(lam):
         assert len(cls.members) == 1024
 
 
+def test_reg_class_of_a_long_row_costs_linear_time():
+    # a row of N boxes takes 2N search states for its one member; a state
+    # holds only its open columns, so the call is linear in N (with a copy of
+    # every column's end per state, N = 8,000 took about 2.3 s)
+    start = time.perf_counter()
+    assert reg_class((20000,), 3) == RegClass((20000,), ((20000,),))
+    assert time.perf_counter() - start < 2
+
+
 @pytest.mark.parametrize("lam", [(3000,), (1,) * 3000], ids=["row-3000", "column-3000"])
 def test_deregularize_at_size_3000(lam):
     for mu in (lam, regularize(lam, 3)):
