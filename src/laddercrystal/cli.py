@@ -150,6 +150,7 @@ def _cores(ell: int, max_size: int) -> list[Partition]:
 
 
 def _cmd_jm_census(args) -> int:
+    check_ell(args.ell, minimum=3)
     if args.max_core < 0 or args.max_weight < 0:
         raise ValueError("--max-core and --max-weight must be non-negative")
     weights = range(1, args.max_weight + 1)

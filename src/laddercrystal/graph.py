@@ -385,9 +385,9 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
       R(lam') of its members, so any other wrong image passes.  47 of the
       405 ell-regular rho at (3, 16) and 134 of the 339 at (4, 14) have no
       L-partition in their class.  The tier-1 tests that check m there are
-      test_mullineux_symbol_kernel_is_an_involution and the crystal-peel
-      oracles, test_mullineux_matches_one_box_reference and its
-      large-partition twin.
+      test_mullineux_symbol_kernel_is_an_involution, and
+      test_mullineux_matches_one_box_reference and its large-partition
+      twin, which hold m to the crystal twist in tests/oracles.py.
     - the members of size n of the three classes whose strings are walked:
       JM, ell-partition (ell-regular and JM) and weak (ell-regular with D
       JM), added to one set per class that holds every finished size.

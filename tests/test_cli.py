@@ -233,6 +233,15 @@ def test_jm_census_json(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("weight", ["0", "1"])
+def test_jm_census_rejects_a_modulus_below_three_at_any_weight(capsys, weight):
+    # with no weights to count, the census listed the 2-cores and exited 0
+    assert main(["jm", "census", "--ell", "2", "--max-core", "3", "--max-weight", weight, "--plain"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "modulus must be an integer >= 3" in captured.err
+
+
 def test_jm_decompose(capsys):
     _, out = run_cli(capsys, "jm", "decompose", "--ell", "3", "15,10,8,6,2^5,1^5", "--plain")
     assert out == "mu=1 r=3 s=2 rho=2,1,1,1 sigma=2,1\n"

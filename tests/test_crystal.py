@@ -14,13 +14,11 @@ from laddercrystal.crystal import (
     LADDER,
     MINUS,
     PLUS,
-    ReducedWord,
     SignatureEntry,
     SignatureWord,
     apply_e,
     apply_f,
     box_type,
-    check_model,
     e_hat,
     e_tilde,
     epsilon,
@@ -38,160 +36,67 @@ from laddercrystal.crystal import (
 )
 from laddercrystal.jm import is_jm
 from laddercrystal.partitions import (
-    add_box,
-    addable_boxes,
     addable_corners,
     all_partitions,
     boxes,
-    check_ell,
     ladder_index,
-    remove_box,
-    removable_boxes,
     removable_corners,
     residue,
     size,
 )
 
+import oracles
 from strategies import partitions, moduli
 
 
-# Reference implementation: each signature built from the addable and
-# removable boxes of the residue, sorted into its reading order and reduced
-# on its own; each operator edits the diagram through add_box/remove_box.
+MODELS = (
+    (CLASSICAL, i_signature, (epsilon, phi, e_tilde, f_tilde)),
+    (LADDER, ladder_i_signature, (ladder_epsilon, ladder_phi, e_hat, f_hat)),
+)
 
 
-def _reference_entries(lam, i, ell):
-    plus = [SignatureEntry(PLUS, b) for b in addable_boxes(lam, i, ell)]
-    minus = [SignatureEntry(MINUS, b) for b in removable_boxes(lam, i, ell)]
-    return plus + minus
-
-
-def _reference_signature(lam, i, ell, ladder):
-    entries = _reference_entries(lam, i, ell)
-    if ladder:
-        return sorted(entries, key=lambda e: (ladder_index(e.box, ell), e.box[0]))
-    return sorted(entries, key=lambda e: -e.box[0])
-
-
-def _reference_reduce(entries):
-    stack = []
-    for entry in entries:
-        if entry.sign == PLUS and stack and stack[-1].sign == MINUS:
-            stack.pop()
-        else:
-            stack.append(entry)
-    return stack
-
-
-def _reference_operators(lam, i, ell, ladder):
-    """(epsilon, phi, e(lam), f(lam)) from the reduced reference signature."""
-    reduced = _reference_reduce(_reference_signature(lam, i, ell, ladder))
-    minus = [e.box for e in reduced if e.sign == MINUS]
-    plus = [e.box for e in reduced if e.sign == PLUS]
-    down = remove_box(lam, minus[0]) if minus else None
-    up = add_box(lam, plus[-1]) if plus else None
-    return len(minus), len(plus), down, up
+def _assert_operators_match_the_oracle(lam, i, ell):
+    for model, signature, operators in MODELS:
+        entries = oracles.signature(lam, i, ell, model)
+        sig = signature(lam, i, ell)
+        assert list(sig) == entries, (lam, i, model)
+        assert list(reduce_signature(sig)) == oracles.reduced(entries), (lam, i, model)
+        got = tuple(op(lam, i, ell) for op in operators)
+        assert got == oracles.operators(lam, i, ell, model), (lam, i, model)
 
 
 @pytest.mark.parametrize("ell", [2, 3, 4, 5])
 def test_kernel_matches_reference_signatures(ell):
-    models = (
-        (False, i_signature, (epsilon, phi, e_tilde, f_tilde)),
-        (True, ladder_i_signature, (ladder_epsilon, ladder_phi, e_hat, f_hat)),
-    )
     for n in range(13):
         for lam in all_partitions(n):
             for i in range(ell):
-                for ladder, signature, operators in models:
-                    entries = _reference_signature(lam, i, ell, ladder)
-                    sig = signature(lam, i, ell)
-                    assert list(sig) == entries, (lam, i, ladder)
-                    assert list(reduce_signature(sig)) == _reference_reduce(entries), (lam, i, ladder)
-                    got = tuple(op(lam, i, ell) for op in operators)
-                    assert got == _reference_operators(lam, i, ell, ladder), (lam, i, ladder)
+                _assert_operators_match_the_oracle(lam, i, ell)
 
 
-# Reference implementation: the per-residue reader the one-pass reader
-# replaced.  It reads one residue per call (checking its arguments), builds
-# SignatureEntry tuples, sorts them with a key for the ladder order and
-# cancels them in a second pass.
-
-
-def _parent_read(lam, i, ell, model):
-    check_ell(ell)
-    if not 0 <= i < ell:
-        raise ValueError(f"residue must lie in 0..{ell - 1}, got {i}")
-    check_model(model)
-    depth = len(lam)
-    entries = []
-    if -depth % ell == i:  # (depth + 1, 1) is always addable; its residue is -depth
-        entries.append(SignatureEntry(PLUS, (depth + 1, 1)))
-    below = 0
-    for row in range(depth, 0, -1):
-        part = lam[row - 1]
-        last = (part - row) % ell  # residue of the row's last box
-        minus = part > below and last == i
-        plus = (row == 1 or lam[row - 2] > part) and (last + 1) % ell == i
-        assert not (minus and plus), f"duplicate signature row for {lam}, i={i}"
-        if minus:
-            entries.append(SignatureEntry(MINUS, (row, part)))
-        elif plus:
-            entries.append(SignatureEntry(PLUS, (row, part + 1)))
-        below = part
-    if model == LADDER:
-        entries.sort(key=lambda e: (e.box[0] + (ell - 1) * (e.box[1] - 1), e.box[0]))
-    return entries
-
-
-def _parent_cancel(entries):
-    plus = []
-    minus = []
-    for sign, box in entries:
-        if sign == MINUS:
-            minus.append(box)
-        elif minus:
-            minus.pop()
-        else:
-            plus.append(box)
-    return ReducedWord(plus, minus)
-
-
-def _assert_reader_matches_parent(lam, ell):
-    signatures = {CLASSICAL: i_signature, LADDER: ladder_i_signature}
-    for model, signature in signatures.items():
+def _assert_reader_matches_the_oracle(lam, ell):
+    # the oracle reads one residue per call, box by box
+    for model, signature, _ in MODELS:
         words = reduced_words(lam, ell, model)
         assert len(words) == ell
         for i in range(ell):
-            entries = _parent_read(lam, i, ell, model)
-            want = _parent_cancel(entries)
+            want = oracles.word(lam, i, ell, model)
             assert words[i] == want, (lam, i, model)
             assert reduced_word(lam, i, ell, model) == want, (lam, i, model)
-            assert list(signature(lam, i, ell)) == entries, (lam, i, model)
-
-
-def _random_partition(n, rng):
-    """A partition of n from parts drawn up to a random cap (long rows or long columns)."""
-    cap = rng.choice([2, 5, int(n**0.5) + 1, n // 4 + 1, n])
-    parts = []
-    while n:
-        part = rng.randint(1, min(cap, n))
-        parts.append(part)
-        n -= part
-    return tuple(sorted(parts, reverse=True))
+            assert list(signature(lam, i, ell)) == oracles.signature(lam, i, ell, model), (lam, i, model)
 
 
 @pytest.mark.parametrize("ell", [2, 3, 4, 5, 6, 7])
 def test_one_pass_reader_matches_the_per_residue_reader(ell):
     for n in range(15):
         for lam in all_partitions(n):
-            _assert_reader_matches_parent(lam, ell)
+            _assert_reader_matches_the_oracle(lam, ell)
 
 
 @pytest.mark.parametrize("ell", [2, 3, 4, 5, 6, 7])
 def test_one_pass_reader_matches_on_large_partitions(ell):
     rng = random.Random(30800 + ell)
     for _ in range(12):
-        _assert_reader_matches_parent(_random_partition(rng.randint(500, 3000), rng), ell)
+        _assert_reader_matches_the_oracle(oracles.random_partition(rng.randint(500, 3000), rng), ell)
 
 
 PUBLIC_OPERATORS = [
@@ -238,17 +143,10 @@ def test_single_residue_reads_hold_nothing_per_residue_at_any_modulus():
         tracemalloc.stop()
     assert peak < 2**20, peak
     ell = 10**30
-    models = (
-        (False, i_signature, (epsilon, phi, e_tilde, f_tilde)),
-        (True, ladder_i_signature, (ladder_epsilon, ladder_phi, e_hat, f_hat)),
-    )
-    for lam in ((2, 1), _random_partition(2048, random.Random(2048))):
+    for lam in ((2, 1), oracles.random_partition(2048, random.Random(2048))):
         corners = addable_corners(lam) + removable_corners(lam)
         for i in sorted({residue(box, ell) for box in corners} | {0, 1, ell - 1}):
-            for ladder, signature, operators in models:
-                assert list(signature(lam, i, ell)) == _reference_signature(lam, i, ell, ladder), (lam, i, ladder)
-                got = tuple(op(lam, i, ell) for op in operators)
-                assert got == _reference_operators(lam, i, ell, ladder), (lam, i, ladder)
+            _assert_operators_match_the_oracle(lam, i, ell)
 
 
 def test_residue_content_and_box_type_reject_non_partitions():
@@ -338,20 +236,11 @@ def test_ladder_reading_order(lam, ell, data):
         assert residue(entry.box, ell) == i
 
 
-def _naive_reduce(word: str) -> str:
-    while "-+" in word:
-        word = word.replace("-+", "", 1)
-    return word
-
-
 @given(st.text(alphabet=[PLUS, MINUS], max_size=30))
 def test_reduce_matches_rewriting_oracle(word):
-    entries = tuple(
-        SignatureEntry(sign, (k + 1, 1)) for k, sign in enumerate(word)
-    )
-    sig = SignatureWord(entries=entries, order="classical")
-    reduced = reduce_signature(sig)
-    assert reduced.word == _naive_reduce(word)
+    entries = tuple(SignatureEntry(sign, (k + 1, 1)) for k, sign in enumerate(word))
+    reduced = reduce_signature(SignatureWord(entries=entries, order="classical"))
+    assert list(reduced) == oracles.reduced(list(entries))
     # canonical form: all plusses before all minuses
     assert "-+" not in reduced.word
 

@@ -13,6 +13,8 @@ from laddercrystal.jm import _partitions_at_most, count_jm, enumerate_jm
 from laddercrystal.partitions import all_partitions, partitions_of
 from laddercrystal.rimhooks import is_core
 
+import oracles
+
 
 def _stack_depth() -> int:
     frame, depth = sys._getframe(), 0
@@ -30,16 +32,6 @@ def _headroom(frames: int = 100):
         yield
     finally:
         sys.setrecursionlimit(old)
-
-
-def _reference_partitions(n, max_part):
-    """The recursive generator this module's loop replaced."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _reference_partitions(n - first, first):
-            yield (first,) + rest
 
 
 def test_no_depth_grows_with_the_size_or_the_weight(capsys):
@@ -61,7 +53,7 @@ def test_count_jm_at_a_large_weight_from_the_cli(capsys):
 def test_partitions_of_matches_the_recursive_reference(n):
     for max_part in [None, -1, 0, 1, 2, 3, 5, n + 1]:
         cap = n if max_part is None else max_part
-        expected = list(_reference_partitions(n, cap)) if n >= 0 else []
+        expected = list(oracles.partitions(n, cap)) if n >= 0 else []
         assert list(partitions_of(n, max_part)) == expected, (n, max_part)
 
 

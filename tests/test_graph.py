@@ -15,7 +15,6 @@ from laddercrystal.crystal import (
     CLASSICAL,
     LADDER,
     ReducedWord,
-    apply_e,
     e_hat,
     epsilon,
     f_hat,
@@ -25,7 +24,6 @@ from laddercrystal.crystal import (
     reduced_words,
 )
 from laddercrystal.graph import (
-    CrystalGraph,
     VerificationReport,
     build_crystal,
     export_dot,
@@ -59,17 +57,8 @@ from laddercrystal.regular import (
 )
 from laddercrystal.rimhooks import _ell_core, _is_core
 
-import helpers
-from helpers import (
-    ladder_node_levels,
-    large_jm_partitions,
-    one_box_away,
-    regular_counts,
-    string_end_checks_at_once,
-    string_end_checks_by_records,
-    theorem_suite_by_records,
-    verify_isomorphism_by_graph,
-)
+import oracles
+from oracles import regular_counts, string_end_checks_by_records, theorem_suite_by_records, verify_isomorphism_by_graph
 
 
 REGULAR_COUNTS_3 = [1, 1, 2, 2, 4, 5, 7, 9, 13, 16, 22]
@@ -126,7 +115,8 @@ def test_ladder_nodes_are_deregularizations():
     # {D(rho) : rho ell-regular of size n}, in sorted order
     for ell in (3, 4, 5):
         levels = build_crystal(ell, 16, "ladder").levels
-        assert [list(level) for level in levels] == [sorted(level) for level in ladder_node_levels(ell, 16)]
+        for n, level in enumerate(levels):
+            assert list(level) == sorted({deregularize(rho, ell) for rho in all_partitions(n) if is_regular(rho, ell)})
 
 
 @pytest.mark.parametrize("model", ["classical", "ladder"])
@@ -412,7 +402,7 @@ def test_verify_isomorphism_regularizes_an_e_move_off_the_level_below(monkeypatc
     # from R(lam) per e-move, finds their R as full regularization does, and
     # records the failures as the built-crystal loop does
     monkeypatch.setattr(graph, "reduced_words", _minus_reversed)
-    monkeypatch.setattr(helpers, "reduced_words", _minus_reversed)
+    monkeypatch.setattr(oracles, "reduced_words", _minus_reversed)
     walks = _ladder_walks(monkeypatch)
     report = verify_isomorphism(ell, depth)
     assert {side: len(moves) for side, moves in walks.items()} == _moves(ell, depth)
@@ -439,7 +429,7 @@ def test_verify_isomorphism_records_failures_like_the_built_crystal_loop(monkeyp
     # count match the oracle's.  The ladder words stay, so both walks reach
     # the same nodes.
     monkeypatch.setattr(graph, "reduced_words", wrong)
-    monkeypatch.setattr(helpers, "reduced_words", wrong)
+    monkeypatch.setattr(oracles, "reduced_words", wrong)
     report = verify_isomorphism(ell, depth).to_dict()
     assert report == verify_isomorphism_by_graph(ell, depth).to_dict()
     lengths = [failure for failure in report["failures"] if failure["expected"].startswith(("phi ", "epsilon "))]
@@ -469,7 +459,7 @@ def test_verify_isomorphism_compares_partitions_where_the_boxes_differ(monkeypat
     # leave (2, 1), so that check passes as the built-crystal loop's does;
     # (1, 2) leaves (1, 1, 1) and fails with the loop's record.
     monkeypatch.setattr(graph, "reduced_words", _good_box_moved_to(box))
-    monkeypatch.setattr(helpers, "reduced_words", _good_box_moved_to(box))
+    monkeypatch.setattr(oracles, "reduced_words", _good_box_moved_to(box))
     assert reduced_words((2, 1, 1), 3, LADDER)[1].minus[0] == (1, 2)
     assert _remove_from_ladder((2, 1, 1), (1, 2), 3) == (2, 1)
     report = verify_isomorphism(3, 6).to_dict()
@@ -539,6 +529,22 @@ def test_build_crystal_rejects_an_unknown_model():
         build_crystal(3, 2, "nope")
 
 
+def _walk_string(report, lam, i, ell, member, in_class, word):
+    """Run graph._string_end_checks for the class that in_class(lam, ell)
+    decides, each f-step check decided as soon as the walk hands it on."""
+
+    class Members:
+        def __contains__(self, cur):
+            return in_class(cur, ell)
+
+    classes = {member: Members()}
+
+    def at_once(check):
+        graph._end_checks(report, [check], classes)
+
+    graph._string_end_checks(report, lam, i, member, classes[member], word, at_once)
+
+
 def test_string_end_checks_skip_steps_that_can_stay_in_class():
     # f^(phi-1) and e^1 are not checked, because class members occur there:
     # at ell=3, (2) has ladder phi_2 = 2 and f_hat_2(2) = (3) is JM, and
@@ -548,7 +554,7 @@ def test_string_end_checks_skip_steps_that_can_stay_in_class():
     assert ladder_epsilon((3, 1), 2, 3) == 2 and e_hat((3, 1), 2, 3) == (3,)
     for lam in ((2,), (3, 1)):
         report = VerificationReport(suite="demo", ell=3, params={})
-        string_end_checks_at_once(report, lam, 2, 3, "jm", is_jm, reduced_word(lam, 2, 3, LADDER))
+        _walk_string(report, lam, 2, 3, "jm", is_jm, reduced_word(lam, 2, 3, LADDER))
         # both steps checked defined and the end checked in the class; step 1 unchecked
         assert report.checks == 3
         assert report.passed
@@ -569,7 +575,7 @@ def test_string_end_checks_skip_steps_that_can_stay_in_class():
 )
 def test_string_end_checks_record_a_corrupted_word(lam, word, expected):
     report = VerificationReport(suite="demo", ell=3, params={})
-    string_end_checks_at_once(report, lam, 2, 3, "jm", is_jm, word)
+    _walk_string(report, lam, 2, 3, "jm", is_jm, word)
     assert not report.passed
     assert [f["expected"] for f in report.failures] == [expected]
     oracle = VerificationReport(suite="demo", ell=3, params={})
@@ -594,7 +600,7 @@ def test_string_end_checks_match_the_record_per_check_oracle(ell):
                     for member, in_class in classes.items():
                         report = VerificationReport(suite="demo", ell=ell, params={})
                         oracle = VerificationReport(suite="demo", ell=ell, params={})
-                        string_end_checks_at_once(report, lam, i, ell, member, in_class, word)
+                        _walk_string(report, lam, i, ell, member, in_class, word)
                         string_end_checks_by_records(oracle, lam, i, ell, member, in_class, word)
                         assert report == oracle, (lam, model, i, member)
                         failed[member] += len(report.failures)
@@ -749,8 +755,8 @@ def test_sweep_predicates_agree_on_conjugates(ell):
                 assert [p(lam, ell) for p in predicates] == [p(conj, ell) for p in predicates], lam
     rng = random.Random(8600 + ell)
     seen = set()
-    for lam in large_jm_partitions(ell, rng, 6):
-        for nu in [lam] + one_box_away(lam):
+    for lam in oracles.large_jm_partitions(ell, rng, 6):
+        for nu in [lam] + oracles.one_box_away(lam):
             answers = [p(nu, ell) for p in predicates]
             assert answers == [p(transpose(nu), ell) for p in predicates], nu
             seen.add(answers[0])
@@ -857,7 +863,7 @@ def test_theorem_suite_reports_a_wrong_mullineux_image(monkeypatch):
                 return wrong if mu == rho else _mullineux_symbol(mu, ell)
 
             monkeypatch.setattr(graph, "_mullineux_symbol", symbol)
-            monkeypatch.setattr(helpers, "mullineux", symbol)
+            monkeypatch.setattr(regular, "mullineux", symbol)
             report = theorem_suite(ell, nmax)
             oracle = theorem_suite_by_records(ell, nmax, is_jm)
             assert report.checks == oracle.checks

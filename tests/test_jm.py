@@ -12,7 +12,6 @@ from hypothesis import given
 from laddercrystal.partitions import (
     _hook_grid,
     all_partitions,
-    check_partition,
     hook_grid,
     is_regular,
     partitions_of,
@@ -20,7 +19,6 @@ from laddercrystal.partitions import (
     transpose,
 )
 from laddercrystal.jm import (
-    FayersWitness,
     InvalidDecompositionError,
     JMDecomposition,
     NotACoreError,
@@ -28,12 +26,9 @@ from laddercrystal.jm import (
     _compose,
     _core_frame,
     _fayers_witness,
-    _fits,
     _frame_rows,
     _is_jm,
-    _leading_run,
     _only_horizontal_hereditarily,
-    _runners,
     compose_jm,
     count_jm,
     decompose_jm,
@@ -47,7 +42,6 @@ from laddercrystal.jm import (
 from laddercrystal.rimhooks import (
     HORIZONTAL,
     VERTICAL,
-    _ell_core,
     _removable_rim_hooks,
     _remove,
     adjacent,
@@ -58,7 +52,7 @@ from laddercrystal.rimhooks import (
 
 from laddercrystal.cli import _cores
 
-from helpers import compose_by_transposes, enumerate_jm_by_transposes, large_jm_partitions, one_box_away
+import oracles
 from strategies import partitions, jm_moduli
 
 
@@ -104,55 +98,36 @@ def test_witness_shape_is_valid(lam, ell):
     assert grid[x - 1][b - 1] % ell != 0
 
 
-def _reference_witness(lam, ell):
-    """The first witness found by rescanning a row and a column per divisible box."""
-    grid = hook_grid(lam)
-    cols = transpose(lam)
-    for a in range(1, len(lam) + 1):
-        row_hooks = grid[a - 1]
-        for b in range(1, lam[a - 1] + 1):
-            if row_hooks[b - 1] % ell:
-                continue
-            y = next((c for c in range(1, lam[a - 1] + 1) if row_hooks[c - 1] % ell), None)
-            if y is None:
-                continue
-            x = next((r for r in range(1, cols[b - 1] + 1) if grid[r - 1][b - 1] % ell), None)
-            if x is None:
-                continue
-            return FayersWitness((a, b), (a, y), (x, b))
-    return None
-
-
 @pytest.mark.parametrize("ell,nmax", [(3, 18), (4, 16), (5, 14)])
 def test_witness_matches_the_rescan_reference(ell, nmax):
     for n in range(nmax + 1):
         for lam in all_partitions(n):
-            assert _fayers_witness(lam, ell) == _reference_witness(lam, ell), lam
+            assert _fayers_witness(lam, ell) == oracles.jm_witness(lam, ell), lam
 
 
 @pytest.mark.parametrize("ell", [3, 4, 5])
 def test_witness_matches_the_rescan_reference_on_large_partitions(ell):
     rng = random.Random(7300 + ell)
     for _ in range(30):
-        lam = _random_partition(rng.randint(500, 3000), rng)
-        assert _fayers_witness(lam, ell) == _reference_witness(lam, ell), lam
+        lam = oracles.random_partition(rng.randint(500, 3000), rng)
+        assert _fayers_witness(lam, ell) == oracles.jm_witness(lam, ell), lam
     # JM partitions have no witness, so both scans run to the end; their
     # one-box neighbours are near misses with a witness deep in the diagram
-    for lam in large_jm_partitions(ell, rng, 6):
-        assert _fayers_witness(lam, ell) is None and _reference_witness(lam, ell) is None
-        for near in one_box_away(lam):
-            assert _fayers_witness(near, ell) == _reference_witness(near, ell), near
+    for lam in oracles.large_jm_partitions(ell, rng, 6):
+        assert _fayers_witness(lam, ell) is None and oracles.jm_witness(lam, ell) is None
+        for near in oracles.one_box_away(lam):
+            assert _fayers_witness(near, ell) == oracles.jm_witness(near, ell), near
 
 
 @pytest.mark.parametrize("ell", [3, 4, 5])
 def test_abacus_jm_matches_the_witness_on_large_partitions(ell):
-    # _is_jm reads the beads; the hook-grid witness is its oracle, on
-    # composed JM partitions and their one-box neighbours (mostly near misses)
+    # _is_jm reads the beads; the hook condition on the grid is its oracle,
+    # on composed JM partitions and their one-box neighbours (mostly near misses)
     rng = random.Random(7400 + ell)
-    for lam in large_jm_partitions(ell, rng, 6) + large_jm_partitions(ell, rng, 4, hooks=(100, 300)):
-        assert _is_jm(lam, ell) and _fayers_witness(lam, ell) is None, lam
-        for near in one_box_away(lam):
-            assert _is_jm(near, ell) == (_fayers_witness(near, ell) is None), near
+    for lam in oracles.large_jm_partitions(ell, rng, 6) + oracles.large_jm_partitions(ell, rng, 4, hooks=(100, 300)):
+        assert _is_jm(lam, ell) and oracles.jm(lam, ell), lam
+        for near in oracles.one_box_away(lam):
+            assert _is_jm(near, ell) == oracles.jm(near, ell), near
 
 
 def test_is_jm_reads_no_hook_grid(monkeypatch):
@@ -181,8 +156,8 @@ def test_short_side_checks_match_the_kernels_on_the_tall_side(ell, monkeypatch):
     # that the conditions are symmetric rather than assume it
     shapes = [lam for n in range(17) for lam in all_partitions(n)]
     rng = random.Random(2560 + ell)
-    for lam in large_jm_partitions(ell, rng, 4):
-        shapes += [transpose(mu) for mu in [lam, *one_box_away(lam)]]
+    for lam in oracles.large_jm_partitions(ell, rng, 4):
+        shapes += [transpose(mu) for mu in [lam, *oracles.one_box_away(lam)]]
     tall = [transpose(lam) if lam and len(lam) < lam[0] else lam for lam in shapes]
     public = [
         (is_jm(lam, ell), is_jm(transpose(lam), ell))
@@ -265,49 +240,9 @@ def test_jm_equals_generalized_ell_partition(ell):
             assert is_jm(lam, ell) == is_generalized_ell_partition(lam, ell)
 
 
-def _reference_only_horizontal(lam, ell):
-    """Walk every partition that hook removals reach; each hook must be horizontal."""
-    seen = {lam}
-    todo = [lam]
-    while todo:
-        cur = todo.pop()
-        hooks = removable_rim_hooks(cur, ell)
-        if any(h.shape != HORIZONTAL for h in hooks):
-            return False
-        for hook in hooks:
-            rest = _remove(cur, hook)
-            if rest not in seen:
-                seen.add(rest)
-                todo.append(rest)
-    return True
-
-
-def _reference_generalized(lam, ell):
-    """Walk every partition that hook removals reach: each hook must be
-    horizontal or vertical, and removing one must not expose a touching hook
-    of the opposite orientation."""
-    seen = {lam}
-    todo = [(lam, removable_rim_hooks(lam, ell))]
-    while todo:
-        cur, hooks = todo.pop()
-        if any(h.shape not in (HORIZONTAL, VERTICAL) for h in hooks):
-            return False
-        for hook in hooks:
-            rest = _remove(cur, hook)
-            rest_hooks = removable_rim_hooks(rest, ell)
-            opposite = VERTICAL if hook.shape == HORIZONTAL else HORIZONTAL
-            for other in rest_hooks:
-                if other.shape == opposite and adjacent(hook, other):
-                    return False
-            if rest not in seen:
-                seen.add(rest)
-                todo.append((rest, rest_hooks))
-    return True
-
-
 def _assert_matches_walk(lam, ell):
-    assert _only_horizontal_hereditarily(lam, ell) == _reference_only_horizontal(lam, ell), (lam, ell)
-    assert is_generalized_ell_partition(lam, ell) == _reference_generalized(lam, ell), (lam, ell)
+    assert _only_horizontal_hereditarily(lam, ell) == oracles.only_horizontal(lam, ell), (lam, ell)
+    assert is_generalized_ell_partition(lam, ell) == oracles.generalized(lam, ell), (lam, ell)
 
 
 @pytest.mark.parametrize("ell,nmax", [(2, 14), (3, 18), (4, 16), (5, 14)])
@@ -317,22 +252,11 @@ def test_hereditary_checks_match_the_walk(ell, nmax):
             _assert_matches_walk(lam, ell)
 
 
-def _random_partition(n, rng):
-    """A partition of n from parts drawn up to a random cap (long rows or long columns)."""
-    cap = rng.choice([2, 5, int(n**0.5) + 1, n // 4 + 1, n])
-    parts = []
-    while n:
-        part = rng.randint(1, min(cap, n))
-        parts.append(part)
-        n -= part
-    return tuple(sorted(parts, reverse=True))
-
-
 @pytest.mark.parametrize("ell", [2, 3, 4, 5])
 def test_hereditary_checks_match_the_walk_on_random_partitions(ell):
     rng = random.Random(7100 + ell)
     for _ in range(750):
-        _assert_matches_walk(_random_partition(rng.randint(20, 90), rng), ell)
+        _assert_matches_walk(oracles.random_partition(rng.randint(20, 90), rng), ell)
 
 
 @pytest.mark.parametrize("ell", [3, 4, 5])
@@ -341,34 +265,22 @@ def test_hereditary_checks_match_the_walk_on_multi_row_jm_partitions(ell):
     # rows, where the walk reaches many partitions; every one-box neighbour
     # is a near miss
     rng = random.Random(7200 + ell)
-    cores = [c for n in range(1, 13) for c in all_partitions(n) if is_core(c, ell)]
-    for core in rng.sample(cores, 12):
+    for core in rng.sample(oracles.cores(ell, 12)[1:], 12):
         members = enumerate_jm(core, rng.randint(2, 5), ell)
         for lam in rng.sample(members, min(6, len(members))):
-            assert is_generalized_ell_partition(lam, ell) and _reference_generalized(lam, ell)
-            for near in one_box_away(lam):
+            assert is_generalized_ell_partition(lam, ell) and oracles.generalized(lam, ell)
+            for near in oracles.one_box_away(lam):
                 _assert_matches_walk(near, ell)
-
-
-def _only_horizontal_by_runner_levels(lam, ell):
-    """_only_horizontal_hereditarily as it was, on the per-runner levels of
-    _runners: runner j's lowest hook starts at level k = packed_j + 1, and
-    its window level on runner i is k, or k - 1 when i > j."""
-    packed, _, top, _ = _runners(lam, ell)
-    for j in range(ell):
-        k = packed[j] + 1
-        if k <= top[j] and any(k - (i > j) <= top[i] for i in range(ell) if i != j):
-            return False
-    return True
 
 
 @pytest.mark.parametrize("ell", [3, 4, 5])
 def test_only_horizontal_on_runner_ends_matches_the_runner_levels(ell):
-    # the check now reads each runner's lowest gap and highest bead
-    # (rimhooks._runner_ends) in positions, not levels
+    # the check reads each runner's lowest gap and highest bead
+    # (rimhooks._runner_ends); the walk over every partition that removals
+    # reach checks it on every partition of n <= 18
     for n in range(19):
         for lam in partitions_of(n):
-            assert _only_horizontal_hereditarily.__wrapped__(lam, ell) == _only_horizontal_by_runner_levels(lam, ell), lam
+            assert _only_horizontal_hereditarily.__wrapped__(lam, ell) == oracles.only_horizontal(lam, ell), lam
 
 
 @pytest.mark.parametrize("ell", [3, 4])
@@ -463,36 +375,11 @@ def test_decompose_golden():
     assert compose_jm(dec, 3) == lam
 
 
-def _reference_decompose(lam, ell):
-    """Remove rim hooks down to the core and tally them: horizontal hooks
-    first (topmost first) by the row of their northeast box, then vertical
-    ones (leftmost first) by its column; for a JM partition the tallies do
-    not depend on the order."""
-    rho_count, sigma_count = {}, {}
-    cur = lam
-    while hooks := removable_rim_hooks(cur, ell):
-        horizontal = [h for h in hooks if h.shape == HORIZONTAL]
-        if horizontal:
-            hook = horizontal[0]
-            row = hook.boxes[0][0]
-            rho_count[row] = rho_count.get(row, 0) + 1
-        else:
-            hook = min(hooks, key=lambda h: h.boxes[0][1])
-            col = hook.boxes[0][1]
-            sigma_count[col] = sigma_count.get(col, 0) + 1
-        cur = _remove(cur, hook)
-    mu, r, s = _core_frame(cur, ell)
-    rho = tuple(rho_count.get(i, 0) for i in range(1, max(rho_count, default=0) + 1))
-    sigma = tuple(sigma_count.get(j, 0) for j in range(1, max(sigma_count, default=0) + 1))
-    assert len(rho) <= r + 1 and len(sigma) <= s + 1, (lam, rho, sigma)
-    return JMDecomposition(mu, r, s, rho, sigma)
-
-
 @pytest.mark.parametrize("ell,nmax", [(3, 18), (4, 16), (5, 16)])
 def test_decompose_matches_the_removal_walk(ell, nmax):
     members = [lam for n in range(nmax + 1) for lam in all_partitions(n) if is_jm(lam, ell)]
     for lam in members:
-        assert decompose_jm(lam, ell) == _reference_decompose(lam, ell), lam
+        assert decompose_jm(lam, ell) == oracles.decompose(lam, ell), lam
     # hooks on several rows, hooks of both kinds, and the one case where a
     # vertical hook puts a box on a row of the frame (mu empty, sigma_s > 0)
     decs = [decompose_jm(lam, ell) for lam in members]
@@ -542,7 +429,9 @@ def test_the_frame_rebuilds_its_core(ell):
     # compose_jm builds its core from the frame, and the other callers of
     # _compose hold the core the frame was read from
     for core in _cores(ell, 60):
-        assert _frame_rows(*_core_frame(core, ell), ell) == list(core), core
+        frame = _core_frame(core, ell)
+        assert frame == oracles.frame(core, ell), core
+        assert _frame_rows(*frame, ell) == list(core) == list(oracles.frame_rows(*frame, ell)), core
 
 
 @pytest.mark.parametrize("ell", [3, 4, 5, 6, 7])
@@ -550,19 +439,12 @@ def test_core_frame_reads_its_columns_without_a_transpose(ell):
     # s is read from the multiplicities of the core's smallest parts, as the
     # leading run of the conjugate's differences gives it
     for core in _cores(ell, 40):
-        r, s = _leading_run(core, ell), _leading_run(transpose(core), ell)
-        assert _core_frame(core, ell) == (tuple(p - s for p in core[r:] if p > s), r, s), core
+        assert _core_frame(core, ell) == oracles.frame(core, ell), core
 
 
-def _reference_compose(mu, r, s, rho, sigma, ell):
-    """_compose as it was: the core rebuilt from its frame (mu, r, s)."""
-    rows = _frame_rows(mu, r, s, ell) + [0] * (r + 1)
-    for i, mult in enumerate(rho):
-        rows[i] += mult * ell
-    cols = list(transpose(tuple(p for p in rows if p))) + [0] * (s + 1)
-    for j, mult in enumerate(sigma):
-        cols[j] += mult * ell
-    return transpose(tuple(p for p in cols if p))
+def _tallies(t, k):
+    """The partitions of t into at most k parts."""
+    return [lam for lam in all_partitions(t) if len(lam) <= k]
 
 
 @pytest.mark.parametrize("ell", [3, 4])
@@ -572,23 +454,30 @@ def test_compose_on_the_core_matches_the_frame_form(ell):
         mu, r, s = _core_frame(core, ell)
         for w in range(7):
             for t in range(w + 1):
-                for rho in map(transpose, partitions_of(t, r + 1)):
-                    for sigma in map(transpose, partitions_of(w - t, s + 1)):
-                        if not mu and len(rho) == r + 1 and len(sigma) == s + 1:
-                            continue
-                        expected = _reference_compose(mu, r, s, rho, sigma, ell)
-                        assert _compose(core, rho, [sigma], ell) == [expected], (core, rho, sigma)
+                for rho in _tallies(t, r + 1):
+                    for sigma in _tallies(w - t, s + 1):
+                        if oracles.fits(mu, r, s, rho, sigma):
+                            expected = oracles.compose(core, rho, sigma, ell)
+                            assert _compose(core, rho, [sigma], ell) == [expected], (core, rho, sigma)
+
+
+def _jm_members(core, w, ell):
+    """Fayers: the JM partitions of this core and weight are the core plus
+    each (rho, sigma) of total size w that fits its frame; largest first."""
+    mu, r, s = oracles.frame(core, ell)
+    pairs = [(rho, sigma) for t in range(w + 1) for rho in _tallies(t, r + 1) for sigma in _tallies(w - t, s + 1)]
+    return sorted((oracles.compose(core, *pair, ell) for pair in pairs if oracles.fits(mu, r, s, *pair)), reverse=True)
 
 
 @pytest.mark.parametrize("ell", [3, 4, 5, 6])
 def test_enumerate_jm_matches_the_transpose_oracle(ell):
-    # the same members in the same order as two full transposes per member,
-    # for every core of size <= 15 and every weight <= 7
+    # the same members in the same order as the frame rule composed through
+    # two conjugates per member, for every core of size <= 15 and weight <= 7
     pairs = 0
     for core in _cores(ell, 15):
         for w in range(8):
             pairs += 1
-            assert enumerate_jm(core, w, ell) == enumerate_jm_by_transposes(core, w, ell), (core, w)
+            assert enumerate_jm(core, w, ell) == _jm_members(core, w, ell), (core, w)
     assert pairs == {3: 144, 4: 400, 5: 752, 6: 1320}[ell]  # 2,616 in all
 
 
@@ -596,22 +485,22 @@ def test_enumerate_jm_matches_the_transpose_oracle(ell):
 def test_compose_jm_matches_the_transpose_oracle(ell):
     # every (rho, sigma) of total size <= 5 on every core of size <= 10, with
     # up to one part past each limit: compose_jm refuses exactly the pairs
-    # that do not fit, and builds the others as two full transposes do
+    # that do not fit, and builds the others as the frame rule does
     accepted = refused = 0
     for core in _cores(ell, 10):
         mu, r, s = _core_frame(core, ell)
         for w in range(6):
             for t in range(w + 1):
-                for rho in map(transpose, partitions_of(t, r + 2)):
-                    for sigma in map(transpose, partitions_of(w - t, s + 2)):
+                for rho in _tallies(t, r + 2):
+                    for sigma in _tallies(w - t, s + 2):
                         dec = JMDecomposition(mu, r, s, rho, sigma)
-                        if not _fits(mu, r, s, rho, sigma):
+                        if not oracles.fits(mu, r, s, rho, sigma):
                             with pytest.raises(InvalidDecompositionError):
                                 compose_jm(dec, ell)
                             refused += 1
                             continue
                         accepted += 1
-                        assert compose_jm(dec, ell) == compose_by_transposes(core, rho, sigma, ell), dec
+                        assert compose_jm(dec, ell) == oracles.compose(core, rho, sigma, ell), dec
     assert (accepted, refused) == {3: (523, 323), 4: (788, 712), 5: (1265, 1345), 6: (1565, 1897)}[ell]
 
 
@@ -721,43 +610,15 @@ def test_enumerated_partitions_round_trip(ell):
 
 @pytest.mark.parametrize("ell", [3, 4, 5])
 def test_enumerated_partitions_are_jm_of_their_core_and_weight(ell):
-    # enumerate_jm trusts Fayers's theorem; this holds it to the hook-grid
-    # test and the abacus on every (core, w) the other tests enumerate
+    # enumerate_jm trusts Fayers's theorem; this holds it to the hook
+    # condition and the peeled core on every (core, w) the other tests enumerate
     cases = [(core, w) for core in _cores(ell, 12) for w in range(7)]
     if ell == 3:
         cases.append(((1,), 40))
     for core, w in cases:
         for lam in enumerate_jm(core, w, ell):
-            assert _fayers_witness(lam, ell) is None, lam
-            assert _ell_core(lam, ell) == (core, w), lam
-
-
-def _reference_validate_decomposition(dec, ell):
-    """compose_jm's frame and fit checks as five separate conditions, before
-    they became a read-back of the frame and one fit rule."""
-    mu, rho, sigma, r, s = dec.mu, dec.rho, dec.sigma, dec.r, dec.s
-    if not is_core(mu, ell):
-        return False
-    if _leading_run(mu, ell) or _leading_run(transpose(mu), ell):
-        return False
-    if len(rho) > r + 1 or len(sigma) > s + 1:
-        return False
-    return bool(mu) or len(rho) != r + 1 or len(sigma) != s + 1
-
-
-def _reference_decompose_witness_first(lam, ell):
-    """decompose_jm as it was: the Fayers-witness test on a hook grid, then
-    the frame reading, then a check that it composes back."""
-    if _fayers_witness(lam, ell) is not None:
-        raise NotJMPartitionError(f"{lam} is not ({ell},0)-JM")
-    core = ell_core(lam, ell).core
-    mu, r, s = _core_frame(core, ell)
-    pad = (0,) * (r + s + 2)
-    rho = check_partition([(a - b) // ell for a, b in zip((lam + pad)[: r + 1], core + pad)])
-    cols = transpose(compose_by_transposes(core, rho, (), ell)) + pad
-    sigma = check_partition([(a - b) // ell for a, b in zip((transpose(lam) + pad)[: s + 1], cols)])
-    assert compose_by_transposes(core, rho, sigma, ell) == lam
-    return JMDecomposition(mu, r, s, rho, sigma)
+            assert oracles.jm(lam, ell), lam
+            assert oracles.core(lam, ell) == (core, w), lam
 
 
 def _past_limits(limit):
@@ -766,25 +627,28 @@ def _past_limits(limit):
 
 
 @pytest.mark.parametrize("ell", [3, 4, 5, 6])
-def test_compose_accepts_exactly_the_old_frames_and_fits(ell):
-    mus = [mu for n in range(15) for mu in all_partitions(n)]
+def test_compose_accepts_exactly_the_frames_that_read_back_and_fit(ell):
+    # compose_jm accepts (mu, r, s, rho, sigma) exactly when the frame's rows
+    # form an ell-core whose frame reads back as (mu, r, s), and rho and
+    # sigma fit that frame; it then builds the core plus the hooks
     frames = valid = 0
-    for mu in mus:
-        for r in range(4):
-            for s in range(4):
-                frames += 1
-                for rho in _past_limits(r + 1):
-                    for sigma in _past_limits(s + 1):
-                        dec = JMDecomposition(mu, r, s, rho, sigma)
-                        expected = _reference_validate_decomposition(dec, ell)
-                        try:
-                            lam = compose_jm(dec, ell)
-                        except InvalidDecompositionError:
-                            assert not expected, dec
-                            continue
-                        assert expected, dec
-                        assert lam == _reference_compose(mu, r, s, rho, sigma, ell)
-                valid += _reference_validate_decomposition(JMDecomposition(mu, r, s, (), ()), ell)
+    for n in range(15):
+        for mu in all_partitions(n):
+            for r in range(4):
+                for s in range(4):
+                    frames += 1
+                    core = oracles.frame_rows(mu, r, s, ell)
+                    reads_back = oracles.frame(core, ell) == (mu, r, s) and not oracles.rim_hooks(core, ell)
+                    valid += reads_back
+                    for rho in _past_limits(r + 1):
+                        for sigma in _past_limits(s + 1):
+                            dec = JMDecomposition(mu, r, s, rho, sigma)
+                            try:
+                                lam = compose_jm(dec, ell)
+                            except InvalidDecompositionError:
+                                lam = None  # refused
+                            accepted = reads_back and oracles.fits(mu, r, s, rho, sigma)
+                            assert lam == (oracles.compose(core, rho, sigma, ell) if accepted else None), dec
     assert frames == 8128
     assert valid == {3: 32, 4: 208, 5: 688, 6: 1536}[ell]
 
@@ -794,9 +658,9 @@ def test_decompose_rejects_exactly_the_non_jm_partitions(ell):
     members = 0
     for n in range(19):
         for lam in all_partitions(n):
-            if _fayers_witness(lam, ell) is None:
+            if oracles.jm(lam, ell):
                 members += 1
-                assert decompose_jm(lam, ell) == _reference_decompose_witness_first(lam, ell), lam
+                assert decompose_jm(lam, ell) == oracles.decompose(lam, ell), lam
             else:
                 with pytest.raises(NotJMPartitionError):
                     decompose_jm(lam, ell)
@@ -822,12 +686,12 @@ def test_the_fit_rule_rejects_readings_that_compose_back(monkeypatch):
 @pytest.mark.parametrize("ell", [3, 4, 5])
 def test_decompose_rejects_exactly_the_non_jm_neighbours_of_large_partitions(ell):
     rng = random.Random(7400 + ell)
-    for lam in large_jm_partitions(ell, rng, 8, hooks=(100, 300)):
+    for lam in oracles.large_jm_partitions(ell, rng, 8, hooks=(100, 300)):
         assert size(lam) >= 600
-        assert decompose_jm(lam, ell) == _reference_decompose_witness_first(lam, ell)
-        for near in one_box_away(lam):
-            if _fayers_witness(near, ell) is None:
-                assert decompose_jm(near, ell) == _reference_decompose_witness_first(near, ell), near
+        assert decompose_jm(lam, ell) == oracles.decompose(lam, ell)
+        for near in oracles.one_box_away(lam):
+            if oracles.jm(near, ell):
+                assert decompose_jm(near, ell) == oracles.decompose(near, ell), near
             else:
                 with pytest.raises(NotJMPartitionError):
                     decompose_jm(near, ell)
@@ -835,7 +699,7 @@ def test_decompose_rejects_exactly_the_non_jm_neighbours_of_large_partitions(ell
 
 def test_decompose_builds_no_hook_grid(monkeypatch):
     big = compose_jm(JMDecomposition(mu=(1,), r=3, s=2, rho=(900, 300, 20, 1), sigma=(40, 3)), 3)
-    near_misses = [lam for lam in one_box_away(big) if _fayers_witness(lam, 3) is not None]
+    near_misses = [lam for lam in oracles.one_box_away(big) if not oracles.jm(lam, 3)]
     assert near_misses
     calls = 0
 

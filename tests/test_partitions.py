@@ -41,7 +41,7 @@ from laddercrystal.partitions import (
     transpose,
 )
 
-from helpers import transpose_by_boxes
+import oracles
 from strategies import partitions, moduli
 
 
@@ -120,12 +120,12 @@ def test_transpose_walks_either_side_like_the_box_count():
     for _ in range(20):
         cap = rng.choice([3, 40, 400])
         lam = tuple(sorted((rng.randint(1, cap) for _ in range(rng.randint(1, 400))), reverse=True))
-        shapes += [lam, transpose_by_boxes(lam)]
+        shapes += [lam, oracles.conjugate(lam)]
     shapes += [(1,) * 500, (500,), (2,) * 300, (300, 300)]
     assert any(lam and len(lam) > lam[0] for lam in shapes)
     assert any(lam and len(lam) < lam[0] for lam in shapes)
     for lam in shapes:
-        assert _transpose(lam) == transpose(lam) == transpose_by_boxes(lam), lam
+        assert _transpose(lam) == transpose(lam) == oracles.conjugate(lam), lam
 
 
 @given(partitions())

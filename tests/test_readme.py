@@ -1,4 +1,5 @@
-"""The examples in README.md: the library session and the command lines."""
+"""The examples in README.md: the library session and the command lines;
+and the tests that README.md and the package's docstrings cite."""
 
 from __future__ import annotations
 
@@ -12,7 +13,8 @@ import pytest
 
 from laddercrystal.cli import main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+TESTS = Path(__file__).resolve().parent
+README = TESTS.parent / "README.md"
 
 
 def _blocks(lang: str) -> list[str]:
@@ -70,3 +72,16 @@ def test_command_example(command, shown, capsys, monkeypatch, tmp_path):
         assert out.splitlines() == shown
     if "--dot" in argv:
         assert (tmp_path / argv[argv.index("--dot") + 1]).read_text().startswith("digraph")
+
+
+def test_cited_tests_exist_and_oracles_live_in_one_module():
+    # every test_... name in README.md or a package docstring names a test
+    # function or a test module, and each oracle lives in tests/oracles.py,
+    # not in a private helper of the module that uses it
+    modules = {path.stem: path.read_text() for path in TESTS.glob("*.py")}
+    defined = set(modules) | {name for text in modules.values() for name in re.findall(r"^def (test_\w+)", text, re.M)}
+    docs = [README, *(TESTS.parent / "src" / "laddercrystal").glob("*.py")]
+    cited = {name for path in docs for name in re.findall(r"\btest_\w+", path.read_text())}
+    assert cited and cited <= defined, sorted(cited - defined)
+    private = re.compile(r"^\s*def (_reference_\w*|_parent_\w*|_random_partition)\b", re.M)
+    assert not {name: private.findall(text) for name, text in modules.items() if private.search(text)}

@@ -16,12 +16,9 @@ from laddercrystal.partitions import (
     addable_corners,
     all_partitions,
     boxes,
-    check_partition,
     dominance_compare,
     _children,
     is_regular,
-    ladder_index,
-    ladder_positions,
     partitions_of,
     removable_corners,
     remove_box,
@@ -30,7 +27,6 @@ from laddercrystal.partitions import (
 )
 from laddercrystal.jm import is_generalized_ell_partition, is_jm
 from laddercrystal import crystal
-from laddercrystal.crystal import CLASSICAL, reduced_word
 from laddercrystal.rimhooks import ell_core
 from laddercrystal.regular import (
     LOCKED_I,
@@ -59,179 +55,43 @@ from laddercrystal.regular import (
     regularize,
 )
 
-from helpers import (
-    L_partition_by_hooks,
-    blocking_by_columns,
-    deregularize_by_lock_prefixes,
-    ladder_node_by_hooks,
-    ladder_tally_by_boxes,
-    large_jm_partitions,
-    mullineux_by_largest_residue,
-    mullineux_image_symbol,
-    mullineux_symbol,
-    one_box_away,
-    regularize_by_ladders,
-)
+import oracles
 from strategies import partitions, moduli, jm_moduli
-
-
-# Reference implementation, box by box: sets of (row, col) boxes, a rescan of
-# each box's ladder for the type I test, and reg_class as a scan of every
-# partition of |lam|.
-
-
-def _reference_ladder_counts(lam, ell):
-    counts = {}
-    for box in boxes(lam):
-        k = ladder_index(box, ell)
-        counts[k] = counts.get(k, 0) + 1
-    return counts
-
-
-def _reference_diagram(filled, context):
-    if not filled:
-        return ()
-    row_counts = {}
-    for row, _col in filled:
-        row_counts[row] = row_counts.get(row, 0) + 1
-    rows = [row_counts.get(r, 0) for r in range(1, max(row_counts) + 1)]
-    for r, length in enumerate(rows, start=1):
-        if {(r, c) for c in range(1, length + 1)} != {b for b in filled if b[0] == r}:
-            raise ValueError(f"{context} produced a non-contiguous row {r}")
-    try:
-        return check_partition(rows)
-    except ValueError as exc:
-        raise ValueError(f"{context} did not produce a partition: {rows}") from exc
-
-
-def _reference_regularize(lam, ell):
-    filled = set()
-    for k, count in _reference_ladder_counts(lam, ell).items():
-        filled.update(ladder_positions(k, ell)[:count])
-    return _reference_diagram(filled, "regularization")
-
-
-def _inside(lam, box):
-    """contains() without its partition check, which would cost O(len(lam)) a box here."""
-    row, col = box
-    return 1 <= row <= len(lam) and 1 <= col <= lam[row - 1]
-
-
-def _reference_gaps_stacked(lam, box, ell):
-    row, col = box
-    k = ladder_index(box, ell)
-    for b in range(1, col):
-        pos = (k - (ell - 1) * (b - 1), b)
-        if not _inside(lam, pos) and _inside(lam, (pos[0] - 1, pos[1])):
-            return False
-    return True
-
-
-def _reference_lock_labels(lam, ell):
-    labels = {}
-    locked = set()
-    for row in range(1, len(lam) + 1):
-        type_one = []
-        for col in range(1, lam[row - 1] + 1):
-            above_ok = row == 1 or (row - 1, col) in locked
-            if above_ok and _reference_gaps_stacked(lam, (row, col), ell):
-                type_one.append(col)
-        rightmost = max(type_one) if type_one else 0
-        for col in range(1, lam[row - 1] + 1):
-            if col in type_one:
-                labels[(row, col)] = LOCKED_I
-                locked.add((row, col))
-            elif col < rightmost:
-                labels[(row, col)] = LOCKED_II
-                locked.add((row, col))
-            else:
-                labels[(row, col)] = UNLOCKED
-    return labels
-
-
-def _reference_deregularize(lam, ell):
-    labels = _reference_lock_labels(lam, ell)
-    locked_by_ladder = {}
-    loose_by_ladder = {}
-    for box, label in labels.items():
-        k = ladder_index(box, ell)
-        if label == UNLOCKED:
-            loose_by_ladder[k] = loose_by_ladder.get(k, 0) + 1
-        else:
-            locked_by_ladder.setdefault(k, set()).add(box)
-    filled = set()
-    for fixed in locked_by_ladder.values():
-        filled.update(fixed)
-    for k, count in loose_by_ladder.items():
-        fixed = locked_by_ladder.get(k, set())
-        free = [p for p in reversed(ladder_positions(k, ell)) if p not in fixed]
-        filled.update(free[:count])
-    result = _reference_diagram(filled, "deregularization")
-    if any(label == UNLOCKED for label in _reference_lock_labels(result, ell).values()):
-        raise ValueError(f"deregularization of {lam} left unlocked boxes: {result}")
-    return result
 
 
 def _assert_postconditions(lam, ell):
     """What regularize and deregularize guarantee by construction and no call
     re-checks: both give partitions with lam's ladder counts, the first
     ell-regular and the second a ladder node by the hook rule."""
-    counts = _reference_ladder_counts(lam, ell)
+    counts = oracles.ladder_counts(lam, ell)
     reg, dereg = regularize(lam, ell), deregularize(lam, ell)
     for mu in (reg, dereg):
         assert all(part > 0 for part in mu) and list(mu) == sorted(mu, reverse=True), (lam, mu)
-        assert _reference_ladder_counts(mu, ell) == counts, (lam, mu)
+        assert oracles.ladder_counts(mu, ell) == counts, (lam, mu)
     assert is_regular(reg, ell), lam
-    assert ladder_node_by_hooks(dereg, ell), lam
+    assert oracles.ladder_node(dereg, ell), lam
 
 
-def _reference_classes(n, ell):
-    """The p(n) scan: every partition of n grouped by its regularization."""
-    classes = {}
-    for mu in all_partitions(n):
-        classes.setdefault(_reference_regularize(mu, ell), []).append(mu)
-    return {image: tuple(sorted(members)) for image, members in classes.items()}
-
-
-def _outcome(fn, *args):
-    """The value of fn(*args), or the type and message of what it raised."""
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        return (type(exc), str(exc))
-
-
-def _random_partition(n, rng):
-    """A partition of n from parts drawn up to a random cap (long rows or long columns)."""
-    cap = rng.choice([2, 5, int(n**0.5) + 1, n // 4 + 1, n])
-    parts = []
-    while n:
-        part = rng.randint(1, min(cap, n))
-        parts.append(part)
-        n -= part
-    return tuple(sorted(parts, reverse=True))
-
-
-def _assert_matches_reference(lam, ell):
-    assert ladder_counts(lam, ell) == _reference_ladder_counts(lam, ell), lam
-    assert _outcome(regularize, lam, ell) == _outcome(_reference_regularize, lam, ell), lam
-    assert _outcome(lock_labels, lam, ell) == _outcome(_reference_lock_labels, lam, ell), lam
-    assert _outcome(deregularize, lam, ell) == _outcome(_reference_deregularize, lam, ell), lam
+def _assert_matches_the_oracles(lam, ell):
+    assert ladder_counts(lam, ell) == oracles.ladder_counts(lam, ell), lam
+    assert regularize(lam, ell) == oracles.regularize(lam, ell), lam
+    assert lock_labels(lam, ell) == oracles.lock_labels(lam, ell), lam
+    assert deregularize(lam, ell) == oracles.deregularize(lam, ell), lam
 
 
 @pytest.mark.parametrize("ell,nmax", [(2, 14), (3, 16), (4, 16), (5, 16)])
 def test_ladder_arithmetic_matches_reference(ell, nmax):
     for n in range(nmax + 1):
         for lam in all_partitions(n):
-            _assert_matches_reference(lam, ell)
+            _assert_matches_the_oracles(lam, ell)
 
 
 @pytest.mark.parametrize("ell", [2, 3, 4, 5])
 def test_ladder_arithmetic_matches_reference_on_large_partitions(ell):
     rng = random.Random(20090 + ell)
     for _ in range(12):
-        lam = _random_partition(rng.randint(100, 800), rng)
-        _assert_matches_reference(lam, ell)
+        lam = oracles.random_partition(rng.randint(100, 800), rng)
+        _assert_matches_the_oracles(lam, ell)
         _assert_postconditions(lam, ell)
 
 
@@ -240,7 +100,7 @@ def test_deregularize_matches_the_prefix_list_oracle(ell):
     # every partition of n <= 16, ladder nodes (returned as they are) included
     for n in range(17):
         for lam in all_partitions(n):
-            assert _deregularize(lam, ell) == deregularize_by_lock_prefixes(lam, ell), lam
+            assert _deregularize(lam, ell) == oracles.deregularize(lam, ell), lam
 
 
 @pytest.mark.parametrize("ell", [3, 4, 5])
@@ -248,18 +108,19 @@ def test_deregularize_matches_the_prefix_list_oracle_on_large_images(ell):
     # lam, R(lam) and R(lam') of 300 to 3,000 boxes
     rng = random.Random(29000 + ell)
     for n in (300, 1000, 2048, 3000):
-        lam = _random_partition(n, rng)
+        lam = oracles.random_partition(n, rng)
         for mu in (lam, _regularize(lam, ell), _regularize(transpose(lam), ell)):
-            assert _deregularize(mu, ell) == deregularize_by_lock_prefixes(mu, ell), (n, mu[:8])
+            assert _deregularize(mu, ell) == oracles.deregularize(mu, ell), (n, mu[:8])
 
 
 def _assert_matches_the_box_oracles(lam, ell):
-    """The per-class ladder counts and slide against a tally with one step
-    per box and a fill with one step per ladder position."""
-    tally = ladder_tally_by_boxes(lam, ell)
-    assert _ladder_tally(lam, ell) == tally, (lam, ell)
-    assert ladder_counts(lam, ell) == {k: count for k, count in enumerate(tally) if count}, (lam, ell)
-    image = regularize_by_ladders(lam, ell)
+    """The per-class ladder counts and slide against the ladder counts and
+    the fill of each ladder from the top, box by box."""
+    counts = oracles.ladder_counts(lam, ell)
+    tally = _ladder_tally(lam, ell)
+    assert tally == [counts.get(k, 0) for k in range(len(tally))] and sum(tally) == sum(lam), (lam, ell)
+    assert ladder_counts(lam, ell) == counts, (lam, ell)
+    image = oracles.regularize(lam, ell)
     assert _regularize(lam, ell) == image and regularize(lam, ell) == image, (lam, ell)
 
 
@@ -274,7 +135,7 @@ def test_class_ladders_match_the_box_oracles(ell):
 def test_class_ladders_match_the_box_oracles_on_large_partitions(ell):
     rng = random.Random(25000 + ell)
     for _ in range(4):
-        lam = _random_partition(rng.randint(500, 5000), rng)
+        lam = oracles.random_partition(rng.randint(500, 5000), rng)
         for mu in (lam, transpose(lam)):
             _assert_matches_the_box_oracles(mu, ell)
 
@@ -355,11 +216,14 @@ def test_regularize_and_deregularize_keep_their_postconditions(ell, nmax, reach)
 
 @pytest.mark.parametrize("ell", [2, 3, 4, 5])
 def test_reg_class_matches_the_partition_scan(ell):
+    # every partition of n grouped by its regularization
     for n in range(17):
-        classes = _reference_classes(n, ell)
-        for lam in all_partitions(n):
-            image = _reference_regularize(lam, ell)
-            assert reg_class(lam, ell) == RegClass(image, classes[image]), lam
+        classes = {}
+        for mu in all_partitions(n):
+            classes.setdefault(oracles.regularize(mu, ell), []).append(mu)
+        for image, members in classes.items():
+            for lam in members:
+                assert reg_class(lam, ell) == RegClass(image, tuple(sorted(members))), lam
 
 
 @pytest.mark.parametrize(
@@ -557,19 +421,13 @@ def test_ladder_node_triple_equivalence(ell):
 def test_ladder_node_matches_the_hook_rule(ell):
     for n in range(19):
         for lam in all_partitions(n):
-            assert is_ladder_node(lam, ell) == ladder_node_by_hooks(lam, ell), lam
+            assert is_ladder_node(lam, ell) == oracles.ladder_node(lam, ell), lam
     # large diagrams and their deregularizations, which are all nodes
     rng = random.Random(8100 + ell)
     for _ in range(40):
-        n = rng.randint(200, 4000)
-        cap = rng.choice([2, ell, int(n**0.5) + 1, n])
-        parts = []
-        while n:
-            parts.append(rng.randint(1, min(cap, n)))
-            n -= parts[-1]
-        lam = tuple(sorted(parts, reverse=True))
+        lam = oracles.random_partition(rng.randint(200, 4000), rng)
         for mu in (lam, deregularize(lam, ell)):
-            assert is_ladder_node(mu, ell) == ladder_node_by_hooks(mu, ell), mu
+            assert is_ladder_node(mu, ell) == oracles.ladder_node(mu, ell), mu
         _assert_postconditions(lam, ell)
 
 
@@ -577,12 +435,12 @@ def test_ladder_node_matches_the_hook_rule(ell):
 def test_blocking_matches_the_column_scan(ell):
     for n in range(17):
         for lam in partitions_of(n):
-            assert _blocking(lam, ell) == blocking_by_columns(lam, ell), lam
+            assert _blocking(lam, ell) == oracles.blocking(lam, ell), lam
     rng = random.Random(8500 + ell)
     large = [(1,) * 3000, (3000,), tuple(range(400, 0, -1))]
-    for lam in large + large_jm_partitions(ell, rng, 6):
+    for lam in large + oracles.large_jm_partitions(ell, rng, 6):
         for mu in (lam, transpose(lam)):
-            assert _blocking(mu, ell) == blocking_by_columns(mu, ell), mu
+            assert _blocking(mu, ell) == oracles.blocking(mu, ell), mu
 
 
 def test_L_partition_golden():
@@ -613,7 +471,7 @@ def test_L_partition_two_definitions(lam, ell):
 def test_L_partition_on_the_abacus_matches_the_hook_grid(ell, nmax):
     for n in range(nmax + 1):
         for lam in partitions_of(n):
-            assert is_L_partition(lam, ell) == L_partition_by_hooks(lam, ell), lam
+            assert is_L_partition(lam, ell) == oracles.L_partition(lam, ell), lam
 
 
 @pytest.mark.parametrize("ell", [3, 4, 5])
@@ -622,12 +480,12 @@ def test_L_partition_on_the_abacus_matches_the_hook_grid_on_large_jm_partitions(
     # their one-box neighbours; both answers occur
     rng = random.Random(8300 + ell)
     seen = set()
-    for lam in large_jm_partitions(ell, rng, 6, hooks=(100, 300)):
+    for lam in oracles.large_jm_partitions(ell, rng, 6, hooks=(100, 300)):
         assert size(lam) >= 500
         for mu in (lam, transpose(lam)):
-            for nu in [mu] + one_box_away(mu):
+            for nu in [mu] + oracles.one_box_away(mu):
                 balanced = is_L_partition(nu, ell)
-                assert balanced == L_partition_by_hooks(nu, ell), nu
+                assert balanced == oracles.L_partition(nu, ell), nu
                 seen.add(balanced)
     assert seen == {True, False}
 
@@ -694,49 +552,7 @@ def test_mullineux_involution_and_choice_independence(ell):
             assert size(image) == n
             assert is_regular(image, ell)
             assert mullineux(image, ell) == lam
-            assert mullineux_by_largest_residue(lam, ell) == image
-
-
-# Reference Mullineux map, box by box: peel one good box per step and replay
-# one cogood box per step, reading a fresh reduced word each time.
-
-
-def _reference_mullineux(lam, ell):
-    peeled = []
-    cur = lam
-    while cur:
-        for i in range(ell):
-            word = reduced_word(cur, i, ell, CLASSICAL)
-            if word.minus:
-                break
-        else:
-            raise ValueError(f"no removable good box for {cur}; is it {ell}-regular?")
-        peeled.append(i)
-        row, col = word.minus[0]
-        cur = cur[: row - 1] + ((col - 1,) if col > 1 else ()) + cur[row:]
-    image = ()
-    for i in reversed(peeled):
-        word = reduced_word(image, (-i) % ell, ell, CLASSICAL)
-        assert word.plus, f"mullineux replay stalled at {lam}"
-        row, col = word.plus[-1]
-        image = image[: row - 1] + (col,) + image[row:]
-    return image
-
-
-def _random_regular_partition(n, ell, rng):
-    """An ell-regular partition of at most n boxes: parts from a random cap
-    down to 1, each taken 0..ell-1 times while it fits (many short rows or a
-    few long ones)."""
-    cap = rng.choice([int((2 * n) ** 0.5), n // 16, n // 4])
-    parts = []
-    for value in range(cap, 0, -1):
-        parts += [value] * min(rng.randint(0, ell - 1), (n - sum(parts)) // value)
-    return tuple(parts)
-
-
-def _large_regular_partitions(ell):
-    rng = random.Random(19790 + ell)
-    return [_random_regular_partition(rng.randint(500, 4096), ell, rng) for _ in range(6)]
+            assert oracles.mullineux(lam, ell, order=range(ell)) == image == oracles.mullineux(lam, ell)
 
 
 def _regular_partitions(ell, nmax):
@@ -745,26 +561,23 @@ def _regular_partitions(ell, nmax):
 
 @pytest.mark.parametrize("ell,nmax", [(3, 18), (4, 16), (5, 16)])
 def test_mullineux_matches_one_box_reference(ell, nmax):
+    # the crystal twist, peeled by the largest live residue and by the smallest
     for lam in _regular_partitions(ell, nmax):
-        expected = _reference_mullineux(lam, ell)
-        assert mullineux(lam, ell) == expected, lam
-        assert mullineux_by_largest_residue(lam, ell) == expected, lam
+        assert mullineux(lam, ell) == oracles.mullineux(lam, ell) == oracles.mullineux(lam, ell, order=range(ell)), lam
 
 
 @pytest.mark.parametrize("ell", [3, 4, 5, 7])
 def test_mullineux_matches_one_box_reference_on_large_partitions(ell):
-    for lam in _large_regular_partitions(ell):
+    for lam in oracles.large_regular_partitions(ell):
         assert is_regular(lam, ell) and 300 < size(lam) <= 4096, lam
-        expected = _reference_mullineux(lam, ell)
-        assert mullineux(lam, ell) == expected, lam
-        assert mullineux_by_largest_residue(lam, ell) == expected, lam
+        assert mullineux(lam, ell) == oracles.mullineux(lam, ell), lam
 
 
 @pytest.mark.parametrize("ell", [3, 4, 5, 7])
 def test_peeled_rim_is_the_ell_rim_and_adding_it_back_restores_lam(ell):
-    # the oracle symbol walks each ell-rim box by box (helpers.ell_rim)
-    for lam in _regular_partitions(ell, 20) + _large_regular_partitions(ell):
-        symbol = mullineux_symbol(lam, ell)
+    # the oracle symbol walks each ell-rim box by box (oracles.ell_rim)
+    for lam in _regular_partitions(ell, 20) + oracles.large_regular_partitions(ell):
+        symbol = oracles.mullineux_symbol(lam, ell)
         assert _peel_rims(lam, ell) == symbol, lam
         assert _add_rims(symbol, ell) == lam, lam
 
@@ -776,16 +589,16 @@ def test_mullineux_reads_no_signatures(monkeypatch):
     monkeypatch.setattr(crystal, "_read", forbidden)
     _mullineux.cache_clear()
     assert mullineux((3, 2, 1), 3) == (5, 1)
-    for lam in _large_regular_partitions(3):
+    for lam in oracles.large_regular_partitions(3):
         assert mullineux(mullineux(lam, 3), 3) == lam
 
 
 def test_mullineux_symbol_golden():
     # the 3-rim of (3,2,1) is (1,3),(1,2),(2,2) then (3,1); (1,1) is left
-    assert mullineux_symbol((3, 2, 1), 3) == [(4, 3), (2, 2)]
-    assert mullineux_image_symbol((3, 2, 1), 3) == [(4, 2), (2, 1)]
-    assert mullineux_symbol((5, 1), 3) == [(4, 2), (2, 1)]
-    assert mullineux_symbol((), 3) == []
+    assert oracles.mullineux_symbol((3, 2, 1), 3) == [(4, 3), (2, 2)]
+    assert oracles.mullineux_image_symbol((3, 2, 1), 3) == [(4, 2), (2, 1)]
+    assert oracles.mullineux_symbol((5, 1), 3) == [(4, 2), (2, 1)]
+    assert oracles.mullineux_symbol((), 3) == []
 
 
 @pytest.mark.parametrize("ell", [3, 4, 5, 6, 7])
@@ -802,7 +615,7 @@ def test_mullineux_symbol_kernel_is_an_involution(ell):
 def test_mullineux_symbol_determines_the_partition(ell):
     seen = {}
     for lam in _regular_partitions(ell, 14):
-        symbol = tuple(mullineux_symbol(lam, ell))
+        symbol = tuple(oracles.mullineux_symbol(lam, ell))
         assert seen.setdefault(symbol, lam) == lam, (lam, seen[symbol])
 
 
@@ -810,20 +623,20 @@ def test_mullineux_symbol_determines_the_partition(ell):
 def test_mullineux_matches_the_symbol_oracle(ell):
     # the sizes at which test_mullineux_matches_one_box_reference holds mullineux to the crystal
     for lam in _regular_partitions(ell, 18 if ell == 3 else 16):
-        assert mullineux_symbol(mullineux(lam, ell), ell) == mullineux_image_symbol(lam, ell), lam
+        assert oracles.mullineux_symbol(mullineux(lam, ell), ell) == oracles.mullineux_image_symbol(lam, ell), lam
 
 
 @pytest.mark.parametrize("ell", [3, 4])
 def test_mullineux_matches_the_symbol_oracle_on_large_partitions(ell):
-    for lam in _large_regular_partitions(ell):
-        assert mullineux_symbol(mullineux(lam, ell), ell) == mullineux_image_symbol(lam, ell), lam
+    for lam in oracles.large_regular_partitions(ell):
+        assert oracles.mullineux_symbol(mullineux(lam, ell), ell) == oracles.mullineux_image_symbol(lam, ell), lam
 
 
 def test_mullineux_involution_and_symbol_at_size_4096():
-    lam = _random_regular_partition(4096, 3, random.Random(4097))
+    lam = oracles.random_regular_partition(4096, 3, random.Random(4097))
     assert size(lam) == 4038 and len(lam) == 89
     image = mullineux(lam, 3)
-    assert mullineux_symbol(image, 3) == mullineux_image_symbol(lam, 3)
+    assert oracles.mullineux_symbol(image, 3) == oracles.mullineux_image_symbol(lam, 3)
     assert mullineux(image, 3) == lam
 
 

@@ -13,7 +13,6 @@ from laddercrystal.partitions import (
     check_partition,
     hook_grid,
     size,
-    transpose,
 )
 from laddercrystal.rimhooks import (
     HORIZONTAL,
@@ -32,97 +31,25 @@ from laddercrystal.rimhooks import (
     removable_rim_hooks,
 )
 
+import oracles
 from strategies import partitions, moduli
-
-
-# Reference implementation on the hook grid: a removable ell-rim hook per box
-# of hook length exactly ell, traced along the rim from the end of the box's
-# row to the foot of its column, and cores by peeling the topmost hook.
-
-
-def _rim_walk(lam, base):
-    row, col = base
-    foot_row = transpose(lam)[col - 1]
-    i, j = row, lam[row - 1]
-    path = [(i, j)]
-    while (i, j) != (foot_row, col):
-        if i < len(lam) and lam[i] >= j:
-            i += 1
-        else:
-            j -= 1
-        path.append((i, j))
-    return tuple(path)
-
-
-def _reference_shape(path):
-    if all(b[0] == path[0][0] for b in path):
-        return HORIZONTAL
-    if all(b[1] == path[0][1] for b in path):
-        return VERTICAL
-    return NEITHER
-
-
-def _reference_hooks(lam, ell):
-    out = []
-    for row, hooks in enumerate(hook_grid(lam), start=1):
-        for col, h in enumerate(hooks, start=1):
-            if h < ell:
-                break
-            if h == ell:
-                path = _rim_walk(lam, (row, col))
-                out.append((path, _reference_shape(path)))
-                break
-    return out
-
-
-def _reference_remove(lam, path):
-    new = list(lam)
-    for row, _col in path:
-        new[row - 1] -= 1
-    return check_partition(new)
-
-
-def _reference_core(lam, ell):
-    weight = 0
-    while True:
-        hooks = _reference_hooks(lam, ell)
-        if not hooks:
-            return lam, weight
-        lam = _reference_remove(lam, hooks[0][0])
-        weight += 1
 
 
 @pytest.mark.parametrize("ell", [2, 3, 4, 5])
 def test_abacus_matches_hook_grid_oracle(ell):
     for n in range(15):
         for lam in all_partitions(n):
-            expected = _reference_hooks(lam, ell)
+            expected = oracles.rim_hooks(lam, ell)
             hooks = removable_rim_hooks(lam, ell)
             assert [(h.boxes, h.shape) for h in hooks] == expected, lam
             for hook, (path, _shape) in zip(hooks, expected):
-                assert remove_rim_hook(lam, hook) == _reference_remove(lam, path), (lam, hook)
-            assert ell_core(lam, ell) == _reference_core(lam, ell), lam
+                assert remove_rim_hook(lam, hook) == oracles.remove(lam, path), (lam, hook)
+            assert ell_core(lam, ell) == oracles.core(lam, ell), lam
 
 
-def _reference_ell_core(lam, ell):
-    """_ell_core as it was: one bead per row, no padding, beads counted per runner."""
-    n = len(lam)
-    packed = [0] * ell  # beads seen so far on each runner
-    weight = 0
-    for s in range(n - 1, -1, -1):  # beads in increasing position
-        level, runner = divmod(lam[s] + n - 1 - s, ell)
-        weight += level - packed[runner]
-        packed[runner] += 1
-    beads = sorted(
-        (runner + ell * level for runner, k in enumerate(packed) for level in range(k)),
-        reverse=True,
-    )
-    parts = (bead - (n - 1 - j) for j, bead in enumerate(beads))
-    return tuple(part for part in parts if part), weight
-
-
-def _assert_matches_unpadded_abacus(lam, ell):
-    core, weight = _reference_ell_core(lam, ell)
+def _assert_matches_the_peel(lam, ell):
+    """The padded abacus (_ell_core, _is_core) against the core peeled off the diagram."""
+    core, weight = oracles.core(lam, ell)
     assert _ell_core(lam, ell) == (core, weight), lam
     assert _is_core(lam, ell) == (weight == 0), lam
 
@@ -131,20 +58,14 @@ def _assert_matches_unpadded_abacus(lam, ell):
 def test_padded_abacus_matches_the_unpadded_bead_loop(ell):
     for n in range(19):
         for lam in all_partitions(n):
-            _assert_matches_unpadded_abacus(lam, ell)
+            _assert_matches_the_peel(lam, ell)
 
 
 @pytest.mark.parametrize("ell", [2, 3, 4, 5, 6])
 def test_padded_abacus_matches_the_unpadded_bead_loop_on_large_partitions(ell):
     rng = random.Random(5300 + ell)
     for _ in range(12):
-        n = rng.randint(500, 5000)
-        cap = rng.choice([3, int(n**0.5) + 1, n // 8 + 1])
-        parts = []
-        while n:
-            parts.append(rng.randint(1, min(cap, n)))
-            n -= parts[-1]
-        _assert_matches_unpadded_abacus(tuple(sorted(parts, reverse=True)), ell)
+        _assert_matches_the_peel(oracles.random_partition(rng.randint(500, 5000), rng), ell)
 
 
 @pytest.mark.parametrize("ell", [2, 3, 4, 5])
