@@ -1,8 +1,10 @@
 """Definitional oracles: one per map, each built from the map's definition in
 the literature, box by box or hook by hook, with none of the package's
-kernels.  The tests hold the package to them on every partition of small n
-and on large partitions drawn, from seeded generators, by random_partition
-and the other input helpers at the end of this module.
+kernels (the suite oracles at the end rerun the package's public
+predicates one check at a time, by design).  The tests hold the package to
+them on every partition of small n and on large partitions drawn, from
+seeded generators, by random_partition and the other input helpers at the
+end of this module.
 
 - diagrams: partitions of n by their first part, and the conjugate and the
   hook lengths, counted box by box;
