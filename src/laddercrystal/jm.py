@@ -2,9 +2,11 @@
 
 A partition is (ell,0)-JM when no box with hook length divisible by ell sits
 in the same row as a box with indivisible hook and in the same column as
-another.  Equivalently (and this module checks both sides) it is a
-"generalized ell-partition": every removable ell-rim hook, hereditarily, is a
-horizontal or vertical strip, and opposite-orientation hooks never touch.
+another.  For ell >= 3 it is equivalently (and this module checks both
+sides) a "generalized ell-partition": every removable ell-rim hook,
+hereditarily, is a horizontal or vertical strip, and opposite-orientation
+hooks never touch.  At ell = 2, where is_jm refuses, (2, 2) is a
+generalized 2-partition with a Fayers witness.
 
 The witness side is read off James's abacus: is_jm reads each runner's
 highest bead and lowest gap in one pass over the beads (see _is_jm), with no
@@ -13,11 +15,11 @@ orientation with fewer rows, as is_generalized_ell_partition does.
 fayers_witness scans the hook grid to name the witness boxes, and is the
 tests' oracle for is_jm.
 
-The hereditary side is read off James's abacus too: rimhooks._abacus lists
-each runner's bead levels for is_generalized_ell_partition, and every
-negative position is a bead; the ell-partition test needs only each
-runner's lowest gap and highest bead (rimhooks._runner_ends), as is_jm
-does; an ell-regular partition passes it exactly when it is JM, so the
+The hereditary side is read off James's abacus too: _runners reads what
+is_generalized_ell_partition needs of each runner in one pass over the
+beads, and every negative position is a bead; the ell-partition test needs
+only each runner's lowest gap and highest bead (rimhooks._runner_ends), as
+is_jm does; an ell-regular partition passes it exactly when it is JM, so the
 theorem sweep reads ell-partitions off its JM table.  Removing a rim hook moves one bead one level down its runner, so the
 partitions reachable by removals are the product, over the runners, of the
 bead sets M with M_i <= L_i, where L and M list a runner's bead levels in
@@ -61,7 +63,7 @@ from .partitions import (
     check_partition,
     partition_cache,
 )
-from .rimhooks import _abacus, _ell_core, _is_core, _runner_ends
+from .rimhooks import _beads, _ell_core, _is_core, _runner_ends
 
 
 class NotJMPartitionError(ValueError):
@@ -109,22 +111,25 @@ def star_condition(lam: Partition, ell: int) -> bool:
 
 def _runners(lam: Partition, ell: int) -> tuple[list[int], list[int], list[int], list[int]]:
     """What the reachable bead sets of each abacus runner of lam can hold,
-    as four lists indexed by runner: packed, packed2, top, second.
+    as four lists indexed by runner, read in one pass over the beads
+    (rimhooks._beads): packed, packed2, top, second.
 
-    packed: the beads at levels 0, 1, ... with no gap below; level t can be
-    a gap exactly when t >= packed.  packed2: the index of the lowest bead
-    with two gaps below it (the bead count when none has).  top, second:
+    A bead's slack, its level minus its index on the runner, counts the gaps
+    below it and never decreases up the runner.  packed: the beads with
+    slack 0, at levels 0, 1, ...; level t can be a gap exactly when
+    t >= packed.  packed2: the beads with slack at most 1.  top, second:
     the highest two bead levels (-1 when missing); level t can hold a bead
-    exactly when t <= top.  A bead's slack, its level minus its index on
-    the runner, counts the gaps below it and never decreases up the runner.
+    exactly when t <= top.
     """
-    packed, packed2, top, second = [], [], [], []
-    for beads in _abacus(lam, ell):
-        slack = [level - i for i, level in enumerate(beads)]
-        packed.append(bisect.bisect_left(slack, 1))
-        packed2.append(bisect.bisect_left(slack, 2))
-        top.append(beads[-1] if beads else -1)
-        second.append(beads[-2] if len(beads) > 1 else -1)
+    packed, packed2, top, second = [0] * ell, [0] * ell, [-1] * ell, [-1] * ell
+    for bead in _beads(lam, ell):
+        level, runner = divmod(bead, ell)
+        if level == packed[runner]:  # then the beads below have slack 0 too
+            packed[runner] += 1
+        if level <= packed2[runner] + 1:
+            packed2[runner] += 1
+        second[runner] = top[runner]
+        top[runner] = level
     return packed, packed2, top, second
 
 
@@ -237,7 +242,9 @@ def is_jm(lam: Partition, ell: int) -> bool:
 @partition_cache
 def is_generalized_ell_partition(lam: Partition, ell: int) -> bool:
     """Hereditarily: hooks only horizontal/vertical, and removing one never
-    exposes a touching hook of the opposite orientation.
+    exposes a touching hook of the opposite orientation.  For ell >= 3 this
+    is is_jm; at ell = 2 it is no JM test: it accepts (2, 2), which has a
+    Fayers witness.
 
     Answered on the abacus, without listing the reachable partitions (see
     the module docstring).  For a hook on runner j at level k, write the
@@ -284,22 +291,15 @@ def is_generalized_ell_partition(lam: Partition, ell: int) -> bool:
     return True
 
 
-def _leading_run(nu: Partition, ell: int) -> int:
-    """Number of leading parts with successive difference exactly ell-1."""
-    run = 0
-    for a, b in zip(nu, nu[1:] + (0,)):
-        if a - b != ell - 1:
-            break
-        run += 1
-    return run
-
-
 def _core_frame(core: Partition, ell: int) -> tuple[Partition, int, int]:
     """Strip the leading difference-(ell-1) rows and columns off a core.  Column
     j is longer than column j + 1 by the number of parts equal to j, so s is
     read from the multiplicities of the smallest parts, with no transpose."""
-    r = _leading_run(core, ell)
-    step, end, s = ell - 1, len(core), 0
+    step, r, end, s = ell - 1, 0, len(core), 0
+    for a, b in zip(core, core[1:] + (0,)):
+        if a - b != step:
+            break
+        r += 1
     while end >= step and core[end - step] == core[end - 1] == s + 1:
         end -= step
         if end and core[end - 1] == s + 1:
@@ -328,9 +328,9 @@ def decompose_jm(lam: Partition, ell: int) -> JMDecomposition:
     pad = (0,) * (r + s + 2)
     try:
         rho = check_partition([(a - b) // ell for a, b in zip((lam + pad)[: r + 1], core + pad)])
-        cols = _transpose(_compose(core, rho, [()], ell)[0]) + pad
+        cols = _transpose(_add_rows(core, rho, ell)) + pad
         sigma = check_partition([(a - b) // ell for a, b in zip((_transpose(lam) + pad)[: s + 1], cols)])
-        if _fits(mu, r, s, rho, sigma) and _compose(core, rho, [sigma], ell) == [lam]:
+        if _fits(mu, r, s, rho, sigma) and _compose(core, rho, sigma, ell) == lam:
             return JMDecomposition(mu, r, s, rho, sigma)
     except ValueError:  # a negative or increasing reading
         pass
@@ -363,21 +363,17 @@ def compose_jm(dec: JMDecomposition, ell: int) -> Partition:
         raise InvalidDecompositionError(f"{exc}: {dec}") from None
     core = tuple(_frame_rows(mu, r, s, ell))
     if not (_is_core(core, ell) and _core_frame(core, ell) == (mu, r, s)):
-        raise InvalidDecompositionError(f"({mu}, {r}, {s}) is not the frame of an {ell}-core: {dec}")
+        raise InvalidDecompositionError(f"({mu}, {r}, {s}) is not the frame of a core for ell = {ell}: {dec}")
     if not _fits(mu, r, s, rho, sigma):
         raise InvalidDecompositionError(f"rho and sigma do not fit the frame: {dec}")
-    return _compose(core, rho, [sigma], ell)[0]
+    return _compose(core, rho, sigma, ell)
 
 
-def _compose(core: Partition, rho: Partition, sigmas: list[Partition], ell: int) -> list[Partition]:
-    """For each sigma, the core plus rho_i hooks on row i + 1 and sigma_j on column j + 1.
-
-    nu, the core plus rho, is built once, and so are the columns that the
-    longest sigma lengthens (see _stack).
-    """
+def _compose(core: Partition, rho: Partition, sigma: Partition, ell: int) -> Partition:
+    """The core plus rho_i hooks on row i + 1 and sigma_j on column j + 1 (see _stack)."""
     nu = _add_rows(core, rho, ell)
-    cols = _columns(nu, max(map(len, sigmas), default=0))
-    return [nu[:base] + tail for base, tail in (_stack(cols, sigma, ell) for sigma in sigmas)]
+    base, tail = _stack(_columns(nu, len(sigma)), sigma, ell)
+    return nu[:base] + tail
 
 
 def _add_rows(core: Partition, rho: Partition, ell: int) -> Partition:
@@ -425,7 +421,7 @@ def _checked_frame(core: Partition, w: int, ell: int) -> tuple[Partition, Partit
     core = check_partition(core)
     check_count("weight", w)
     if not _is_core(core, ell):
-        raise NotACoreError(f"{core} is not an {ell}-core")
+        raise NotACoreError(f"{core} is not a core for ell = {ell}")
     return (core, *_core_frame(core, ell))
 
 

@@ -121,18 +121,6 @@ def ladder_counts(lam: Partition, ell: int) -> dict[int, int]:
     return {k: count for k, count in enumerate(_ladder_tally(lam, ell)) if count}
 
 
-def _assemble(lengths: list[int]) -> Partition:
-    """Row box counts (index 0 unused) as a partition, less the empty rows at the end.
-
-    The callers fill contiguous rows that form a partition by construction;
-    the tests check that rather than each call.
-    """
-    depth = len(lengths) - 1
-    while depth and not lengths[depth]:
-        depth -= 1
-    return tuple(lengths[1 : depth + 1])
-
-
 @partition_cache
 def regularize(lam: Partition, ell: int) -> Partition:
     """Slide the boxes of every ladder into that ladder's topmost positions."""
@@ -146,15 +134,17 @@ def _regularize(lam: Partition, ell: int) -> Partition:
     A class ladder's top positions lie on class rows 0, 1, ..., so after the
     slide class row j holds one box for each class ladder with more than j
     boxes: the class's rows are the conjugate of its sorted ladder counts,
-    read by bisection.
+    read by bisection; the rows left empty come last.
     """
-    step = ell - 1
-    lengths = [0] * (len(lam) + 1)
+    step, depth = ell - 1, len(lam)
+    lengths = [0] * (depth + 1)  # by row from 1
     for c, counts in enumerate(_class_ladders(lam, ell), start=1):
         counts.sort()
         held = len(counts)  # class row j gets held - #{counts <= j} boxes
-        lengths[c::step] = [held - bisect_right(counts, j) for j in range((len(lam) - c) // step + 1)]
-    return _assemble(lengths)
+        lengths[c::step] = [held - bisect_right(counts, j) for j in range((depth - c) // step + 1)]
+    while depth and not lengths[depth]:
+        depth -= 1
+    return tuple(lengths[1 : depth + 1])
 
 
 def _ladder_end(rho: Partition, box: Box, ell: int) -> Box:
@@ -424,8 +414,11 @@ def _is_L_partition(lam: Partition, ell: int) -> bool:
     the recorded gaps of its runner.  A disqualifying box has
     (b - g) / ell <= leg < len(lam), so gaps farther than *reach* below a
     bead are neither recorded nor tested: a long row costs no more than a
-    short one.
+    short one.  When ell exceeds every hook length, lam_1 + len(lam) - 1 at
+    most, no hook is divisible and nothing is read.
     """
+    if not lam or ell >= lam[0] + len(lam):
+        return True
     reach = ell * len(lam)
     gaps: list[list[tuple[int, int]]] = [[] for _ in range(ell)]  # (gap, beads below it), ascending
     start = 0  # the lowest position not yet read

@@ -13,9 +13,8 @@ ell-core, and the number of slides is the ell-weight.
 core test reads it up to the first bead that can slide, and regular's
 L-partition test reads it once, pairing each bead with the gaps below it
 on its runner.  ``_runner_ends`` reads each runner's lowest gap and highest
-bead from it, for jm's membership test and its ell-partition test; jm's
-generalized ell-partition test reads the per-runner levels that
-``_abacus`` sorts out of it.
+bead from it, for jm's membership test and its ell-partition test, and
+jm's ``_runners`` reads the rest of what its generalized test needs.
 
 So no hook-length grid is built: finding the hooks costs about ell^2 per
 distinct part of lam, removing one costs a tuple slice, a core costs
@@ -187,15 +186,6 @@ def _runner_ends(lam: Partition, ell: int) -> tuple[list[int], list[int]]:
             packed[runner] += 1
         top[runner] = bead
     return [runner + ell * k for runner, k in enumerate(packed)], top
-
-
-def _abacus(lam: Partition, ell: int) -> list[list[int]]:
-    """The bead levels of each runner of lam's abacus, ascending, indexed by runner."""
-    levels: list[list[int]] = [[] for _ in range(ell)]
-    for bead in _beads(lam, ell):
-        level, runner = divmod(bead, ell)
-        levels[runner].append(level)
-    return levels
 
 
 def _ell_core(lam: Partition, ell: int) -> CoreResult:

@@ -163,6 +163,30 @@ def core(lam: Partition, ell: int) -> tuple[Partition, int]:
     return rest, len(removed)
 
 
+def runners(lam: Partition, ell: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    """(packed, packed2, top, second) of each runner of lam's abacus (James-Kerber 2.7).
+
+    With lam padded by zero rows to n, a multiple of ell, row r (from 1)
+    puts a bead at position lam_r + n - r: its first-column hook length
+    plus the n - len(lam) padded rows.  Runner i holds the positions
+    i + ell * level.  packed is its lowest gap level (the levels below all
+    hold beads), packed2 counts the beads below its second gap (at most one
+    gap below them), and top and second are the two highest levels holding
+    a bead, or -1.
+    """
+    n = -(-len(lam) // ell) * ell
+    beads = {part + n - r for r, part in enumerate(list(lam) + [0] * (n - len(lam)), start=1)}
+    height = max(beads, default=0) // ell + 3  # every runner has two gaps below this level
+    out: tuple[list[int], ...] = ([], [], [], [])
+    for i in range(ell):
+        levels = [t for t in range(height) if i + ell * t in beads]
+        gaps = [t for t in range(height) if i + ell * t not in beads]
+        highest = levels[::-1] + [-1, -1]
+        for field, value in zip(out, (gaps[0], sum(t < gaps[1] for t in levels), *highest[:2])):
+            field.append(value)
+    return out
+
+
 # Signatures and operators
 
 

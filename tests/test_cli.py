@@ -159,6 +159,12 @@ def test_jm_count_emits_bare_number(capsys):
     assert out == "6\n"
 
 
+def test_jm_count_names_the_modulus_of_a_non_core(capsys):
+    assert main(["jm", "count", "--core", "3", "--weight", "1", "--ell", "3"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: (3,) is not a core for ell = 3\n")
+
+
 def test_jm_enumerate(capsys):
     _, out = run_cli(
         capsys, "jm", "enumerate", "--ell", "3", "--core", "3,1", "--weight", "3", "--plain"
@@ -310,6 +316,10 @@ def test_usage_errors_exit_two(capsys):
     assert main(["jm", "check", "--ell", "2", "2,1"]) == 2
     assert main(["nonsense"]) == 2
     capsys.readouterr()
+    # a modulus past the index range fails at the first list of one slot per runner
+    assert main(["jm", "check", "empty", "--ell", str(10**30)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
 HUGE = "99999999999999999999"  # past 2**63, so no list or range can be that long

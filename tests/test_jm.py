@@ -29,6 +29,7 @@ from laddercrystal.jm import (
     _frame_rows,
     _is_jm,
     _only_horizontal_hereditarily,
+    _runners,
     compose_jm,
     count_jm,
     decompose_jm,
@@ -238,6 +239,40 @@ def test_jm_equals_generalized_ell_partition(ell):
     for n in range(0, 11):
         for lam in all_partitions(n):
             assert is_jm(lam, ell) == is_generalized_ell_partition(lam, ell)
+
+
+@pytest.mark.parametrize("ell", [6, 7])
+def test_jm_equals_generalized_ell_partition_from_ell_3(ell):
+    # at ell = 2, where is_jm refuses, (2, 2) is a generalized 2-partition
+    # with a witness: the hook 2 at (1, 2) lies beside the 3 at (1, 1) and
+    # over the 1 at (2, 2).  No other partition of up to 12 boxes differs
+    # there
+    assert is_generalized_ell_partition((2, 2), 2) and oracles.generalized((2, 2), 2)
+    assert oracles.jm_witness((2, 2), 2) == ((1, 2), (1, 1), (2, 2))
+    mismatches = [
+        lam for n in range(13) for lam in all_partitions(n) if oracles.jm(lam, 2) != is_generalized_ell_partition(lam, 2)
+    ]
+    assert mismatches == [(2, 2)]
+    for n in range(17):
+        for lam in all_partitions(n):
+            assert is_jm(lam, ell) == is_generalized_ell_partition(lam, ell), lam
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 5, 6, 7])
+def test_runners_match_the_abacus_oracle(ell):
+    for n in range(19):
+        for lam in all_partitions(n):
+            assert _runners(lam, ell) == oracles.runners(lam, ell), lam
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 5, 6, 7])
+def test_runners_match_the_abacus_oracle_on_large_partitions(ell):
+    rng = random.Random(7500 + ell)
+    shapes = [oracles.random_partition(rng.randint(500, 5000), rng) for _ in range(12)]
+    if ell > 2:  # composed JM partitions, with hooks on several runners
+        shapes += oracles.large_jm_partitions(ell, rng, 6)
+    for lam in shapes:
+        assert _runners(lam, ell) == oracles.runners(lam, ell), lam
 
 
 def _assert_matches_walk(lam, ell):
@@ -458,7 +493,7 @@ def test_compose_on_the_core_matches_the_frame_form(ell):
                     for sigma in _tallies(w - t, s + 1):
                         if oracles.fits(mu, r, s, rho, sigma):
                             expected = oracles.compose(core, rho, sigma, ell)
-                            assert _compose(core, rho, [sigma], ell) == [expected], (core, rho, sigma)
+                            assert _compose(core, rho, sigma, ell) == expected, (core, rho, sigma)
 
 
 def _jm_members(core, w, ell):

@@ -1,8 +1,10 @@
 """The examples in README.md: the library session and the command lines;
-and the tests that README.md and the package's docstrings cite."""
+and the tests and private names that README.md and the package's
+docstrings cite."""
 
 from __future__ import annotations
 
+import ast
 import doctest
 import json
 import re
@@ -15,6 +17,7 @@ from laddercrystal.cli import main
 
 TESTS = Path(__file__).resolve().parent
 README = TESTS.parent / "README.md"
+PACKAGE = TESTS.parent / "src" / "laddercrystal"
 
 
 def _blocks(lang: str) -> list[str]:
@@ -80,8 +83,30 @@ def test_cited_tests_exist_and_oracles_live_in_one_module():
     # not in a private helper of the module that uses it
     modules = {path.stem: path.read_text() for path in TESTS.glob("*.py")}
     defined = set(modules) | {name for text in modules.values() for name in re.findall(r"^def (test_\w+)", text, re.M)}
-    docs = [README, *(TESTS.parent / "src" / "laddercrystal").glob("*.py")]
+    docs = [README, *PACKAGE.glob("*.py")]
     cited = {name for path in docs for name in re.findall(r"\btest_\w+", path.read_text())}
     assert cited and cited <= defined, sorted(cited - defined)
     private = re.compile(r"^\s*def (_reference_\w*|_parent_\w*|_random_partition)\b", re.M)
     assert not {name: private.findall(text) for name, text in modules.items() if private.search(text)}
+
+
+def test_cited_private_names_are_defined():
+    # every _name or module._name in README.md or a package docstring names
+    # a function, class or module constant of the package (of that module,
+    # when one is named), so a deleted helper leaves no citation behind
+    defined, docs = {}, [README.read_text()]
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        assigned = [target for node in tree.body if isinstance(node, ast.Assign) for target in node.targets]
+        names = {target.id for target in assigned if isinstance(target, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef)) and ast.get_docstring(node):
+                docs.append(ast.get_docstring(node))
+        defined[path.stem] = names
+    anywhere = set().union(*defined.values())
+    private = re.compile(r"(?:\b(\w+)\.)?(?<![\w'])(_[A-Za-z]\w*)")  # not lam'_b, lam_r or __slots__
+    cited = {match.groups() for doc in docs for match in private.finditer(doc)}
+    assert {name for _, name in cited} >= {"_beads", "_runners"}
+    assert not sorted((module, name) for module, name in cited if name not in defined.get(module, anywhere))

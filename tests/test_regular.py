@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import random
 import time
 
@@ -500,6 +501,23 @@ def test_L_partition_on_long_rows_and_columns():
     assert is_L_partition((1,) * 3000, 3)
     assert not is_L_partition((10**18, 10**18), 3)  # box (1, 10**18 - 1): hook 3, arm 1, leg 1
     assert time.perf_counter() - start < 1
+
+
+def test_L_partition_at_a_modulus_past_every_hook(monkeypatch):
+    # a modulus above lam_1 + len(lam) - 1, the longest hook, divides no
+    # hook, so no bead is read and no list of ell runners is built; at the
+    # longest hook itself (5, 3, 1) has the hook 7 at (1, 1), arm 4, leg 2
+    for lam in [(), (1,), (5, 3, 1)]:
+        for ell in range(3, 12):
+            assert is_L_partition(lam, ell) == oracles.L_partition(lam, ell), (lam, ell)
+    assert not is_L_partition((5, 3, 1), 7) and is_L_partition((5, 3, 1), 8)
+
+    def forbidden(*args):
+        raise AssertionError("is_L_partition read the beads")
+
+    monkeypatch.setattr(importlib.import_module("laddercrystal.regular"), "_beads", forbidden)
+    for lam in [(), (1,), (5, 3, 1)]:
+        assert is_L_partition(lam, 10**30), lam
 
 
 def test_L_partition_rejects_small_ell():

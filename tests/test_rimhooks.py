@@ -20,7 +20,6 @@ from laddercrystal.rimhooks import (
     VERTICAL,
     InvalidHookError,
     RimHook,
-    _abacus,
     _ell_core,
     _is_core,
     _runner_ends,
@@ -74,11 +73,9 @@ def test_runner_ends_match_the_bead_levels(ell):
     # highest bead at its top level
     for n in range(15):
         for lam in all_partitions(n):
-            gaps, tops = [], []
-            for runner, levels in enumerate(_abacus(lam, ell)):
-                packed = next((i for i, level in enumerate(levels) if level != i), len(levels))
-                gaps.append(runner + ell * packed)
-                tops.append(runner + ell * levels[-1] if levels else -1)
+            packed, _, top, _ = oracles.runners(lam, ell)
+            gaps = [runner + ell * k for runner, k in enumerate(packed)]
+            tops = [runner + ell * level if level >= 0 else -1 for runner, level in enumerate(top)]
             assert _runner_ends(lam, ell) == (gaps, tops), lam
 
 
