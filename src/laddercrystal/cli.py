@@ -351,8 +351,17 @@ def _run(argv: list[str] | None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OverflowError, MemoryError) as exc:  # a part or weight too large to index or to allocate
-        print(f"error: {str(exc) or 'not enough memory for this input'}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (OverflowError, MemoryError) as exc:  # a modulus, part or weight too large to index or to allocate
+        text = str(exc) or "not enough memory for this input"
+        numbers = [value for value in vars(args).values() if type(value) is int]  # --ell and the other options
+        for given in (getattr(args, "partition", ""), getattr(args, "core", "")):  # parts and exponents as written
+            numbers += [int(token) for token in given.replace("^", ",").split(",") if token.strip().isdecimal()]
+        if args.ell == max(numbers):  # the kernels keep one slot per runner, so the modulus is to blame
+            text = f"the modulus --ell {args.ell} is too large ({text})"
+        print(f"error: {text}", file=sys.stderr)
         return 2
 
 

@@ -6,9 +6,11 @@ classical operator's, and partitions are built only for a new f_hat target
 and where the boxes differ.  theorem_suite grows levels by the child rule
 and reads each class off its level: D(rho) as the last member of rho's
 fibre, so the ladder nodes are the fibre-last members; the Mullineux
-images, one symbol read per pair {rho, m(rho)}; and the JM, ell-partition
-and weak members, against which a string's f-steps are decided once their
-level is built.
+images, one symbol read per pair {rho, m(rho)}; the (jm, core, L-partition)
+answers, once per conjugate pair and in the order core => JM => L-partition
+(the L test on every pair, JM only on L-partitions, core only on JM ones);
+and the JM, ell-partition and weak members, against which a string's
+f-steps are decided once their level is built.
 """
 
 from __future__ import annotations
@@ -31,6 +33,12 @@ from .regular import (
 from .strings import _format
 
 Edge = tuple[Partition, Partition, int]
+
+# The (jm, core, L-partition) triples that can occur: core => JM => L-partition
+_NEITHER = (False, False, False)
+_L_ONLY = (False, False, True)
+_JM_ONLY = (True, False, True)
+_CORE = (True, True, True)
 
 
 class CrystalGraph(namedtuple("CrystalGraph", "ell model depth levels edges")):
@@ -296,8 +304,11 @@ def _check_level(report: VerificationReport, n: int, reg: dict, ell: int, classe
     and D(rho) is its dominance-least one (James), so lex-least too.  The
     ladder nodes of the level are the D(rho), so lam is a node exactly when
     it is the last member of its fibre.  JM, core and L-partition membership
-    are decided once per pair {lam, lam'}, and Mullineux's symbol is read
-    once per pair {rho, m(rho)}: m is an involution (Mullineux).
+    are decided once per pair {lam, lam'}, L first, then JM only for an
+    L-partition and core only for a JM partition (core => JM => L), and
+    kept as one of the four shared triples beside a list of the
+    mates R(lam').  Mullineux's symbol is read once per pair {rho, m(rho)}:
+    m is an involution (Mullineux).
     The level's members of the three walked classes join classes, and the
     f-step checks queued for size n are decided; then each lam is checked,
     in order, and its f-steps are queued under the sizes they land on.
@@ -307,17 +318,25 @@ def _check_level(report: VerificationReport, n: int, reg: dict, ell: int, classe
         queued[n + check[3]].append(check)
 
     least = {rho: lam for lam, rho in reg.items()}  # the last lam of each fibre wins: D(rho)
-    facts = []  # (R(lam'), jm, core, L-partition) of each lam, in order
-    pending = {}  # lam' -> its facts, decided at lam, until lam' comes up
+    mates = []  # R(lam') of each lam, in order
+    facts = []  # (jm, core, L-partition) of each lam, in order: one of the four shared triples
+    pending = {}  # lam' -> (R(lam), facts), decided at lam, until lam' comes up
     for lam, image in reg.items():
-        fact = pending.pop(lam, None)
-        if fact is None:
+        if lam in pending:
+            mate, fact = pending.pop(lam)
+        else:
             conj = _transpose(lam)
-            answers = (_is_jm(lam, ell), _is_core(lam, ell), _is_L_partition(lam, ell))
-            fact = (reg[conj], *answers)
-            pending[conj] = (image, *answers)
+            if not _is_L_partition(lam, ell):  # core => JM => L-partition
+                fact = _NEITHER
+            elif not _is_jm(lam, ell):
+                fact = _L_ONLY
+            else:
+                fact = _CORE if _is_core(lam, ell) else _JM_ONLY
+            mate = reg[conj]
+            pending[conj] = image, fact
+        mates.append(mate)
         facts.append(fact)
-    jm_n = {lam for lam, fact in zip(reg, facts) if fact[1]}
+    jm_n = {lam for lam, fact in zip(reg, facts) if fact[0]}
     classes["jm"] |= jm_n
     classes["ell-partition"].update(rho for rho in least if rho in jm_n)
     classes["weak"].update(rho for rho, lam in least.items() if lam in jm_n)
@@ -327,7 +346,7 @@ def _check_level(report: VerificationReport, n: int, reg: dict, ell: int, classe
         if rho not in here:
             here[rho] = mull = _mullineux_symbol(rho, ell)
             here.setdefault(mull, rho)  # no partner overwrites an image read at its own key
-    for (lam, image), (mate, jm, core, balanced) in zip(reg.items(), facts):
+    for (lam, image), mate, (jm, core, balanced) in zip(reg.items(), mates, facts):
         node = least[image] is lam  # the ladder nodes are the D(rho)
         if node:
             report.checks += jm + core + balanced
@@ -374,7 +393,15 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
       the last member of its fibre: one lookup, with no lock test.
     - the JM, core and L-partition answers of every lam of the level,
       decided once per pair {lam, lam'}: the three conditions are kept under
-      conjugation (hooks stay, arm and leg swap).
+      conjugation (hooks stay, arm and leg swap).  They are decided in the
+      order core => JM => L-partition, so each pair costs the L test, an
+      L-partition also the JM test, and a JM partition also the core test.
+      Core => JM: a core has no hook divisible by ell, so no Fayers
+      witness.  JM => L: in a JM partition a box with a divisible hook h has
+      a row or a column of divisible hooks, distinct multiples of ell, so
+      h >= ell * (arm + 1) or h >= ell * (leg + 1), and h / ell <=
+      min(arm, leg) fails.  So only four (jm, core, L) triples occur, and
+      the level holds each answer as one of four shared tuples.
     - the Mullineux images of the ell-regular partitions, read off
       Mullineux's symbol (regular._mullineux_symbol) in O(len(rho)) per
       ell-rim, once per pair {rho, m(rho)}: m is an involution (Mullineux),
@@ -397,7 +424,9 @@ def theorem_suite(ell: int, nmax: int) -> VerificationReport:
     queue for that size and is decided as soon as that level's members are
     in the sets.  Checks that land past nmax are decided at the end, each
     distinct partition once, by the predicates (jm._is_jm,
-    partitions._is_regular, regular._deregularize), memoized for the call.
+    partitions._is_regular, regular._deregularize), memoized for the call;
+    JM is asked there of any partition, L-partition or not, since most
+    f-step targets past nmax are L-partitions.
 
     Apart from those lookups a check costs what its predicate costs, with
     no argument checks: one pass over the rows per partition and model

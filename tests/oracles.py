@@ -593,25 +593,32 @@ def theorem_suite_by_records(ell: int, nmax: int, is_jm) -> graph.VerificationRe
     """graph.theorem_suite partition by partition, with one report.check per
     check, the public predicates (looked up at call time in regular, so a
     test can swap one) and JM membership asked of is_jm(lam, ell): an oracle
-    for the suite's count and failure records, as a multiset."""
+    for the suite's count and failure records, as a multiset.  Up to nmax it
+    asks in the suite's order: JM only of L-partitions, core only of JM
+    partitions (core => JM => L-partition); past nmax, JM of any partition."""
     report = graph.VerificationReport(suite="crystal-theorems", ell=ell, params={"nmax": nmax})
 
+    def jm_member(lam, ell):
+        return (sum(lam) > nmax or regular.is_L_partition(lam, ell)) and is_jm(lam, ell)
+
     def ell_partition(lam, ell):
-        return is_regular(lam, ell) and is_jm(lam, ell)
+        return is_regular(lam, ell) and jm_member(lam, ell)
 
     def weak(lam, ell):
-        return is_regular(lam, ell) and is_jm(regular.deregularize(lam, ell), ell)
+        return is_regular(lam, ell) and jm_member(regular.deregularize(lam, ell), ell)
 
     for n in range(nmax + 1):
         for lam in all_partitions(n):
-            jm, balanced = is_jm(lam, ell), regular.is_L_partition(lam, ell)
+            balanced = regular.is_L_partition(lam, ell)
+            jm = balanced and is_jm(lam, ell)
             node = regular.is_ladder_node(lam, ell)
-            for member, noun in ((jm, "JM partitions"), (is_core(lam, ell), "cores"), (balanced, "L-partitions")):
+            core = jm and is_core(lam, ell)
+            for member, noun in ((jm, "JM partitions"), (core, "cores"), (balanced, "L-partitions")):
                 if member:
                     report.check(node, lam, None, f"{noun} are ladder nodes", "not a node")
             if jm:
                 for i, w in enumerate(reduced_words(lam, ell, LADDER)):
-                    string_end_checks_by_records(report, lam, i, ell, "jm", is_jm, w)
+                    string_end_checks_by_records(report, lam, i, ell, "jm", jm_member, w)
             mull = regular.mullineux(regular.regularize(lam, ell), ell)
             expected = f"mullineux(R(lam)) == R(lam') iff L-partition ({balanced})"
             agrees = mull == regular.regularize(conjugate(lam), ell)

@@ -316,10 +316,13 @@ def test_usage_errors_exit_two(capsys):
     assert main(["jm", "check", "--ell", "2", "2,1"]) == 2
     assert main(["nonsense"]) == 2
     capsys.readouterr()
-    # a modulus past the index range fails at the first list of one slot per runner
-    assert main(["jm", "check", "empty", "--ell", str(10**30)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    # a modulus past the index range, or past memory, fails at the first
+    # list of one slot per runner, and the error line names it
+    for ell in (10**30, 10**18):
+        assert main(["jm", "check", "empty", "--ell", str(ell)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error: the modulus --ell {ell} is too large ("), captured.err
 
 
 HUGE = "99999999999999999999"  # past 2**63, so no list or range can be that long
@@ -349,11 +352,12 @@ UNALLOCATABLE = "999999999999999999"
     ids=lambda argv: " ".join(arg for arg in argv if arg != HUGE),
 )
 def test_oversized_input_is_a_usage_error(capsys, argv):
-    # these raised OverflowError or MemoryError and exited 1 with a traceback, and mullineux never returned
+    # these raised OverflowError or MemoryError and exited 1 with a traceback, and mullineux never returned;
+    # the modulus is smaller than the input, so the error line does not blame it
     assert main([*argv, "--ell", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith("error: ") and "modulus" not in captured.err
 
 
 def test_suite_rejects_negative_nmax(capsys):

@@ -763,14 +763,36 @@ def test_sweep_predicates_agree_on_conjugates(ell):
     assert seen == {True, False}
 
 
+@pytest.mark.parametrize("ell", [3, 4, 5, 6, 7])
+def test_core_implies_jm_implies_L_partition(ell):
+    # the sweep asks JM only of L-partitions and core only of JM partitions.
+    # A core has no hook divisible by ell, so no Fayers witness: core => JM.
+    # In a JM partition a box with a divisible hook h has a row or a column
+    # of divisible hooks, distinct multiples of ell, so h >= ell * (arm + 1)
+    # or h >= ell * (leg + 1), and h / ell <= min(arm, leg) fails: JM => L.
+    # So only four (jm, core, L-partition) triples occur
+    def triple(lam):
+        jm, core, balanced = oracles.jm(lam, ell), oracles.core(lam, ell)[1] == 0, oracles.L_partition(lam, ell)
+        assert (not core or jm) and (not jm or balanced), lam
+        return jm, core, balanced
+
+    seen = {triple(lam) for n in range(19) for lam in all_partitions(n)}
+    rng = random.Random(8700 + ell)
+    for lam in oracles.large_jm_partitions(ell, rng, 6):
+        seen |= {triple(nu) for nu in [lam] + oracles.one_box_away(lam)}
+    assert seen == {(True, True, True), (True, False, True), (False, False, True), (False, False, False)}
+
+
 def test_theorem_suite_decides_each_conjugate_pair_once(monkeypatch):
     # JM, core and L-partition membership are decided once per pair
-    # {lam, lam'} of a level: 740 calls each, where one per partition made
-    # 1,423.  Up to nmax the string walks and the ell-partition and weak
-    # classes read the levels' members, and D is read off each level, so
-    # only the f-steps past nmax decide more: 215 JM partitions and 209
-    # deregularizations, each distinct partition once.  JM tables asked by
-    # the walks made 1,159 JM decisions and 953 deregularizations.
+    # {lam, lam'} of a level, in the order core => JM => L-partition: the L
+    # test on each of the 740 pairs (one per partition made 1,423), JM only
+    # on the 295 L-pairs and core only on the 196 JM pairs.  Up to nmax the
+    # string walks and the ell-partition and weak classes read the levels'
+    # members, and D is read off each level, so only the f-steps past nmax
+    # decide more: 215 JM partitions and 209 deregularizations, each
+    # distinct partition once.  JM tables asked by the walks made 1,159 JM
+    # decisions and 953 deregularizations.
     calls = {"core": 0, "L": 0, "jm": 0}
     deregularized = []
 
@@ -789,15 +811,17 @@ def test_theorem_suite_decides_each_conjugate_pair_once(monkeypatch):
     monkeypatch.setattr(graph, "_is_L_partition", counted("L", _is_L_partition))
     monkeypatch.setattr(graph, "_is_jm", counted("jm", _is_jm))
     monkeypatch.setattr(graph, "_deregularize", spied)
-    levels = []
+    pairs = []
     for ell, nmax, checks in ((3, 16, 6197), (4, 14, 4685)):
         start = len(deregularized)
         assert theorem_suite(ell, nmax).checks == checks
         assert min(deregularized[start:]) > nmax
-        levels += range(nmax + 1)
-    pairs = sum(len({min(lam, transpose(lam)) for lam in all_partitions(n)}) for n in levels)
-    assert calls == {"core": pairs, "L": pairs, "jm": pairs + 215}
-    assert pairs == 740
+        for n in range(nmax + 1):
+            pairs += [(lam, ell) for lam in {min(lam, transpose(lam)) for lam in all_partitions(n)}]
+    balanced = [pair for pair in pairs if oracles.L_partition(*pair)]
+    jm = [pair for pair in balanced if oracles.jm(*pair)]
+    assert calls == {"L": len(pairs), "jm": len(balanced) + 215, "core": len(jm)}
+    assert calls == {"L": 740, "jm": 295 + 215, "core": 196}
     assert len(deregularized) == 209
 
 
@@ -906,7 +930,7 @@ def test_theorem_suite_decides_past_nmax_classes_on_regular_partitions_only(monk
     ]
 
 
-@pytest.mark.parametrize("wrong,checks,failures", [(7, 1468, 122), (12, 1470, 41)])
+@pytest.mark.parametrize("wrong,checks,failures", [(7, 1382, 83), (12, 1470, 41)])
 def test_theorem_suite_failure_records_match_the_record_per_check_sweep(monkeypatch, wrong, checks, failures):
     # a JM test that is wrong on one size, inside nmax (7) or past it (12),
     # reached only by f-steps: the count and the failure records are those
@@ -925,6 +949,37 @@ def test_theorem_suite_failure_records_match_the_record_per_check_sweep(monkeypa
         return [failure for failure in report.failures if " after f^" not in failure["expected"]]
 
     assert in_order(report) == in_order(oracle)
+
+
+@pytest.mark.parametrize(
+    "kernel,lam,failures",
+    [("_is_L_partition", (7,), 17), ("_is_jm", (5, 1), 5)],
+    ids=["L false on the JM partition 7", "JM true on the L-partition 5,1"],
+)
+def test_theorem_suite_catches_a_wrong_kernel_in_its_order(monkeypatch, kernel, lam, failures):
+    # JM is asked only of L-partitions and core only of JM partitions, so a
+    # wrong L answer on the JM partition (7) hides its JM answer too, and a
+    # wrong JM answer counts only where the L test passes, as on (5, 1).
+    # The suite still fails, with the records of a sweep with one
+    # report.check per check given the same wrong kernel on the conjugate
+    # pair (the suite asks once per pair)
+    assert (_is_jm((7,), 3), _is_L_partition((7,), 3), _is_jm((5, 1), 3), _is_L_partition((5, 1), 3)) == (
+        True, True, False, True
+    )
+    pair = {lam, transpose(lam)}
+    right = getattr(graph, kernel)
+
+    def wrong(lam, ell):
+        return right(lam, ell) != (lam in pair)
+
+    monkeypatch.setattr(graph, kernel, wrong)
+    asked_jm = wrong if kernel == "_is_jm" else is_jm
+    if kernel == "_is_L_partition":
+        monkeypatch.setattr(regular, "is_L_partition", wrong)
+    report, oracle = theorem_suite(3, 12), theorem_suite_by_records(3, 12, asked_jm)
+    assert (report.checks, len(report.failures)) == (oracle.checks, failures)
+    records = Counter(tuple(failure.values()) for failure in report.failures)
+    assert records == Counter(tuple(failure.values()) for failure in oracle.failures)
 
 
 def test_report_schema_and_failure_path():
