@@ -9,11 +9,10 @@ subcommand finds failures or stdout closes before the output is written
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 
-from .partitions import Partition, add_box, addable_boxes, check_ell, is_regular, size, transpose
+from .partitions import Partition, check_ell, is_regular, size, transpose
 from .rimhooks import ell_core
 from .jm import (
     count_jm,
@@ -135,14 +134,20 @@ def _cores(ell: int, max_size: int) -> list[Partition]:
 
     Adding all addable i-boxes of a core (the affine s_i action) gives a core,
     every core is reached so from (), and sizes only grow, so the walk stops
-    at max_size.
+    at max_size.  Only the residues of a core's addable corners can grow it,
+    so a core costs O(len(core)) per corner, whatever ell.
     """
     check_ell(ell)
     found, todo = {()}, [()]
     while todo:
-        core = todo.pop()
-        for i in range(ell):
-            grown = functools.reduce(add_box, addable_boxes(core, i, ell), core)
+        rows = todo.pop() + (0,)
+        corners = [r for r, part in enumerate(rows) if r == 0 or rows[r - 1] > part]  # rows with an addable box
+        for i in {(rows[r] - r) % ell for r in corners}:
+            grown = list(rows)
+            for r in corners:
+                if (rows[r] - r) % ell == i:
+                    grown[r] += 1
+            grown = tuple(filter(None, grown))
             if sum(grown) <= max_size and grown not in found:
                 found.add(grown)
                 todo.append(grown)

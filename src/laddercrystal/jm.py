@@ -8,24 +8,24 @@ hereditarily, is a horizontal or vertical strip, and opposite-orientation
 hooks never touch.  At ell = 2, where is_jm refuses, (2, 2) is a
 generalized 2-partition with a Fayers witness.
 
-The witness side is read off James's abacus: is_jm reads each runner's
-highest bead and lowest gap in one pass over the beads (see _is_jm), with no
-hook grid.  The condition is symmetric under conjugation, so is_jm reads the
-orientation with fewer rows, as is_generalized_ell_partition does.
-fayers_witness scans the hook grid to name the witness boxes, and is the
-tests' oracle for is_jm.
+Both sides are read off James's abacus through rimhooks._runners, the one
+runner reader (one pass over the beads, no hook grid).  The witness side
+needs only each runner's lowest gap and highest bead (see _is_jm).  The
+condition is symmetric under conjugation, so is_jm reads the orientation
+with fewer rows, as is_generalized_ell_partition does.  fayers_witness
+scans the hook grid to name the witness boxes, and is the tests' oracle
+for is_jm.
 
-The hereditary side is read off James's abacus too: _runners reads what
-is_generalized_ell_partition needs of each runner in one pass over the
-beads, and every negative position is a bead; the ell-partition test needs
-only each runner's lowest gap and highest bead (rimhooks._runner_ends), as
+On the hereditary side, every negative position is a bead.  The
+ell-partition test needs only each runner's lowest gap and highest bead, as
 is_jm does; an ell-regular partition passes it exactly when it is JM, so the
-theorem sweep reads ell-partitions off its JM table.  Removing a rim hook moves one bead one level down its runner, so the
-partitions reachable by removals are the product, over the runners, of the
-bead sets M with M_i <= L_i, where L and M list a runner's bead levels in
-ascending order.  A runner can hold a bead at level t exactly when t is at
-most its top bead, and a gap exactly when t is at least its packed prefix
-(the beads with no gap below, which never move).  A hook from a bead at level k of runner j,
+theorem sweep reads ell-partitions off its JM table.  Removing a rim hook
+moves one bead one level down its runner, so the partitions reachable by
+removals are the product, over the runners, of the bead sets M with
+M_i <= L_i, where L and M list a runner's bead levels in ascending order.  A
+runner can hold a bead at level t exactly when t is at most its top bead,
+and a gap exactly when t is at least its packed prefix (the beads with no
+gap below, which never move).  A hook from a bead at level k of runner j,
 into the gap at k-1, passes one position of every other runner, its window:
 level k on the runners below j and level k-1 on those above.  It is
 horizontal when its window holds only gaps and vertical when it holds only
@@ -63,7 +63,7 @@ from .partitions import (
     check_partition,
     partition_cache,
 )
-from .rimhooks import _beads, _ell_core, _is_core, _runner_ends
+from .rimhooks import _ell_core, _is_core, _runners
 
 
 class NotJMPartitionError(ValueError):
@@ -109,30 +109,6 @@ def star_condition(lam: Partition, ell: int) -> bool:
     return all((h % ell == 0) == (t % ell == 0) for hooks in grid for h, t in zip(hooks, top))
 
 
-def _runners(lam: Partition, ell: int) -> tuple[list[int], list[int], list[int], list[int]]:
-    """What the reachable bead sets of each abacus runner of lam can hold,
-    as four lists indexed by runner, read in one pass over the beads
-    (rimhooks._beads): packed, packed2, top, second.
-
-    A bead's slack, its level minus its index on the runner, counts the gaps
-    below it and never decreases up the runner.  packed: the beads with
-    slack 0, at levels 0, 1, ...; level t can be a gap exactly when
-    t >= packed.  packed2: the beads with slack at most 1.  top, second:
-    the highest two bead levels (-1 when missing); level t can hold a bead
-    exactly when t <= top.
-    """
-    packed, packed2, top, second = [0] * ell, [0] * ell, [-1] * ell, [-1] * ell
-    for bead in _beads(lam, ell):
-        level, runner = divmod(bead, ell)
-        if level == packed[runner]:  # then the beads below have slack 0 too
-            packed[runner] += 1
-        if level <= packed2[runner] + 1:
-            packed2[runner] += 1
-        second[runner] = top[runner]
-        top[runner] = level
-    return packed, packed2, top, second
-
-
 @functools.lru_cache(maxsize=None)
 def _only_horizontal_hereditarily(lam: Partition, ell: int) -> bool:
     """No partition reachable by removing ell-rim hooks has a non-horizontal one.
@@ -140,13 +116,15 @@ def _only_horizontal_hereditarily(lam: Partition, ell: int) -> bool:
     It has one exactly when some hook's window can hold a bead.  A hook on
     runner j starts at a level k in (packed, top]; the lowest k asks least
     of the window, and window level t on runner i can hold a bead when
-    t <= top_i.  In positions (rimhooks._runner_ends): that lowest hook
-    drops a bead into runner j's lowest gap g, so it exists when g lies
-    below j's highest bead, and its window, the positions g+1..g+ell-1, can
-    hold a bead when another runner's highest bead lies above g.  Cost
-    O(len(lam) + ell).  The cache serves only the public is_ell_partition.
+    t <= top_i.  In positions (runner + ell * level, from
+    rimhooks._runners): that lowest hook drops a bead into runner j's lowest
+    gap g, so it exists when g lies below j's highest bead, and its window,
+    the positions g+1..g+ell-1, can hold a bead when another runner's
+    highest bead lies above g.  Cost O(len(lam) + ell).  The cache serves
+    only the public is_ell_partition.
     """
-    gap, top = _runner_ends(lam, ell)
+    _, packed, _, top, _ = _runners(lam, ell)
+    gap, top = [i + ell * k for i, k in enumerate(packed)], [i + ell * t for i, t in enumerate(top)]
     highest = max(top)
     # as in _is_jm: only the runner holding the highest bead needs a scan
     return not any(
@@ -195,7 +173,8 @@ def fayers_witness(lam: Partition, ell: int) -> FayersWitness | None:
 
 
 def _is_jm(lam: Partition, ell: int) -> bool:
-    """No Fayers witness, decided in one pass over lam's beads (rimhooks._runner_ends).
+    """No Fayers witness, decided on each runner's lowest gap and highest bead
+    (rimhooks._runners), as positions runner + ell * level.
 
     The boxes of lam are the pairs (gap g, bead b) with g < b: the box lies
     in b's row and g's column, and its hook length is b - g, so ell divides
@@ -203,16 +182,18 @@ def _is_jm(lam: Partition, ell: int) -> bool:
     runner r with a gap g below a bead b, a gap of another runner below b
     (the row-mate) and a bead of another runner above g (the column-mate).
     Taking r's highest bead and lowest gap makes all three easiest to meet,
-    so one pass that records both per runner decides it: O(len(lam) + ell),
-    whatever the size of lam, with no hook grid.  The public is_jm passes
-    the orientation with fewer rows.
+    so one pass over the beads decides it: O(len(lam) + ell), whatever the
+    size of lam, with no hook grid.  The public is_jm passes the
+    orientation with fewer rows.
     """
-    gap, top = _runner_ends(lam, ell)
+    _, packed, _, top, _ = _runners(lam, ell)
+    gap, top = [i + ell * k for i, k in enumerate(packed)], [i + ell * t for i, t in enumerate(top)]
     lowest, highest = min(gap), max(top)
     for g, b in zip(gap, top):
         # positions are distinct, so x != g and x != b leave out runner r
-        # itself (tops repeat only as -1, where g < b fails); only the
-        # runners holding the lowest gap and the highest bead need a scan
+        # itself (an empty runner's top is the negative bead r - ell, where
+        # g < b fails); only the runners holding the lowest gap and the
+        # highest bead need a scan
         if (
             g < b
             and (g != lowest or any(x < b for x in gap if x != g))
@@ -270,7 +251,7 @@ def is_generalized_ell_partition(lam: Partition, ell: int) -> bool:
     O(min(len(lam), lam_1) + ell^3), whatever the weight.
     """
     check_ell(ell)
-    packed, packed2, top, second = _runners(_fewer_rows(lam), ell)
+    _, packed, packed2, top, second = _runners(_fewer_rows(lam), ell)
     for j in range(ell):
         first, last = packed[j] + 1, top[j]
         if first > last:

@@ -9,12 +9,12 @@ and its leg is the number of beads passed, at most ell - 1.  Sliding the
 beads of each runner (residue class mod ell) as far up as they go gives the
 ell-core, and the number of slides is the ell-weight.
 
-``_beads`` is the one bead reader: cores count its beads per runner, the
-core test reads it up to the first bead that can slide, and regular's
-L-partition test reads it once, pairing each bead with the gaps below it
-on its runner.  ``_runner_ends`` reads each runner's lowest gap and highest
-bead from it, for jm's membership test and its ell-partition test, and
-jm's ``_runners`` reads the rest of what its generalized test needs.
+``_runners`` is the one runner reader: one pass over ``_beads`` gives each
+runner's bead count, lowest gap, beads with at most one gap below, and two
+highest beads.  Cores and the core test read it here, and jm's membership,
+ell-partition and generalized tests read it there.  Only regular's
+L-partition test reads ``_beads`` itself, since it pairs each bead with the
+gaps below it on its runner.
 
 So no hook-length grid is built: finding the hooks costs about ell^2 per
 distinct part of lam, removing one costs a tuple slice, a core costs
@@ -175,52 +175,57 @@ def _beads(lam: Partition, ell: int) -> Iterator[int]:
     return map(operator.add, reversed(lam + (0,) * (n - len(lam))), range(n))
 
 
-def _runner_ends(lam: Partition, ell: int) -> tuple[list[int], list[int]]:
-    """Each runner's lowest gap position and highest bead position (-1 when
-    it holds none), as two lists indexed by runner; one pass over the beads."""
-    packed = [0] * ell  # beads at levels 0, 1, ... with no gap below
-    top = [-1] * ell
+def _runners(lam: Partition, ell: int) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+    """Each runner of lam's abacus in one pass over the beads, as five lists
+    indexed by runner: count, packed, packed2, top, second, all in levels
+    (the bead at level t of runner i sits at position i + ell * t).
+
+    count: the beads on the runner.  A bead's slack, its level minus its
+    index on the runner, counts the gaps below it and never decreases up
+    the runner.  packed: the beads with slack 0, at levels 0, 1, ..., so
+    level packed is the lowest gap.  packed2: the beads with slack at most
+    1.  top, second: the highest two bead levels, -1 when missing (level -1
+    is a negative position, and every negative position is a bead).
+    """
+    count, packed, packed2, top, second = [0] * ell, [0] * ell, [0] * ell, [-1] * ell, [-1] * ell
     for bead in _beads(lam, ell):
         level, runner = divmod(bead, ell)
-        if level == packed[runner]:
-            packed[runner] += 1
-        top[runner] = bead
-    return [runner + ell * k for runner, k in enumerate(packed)], top
+        slack = level - count[runner]
+        if slack < 2:
+            packed2[runner] += 1
+            if not slack:
+                packed[runner] += 1
+        count[runner] += 1
+        second[runner] = top[runner]
+        top[runner] = level
+    return count, packed, packed2, top, second
 
 
 def _ell_core(lam: Partition, ell: int) -> CoreResult:
-    counts = [0] * ell  # beads seen so far on each runner
-    weight = 0
-    for bead in _beads(lam, ell):
-        level, runner = divmod(bead, ell)
-        weight += level - counts[runner]
-        counts[runner] += 1
-    packed = chain.from_iterable(range(runner, runner + ell * k, ell) for runner, k in enumerate(counts))
-    parts = map(operator.sub, sorted(packed, reverse=True), range(sum(counts) - 1, -1, -1))
-    return CoreResult(tuple(filter(None, parts)), weight)
+    count = _runners(lam, ell)[0]
+    packed = chain.from_iterable(range(runner, runner + ell * k, ell) for runner, k in enumerate(count))
+    parts = map(operator.sub, sorted(packed, reverse=True), range(sum(count) - 1, -1, -1))
+    core = tuple(filter(None, parts))
+    return CoreResult(core, (sum(lam) - sum(core)) // ell)
 
 
 @partition_cache
 def ell_core(lam: Partition, ell: int) -> CoreResult:
     """The ell-core and ell-weight of lam, read off James's abacus.
 
-    Each runner's beads slide up to its lowest levels; the core is read back
-    from the packed beads, and the weight is the number of slides.  The cost
-    is O(n log n + ell) for n rows, whatever the weight.
+    Each runner's beads slide up to its lowest levels, so the core is read
+    back from the bead counts (_runners); each slide removes one hook, so the
+    weight is (|lam| - |core|) / ell.  The cost is O(n log n + ell) for n
+    rows, whatever the weight.
     """
     check_ell(ell)
     return _ell_core(lam, ell)
 
 
 def _is_core(lam: Partition, ell: int) -> bool:
-    """Weight 0: each bead lies right above its runner's earlier beads; stops at the first that does not."""
-    counts = [0] * ell  # beads seen so far on each runner
-    for bead in _beads(lam, ell):
-        level, runner = divmod(bead, ell)
-        if level != counts[runner]:
-            return False
-        counts[runner] += 1
-    return True
+    """Weight 0: every runner's lowest gap lies above its highest bead."""
+    _, packed, _, top, _ = _runners(lam, ell)
+    return all(map(operator.gt, packed, top))
 
 
 def is_core(lam: Partition, ell: int) -> bool:

@@ -317,12 +317,14 @@ def test_usage_errors_exit_two(capsys):
     assert main(["nonsense"]) == 2
     capsys.readouterr()
     # a modulus past the index range, or past memory, fails at the first
-    # list of one slot per runner, and the error line names it
+    # list of one slot per runner, and the error line names it; the census
+    # grows its cores only at the residues of their corners, so it gets there
     for ell in (10**30, 10**18):
-        assert main(["jm", "check", "empty", "--ell", str(ell)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and len(captured.err.splitlines()) == 1
-        assert captured.err.startswith(f"error: the modulus --ell {ell} is too large ("), captured.err
+        for argv in (["jm", "check", "empty"], ["jm", "census"]):
+            assert main([*argv, "--ell", str(ell)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and len(captured.err.splitlines()) == 1
+            assert captured.err.startswith(f"error: the modulus --ell {ell} is too large ("), captured.err
 
 
 HUGE = "99999999999999999999"  # past 2**63, so no list or range can be that long

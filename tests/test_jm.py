@@ -29,7 +29,6 @@ from laddercrystal.jm import (
     _frame_rows,
     _is_jm,
     _only_horizontal_hereditarily,
-    _runners,
     compose_jm,
     count_jm,
     decompose_jm,
@@ -45,6 +44,7 @@ from laddercrystal.rimhooks import (
     VERTICAL,
     _removable_rim_hooks,
     _remove,
+    _runners,
     adjacent,
     ell_core,
     is_core,
@@ -234,13 +234,6 @@ def test_jm_requires_ell_at_least_three():
         count_jm((1,), 1, 2)
 
 
-@pytest.mark.parametrize("ell", [3, 4])
-def test_jm_equals_generalized_ell_partition(ell):
-    for n in range(0, 11):
-        for lam in all_partitions(n):
-            assert is_jm(lam, ell) == is_generalized_ell_partition(lam, ell)
-
-
 @pytest.mark.parametrize("ell", [6, 7])
 def test_jm_equals_generalized_ell_partition_from_ell_3(ell):
     # at ell = 2, where is_jm refuses, (2, 2) is a generalized 2-partition
@@ -309,9 +302,9 @@ def test_hereditary_checks_match_the_walk_on_multi_row_jm_partitions(ell):
 
 
 @pytest.mark.parametrize("ell", [3, 4, 5])
-def test_only_horizontal_on_runner_ends_matches_the_runner_levels(ell):
+def test_only_horizontal_matches_the_removal_walk(ell):
     # the check reads each runner's lowest gap and highest bead
-    # (rimhooks._runner_ends); the walk over every partition that removals
+    # (rimhooks._runners); the walk over every partition that removals
     # reach checks it on every partition of n <= 18
     for n in range(19):
         for lam in partitions_of(n):
@@ -383,14 +376,6 @@ def test_star_condition_matches_a_column_scan(ell):
                 for col in range(len(cols))
             )
             assert star_condition(lam, ell) == expected, lam
-
-
-@pytest.mark.parametrize("ell", [3, 4])
-def test_ell_partition_is_regular_plus_star(ell):
-    for n in range(0, 11):
-        for lam in all_partitions(n):
-            expected = is_regular(lam, ell) and star_condition(lam, ell)
-            assert is_ell_partition(lam, ell) == expected
 
 
 @pytest.mark.parametrize("ell", [3, 4, 5])

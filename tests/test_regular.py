@@ -406,18 +406,6 @@ def test_deregularization_is_the_last_member_of_each_fibre(ell, nmax):
             assert (least[image] is lam) == is_ladder_node(lam, ell), lam
 
 
-@pytest.mark.parametrize("ell", [3, 4])
-def test_ladder_node_triple_equivalence(ell):
-    for n in range(0, 11):
-        for lam in all_partitions(n):
-            node = is_ladder_node(lam, ell)
-            all_locked = all(
-                label != UNLOCKED for label in lock_labels(lam, ell).values()
-            )
-            fixed = deregularize(lam, ell) == lam
-            assert node == all_locked == fixed
-
-
 @pytest.mark.parametrize("ell", [2, 3, 4, 5, 6])
 def test_ladder_node_matches_the_hook_rule(ell):
     for n in range(19):
