@@ -133,13 +133,15 @@ def _read(lam: Partition, i: int | None, ell: int, model: str) -> list:
     and False for the removable one, so sorting a list gives the ladder
     order, by (ladder, row), which no two boxes share.  A read of residue i
     keeps one list: residue c goes to slot (c - i) mod ell, and only slot 0
-    is kept, so the read holds O(len(lam)) at any ell.
+    is kept, so the read holds O(len(lam)) at any ell.  The slots are filled
+    from one list allocated in a single step, so a modulus past memory fails
+    before the first row is read.
     """
     rows = lam + (0,)
     below = 0
     row = len(rows)
     if i is None and model == CLASSICAL:
-        words = [_new_tuple(ReducedWord, ([], [])) for _ in range(ell)]  # skips namedtuple's Python-level __new__
+        words = [_new_tuple(ReducedWord, ([], [])) for _ in [None] * ell]  # skips namedtuple's Python-level __new__
         for part in reversed(rows):
             last = (part - row) % ell
             if part > below:
@@ -155,7 +157,7 @@ def _read(lam: Partition, i: int | None, ell: int, model: str) -> list:
         return words
     shift, width = (0, ell) if i is None else (i, 1)
     step = ell - 1
-    entries: list[list[tuple]] = [[] for _ in range(width)]
+    entries: list[list[tuple]] = [[] for _ in [None] * width]
     for part in reversed(rows):
         slot = (part - row - shift) % ell
         if part > below and slot < width:

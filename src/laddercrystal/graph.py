@@ -297,7 +297,7 @@ def _end_checks(report: VerificationReport, checks, classes: dict) -> None:
 
 def _check_level(report: VerificationReport, n: int, reg: dict, ell: int, classes: dict, queued: defaultdict) -> None:
     """Run the checks of level n, given as reg: every partition of size n
-    with its regularization, in partitions_of order.
+    with its regularization, in reverse lexicographic order.
 
     D(rho), for each ell-regular rho of size n, is read off the level: the
     last lam with R(lam) = rho is the lex-least member of rho's ladder class,

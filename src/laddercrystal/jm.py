@@ -47,16 +47,15 @@ partitions.  Frames and decompositions are checked by reading them back.
 
 from __future__ import annotations
 
-import bisect
 import functools
 from collections import namedtuple
 from itertools import zip_longest
 
 from .partitions import (
     Partition,
-    _children,
     _hook_grid,
     _is_regular,
+    _partitions_by_size,
     _transpose,
     check_count,
     check_ell,
@@ -275,7 +274,9 @@ def is_generalized_ell_partition(lam: Partition, ell: int) -> bool:
 def _core_frame(core: Partition, ell: int) -> tuple[Partition, int, int]:
     """Strip the leading difference-(ell-1) rows and columns off a core.  Column
     j is longer than column j + 1 by the number of parts equal to j, so s is
-    read from the multiplicities of the smallest parts, with no transpose."""
+    read from the multiplicities of the smallest parts, with no transpose; a core
+    has at most ell - 1 equal parts (with ell equal to p, the first of the last
+    ell has hook length ell at column p)."""
     step, r, end, s = ell - 1, 0, len(core), 0
     for a, b in zip(core, core[1:] + (0,)):
         if a - b != step:
@@ -283,8 +284,6 @@ def _core_frame(core: Partition, ell: int) -> tuple[Partition, int, int]:
         r += 1
     while end >= step and core[end - step] == core[end - 1] == s + 1:
         end -= step
-        if end and core[end - 1] == s + 1:
-            break  # more than ell - 1 parts equal s + 1
         s += 1
     return tuple(p - s for p in core[r:] if p > s), r, s
 
@@ -335,16 +334,18 @@ def _frame_rows(mu: Partition, r: int, s: int, ell: int) -> list[int]:
 
 def compose_jm(dec: JMDecomposition, ell: int) -> Partition:
     """Rebuild the JM partition on the core of its frame: the frame's rows must form a core
-    whose frame reads back as (mu, r, s), and rho and sigma must fit it."""
+    whose frame reads back as (mu, r, s), and rho and sigma must fit it.  The frame is
+    checked first: a bad one is refused whatever rho and sigma are, naming the frame alone."""
     check_ell(ell, minimum=3)
-    mu, rho, sigma = map(check_partition, (dec.mu, dec.rho, dec.sigma))
+    mu = check_partition(dec.mu)
     try:
         r, s = check_count("r", dec.r), check_count("s", dec.s)
     except ValueError as exc:
         raise InvalidDecompositionError(f"{exc}: {dec}") from None
     core = tuple(_frame_rows(mu, r, s, ell))
     if not (_is_core(core, ell) and _core_frame(core, ell) == (mu, r, s)):
-        raise InvalidDecompositionError(f"({mu}, {r}, {s}) is not the frame of a core for ell = {ell}: {dec}")
+        raise InvalidDecompositionError(f"({mu}, {r}, {s}) is not the frame of a core for ell = {ell}")
+    rho, sigma = check_partition(dec.rho), check_partition(dec.sigma)
     if not _fits(mu, r, s, rho, sigma):
         raise InvalidDecompositionError(f"rho and sigma do not fit the frame: {dec}")
     return _compose(core, rho, sigma, ell)
@@ -353,7 +354,7 @@ def compose_jm(dec: JMDecomposition, ell: int) -> Partition:
 def _compose(core: Partition, rho: Partition, sigma: Partition, ell: int) -> Partition:
     """The core plus rho_i hooks on row i + 1 and sigma_j on column j + 1 (see _stack)."""
     nu = _add_rows(core, rho, ell)
-    base, tail = _stack(_columns(nu, len(sigma)), sigma, ell)
+    base, tail = _stack(_transpose(nu) + (0,) * len(sigma), sigma, ell)
     return nu[:base] + tail
 
 
@@ -363,13 +364,7 @@ def _add_rows(core: Partition, rho: Partition, ell: int) -> Partition:
     return tuple([a + b * ell for a, b in zip_longest(core[:n], rho, fillvalue=0)]) + core[n:]
 
 
-def _columns(nu: Partition, m: int) -> list[int]:
-    """The lengths of nu's first m columns, by bisection of its ascending rows."""
-    ascending, depth = nu[::-1], len(nu)
-    return [depth - bisect.bisect_left(ascending, j) for j in range(1, m + 1)]
-
-
-def _stack(cols: list[int], sigma: Partition, ell: int) -> tuple[int | None, Partition]:
+def _stack(cols: tuple[int, ...], sigma: Partition, ell: int) -> tuple[int | None, Partition]:
     """(c_m, rows) for sigma_j hooks on columns c_j long (cols), m = len(sigma).
 
     The lengthened columns stack: the partition keeps its first c_m rows and
@@ -420,14 +415,6 @@ def count_jm(core: Partition, w: int, ell: int) -> int:
     return _pair_count(w, r + 1, s) + _pair_count(w, r, s + 1) - _pair_count(w, r, s)
 
 
-def _partitions_by_size(w: int, k: int) -> list[list[Partition]]:
-    """The partitions of 0..w with at most k parts, by size: each size the children of the one below."""
-    by_size = [[()]]
-    for _ in range(w):
-        by_size.append([child for _, child, _ in _children(by_size[-1], k)])
-    return by_size
-
-
 def enumerate_jm(core: Partition, w: int, ell: int) -> list[Partition]:
     """All JM partitions with the given core and weight, largest-first; builds only what it returns.
 
@@ -444,7 +431,7 @@ def enumerate_jm(core: Partition, w: int, ell: int) -> list[Partition]:
     by_size = _partitions_by_size(w, max(r, s) + 1)
     rhos = by_size if r >= s else [[rho for rho in by if len(rho) <= r + 1] for by in by_size]
     sigmas = by_size if s >= r else [[sigma for sigma in by if len(sigma) <= s + 1] for by in by_size]
-    cols = _columns(core, s + 1)
+    cols = _transpose(core) + (0,) * (s + 1)
     out = []
     for rho_t, sigma_t in zip(rhos, reversed(sigmas)):
         stack = [_stack(cols, sigma, ell) for sigma in sigma_t]

@@ -309,21 +309,10 @@ def dominance_compare(lam: Partition, mu: Partition) -> str:
     return INCOMPARABLE
 
 
-def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of n with parts at most max_part, reverse-lex, from a stack: no recursion."""
-    stack = [((), n, n if max_part is None else max_part)] if n >= 0 else []
-    while stack:
-        prefix, rest, cap = stack.pop()
-        if not rest:
-            yield prefix
-        for part in range(1, min(cap, rest) + 1):
-            stack.append((prefix + (part,), rest - part, part))
-
-
 def _children(level: Iterable[Partition], max_rows: int | None = None) -> Iterator[tuple[Partition, Partition, Box]]:
     """(parent, child, added box) for each partition one box larger than one of *level*,
     with at most max_rows rows.  A partition's parent is itself less the last box of its
-    last row, so all those of n in partitions_of order give those of n + 1 in order."""
+    last row, so all those of n in reverse lexicographic order give those of n + 1 in order."""
     for mu in level:
         depth = len(mu)
         if depth and (depth == 1 or mu[-2] > mu[-1]):
@@ -332,6 +321,15 @@ def _children(level: Iterable[Partition], max_rows: int | None = None) -> Iterat
             yield mu, mu + (1,), (depth + 1, 1)
 
 
+def _partitions_by_size(n: int, max_rows: int | None = None) -> list[list[Partition]]:
+    """The partitions of 0..n with at most max_rows rows, by size, each size the children of the one below."""
+    by_size = [[()]]
+    for _ in range(n):
+        by_size.append([child for _, child, _ in _children(by_size[-1], max_rows)])
+    return by_size
+
+
 @functools.lru_cache(maxsize=None)
 def all_partitions(n: int) -> tuple[Partition, ...]:
-    return tuple(partitions_of(n))
+    """The partitions of n in reverse lexicographic order; none when n < 0."""
+    return tuple(_partitions_by_size(n)[n]) if n >= 0 else ()

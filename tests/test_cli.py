@@ -318,9 +318,16 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
     # a modulus past the index range, or past memory, fails at the first
     # list of one slot per runner, and the error line names it; the census
-    # grows its cores only at the residues of their corners, so it gets there
+    # grows its cores only at the residues of their corners, so it gets there,
+    # and the crystal commands allocate each signature read's residue slots
+    # in one step, so they fail before any row is read
     for ell in (10**30, 10**18):
-        for argv in (["jm", "check", "empty"], ["jm", "census"]):
+        for argv in (
+            ["jm", "check", "empty"],
+            ["jm", "census"],
+            ["crystal", "verify", "--depth", "2"],
+            ["crystal", "build", "--depth", "2"],
+        ):
             assert main([*argv, "--ell", str(ell)]) == 2
             captured = capsys.readouterr()
             assert captured.out == "" and len(captured.err.splitlines()) == 1

@@ -10,7 +10,7 @@ import pytest
 
 from laddercrystal.cli import _cores, main
 from laddercrystal.jm import _partitions_at_most, count_jm, enumerate_jm
-from laddercrystal.partitions import all_partitions, partitions_of
+from laddercrystal.partitions import _partitions_by_size, all_partitions
 from laddercrystal.rimhooks import is_core
 
 import oracles
@@ -36,7 +36,7 @@ def _headroom(frames: int = 100):
 
 def test_no_depth_grows_with_the_size_or_the_weight(capsys):
     with _headroom():
-        assert len(list(partitions_of(1200, 1))) == 1
+        assert _partitions_by_size(1200, 1)[-1] == [(1200,)]
         assert count_jm((1,), 2000, 3) == 2001
         assert len(enumerate_jm((1,), 40, 3)) == 41
         assert main(["jm", "census", "--ell", "3", "--max-core", "40", "--max-weight", "2", "--plain"]) == 0
@@ -49,12 +49,11 @@ def test_count_jm_at_a_large_weight_from_the_cli(capsys):
     assert capsys.readouterr().out == "2001\n"
 
 
-@pytest.mark.parametrize("n", range(-2, 15))
+@pytest.mark.parametrize("n", range(-2, 23))
 def test_partitions_of_matches_the_recursive_reference(n):
-    for max_part in [None, -1, 0, 1, 2, 3, 5, n + 1]:
-        cap = n if max_part is None else max_part
-        expected = list(oracles.partitions(n, cap)) if n >= 0 else []
-        assert list(partitions_of(n, max_part)) == expected, (n, max_part)
+    # the partitions of n, grown level by level by the child rule, in the
+    # reference's reverse lexicographic order
+    assert all_partitions(n) == (tuple(oracles.partitions(n, n)) if n >= 0 else ())
 
 
 def test_partitions_at_most_matches_the_length_filtered_scan():

@@ -38,7 +38,6 @@ from laddercrystal.partitions import (
     all_partitions,
     is_regular,
     ladder_index,
-    partitions_of,
     residue,
     size,
     transpose,
@@ -346,11 +345,11 @@ def test_verify_isomorphism_steps_up_to_each_node_once(monkeypatch):
 
 def test_sweep_steps_match_regularize_of_their_keys(monkeypatch):
     # theorem_suite: every level the child rule grows lists the partitions
-    # of its size in partitions_of order, and each child's image, one step
-    # up from its parent's, is its R.  verify_isomorphism: every ladder walk
-    # stands for an ell-regular partition with rho's ladder counts and one
-    # box more (less) on the box's ladder, which by James is R(lam + box)
-    # (R(lam - box)) for rho = R(lam).
+    # of its size in reverse lexicographic order, and each child's image,
+    # one step up from its parent's, is its R.  verify_isomorphism: every
+    # ladder walk stands for an ell-regular partition with rho's ladder
+    # counts and one box more (less) on the box's ladder, which by James is
+    # R(lam + box) (R(lam - box)) for rho = R(lam).
     levels = []
     stepped = []
     children = graph._children
@@ -371,7 +370,7 @@ def test_sweep_steps_match_regularize_of_their_keys(monkeypatch):
         assert theorem_suite(ell, 14).passed
     assert [len(level) for level in levels] == [len(all_partitions(n)) for n in range(1, 15)] * 4
     for level in levels:
-        assert level == list(partitions_of(sum(level[0])))
+        assert level == list(oracles.partitions(sum(level[0]), sum(level[0])))
     assert len(stepped) == sum(map(len, levels))
     for lam, image, ell in stepped:
         assert image == _regularize(lam, ell), (lam, ell)
@@ -896,6 +895,22 @@ def test_theorem_suite_reports_a_wrong_mullineux_image(monkeypatch):
             assert not expected - records, (rho, wrong)
             caught += bool(expected)
     assert caught == 20
+
+
+def test_theorem_suite_records_ladder_nodes_that_are_not_fibre_last(monkeypatch):
+    # with R((1, 1)) stepped to (2,), (1, 1) follows (2,) in its fibre, so
+    # (2,), a 3-core and so JM and an L-partition, is no longer a node
+    def stepped(rho, box, ell):
+        image = _add_to_ladder(rho, box, ell)
+        return (2,) if image == (1, 1) else image
+
+    monkeypatch.setattr(graph, "_add_to_ladder", stepped)
+    report = theorem_suite(3, 2)
+    nodes = [failure for failure in report.failures if failure["expected"].endswith(" are ladder nodes")]
+    assert nodes == [
+        {"input": "2", "residue": None, "expected": f"{kind} are ladder nodes", "actual": "not a node"}
+        for kind in ("JM partitions", "cores", "L-partitions")
+    ]
 
 
 def test_theorem_suite_decides_past_nmax_classes_on_regular_partitions_only(monkeypatch):

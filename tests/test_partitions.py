@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from laddercrystal.partitions import (
     EMPTY,
     _children,
+    _partitions_by_size,
     _transpose,
     EQUAL,
     GREATER,
@@ -32,7 +33,6 @@ from laddercrystal.partitions import (
     ladder_index,
     ladder_positions,
     leg,
-    partitions_of,
     remove_box,
     removable_boxes,
     removable_corners,
@@ -292,28 +292,19 @@ def test_dominance_against_prefix_sums(lam):
 
 @pytest.mark.parametrize("n", range(len(PARTITION_COUNTS)))
 def test_partition_counts(n):
-    found = list(partitions_of(n))
+    found = all_partitions(n)
     assert len(found) == PARTITION_COUNTS[n]
     assert len(set(found)) == len(found)
     for lam in found:
         assert check_partition(lam) == lam
         assert size(lam) == n
-    assert all_partitions(n) == tuple(found)
 
 
-def _grown(n, max_rows=None):
-    """The partitions of n by the child rule, grown level by level from ()."""
-    level = [()]
-    for _ in range(n):
-        level = [lam for _, lam, _ in _children(level, max_rows)]
-    return level
-
-
-def test_child_rule_gives_each_level_in_partitions_of_order():
-    level = [()]
+def test_child_rule_gives_each_level_in_reverse_lex_order():
+    level = [EMPTY]
     for n in range(1, 19):
         grown = list(_children(level))
-        assert [lam for _, lam, _ in grown] == list(partitions_of(n)), n
+        assert [lam for _, lam, _ in grown] == list(oracles.partitions(n, n)), n
         for mu, lam, box in grown:  # the parent is the child less its last row's last box
             assert mu in level and add_box(mu, box) == lam and box == (len(lam), lam[-1]), lam
         level = [lam for _, lam, _ in grown]
@@ -321,10 +312,6 @@ def test_child_rule_gives_each_level_in_partitions_of_order():
 
 @pytest.mark.parametrize("k", range(7))
 def test_child_rule_with_a_row_cap_gives_the_partitions_of_at_most_k_parts(k):
+    by_size = _partitions_by_size(14, k)
     for n in range(15):
-        assert _grown(n, k) == [lam for lam in partitions_of(n) if len(lam) <= k], (n, k)
-
-
-def test_partitions_of_respects_max_part():
-    assert list(partitions_of(4, max_part=2)) == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
-    assert list(partitions_of(0)) == [EMPTY]
+        assert by_size[n] == [lam for lam in oracles.partitions(n, n) if len(lam) <= k], (n, k)

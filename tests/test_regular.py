@@ -16,11 +16,9 @@ from laddercrystal.partitions import (
     add_box,
     addable_corners,
     all_partitions,
-    boxes,
     dominance_compare,
     _children,
     is_regular,
-    partitions_of,
     removable_corners,
     remove_box,
     size,
@@ -57,7 +55,7 @@ from laddercrystal.regular import (
 )
 
 import oracles
-from strategies import partitions, moduli, jm_moduli
+from strategies import partitions, moduli
 
 
 def _assert_postconditions(lam, ell):
@@ -423,7 +421,7 @@ def test_ladder_node_matches_the_hook_rule(ell):
 @pytest.mark.parametrize("ell", [3, 4, 5, 6, 7])
 def test_blocking_matches_the_column_scan(ell):
     for n in range(17):
-        for lam in partitions_of(n):
+        for lam in all_partitions(n):
             assert _blocking(lam, ell) == oracles.blocking(lam, ell), lam
     rng = random.Random(8500 + ell)
     large = [(1,) * 3000, (3000,), tuple(range(400, 0, -1))]
@@ -439,27 +437,10 @@ def test_L_partition_golden():
     assert is_L_partition((), 3)
 
 
-@given(partitions(max_part=7, max_len=7), jm_moduli())
-def test_L_partition_two_definitions(lam, ell):
-    # arm/leg inequalities versus the hook-quotient bound
-    from laddercrystal.partitions import arm, boxes, hook_length, leg
-
-    by_inequalities = True
-    for box in boxes(lam):
-        h = hook_length(lam, box)
-        if h % ell:
-            continue
-        a, g = arm(lam, box), leg(lam, box)
-        if a < (ell - 1) * g and g < (ell - 1) * a:
-            by_inequalities = False
-            break
-    assert is_L_partition(lam, ell) == by_inequalities
-
-
 @pytest.mark.parametrize("ell,nmax", [(3, 20), (4, 20), (5, 17), (6, 17), (7, 17)])
 def test_L_partition_on_the_abacus_matches_the_hook_grid(ell, nmax):
     for n in range(nmax + 1):
-        for lam in partitions_of(n):
+        for lam in all_partitions(n):
             assert is_L_partition(lam, ell) == oracles.L_partition(lam, ell), lam
 
 
